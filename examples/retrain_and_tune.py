@@ -20,8 +20,8 @@ from repro import generate_default_dataset, temporal_split
 from repro.core import LightMIRMConfig, LightMIRMTrainer
 from repro.eval.reports import format_table
 from repro.metrics import calibration_gap_by_environment
-from repro.persist import load_pipeline, save_pipeline
 from repro.pipeline import GBDTFeatureExtractor, LoanDefaultPipeline
+from repro.serve import ModelRegistry
 from repro.tune import HPSpace, run_grid
 
 
@@ -93,9 +93,11 @@ def main() -> None:
 
     # --- 4. ship the artifact --------------------------------------------
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-        save_pipeline(pipeline, handle.name,
-                      metadata={"selected": dict(search.best.params)})
-        restored = load_pipeline(handle.name)
+        ModelRegistry.save_file(
+            pipeline, handle.name,
+            metadata={"selected": dict(search.best.params)},
+        )
+        restored = ModelRegistry.load_file(handle.name)
         check = abs(
             restored.predict_proba(split.test) - scores
         ).max()

@@ -124,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--registry", required=True, help="registry directory")
     serve.add_argument("--data", required=True, help="dataset .npz path")
     serve.add_argument("--batch-size", type=int, default=256)
-    serve.add_argument("--cache-size", type=int, default=0,
-                       help="leaf-pattern LRU entries (0 disables)")
     serve.add_argument("--limit", type=int,
                        help="score only the first N test rows")
     serve.add_argument("--drift-threshold", type=float,
@@ -577,8 +575,7 @@ def _cmd_serve_score(args: argparse.Namespace) -> int:
         )
     service = ScoringService.from_registry(
         registry,
-        config=ServiceConfig(max_batch_size=args.batch_size,
-                             cache_size=args.cache_size),
+        config=ServiceConfig(max_batch_size=args.batch_size),
         drift_guard=guard,
     )
     tickets = [service.submit(row) for row in rows]
@@ -705,11 +702,8 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
               f"tripped={state['tripped']}")
     workers = snap.get("workers")
     if workers is not None:
-        hit_rate = workers.get("cache_hit_rate")
-        hit = "n/a" if hit_rate is None else f"{hit_rate:.2%}"
         print(f"workers         rows={workers['counters']['rows_scored']} "
               f"batches={workers['counters']['batches']} "
-              f"cache_hit_rate={hit} "
               f"reporting={workers['workers_reporting']}")
     if live:
         health = frontend.health_monitor.snapshot()

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import LoanDataset
+from repro.monitor.streaming import StreamingPSI
 
 __all__ = [
     "population_stability_index",
@@ -44,7 +45,9 @@ def population_stability_index(
     """PSI between a baseline sample and a monitoring sample.
 
     Bins are deciles of the *expected* (baseline) sample; empty cells are
-    floored at ``epsilon`` so the index stays finite.
+    floored at ``epsilon`` so the index stays finite.  The kernel is a
+    one-column :class:`~repro.monitor.streaming.StreamingPSI` fed ``actual``
+    in a single update.
 
     Args:
         expected: Baseline values (e.g. a feature on the training years).
@@ -61,19 +64,10 @@ def population_stability_index(
         raise ValueError("both samples must be non-empty")
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    edges = np.unique(np.quantile(expected, quantiles))
-    expected_counts = np.bincount(
-        np.searchsorted(edges, expected, side="left"),
-        minlength=edges.size + 1,
-    )
-    actual_counts = np.bincount(
-        np.searchsorted(edges, actual, side="left"),
-        minlength=edges.size + 1,
-    )
-    p = np.maximum(expected_counts / expected.size, epsilon)
-    q = np.maximum(actual_counts / actual.size, epsilon)
-    return float(np.sum((p - q) * np.log(p / q)))
+    stream = StreamingPSI.from_baseline(expected[:, None], n_bins=n_bins,
+                                        epsilon=epsilon)
+    stream.update(actual[:, None])
+    return float(stream.psi_per_feature()[0])
 
 
 @dataclass(frozen=True)

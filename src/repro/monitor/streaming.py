@@ -8,9 +8,10 @@ training window) and accumulates monitoring counts incrementally, so the
 current PSI per feature is available after every ``update`` at O(d · bins)
 memory regardless of traffic volume.
 
-Given the same baseline and the concatenation of all updates, the result is
-*identical* to the batch function — the binning, epsilon flooring and the
-index formula are shared by construction.
+This class is the one PSI kernel: the batch function is a one-column
+:class:`StreamingPSI` updated once with the monitoring sample, so given the
+same baseline and the concatenation of all updates the two results are
+*identical* — the binning, epsilon flooring and index formula exist once.
 """
 
 from __future__ import annotations

@@ -108,8 +108,7 @@ class SlabLayout:
 #: :data:`repro.serve.telemetry.DEFAULT_BUCKETS` so merged histograms are
 #: byte-compatible with single-process ``LatencyHistogram`` snapshots.
 SERVING_SLAB_LAYOUT = SlabLayout(
-    counters=("rows_scored", "batches", "requests", "cache_hits",
-              "cache_misses", "fallbacks"),
+    counters=("rows_scored", "batches", "requests", "fallbacks"),
     gauges=("busy_seconds",),
     histograms=(
         ("batch_latency",
@@ -128,7 +127,6 @@ def telemetry_to_row(telemetry) -> tuple[np.ndarray, np.ndarray,
     """
     counters = np.array(
         [telemetry.rows_scored, telemetry.batches, telemetry.requests,
-         telemetry.cache_hits, telemetry.cache_misses,
          sum(telemetry.fallbacks.values())],
         dtype=np.int64,
     )

@@ -100,12 +100,7 @@ def render_top(snapshot: dict, width: int = 72) -> str:
         f"refused {frontend.get('refused', 0):>6}    "
         f"errors {frontend.get('errors', 0):>5}"
     )
-    hits = counters.get("cache_hits", 0)
-    misses = counters.get("cache_misses", 0)
-    lookups = hits + misses
-    hit_rate = f"{hits / lookups:.1%}" if lookups else "--"
     lines.append(
-        f"cache hit rate {hit_rate:>7}    "
         f"fallbacks {counters.get('fallbacks', 0):>6}    "
         f"pending {snapshot.get('pending', 0):>6}"
     )

@@ -1,4 +1,4 @@
-"""Tracked serving benchmarks: batching, caching, registry, multi-worker.
+"""Tracked serving benchmarks: batching, registry, multi-worker, telemetry.
 
 Four tracked scenarios, written to ``BENCH_serving.json`` (run via
 ``python -m repro serve-bench``):
@@ -8,8 +8,6 @@ Four tracked scenarios, written to ``BENCH_serving.json`` (run via
   row-at-a-time ``predict_proba`` loop on the same artifact.  Reports the
   throughput ratio and asserts the scores are **bit-identical** — the
   speedup is free of numerical drift by construction.
-* ``cache_hot`` — re-scoring a recurring traffic pattern with the leaf
-  cache warm vs cold (exactness again checked).
 * ``registry_load`` — wall time of ``ModelRegistry.load("champion")``,
   the cost of a serving process (re)start or a promote-triggered reload.
 * ``workers`` — the multi-worker shared-memory front-end
@@ -64,7 +62,6 @@ class ServingBenchConfig:
     Attributes:
         n_train: Rows of the synthetic platform the fixture model trains on.
         n_score: Request rows scored by each scenario.
-        n_patterns: Distinct rows in the recurring-traffic cache scenario.
         batch_size: Micro-batch auto-flush threshold.
         n_epochs: LR-head epochs of the fixture model (quality irrelevant).
         repeats: Timing repeats per scenario (median reported).
@@ -75,7 +72,6 @@ class ServingBenchConfig:
 
     n_train: int = 8_000
     n_score: int = 2_000
-    n_patterns: int = 64
     batch_size: int = 256
     n_epochs: int = 10
     repeats: int = 3
@@ -86,8 +82,8 @@ class ServingBenchConfig:
     @classmethod
     def smoke(cls) -> "ServingBenchConfig":
         """Tiny sizes: every scenario exercised once, nothing timed long."""
-        return cls(n_train=1_500, n_score=200, n_patterns=16, batch_size=32,
-                   n_epochs=2, repeats=1, warmup=0, worker_counts=(1, 2))
+        return cls(n_train=1_500, n_score=200, batch_size=32, n_epochs=2,
+                   repeats=1, warmup=0, worker_counts=(1, 2))
 
 
 def _fixture(config: ServingBenchConfig, root: pathlib.Path,
@@ -186,50 +182,6 @@ def bench_micro_batching(config: ServingBenchConfig, registry,
             if batch_time.median_seconds > 0 else float("inf")
         ),
         "bit_identical": bit_identical,
-        "repeats": config.repeats,
-    }
-
-
-def bench_cache_hot(config: ServingBenchConfig, registry,
-                    request_rows: np.ndarray) -> dict:
-    """Warm leaf-pattern cache vs cold scoring on recurring traffic."""
-    from repro.serve.service import ScoringService, ServiceConfig
-
-    model = registry.load("champion")
-    # Recurring traffic: the request stream cycles over a few patterns.
-    patterns = request_rows[:config.n_patterns]
-    stream = patterns[
-        np.tile(np.arange(config.n_patterns),
-                max(1, config.n_score // config.n_patterns))
-    ]
-
-    def cold() -> np.ndarray:
-        return model.predict_proba(stream)
-
-    cached_service = ScoringService(
-        model,
-        config=ServiceConfig(max_batch_size=config.batch_size,
-                             cache_size=4 * config.n_patterns),
-    )
-    cached_service.score_batch(stream)  # warm the cache
-
-    def warm() -> np.ndarray:
-        return cached_service.score_batch(stream)
-
-    identical = bool(np.array_equal(cold(), warm()))
-    cold_time = measure(cold, repeats=config.repeats, warmup=config.warmup)
-    warm_time = measure(warm, repeats=config.repeats, warmup=config.warmup)
-    return {
-        "n_rows": int(stream.shape[0]),
-        "n_patterns": config.n_patterns,
-        "cold_s": cold_time.median_seconds,
-        "warm_s": warm_time.median_seconds,
-        "speedup_warm_vs_cold": (
-            cold_time.median_seconds / warm_time.median_seconds
-            if warm_time.median_seconds > 0 else float("inf")
-        ),
-        "bit_identical": identical,
-        "hit_rate": cached_service._caches["champion"].hit_rate,
         "repeats": config.repeats,
     }
 
@@ -414,7 +366,6 @@ def bench_metrics_overhead(config: ServingBenchConfig, registry,
 #: Scenario id -> runner, in report order.
 SERVING_BENCHMARKS = {
     "micro_batching": bench_micro_batching,
-    "cache_hot": bench_cache_hot,
     "registry_load": bench_registry_load,
     "workers": bench_workers,
     "metrics_overhead": bench_metrics_overhead,
@@ -473,7 +424,6 @@ def write_serving_bench_json(
         "config": {
             "n_train": config.n_train,
             "n_score": config.n_score,
-            "n_patterns": config.n_patterns,
             "batch_size": config.batch_size,
             "repeats": config.repeats,
             "worker_counts": [int(c) for c in config.worker_counts],
@@ -508,7 +458,6 @@ def validate_serving_payload(payload: dict) -> list[str]:
         problems.append(f"unknown scenarios: {sorted(unknown)}")
     required_scalar = {
         "micro_batching": ("micro_batched_rows_per_s", "bit_identical"),
-        "cache_hot": ("warm_s", "cold_s", "bit_identical"),
         "registry_load": ("median_s",),
         "metrics_overhead": ("plane_off_s", "plane_on_s",
                              "monitor_us_per_row", "service_us_per_row",
@@ -570,14 +519,6 @@ def summarize_serving(results: dict) -> str:
             f"{entry['micro_batched_rows_per_s']:10.0f} rows/s batched"
             f"   {entry['row_at_a_time_rows_per_s']:8.0f} rows/s looped"
             f"   speedup {entry['speedup_batched_vs_rows']:6.2f}x"
-            f"   bit_identical={entry['bit_identical']}"
-        )
-    if "cache_hot" in results:
-        entry = results["cache_hot"]
-        lines.append(
-            f"cache_hot        {entry['warm_s'] * 1e3:10.3f} ms warm"
-            f"   {entry['cold_s'] * 1e3:8.3f} ms cold"
-            f"   speedup {entry['speedup_warm_vs_cold']:6.2f}x"
             f"   bit_identical={entry['bit_identical']}"
         )
     if "registry_load" in results:

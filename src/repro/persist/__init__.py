@@ -1,15 +1,13 @@
 """Model persistence: JSON codecs and full-pipeline artifacts.
 
-The canonical save/load surface for whole pipelines is
-:class:`repro.serve.registry.ModelRegistry`; :func:`save_pipeline` /
-:func:`load_pipeline` remain as deprecation shims.
+The save/load surface for whole pipelines is
+:class:`repro.serve.registry.ModelRegistry` (``save_file``/``load_file`` for
+bare artifact files); this package holds the payload codecs it uses.
 """
 
 from repro.persist.artifacts import (
     ScoringModel,
-    load_pipeline,
     pipeline_to_payload,
-    save_pipeline,
     scoring_model_from_payload,
 )
 from repro.persist.codec import (
@@ -23,8 +21,6 @@ from repro.persist.codec import (
 
 __all__ = [
     "ScoringModel",
-    "load_pipeline",
-    "save_pipeline",
     "pipeline_to_payload",
     "scoring_model_from_payload",
     "binner_from_dict",

@@ -1,23 +1,17 @@
-"""Save/load the full GBDT+LR scoring model as one JSON artifact.
+"""The full GBDT+LR scoring model as one JSON-compatible artifact payload.
 
 The deployed object is the composition (GBDT -> leaf one-hot -> LR head);
-this module persists all three stages plus metadata, and restores a
+this module encodes all three stages plus metadata, and restores a
 :class:`ScoringModel` whose ``predict_proba`` matches the training pipeline
 bit for bit.
 
-The canonical persistence surface is
-:class:`repro.serve.registry.ModelRegistry` (``save``/``load`` for versioned
-registries, ``save_file``/``load_file`` for bare artifact files).  The
-module-level :func:`save_pipeline` / :func:`load_pipeline` are kept as thin
-deprecation shims so existing callers and artifacts keep working; the
-payload codecs below are what both surfaces share.
+The persistence surface is :class:`repro.serve.registry.ModelRegistry`
+(``save``/``load`` for versioned registries, ``save_file``/``load_file`` for
+bare artifact files); the payload codecs below are what both share.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +26,6 @@ __all__ = [
     "ScoringModel",
     "pipeline_to_payload",
     "scoring_model_from_payload",
-    "save_pipeline",
-    "load_pipeline",
 ]
 
 
@@ -52,22 +44,6 @@ class ScoringModel:
         if isinstance(features, LoanDataset):
             features = features.features
         encoded = self.encoder.transform(np.asarray(features))
-        return self.model.predict_proba(self.theta, encoded)
-
-    def predict_leaves(self, features: np.ndarray | LoanDataset) -> np.ndarray:
-        """Dense ``(n, n_trees)`` per-tree leaf indices for raw rows.
-
-        The leaf pattern fully determines the score (the LR head only sees
-        the one-hot encoding of these indices), which is what the serving
-        cache keys on.
-        """
-        if isinstance(features, LoanDataset):
-            features = features.features
-        return self.encoder.model.predict_leaves(np.asarray(features))
-
-    def predict_proba_leaves(self, leaf_matrix: np.ndarray) -> np.ndarray:
-        """Score precomputed leaf patterns (see :meth:`predict_leaves`)."""
-        encoded = self.encoder.encode_leaves(leaf_matrix)
         return self.model.predict_proba(self.theta, encoded)
 
 
@@ -123,45 +99,3 @@ def scoring_model_from_payload(payload: dict) -> ScoringModel:
         trainer_name=payload["trainer_name"],
         metadata=payload["metadata"],
     )
-
-
-def save_pipeline(
-    pipeline: LoanDefaultPipeline,
-    path: str | pathlib.Path,
-    metadata: dict | None = None,
-) -> None:
-    """Persist a fitted pipeline to a JSON file.
-
-    .. deprecated::
-        Use :meth:`repro.serve.registry.ModelRegistry.save_file` (or a
-        versioned :meth:`~repro.serve.registry.ModelRegistry.save`) instead.
-        This shim delegates and will be removed in a future release.
-    """
-    warnings.warn(
-        "save_pipeline is deprecated; use ModelRegistry.save_file "
-        "(repro.serve) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.serve.registry import ModelRegistry
-
-    ModelRegistry.save_file(pipeline, path, metadata=metadata)
-
-
-def load_pipeline(path: str | pathlib.Path) -> ScoringModel:
-    """Restore a :class:`ScoringModel` from a saved artifact.
-
-    .. deprecated::
-        Use :meth:`repro.serve.registry.ModelRegistry.load_file` (or a
-        versioned :meth:`~repro.serve.registry.ModelRegistry.load`) instead.
-        This shim delegates and will be removed in a future release.
-    """
-    warnings.warn(
-        "load_pipeline is deprecated; use ModelRegistry.load_file "
-        "(repro.serve) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.serve.registry import ModelRegistry
-
-    return ModelRegistry.load_file(path)

@@ -6,17 +6,14 @@ artifacts :mod:`repro.persist` writes into an operated service:
 
 * :mod:`~repro.serve.registry` — versioned model storage with
   champion/challenger slots and atomic promote/rollback (the canonical
-  save/load surface; the old ``save_pipeline``/``load_pipeline`` are
-  deprecation shims over it).
+  save/load surface, including bare artifact files).
 * :mod:`~repro.serve.batching` — micro-batching queue coalescing requests
   into one vectorized call (bit-identical scores, see
   ``BENCH_serving.json`` for the throughput win).
-* :mod:`~repro.serve.cache` — exact LRU score cache keyed on leaf
-  patterns.
 * :mod:`~repro.serve.degradation` — streaming-PSI drift guard and
   challenger-failure fallback rules.
 * :mod:`~repro.serve.telemetry` — latency histograms, throughput,
-  fallback and cache counters (service- and front-end-level).
+  fallback counters (service- and front-end-level).
 * :mod:`~repro.serve.service` — :class:`ScoringService`, the
   single-process composition.
 * :mod:`~repro.serve.shm_publish` — shared-memory model publishing with
@@ -37,7 +34,6 @@ monitoring runbook.
 """
 
 from repro.serve.batching import MicroBatcher, Ticket
-from repro.serve.cache import LeafPatternCache
 from repro.serve.degradation import DriftGuard, GuardDecision
 from repro.serve.frontend import (
     FrontendConfig,
@@ -74,7 +70,6 @@ __all__ = [
     "FrontendTicket",
     "GuardDecision",
     "LatencyHistogram",
-    "LeafPatternCache",
     "LifecycleController",
     "MicroBatcher",
     "ModelPublisher",

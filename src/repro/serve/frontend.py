@@ -883,9 +883,9 @@ class ScoringFrontend:
         With ``live_metrics`` on, the payload additionally carries
         ``workers`` — the cross-process merge of every worker's service
         telemetry (counters summed, histograms rebuilt with
-        :class:`~repro.obs.metrics.Histogram` snapshot semantics, plus
-        derived ``cache_hit_rate``) — and per-worker ``liveness``.  The
-        merged schema is documented in ``docs/serving.md``.
+        :class:`~repro.obs.metrics.Histogram` snapshot semantics) — and
+        per-worker ``liveness``.  The merged schema is documented in
+        ``docs/serving.md``.
         """
         payload = {
             "n_workers": self.config.n_workers,
@@ -908,17 +908,8 @@ class ScoringFrontend:
     def _workers_aggregate(self) -> dict | None:
         """The merged per-worker service stats (None with the plane off)."""
         if self._aggregator is not None:
-            workers = self._aggregator.aggregate()
-        elif self._final_workers is not None:
-            workers = dict(self._final_workers)
-        else:
-            return None
-        counters = workers["counters"]
-        lookups = counters["cache_hits"] + counters["cache_misses"]
-        workers["cache_hit_rate"] = (
-            counters["cache_hits"] / lookups if lookups else None
-        )
-        return workers
+            return self._aggregator.aggregate()
+        return self._final_workers
 
     def live_snapshot(self) -> dict:
         """The full live-plane payload (exposition + ``repro obs top``).

@@ -9,7 +9,7 @@ shadow-score live traffic before promotion.  The on-disk layout is::
         registry.json          # index: versions, slots, slot history
         models/
             v0001.json         # immutable artifact payloads
-            v0002.json         #   (same format save_pipeline wrote)
+            v0002.json         #   (same format as save_file writes)
 
 Every index mutation is written to a temp file and ``os.replace``-d into
 place, so a crashed promote/rollback never leaves a torn index; artifact
@@ -21,11 +21,10 @@ the same ``next_version`` and one import silently overwrites the other.
 Reads stay lock-free: ``os.replace`` guarantees a reader always sees a
 complete index, just possibly one mutation old.
 
-This module is also the canonical single-file persistence surface:
-:meth:`ModelRegistry.save_file` / :meth:`ModelRegistry.load_file` supersede
-the deprecated :func:`repro.persist.save_pipeline` /
-:func:`repro.persist.load_pipeline` shims (which delegate here), and the
-artifact format is unchanged — pre-registry files load verbatim.
+This module is also the single-file persistence surface:
+:meth:`ModelRegistry.save_file` / :meth:`ModelRegistry.load_file` read and
+write one bare artifact in the same format, and pre-registry files load
+verbatim.
 """
 
 from __future__ import annotations
@@ -347,8 +346,7 @@ class ModelRegistry:
     ) -> None:
         """Persist a fitted pipeline as one bare artifact file.
 
-        The canonical replacement for the deprecated
-        :func:`repro.persist.save_pipeline`; the format is identical.
+        The format is the one a registry version file holds.
         """
         payload = pipeline_to_payload(pipeline, metadata=metadata)
         pathlib.Path(path).write_text(json.dumps(payload))
@@ -357,9 +355,7 @@ class ModelRegistry:
     def load_file(path: str | pathlib.Path) -> ScoringModel:
         """Restore a :class:`ScoringModel` from one bare artifact file.
 
-        The canonical replacement for the deprecated
-        :func:`repro.persist.load_pipeline`; pre-registry artifacts load
-        unchanged.
+        Pre-registry artifacts load unchanged.
         """
         payload = json.loads(pathlib.Path(path).read_text())
         return scoring_model_from_payload(payload)

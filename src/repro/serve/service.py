@@ -4,15 +4,13 @@
 this package: it loads champion/challenger :class:`ScoringModel` artifacts
 (usually from a :class:`~repro.serve.registry.ModelRegistry`), coalesces
 single-row requests through a :class:`~repro.serve.batching.MicroBatcher`
-into one vectorized scoring call, optionally answers repeat leaf patterns
-from an exact :class:`~repro.serve.cache.LeafPatternCache`, and degrades
-gracefully — challenger exceptions and drift-guard trips fall back to the
+into one vectorized scoring call, and degrades gracefully — challenger exceptions and drift-guard trips fall back to the
 champion, every fallback counted in
 :class:`~repro.serve.telemetry.ServingTelemetry`.
 
 Every path produces scores bit-identical to
-``ScoringModel.predict_proba`` on the same rows: batching, caching and
-fallback never change a number, only when/how it is computed.
+``ScoringModel.predict_proba`` on the same rows: batching and fallback
+never change a number, only when/how it is computed.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import numpy as np
 
 from repro.persist.artifacts import ScoringModel
 from repro.serve.batching import MicroBatcher, Ticket
-from repro.serve.cache import LeafPatternCache
 from repro.serve.degradation import DriftGuard
 from repro.serve.registry import CHALLENGER, CHAMPION, ModelRegistry
 from repro.serve.telemetry import ServingTelemetry
@@ -38,20 +35,16 @@ class ServiceConfig:
 
     Attributes:
         max_batch_size: Micro-batch auto-flush threshold.
-        cache_size: LRU entries per model; 0 disables the score cache.
         use_challenger: Route traffic to the challenger when one is
             loaded (falling back to the champion on failure/drift).
     """
 
     max_batch_size: int = 256
-    cache_size: int = 0
     use_challenger: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
 
 
 class ScoringService:
@@ -70,7 +63,7 @@ class ScoringService:
         champion: The known-good scorer; always loaded.
         challenger: Optional candidate scorer; used when configured, with
             champion fallback on any failure or drift-guard trip.
-        config: Operating knobs (batching, caching, routing).
+        config: Operating knobs (batching, routing).
         drift_guard: Optional :class:`DriftGuard`; when supplied, every
             scored batch is accumulated and a tripped guard pins scoring
             to the champion.
@@ -93,13 +86,6 @@ class ScoringService:
         self._batcher = MicroBatcher(
             self.score_batch, max_batch_size=self.config.max_batch_size
         )
-        self._caches: dict[str, LeafPatternCache] = {}
-        if self.config.cache_size:
-            self._caches[CHAMPION] = LeafPatternCache(self.config.cache_size)
-            if challenger is not None:
-                self._caches[CHALLENGER] = LeafPatternCache(
-                    self.config.cache_size
-                )
 
     @classmethod
     def from_registry(
@@ -131,8 +117,8 @@ class ScoringService:
         """Score a batch of raw feature rows through the full service path.
 
         Drift-guard accumulation, challenger routing with champion
-        fallback, cache lookups and telemetry all happen here; the
-        micro-batcher and the single-row path both land in this method.
+        fallback and telemetry all happen here; the micro-batcher and the
+        single-row path both land in this method.
 
         Args:
             rows: ``(n, d)`` raw feature matrix.
@@ -159,41 +145,14 @@ class ScoringService:
 
         if slot == CHALLENGER:
             try:
-                scores = self._score_with(slot, model, rows)
+                scores = model.predict_proba(rows)
             except Exception:
                 self.telemetry.record_fallback("challenger_error")
-                slot, model = CHAMPION, self.champion
-                scores = self._score_with(slot, model, rows)
+                scores = self.champion.predict_proba(rows)
         else:
-            scores = self._score_with(slot, model, rows)
+            scores = model.predict_proba(rows)
 
         self.telemetry.record_batch(rows.shape[0], time.perf_counter() - start)
-        return scores
-
-    def _score_with(self, slot: str, model: ScoringModel,
-                    rows: np.ndarray) -> np.ndarray:
-        """One model's scores for a batch, via the cache when enabled."""
-        cache = self._caches.get(slot)
-        if cache is None:
-            return model.predict_proba(rows)
-        leaf_matrix = model.predict_leaves(rows)
-        keys = [cache.key(leaf_matrix[i]) for i in range(rows.shape[0])]
-        scores = np.empty(rows.shape[0])
-        missing: list[int] = []
-        hits = 0
-        for i, key in enumerate(keys):
-            cached = cache.get(key)
-            if cached is None:
-                missing.append(i)
-            else:
-                scores[i] = cached
-                hits += 1
-        if missing:
-            fresh = model.predict_proba_leaves(leaf_matrix[missing])
-            for j, i in enumerate(missing):
-                scores[i] = fresh[j]
-                cache.put(keys[i], float(fresh[j]))
-        self.telemetry.record_cache(hits, len(missing))
         return scores
 
     # -------------------------------------------------------- request path
@@ -224,7 +183,7 @@ class ScoringService:
     # ----------------------------------------------------------- reporting
 
     def snapshot(self) -> dict:
-        """Full JSON-compatible service state (telemetry + guard + caches)."""
+        """Full JSON-compatible service state (telemetry + guard)."""
         payload = {
             "serving": CHALLENGER if (
                 self.challenger is not None and self.config.use_challenger
@@ -235,9 +194,4 @@ class ScoringService:
         }
         if self.drift_guard is not None:
             payload["drift_guard"] = self.drift_guard.snapshot()
-        if self._caches:
-            payload["caches"] = {
-                slot: cache.snapshot()
-                for slot, cache in self._caches.items()
-            }
         return payload

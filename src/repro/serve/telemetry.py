@@ -1,11 +1,10 @@
 """Serving telemetry: latency histograms, throughput and event counters.
 
 A scoring service is operated by its numbers: request/row counts, batch
-sizes, per-batch latency distribution, fallbacks by reason, cache
-effectiveness and the current drift level.  Everything here is cheap
-enough to update on every request and renders to one JSON-compatible
-``snapshot()`` — the schema ``docs/serving.md`` documents and
-``repro serve-score`` prints.
+sizes, per-batch latency distribution, fallbacks by reason and the
+current drift level.  Everything here is cheap enough to update on every
+request and renders to one JSON-compatible ``snapshot()`` — the schema
+``docs/serving.md`` documents and ``repro serve-score`` prints.
 
 The bucket machinery lives in :class:`repro.obs.metrics.Histogram` (the
 shared implementation behind the whole observability layer);
@@ -84,8 +83,6 @@ class ServingTelemetry:
         self.batches = 0
         self.requests = 0
         self.fallbacks: dict[str, int] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
         self._busy_seconds = 0.0
 
     def record_batch(self, n_rows: int, seconds: float) -> None:
@@ -103,11 +100,6 @@ class ServingTelemetry:
     def record_fallback(self, reason: str) -> None:
         """Count one champion fallback by reason."""
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
-
-    def record_cache(self, hits: int, misses: int) -> None:
-        """Accumulate cache lookup outcomes from one batch."""
-        self.cache_hits += hits
-        self.cache_misses += misses
 
     @property
     def busy_seconds(self) -> float:
@@ -129,10 +121,6 @@ class ServingTelemetry:
             "requests": self.requests,
             "throughput_rows_per_s": self.throughput_rows_per_s,
             "fallbacks": dict(self.fallbacks),
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-            },
             "batch_latency": self.batch_latency.snapshot(),
             "request_latency": self.request_latency.snapshot(),
         }
@@ -150,11 +138,6 @@ class ServingTelemetry:
             reasons = ", ".join(f"{k}={v}" for k, v in
                                 sorted(snap["fallbacks"].items()))
             lines.append(f"fallbacks       {reasons}")
-        total_lookups = self.cache_hits + self.cache_misses
-        if total_lookups:
-            lines.append(
-                f"cache hit rate  {self.cache_hits / total_lookups:.1%}"
-            )
         return "\n".join(lines)
 
 

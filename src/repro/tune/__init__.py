@@ -13,8 +13,8 @@ the content-addressed :class:`ExtractorEncodingCache` fits + leaf-
 encodes each distinct extractor configuration exactly once and head
 trials attach the published shared-memory encodings read-only.
 
-The legacy dict-of-lists :func:`grid_search` remains as a deprecated
-shim over the same machinery (joint spaces included).
+Exhaustive searches over an enumerable space run through :func:`run_grid`,
+the degenerate single-rung schedule of the same scheduler.
 """
 
 from repro.tune.asha import (
@@ -45,11 +45,9 @@ from repro.tune.leaderboard import (
 )
 from repro.tune.search import (
     SUPPORTED_OBJECTIVES,
-    GridSearchResult,
     RungSummary,
     SearchResult,
     TrialResult,
-    grid_search,
     split_environments,
 )
 from repro.tune.space import (
@@ -102,8 +100,6 @@ __all__ = [
     "TrialResult",
     "RungSummary",
     "SearchResult",
-    "GridSearchResult",
-    "grid_search",
     "split_environments",
     # persistence
     "ResultBuffer",

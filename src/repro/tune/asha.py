@@ -27,8 +27,6 @@ Reproducibility rules, inherited from the experiment runner:
 
 from __future__ import annotations
 
-import json
-import time
 import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -60,7 +58,7 @@ from repro.tune.search import (
     check_objective,
     split_environments,
 )
-from repro.tune.space import HPSpace, JointHPSpace, SpaceError
+from repro.tune.space import HPSpace, JointHPSpace
 
 __all__ = [
     "ASHAConfig",
@@ -72,7 +70,6 @@ __all__ = [
     "run_asha",
     "run_joint_asha",
     "run_grid",
-    "run_builder_grid",
 ]
 
 #: Domain-separation tag of the tuning RNG stream root ("tune").
@@ -239,7 +236,7 @@ def sample_joint_trials(space: JointHPSpace, n_trials: int,
 
 def _reusable(
     resume: Mapping[tuple[str | None, str, int], TrialRecord] | None,
-    trainer: str | None,
+    trainer: str,
     trial: Trial,
     rung: int,
     budget: int | None,
@@ -263,7 +260,7 @@ def _reusable(
 
 
 def _evaluate_rung(
-    trainer: str | None,
+    trainer: str,
     trials: Sequence[Trial],
     rung: int,
     budget: int | None,
@@ -274,8 +271,7 @@ def _evaluate_rung(
     """Score every trial at one rung, replaying resumable records.
 
     Cache hits skip training entirely; misses go through ``evaluate``
-    (the engine fan-out, or the inline builder path) as one batch.
-    Every result — replayed or fresh — is re-recorded into ``buffer`` in
+    (the engine fan-out) as one batch.  Every result — replayed or fresh — is re-recorded into ``buffer`` in
     trial order, so the current run log is self-contained.
     """
     reports: dict[str, tuple] = {}
@@ -498,17 +494,8 @@ def run_asha(
     Returns:
         A :class:`SearchResult` whose ``best`` reached the deepest rung
         with the highest objective.
-
-    Raises:
-        SpaceError: For an unbound space — scheduling requires a
-            registry name to rebuild trainers in workers.
     """
     config = config or ASHAConfig()
-    if space.trainer is None:
-        raise SpaceError(
-            "run_asha requires a trainer-bound HPSpace; unbound spaces "
-            "only support the inline run_builder_grid path"
-        )
     trainer = resolve_trainer_name(space.trainer)
     trials = sample_trials(space, config.n_trials, config.seed, trainer)
     return _run_schedule(
@@ -725,11 +712,6 @@ def run_grid(
         (others): As :func:`run_asha`.
     """
     check_objective(objective, blend_weight)
-    if space.trainer is None:
-        raise SpaceError(
-            "run_grid requires a trainer-bound HPSpace; unbound spaces "
-            "only support the inline run_builder_grid path"
-        )
     trainer = resolve_trainer_name(space.trainer)
     root = np.random.SeedSequence(
         [int(seed), _TUNE_TAG, zlib.crc32(trainer.encode("utf-8"))]
@@ -758,92 +740,3 @@ def run_grid(
         tracer=tracer,
         resume=resume,
     )
-
-
-def run_builder_grid(
-    builder: Callable,
-    space: HPSpace | JointHPSpace,
-    environments: Sequence[EnvironmentData],
-    *,
-    objective: str = "blend",
-    blend_weight: float = 0.5,
-    validation_fraction: float = 0.25,
-    seed: int = 0,
-) -> SearchResult:
-    """Inline grid evaluation through a trainer-builder callable.
-
-    The compatibility path under the deprecated
-    :func:`~repro.tune.search.grid_search`: a builder closure cannot
-    cross a process boundary or be validated against a config dataclass,
-    so every grid point is built and fitted in-process.  Results use the
-    same :class:`SearchResult` surface as the engine paths.
-
-    Joint spaces work too: ``environments`` are then *raw*, each grid
-    point's ``"extractor"`` sub-dict selects a GBDT configuration that is
-    fitted + leaf-encoded once per distinct configuration (the grid is
-    extractor-major, so the memo hits on consecutive points), and the
-    builder receives only the head fields.
-    """
-    from repro.experiments.runner import evaluate_result_on
-    from repro.gbdt.packing import fit_extractor_encode
-    from repro.pipeline.extractor import default_gbdt_params
-
-    check_objective(objective, blend_weight)
-    joint = isinstance(space, JointHPSpace)
-    if not joint:
-        fit_envs, valid_envs = split_environments(
-            environments, validation_fraction, seed=seed
-        )
-    encoded_memo: dict[str, tuple[list, list]] = {}
-
-    def encoded_split(extractor_params: dict):
-        key = json.dumps(extractor_params, sort_keys=True, default=str)
-        if key in encoded_memo:
-            return (*encoded_memo[key], 0.0, True)
-        params = default_gbdt_params().replace_flat(extractor_params)
-        _, encoded, encode_seconds = fit_extractor_encode(
-            params, list(environments), holdout_seed=seed
-        )
-        split = split_environments(encoded, validation_fraction, seed=seed)
-        encoded_memo[key] = split
-        return (*split, encode_seconds, False)
-
-    trials = []
-    for index, params in enumerate(space.grid_points()):
-        encode_seconds, encode_cached = 0.0, None
-        if joint:
-            head_params = {k: v for k, v in params.items()
-                           if k != "extractor"}
-            env_fit, env_valid, encode_seconds, encode_cached = \
-                encoded_split(dict(params["extractor"]))
-        else:
-            head_params = params
-            env_fit, env_valid = fit_envs, valid_envs
-        started = time.perf_counter()
-        result = builder(**head_params).fit(env_fit)
-        train_seconds = time.perf_counter() - started
-        report = evaluate_result_on(result, env_valid)
-        trials.append(TrialResult(
-            params=dict(params),
-            report=report,
-            train_seconds=train_seconds,
-            trial_id=f"g{index:03d}",
-            seed=None,
-            rung=0,
-            budget=None,
-            encode_seconds=encode_seconds,
-            encode_cached=encode_cached,
-        ))
-    rungs = (RungSummary(
-        rung=0, budget=None,
-        evaluated=tuple(t.trial_id for t in trials),
-        promoted=(),
-    ),)
-    result = SearchResult(
-        trials=tuple(trials),
-        objective=objective,
-        blend_weight=blend_weight,
-        rungs=rungs,
-        trainer=space.trainer,
-    )
-    return replace(result, best=result.ranked()[0])

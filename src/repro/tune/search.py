@@ -1,41 +1,31 @@
-"""Search-result surface and the legacy ``grid_search`` shim.
+"""Search-result surface shared by every search entry point.
 
 The production model "has to be updated periodically at a relatively high
 frequency", which in practice means an automated retrain-and-select loop.
 This module holds the *result* half of that loop's vocabulary — the
 unified :class:`TrialResult` / :class:`SearchResult` surface shared by
-the grid and ASHA paths — plus :func:`split_environments` and the
-deprecated dict-of-lists :func:`grid_search` entry point, which now
-degenerates into the same scheduler that drives
-:func:`~repro.tune.asha.run_asha` (mirroring how ``save_pipeline``
-became a shim over :class:`~repro.serve.registry.ModelRegistry`).
+the grid and ASHA paths of :mod:`repro.tune.asha` — plus the ranking
+objectives and :func:`split_environments`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.data.dataset import EnvironmentData
 from repro.metrics.fairness import FairnessReport
-from repro.train.base import Trainer
 
 __all__ = [
     "SUPPORTED_OBJECTIVES",
     "TrialResult",
     "RungSummary",
     "SearchResult",
-    "GridSearchResult",
     "check_objective",
-    "grid_search",
     "split_environments",
 ]
-
-#: Builds a trainer from one point of the grid (legacy shim surface).
-TrainerBuilder = Callable[..., Trainer]
 
 #: Metric used to rank trials: one of the FairnessReport summary keys, or a
 #: weighted blend via `objective="blend"`.
@@ -64,8 +54,8 @@ def check_objective(objective: str, blend_weight: float) -> None:
 class TrialResult:
     """One evaluated configuration's scores — grid point or ASHA trial.
 
-    This is the unified per-trial surface: the grid shim and the ASHA
-    scheduler both produce it, and ranking/serialization below never
+    This is the unified per-trial surface: the grid and ASHA schedulers
+    both produce it, and ranking/serialization below never
     care which path a trial came from.
 
     Attributes:
@@ -73,9 +63,9 @@ class TrialResult:
         report: Validation fairness report of the fitted head.
         train_seconds: Wall-clock of the fit (non-deterministic; excluded
             from bit-identity comparisons).
-        trial_id: Stable identity within one search ("" for legacy grid
-            trials built before ids existed).
-        seed: Per-trial training seed (None when the builder owned it).
+        trial_id: Stable identity within one search ("" for results
+            built outside a scheduler).
+        seed: Per-trial training seed (None outside a scheduler).
         rung: Highest completed rung (grid trials are all rung 0).
         budget: Epoch budget of that rung (None = the config's own).
         encode_seconds: Wall-clock of the trial's inline extractor
@@ -201,11 +191,6 @@ class SearchResult:
         }
 
 
-#: Backwards-compatible name: the old grid-only result type is now the
-#: shared one.
-GridSearchResult = SearchResult
-
-
 def split_environments(
     environments: Sequence[EnvironmentData],
     validation_fraction: float = 0.25,
@@ -255,70 +240,3 @@ def split_environments(
                             env.labels[valid_rows])
         )
     return fit_parts, valid_parts
-
-
-def grid_search(
-    builder: TrainerBuilder,
-    grid,
-    environments: Sequence[EnvironmentData],
-    objective: str = "blend",
-    blend_weight: float = 0.5,
-    validation_fraction: float = 0.25,
-    seed: int = 0,
-) -> SearchResult:
-    """Exhaustive search over a config grid with fairness-aware selection.
-
-    .. deprecated::
-        Use a typed :class:`~repro.tune.space.HPSpace` with
-        :func:`~repro.tune.asha.run_grid` (engine-driven, resumable) or
-        :func:`~repro.tune.asha.run_asha` instead.  This shim builds the
-        degenerate ``HPSpace.grid`` space and drives the same scheduler
-        with the builder evaluated inline (closures cannot cross a
-        process boundary); it will be removed in a future release.
-
-    Args:
-        builder: Called with one keyword per grid axis (plus nothing else);
-            must return an unfitted :class:`Trainer`.  Typically a lambda
-            around a config dataclass, e.g.
-            ``lambda **kw: LightMIRMTrainer(LightMIRMConfig(**kw))``.
-        grid: Axis name -> candidate values (the Cartesian product is
-            evaluated), or an enumerable :class:`~repro.tune.space.HPSpace`
-            / :class:`~repro.tune.space.JointHPSpace` used as-is.  For a
-            joint space ``environments`` must be *raw* (un-encoded): each
-            distinct extractor point is fitted + leaf-encoded once
-            (memoized) and the builder receives only the head fields.
-        objective: Ranking metric: "mKS", "wKS", "mAUC", "wAUC", or
-            "blend" ((1-w)·mKS + w·wKS — the paper's dual goal).
-        blend_weight: Worst-province weight of the blend objective.
-        validation_fraction: Share of each environment held out.
-        seed: Seed of the validation split.
-
-    Returns:
-        A :class:`SearchResult`; ``result.best.params`` holds the
-        selected configuration.
-    """
-    warnings.warn(
-        "grid_search is deprecated; use repro.tune.HPSpace with "
-        "run_grid/run_asha (repro.tune.asha) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.tune.asha import run_builder_grid
-    from repro.tune.space import HPSpace, JointHPSpace
-
-    check_objective(objective, blend_weight)
-    if isinstance(grid, (HPSpace, JointHPSpace)):
-        space = grid
-    else:
-        if not grid:
-            raise ValueError("empty grid")
-        space = HPSpace.grid(None, grid)
-    return run_builder_grid(
-        builder,
-        space,
-        environments,
-        objective=objective,
-        blend_weight=blend_weight,
-        validation_fraction=validation_fraction,
-        seed=seed,
-    )

@@ -14,8 +14,8 @@ Two consumption modes:
   distributions; this is what the ASHA scheduler feeds per-trial
   ``SeedSequence`` streams into.
 * ``space.grid_points()`` — the Cartesian product of enumerable
-  descriptors (``Choice``/``IntRange``); this is how the legacy
-  ``grid_search`` surface degenerates into the same machinery.
+  descriptors (``Choice``/``IntRange``); this is what
+  :func:`~repro.tune.asha.run_grid` turns into single-rung trials.
 
 Default spaces for all 8 registered trainers live here too, registered
 alongside the trainer registry's canonical names — ``default_space`` is
@@ -282,22 +282,25 @@ class HPSpace:
     """A trainer name plus its searchable parameter descriptors.
 
     Attributes:
-        trainer: Any spelling the trainer registry accepts, or ``None``
-            for an *unbound* space (no config-dataclass validation — the
-            escape hatch the legacy builder-based ``grid_search`` shim
-            uses, since a closure has no registry name to validate
-            against).
+        trainer: Any spelling the trainer registry accepts, or
+            :data:`EXTRACTOR_COMPONENT` for a GBDT extractor space.
         params: Config field name -> :class:`ParamSpec`.
 
     Raises:
-        SpaceError: On an empty space, a reserved or unknown field, or a
-            value that is not a :class:`ParamSpec`.
+        SpaceError: On a trainer that is not a name, an empty space, a
+            reserved or unknown field, or a value that is not a
+            :class:`ParamSpec`.
     """
 
-    trainer: str | None
+    trainer: str
     params: Mapping[str, ParamSpec]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.trainer, str):
+            raise SpaceError(
+                f"HPSpace.trainer must be a registered trainer name or "
+                f"{EXTRACTOR_COMPONENT!r}, got {self.trainer!r}"
+            )
         object.__setattr__(self, "params", dict(self.params))
         if not self.params:
             raise SpaceError("HPSpace requires at least one parameter")
@@ -314,16 +317,13 @@ class HPSpace:
                     "per-trial SeedSequence stream and n_epochs is the "
                     "scheduler's budget axis"
                 )
-        if self.trainer is not None:
-            owner, valid = component_fields(self.trainer)
-            unknown = sorted(set(self.params) - set(valid))
-            if unknown:
-                raise _unknown_field_error(
-                    unknown, owner, self.trainer, valid
-                )
+        owner, valid = component_fields(self.trainer)
+        unknown = sorted(set(self.params) - set(valid))
+        if unknown:
+            raise _unknown_field_error(unknown, owner, self.trainer, valid)
 
     @classmethod
-    def grid(cls, trainer: str | None,
+    def grid(cls, trainer: str,
              axes: Mapping[str, Sequence]) -> "HPSpace":
         """Degenerate grid space: every axis becomes a :class:`Choice`."""
         return cls(
@@ -415,8 +415,7 @@ class JointHPSpace:
                 f"{EXTRACTOR_COMPONENT!r} "
                 f"(e.g. HPSpace('gbdt', {{'n_trees': IntRange(20, 60)}}))"
             )
-        if not isinstance(self.head, HPSpace) or self.head.trainer is None \
-                or self.head.is_extractor:
+        if not isinstance(self.head, HPSpace) or self.head.is_extractor:
             raise SpaceError(
                 "JointHPSpace.head must be an HPSpace bound to a "
                 "registered head trainer"
@@ -426,26 +425,6 @@ class JointHPSpace:
     def trainer(self) -> str:
         """The head trainer the joint search selects for."""
         return self.head.trainer
-
-    def sample(self, rng: np.random.Generator) -> dict[str, object]:
-        """One joint configuration: head fields + ``"extractor"`` sub-dict.
-
-        The scheduler samples the halves from *separate* per-trial
-        streams (so extractor sharing is independent of head sampling);
-        this single-stream variant exists for the grid/shim surfaces.
-        """
-        params = self.head.sample(rng)
-        params["extractor"] = self.extractor.sample(rng)
-        return params
-
-    def grid_points(self) -> list[dict[str, object]]:
-        """Cartesian product of both halves; extractor-major order so
-        grid-style consumers can encode once per extractor point."""
-        return [
-            {**head_point, "extractor": dict(extractor_point)}
-            for extractor_point in self.extractor.grid_points()
-            for head_point in self.head.grid_points()
-        ]
 
     def to_json(self) -> dict:
         """JSON-compatible description (leaderboard provenance)."""

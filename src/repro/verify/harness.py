@@ -216,10 +216,10 @@ def _assert_results_identical(first: TrainResult, second: TrainResult) -> None:
 
 def assert_persist_round_trip(pipeline, dataset, path) -> None:
     """A saved+reloaded pipeline must reproduce ``predict_proba`` exactly."""
-    from repro.persist.artifacts import load_pipeline, save_pipeline
+    from repro.serve.registry import ModelRegistry
 
-    save_pipeline(pipeline, path)
-    restored = load_pipeline(path)
+    ModelRegistry.save_file(pipeline, path)
+    restored = ModelRegistry.load_file(path)
     live = pipeline.predict_proba(dataset)
     reloaded = restored.predict_proba(dataset)
     if not np.array_equal(live, reloaded):

@@ -74,29 +74,29 @@ class TestDegenerateEnvironments:
 
 class TestCorruptedArtifacts:
     def test_truncated_json_raises(self, small_split, tmp_path):
-        from repro.persist import save_pipeline, load_pipeline
         from repro.pipeline.pipeline import LoanDefaultPipeline
+        from repro.serve.registry import ModelRegistry
 
         pipeline = LoanDefaultPipeline(ERMTrainer(BaseTrainConfig(n_epochs=2)))
         pipeline.fit(small_split.train)
         path = tmp_path / "model.json"
-        save_pipeline(pipeline, path)
+        ModelRegistry.save_file(pipeline, path)
         path.write_text(path.read_text()[:100])
         with pytest.raises(json.JSONDecodeError):
-            load_pipeline(path)
+            ModelRegistry.load_file(path)
 
     def test_theta_dimension_mismatch_detected(self, small_split, tmp_path):
-        from repro.persist import load_pipeline, save_pipeline
         from repro.pipeline.pipeline import LoanDefaultPipeline
+        from repro.serve.registry import ModelRegistry
 
         pipeline = LoanDefaultPipeline(ERMTrainer(BaseTrainConfig(n_epochs=2)))
         pipeline.fit(small_split.train)
         path = tmp_path / "model.json"
-        save_pipeline(pipeline, path)
+        ModelRegistry.save_file(pipeline, path)
         payload = json.loads(path.read_text())
         payload["theta"] = payload["theta"][:-3]  # corrupt the head
         path.write_text(json.dumps(payload))
-        scorer = load_pipeline(path)
+        scorer = ModelRegistry.load_file(path)
         with pytest.raises(ValueError):
             scorer.predict_proba(small_split.test.features[:5])
 

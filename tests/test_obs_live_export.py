@@ -44,7 +44,6 @@ def sample_snapshot(state="healthy"):
                 },
             },
             "workers_reporting": 2,
-            "cache_hit_rate": 0.25,
         },
         "liveness": {
             "0": {"reporting": True, "age_s": 0.1, "stale": False},

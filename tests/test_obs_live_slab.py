@@ -111,15 +111,12 @@ class TestTelemetryToRow:
         telemetry = ServingTelemetry()
         telemetry.record_batch(n_rows=8, seconds=0.002)
         telemetry.record_batch(n_rows=4, seconds=0.004)
-        telemetry.record_cache(hits=3, misses=1)
         telemetry.record_fallback("drift")
         telemetry.record_fallback("challenger_error")
         counters, gauges, hists = telemetry_to_row(telemetry)
         names = dict(zip(SERVING_SLAB_LAYOUT.counters, counters))
         assert names["rows_scored"] == 12
         assert names["batches"] == 2
-        assert names["cache_hits"] == 3
-        assert names["cache_misses"] == 1
         assert names["fallbacks"] == 2          # per-reason dict flattened
         assert gauges[0] == pytest.approx(0.006)
         (counts, total), = hists

@@ -1,21 +1,29 @@
-"""Disabled-instrumentation overhead must stay in the noise (< 2%).
+"""Disabled instrumentation must stay a handful of guard checks per epoch.
 
-Every trainer epoch now runs through StepTimer/Tracer call sites
+Every trainer epoch runs through StepTimer/Tracer call sites
 unconditionally; the null-object pattern keeps the disabled cost to a
-guard check per call.  This smoke test measures the full per-epoch
-sequence of disabled instrumentation calls against the wall time of a
-real training epoch and asserts the ratio stays under the 2% budget
-(with margin: the budget is checked against a deliberately inflated
-call count).
+guard check per call.  This test counts, exactly, the Python calls one
+epoch of disabled instrumentation makes (via ``sys.setprofile``) and
+checks it against a fixed bound, and that the disabled path never reads
+a clock.  Both are deterministic; the wall-clock cost of tracing is
+measured by the benchmark (``trace.overhead_pct``), not asserted here.
 """
+
+import sys
 
 from repro.obs.profile import active
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.timing import STEP_NAMES, StepTimer, measure
+from repro.timing import STEP_NAMES, StepTimer
 from repro.train.registry import make_trainer
 
-#: Hard ceiling on disabled-instrumentation cost per epoch.
-OVERHEAD_BUDGET = 0.02
+#: Python calls (function entries and generator resumes) one disabled
+#: epoch may make.  Today's call sites make 112; a disabled path that
+#: starts doing real work (formatting, allocation, bookkeeping) exceeds it.
+DISABLED_CALL_BUDGET = 128
+
+#: Clock reads the disabled path must never make.
+CLOCKS = frozenset({"perf_counter", "perf_counter_ns", "monotonic",
+                    "monotonic_ns", "time", "time_ns", "process_time"})
 
 
 def _disabled_epoch_instrumentation() -> None:
@@ -48,28 +56,31 @@ class TestDisabledOverhead:
         assert tracer.span("a") is tracer.span("b")
         assert NULL_TRACER.enabled is False
 
-    def test_disabled_instrumentation_under_budget(self, train_envs):
-        """Disabled calls cost < 2% of a real epoch's wall time."""
-        trainer = make_trainer("ERM", n_epochs=12, seed=0)
+    def test_disabled_instrumentation_under_budget(self):
+        """One disabled epoch stays within the call budget, clock-free."""
+        _disabled_epoch_instrumentation()  # first-use imports happen here
+        python_calls, c_calls = [], []
 
-        fit_time = measure(
-            lambda: make_trainer("ERM", n_epochs=12, seed=0).fit(train_envs),
-            repeats=3, warmup=1,
-        )
-        epoch_seconds = fit_time.best_seconds / trainer.config.n_epochs
+        def profile(frame, event, arg):
+            if event == "call":
+                python_calls.append(frame.f_code.co_name)
+            elif event == "c_call":
+                c_calls.append(arg.__name__)
 
-        instr_time = measure(
-            lambda: [_disabled_epoch_instrumentation() for _ in range(50)],
-            repeats=3, warmup=1,
+        sys.setprofile(profile)
+        try:
+            _disabled_epoch_instrumentation()
+        finally:
+            sys.setprofile(None)
+        # The first entry is the instrumented epoch function itself.
+        assert python_calls[0] == "_disabled_epoch_instrumentation"
+        n_calls = len(python_calls) - 1
+        assert n_calls <= DISABLED_CALL_BUDGET, (
+            f"disabled instrumentation made {n_calls} Python calls per "
+            f"epoch (budget {DISABLED_CALL_BUDGET}): "
+            f"{sorted(set(python_calls))}"
         )
-        overhead_per_epoch = instr_time.best_seconds / 50
-
-        ratio = overhead_per_epoch / epoch_seconds
-        assert ratio < OVERHEAD_BUDGET, (
-            f"disabled instrumentation is {ratio:.2%} of a "
-            f"{epoch_seconds * 1e3:.3f} ms epoch (budget "
-            f"{OVERHEAD_BUDGET:.0%})"
-        )
+        assert not CLOCKS.intersection(c_calls), c_calls
 
     def test_fit_results_identical_with_null_tracer(self, train_envs):
         """Passing NULL_TRACER explicitly is the same as passing nothing."""

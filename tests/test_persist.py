@@ -15,12 +15,13 @@ from repro.persist import (
     binner_to_dict,
     gbdt_from_dict,
     gbdt_to_dict,
-    load_pipeline,
-    save_pipeline,
+    pipeline_to_payload,
+    scoring_model_from_payload,
     tree_from_dict,
     tree_to_dict,
 )
 from repro.pipeline.pipeline import LoanDefaultPipeline
+from repro.serve.registry import ModelRegistry
 from repro.train.base import BaseTrainConfig
 
 
@@ -118,9 +119,9 @@ class TestPipelineArtifact:
         pipeline = LoanDefaultPipeline(ERMTrainer(BaseTrainConfig(n_epochs=10)))
         pipeline.fit(small_split.train)
         path = tmp_path / "model.json"
-        save_pipeline(pipeline, path, metadata={"run": "test"})
+        ModelRegistry.save_file(pipeline, path, metadata={"run": "test"})
 
-        scorer = load_pipeline(path)
+        scorer = ModelRegistry.load_file(path)
         expected = pipeline.predict_proba(small_split.test)
         actual = scorer.predict_proba(small_split.test)
         np.testing.assert_array_equal(expected, actual)
@@ -131,15 +132,15 @@ class TestPipelineArtifact:
         pipeline = LoanDefaultPipeline(ERMTrainer(BaseTrainConfig(n_epochs=5)))
         pipeline.fit(small_split.train)
         path = tmp_path / "model.json"
-        save_pipeline(pipeline, path)
-        scorer = load_pipeline(path)
+        ModelRegistry.save_file(pipeline, path)
+        scorer = ModelRegistry.load_file(path)
         out = scorer.predict_proba(small_split.test.features[:7])
         assert out.shape == (7,)
 
     def test_unfitted_pipeline_rejected(self, tmp_path):
         pipeline = LoanDefaultPipeline(ERMTrainer(BaseTrainConfig(n_epochs=1)))
         with pytest.raises(RuntimeError):
-            save_pipeline(pipeline, tmp_path / "m.json")
+            ModelRegistry.save_file(pipeline, tmp_path / "m.json")
 
     def test_finetuned_head_rejected(self, small_split, tmp_path):
         pipeline = LoanDefaultPipeline(
@@ -147,15 +148,26 @@ class TestPipelineArtifact:
         )
         pipeline.fit(small_split.train)
         with pytest.raises(ValueError, match="fine-tuned"):
-            save_pipeline(pipeline, tmp_path / "m.json")
+            ModelRegistry.save_file(pipeline, tmp_path / "m.json")
 
     def test_bad_version_rejected(self, small_split, tmp_path):
         pipeline = LoanDefaultPipeline(ERMTrainer(BaseTrainConfig(n_epochs=2)))
         pipeline.fit(small_split.train)
         path = tmp_path / "model.json"
-        save_pipeline(pipeline, path)
+        ModelRegistry.save_file(pipeline, path)
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
-            load_pipeline(path)
+            ModelRegistry.load_file(path)
+
+
+class TestPayloadCodecs:
+    def test_payload_round_trip(self, fitted_pipeline, small_split):
+        payload = pipeline_to_payload(fitted_pipeline, metadata={"k": "v"})
+        model = scoring_model_from_payload(payload)
+        assert model.metadata == {"k": "v"}
+        np.testing.assert_array_equal(
+            model.predict_proba(small_split.test.features),
+            fitted_pipeline.predict_proba(small_split.test),
+        )

@@ -22,9 +22,8 @@ def smoke_results():
 
 class TestServingSuite:
     def test_all_scenarios_present(self, smoke_results):
-        assert set(smoke_results) == {"micro_batching", "cache_hot",
-                                      "registry_load", "workers",
-                                      "metrics_overhead"}
+        assert set(smoke_results) == {"micro_batching", "registry_load",
+                                      "workers", "metrics_overhead"}
 
     def test_micro_batching_is_bit_identical(self, smoke_results):
         entry = smoke_results["micro_batching"]
@@ -32,11 +31,6 @@ class TestServingSuite:
         assert entry["micro_batched_s"] > 0
         assert entry["row_at_a_time_s"] > 0
         assert entry["speedup_batched_vs_rows"] > 0
-
-    def test_cache_hot_is_bit_identical(self, smoke_results):
-        entry = smoke_results["cache_hot"]
-        assert entry["bit_identical"] is True
-        assert 0 < entry["hit_rate"] <= 1
 
     def test_registry_load_timed(self, smoke_results):
         assert smoke_results["registry_load"]["median_s"] > 0
@@ -74,8 +68,8 @@ class TestServingSuite:
 
     def test_summary_mentions_each_scenario(self, smoke_results):
         summary = summarize_serving(smoke_results)
-        for name in ("micro_batching", "cache_hot", "registry_load",
-                     "workers", "metrics_overhead"):
+        for name in ("micro_batching", "registry_load", "workers",
+                     "metrics_overhead"):
             assert name in summary
 
 

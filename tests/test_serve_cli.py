@@ -79,11 +79,10 @@ class TestServeScore:
         assert "serving slot: challenger" in out
         assert "throughput" in out
 
-    def test_cache_and_drift_guard_flags(self, registry_root, dataset_file,
-                                         capsys):
+    def test_drift_guard_flag(self, registry_root, dataset_file, capsys):
         assert main(["serve-score", "--registry", str(registry_root),
                      "--data", str(dataset_file), "--limit", "200",
-                     "--cache-size", "512", "--drift-threshold", "0.25"]) == 0
+                     "--drift-threshold", "0.25"]) == 0
         out = capsys.readouterr().out
         assert "scored 200 rows" in out
         assert "drift guard" in out

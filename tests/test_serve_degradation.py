@@ -107,7 +107,7 @@ class TestFallbackOrdering:
         return ScoringService(
             ConstantModel(0.25),
             challenger=challenger,
-            config=ServiceConfig(use_challenger=True, cache_size=0),
+            config=ServiceConfig(use_challenger=True),
             drift_guard=guard,
         )
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.persist import pipeline_to_payload
 from repro.serve.registry import CHALLENGER, CHAMPION, ModelRegistry
 
 
@@ -139,6 +140,17 @@ class TestSingleFileSurface:
         entry = registry.describe(version)
         model = ModelRegistry.load_file(registry.root / entry.path)
         assert model.trainer_name == entry.trainer_name
+
+    def test_old_artifact_loads_on_new_surface(self, tmp_path,
+                                               fitted_pipeline, small_split):
+        """Files written pre-registry (a bare JSON payload) still load."""
+        old_path = tmp_path / "legacy.json"
+        old_path.write_text(json.dumps(pipeline_to_payload(fitted_pipeline)))
+        model = ModelRegistry.load_file(old_path)
+        np.testing.assert_array_equal(
+            model.predict_proba(small_split.test.features),
+            fitted_pipeline.predict_proba(small_split.test),
+        )
 
 
 class TestImportFile:

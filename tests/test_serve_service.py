@@ -33,9 +33,6 @@ class _BrokenModel:
     def predict_proba(self, rows):
         raise RuntimeError("challenger exploded")
 
-    def predict_leaves(self, rows):
-        raise RuntimeError("challenger exploded")
-
 
 class _ConstantModel:
     """Challenger stand-in distinguishable from the champion."""
@@ -61,18 +58,6 @@ class TestBitIdentity:
         direct = champion_model.predict_proba(request_rows[:1])[0]
         assert service.score_row(request_rows[0]) == direct
         assert service.telemetry.requests == 1
-
-    def test_cached_scores_identical(self, champion_model, request_rows):
-        service = ScoringService(
-            champion_model, config=ServiceConfig(cache_size=2048)
-        )
-        first = service.score_batch(request_rows)
-        second = service.score_batch(request_rows)   # all cache hits
-        np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(
-            first, champion_model.predict_proba(request_rows)
-        )
-        assert service.telemetry.cache_hits >= request_rows.shape[0]
 
     def test_score_batch_validates_shape(self, champion_model):
         service = ScoringService(champion_model)
@@ -182,20 +167,15 @@ class TestDriftGuard:
         with pytest.raises(ValueError):
             self._guard(small_split, min_rows=0)
 
-    def test_snapshot_includes_guard_and_caches(self, champion_model,
-                                                small_split, request_rows):
+    def test_snapshot_includes_guard(self, champion_model, small_split,
+                                     request_rows):
         # 10 rows make a noisy PSI estimate; a huge threshold keeps the
         # guard untripped so the snapshot shows the healthy state.
         guard = self._guard(small_split, psi_threshold=100.0, min_rows=1)
-        service = ScoringService(
-            champion_model,
-            config=ServiceConfig(cache_size=64),
-            drift_guard=guard,
-        )
+        service = ScoringService(champion_model, drift_guard=guard)
         service.score_batch(request_rows[:10])
         snap = service.snapshot()
         assert snap["drift_guard"]["tripped"] is False
-        assert snap["caches"][CHAMPION]["misses"] == 10
         assert snap["telemetry"]["rows_scored"] == 10
 
 
@@ -203,5 +183,3 @@ class TestServiceConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(max_batch_size=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(cache_size=-1)

@@ -187,13 +187,11 @@ class TestServingTelemetry:
         telemetry = ServingTelemetry()
         telemetry.record_batch(10, 0.01)
         telemetry.record_request(0.001)
-        telemetry.record_cache(hits=3, misses=7)
         snap = telemetry.snapshot()
         assert set(snap) == {
             "rows_scored", "batches", "requests", "throughput_rows_per_s",
-            "fallbacks", "cache", "batch_latency", "request_latency",
+            "fallbacks", "batch_latency", "request_latency",
         }
-        assert snap["cache"] == {"hits": 3, "misses": 7}
         assert snap["batch_latency"]["count"] == 1
         assert snap["request_latency"]["count"] == 1
 
@@ -201,11 +199,9 @@ class TestServingTelemetry:
         telemetry = ServingTelemetry()
         telemetry.record_batch(42, 0.01)
         telemetry.record_fallback("drift_guard")
-        telemetry.record_cache(hits=1, misses=1)
         summary = telemetry.summary()
         assert "rows scored     42" in summary
         assert "drift_guard=1" in summary
-        assert "cache hit rate  50.0%" in summary
 
 
 class TestFrontendTelemetryConcurrency:

@@ -1,19 +1,9 @@
-"""Unit tests for environment splitting and the legacy grid-search shim."""
+"""Unit tests for environment splitting and exhaustive grid search."""
 
 import numpy as np
 import pytest
 
-from repro.core.config import LightMIRMConfig
-from repro.core.lightmirm import LightMIRMTrainer
-from repro.train.base import BaseTrainConfig
-from repro.baselines.erm import ERMTrainer
-from repro.tune import SearchResult, grid_search, split_environments
-
-
-def legacy_grid_search(*args, **kwargs):
-    """grid_search is a DeprecationWarning shim; assert it warns, always."""
-    with pytest.warns(DeprecationWarning, match="grid_search is deprecated"):
-        return grid_search(*args, **kwargs)
+from repro.tune import HPSpace, SearchResult, run_grid, split_environments
 
 
 class TestSplitEnvironments:
@@ -51,11 +41,13 @@ class TestSplitEnvironments:
 
 
 class TestGridSearchShim:
+    """Exhaustive search through ``run_grid`` on a bound ``HPSpace.grid``."""
+
     def test_evaluates_full_product(self, tiny_envs):
-        result = legacy_grid_search(
-            lambda **kw: ERMTrainer(BaseTrainConfig(n_epochs=10, **kw)),
-            grid={"learning_rate": [0.5, 1.0], "l2": [1e-4, 1e-2]},
-            environments=tiny_envs,
+        result = run_grid(
+            HPSpace.grid("ERM", {"learning_rate": [0.5, 1.0],
+                                 "l2": [1e-4, 1e-2]}),
+            tiny_envs, n_epochs=10,
         )
         assert isinstance(result, SearchResult)
         assert len(result.trials) == 4
@@ -63,21 +55,17 @@ class TestGridSearchShim:
         assert len(seen) == 4
 
     def test_best_maximises_objective(self, tiny_envs):
-        result = legacy_grid_search(
-            lambda **kw: ERMTrainer(BaseTrainConfig(n_epochs=10, **kw)),
-            grid={"learning_rate": [0.01, 1.0]},
-            environments=tiny_envs,
-            objective="mKS",
+        result = run_grid(
+            HPSpace.grid("ERM", {"learning_rate": [0.01, 1.0]}),
+            tiny_envs, objective="mKS", n_epochs=10,
         )
         values = [t.report.mean_ks for t in result.trials]
         assert result.best.report.mean_ks == max(values)
 
     def test_ranked_order(self, tiny_envs):
-        result = legacy_grid_search(
-            lambda **kw: ERMTrainer(BaseTrainConfig(n_epochs=10, **kw)),
-            grid={"learning_rate": [0.01, 0.5, 1.0]},
-            environments=tiny_envs,
-            objective="mKS",
+        result = run_grid(
+            HPSpace.grid("ERM", {"learning_rate": [0.01, 0.5, 1.0]}),
+            tiny_envs, objective="mKS", n_epochs=10,
         )
         ranked = result.ranked()
         assert ranked[0] is max(
@@ -87,46 +75,42 @@ class TestGridSearchShim:
         assert scores == sorted(scores, reverse=True)
 
     def test_blend_objective(self, tiny_envs):
-        result = legacy_grid_search(
-            lambda **kw: ERMTrainer(BaseTrainConfig(n_epochs=10, **kw)),
-            grid={"learning_rate": [0.5, 1.0]},
-            environments=tiny_envs,
+        result = run_grid(
+            HPSpace.grid("ERM", {"learning_rate": [0.5, 1.0]}),
+            tiny_envs,
             objective="blend",
             blend_weight=1.0,  # pure worst-province selection
+            n_epochs=10,
         )
         values = [t.report.worst_ks for t in result.trials]
         assert result.best.report.worst_ks == max(values)
 
     def test_lightmirm_grid(self, tiny_envs):
-        result = legacy_grid_search(
-            lambda **kw: LightMIRMTrainer(
-                LightMIRMConfig(n_epochs=15, **kw)
-            ),
-            grid={"queue_length": [1, 5], "gamma": [0.9]},
-            environments=tiny_envs,
+        result = run_grid(
+            HPSpace.grid("LightMIRM", {"queue_length": [1, 5],
+                                       "gamma": [0.9]}),
+            tiny_envs, n_epochs=15,
         )
         assert len(result.trials) == 2
         assert result.best.params["gamma"] == 0.9
 
     def test_records_training_time(self, tiny_envs):
-        result = legacy_grid_search(
-            lambda **kw: ERMTrainer(BaseTrainConfig(n_epochs=5, **kw)),
-            grid={"learning_rate": [1.0]},
-            environments=tiny_envs,
+        result = run_grid(
+            HPSpace.grid("ERM", {"learning_rate": [1.0]}),
+            tiny_envs, n_epochs=5,
         )
         assert result.trials[0].train_seconds > 0
 
     def test_trial_surface(self, tiny_envs):
-        # The shim shares the unified TrialResult surface with ASHA.
-        result = legacy_grid_search(
-            lambda **kw: ERMTrainer(BaseTrainConfig(n_epochs=5, **kw)),
-            grid={"learning_rate": [0.5, 1.0]},
-            environments=tiny_envs,
+        # The grid shares the unified TrialResult surface with ASHA.
+        result = run_grid(
+            HPSpace.grid("ERM", {"learning_rate": [0.5, 1.0]}),
+            tiny_envs, n_epochs=5,
         )
         trial = result.trials[0]
         payload = trial.to_json()
         assert payload["trial"] == trial.trial_id
-        assert payload["rung"] == 0 and payload["budget"] is None
+        assert payload["rung"] == 0 and payload["budget"] == 5
         assert set(payload["metrics"]) == {"mKS", "wKS", "mAUC", "wAUC"}
         value = trial.objective_value("blend", 0.5)
         assert value == pytest.approx(
@@ -138,17 +122,11 @@ class TestGridSearchShim:
 
     def test_invalid_objective(self, tiny_envs):
         with pytest.raises(ValueError, match="objective"):
-            legacy_grid_search(
-                lambda **kw: ERMTrainer(BaseTrainConfig(**kw)),
-                grid={"learning_rate": [1.0]},
-                environments=tiny_envs,
-                objective="accuracy",
+            run_grid(
+                HPSpace.grid("ERM", {"learning_rate": [1.0]}),
+                tiny_envs, objective="accuracy",
             )
 
-    def test_empty_grid_rejected(self, tiny_envs):
-        with pytest.raises(ValueError, match="empty"):
-            legacy_grid_search(
-                lambda **kw: ERMTrainer(BaseTrainConfig(**kw)),
-                grid={},
-                environments=tiny_envs,
-            )
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            HPSpace.grid("ERM", {})

@@ -1,4 +1,4 @@
-"""Joint GBDT×head search: spaces, sampling, scheduler and the shim."""
+"""Joint GBDT×head search: spaces, sampling and the scheduler."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.tune import (
     default_extractor_space,
     default_space,
     extractor_fingerprint,
-    grid_search,
     run_joint_asha,
     sample_joint_trials,
 )
@@ -189,44 +188,3 @@ class TestRunJointASHA:
     def test_rejects_plain_space(self, tiny_envs):
         with pytest.raises(TypeError, match="JointHPSpace"):
             run_joint_asha(default_space("ERM"), tiny_envs, SMALL)
-
-
-class TestGridSearchJointShim:
-    def test_shim_accepts_joint_space(self, tiny_envs):
-        from repro.baselines.erm import ERMTrainer
-        from repro.train.base import BaseTrainConfig
-
-        extractor = HPSpace(EXTRACTOR_COMPONENT, {"n_trees": Choice((6,))})
-        head = HPSpace.grid("ERM", {"learning_rate": [0.5, 1.0]})
-        space = HPSpace.joint(extractor, head)
-
-        def builder(**kw):
-            return ERMTrainer(BaseTrainConfig(n_epochs=4, seed=0, **kw))
-
-        with pytest.warns(DeprecationWarning):
-            result = grid_search(builder, space, tiny_envs, seed=2)
-        assert len(result.trials) == 2
-        for trial in result.trials:
-            assert trial.params["extractor"] == {"n_trees": 6}
-            assert trial.encode_cached in (True, False)
-        assert result.best in result.trials
-
-    def test_shim_memoizes_shared_extractor_points(self, tiny_envs):
-        from repro.baselines.erm import ERMTrainer
-        from repro.train.base import BaseTrainConfig
-
-        extractor = HPSpace(EXTRACTOR_COMPONENT, {"n_trees": Choice((6,))})
-        head = HPSpace.grid("ERM", {"learning_rate": [0.5, 1.0, 2.0]})
-
-        def builder(**kw):
-            return ERMTrainer(BaseTrainConfig(n_epochs=4, seed=0, **kw))
-
-        with pytest.warns(DeprecationWarning):
-            result = grid_search(
-                builder, HPSpace.joint(extractor, head), tiny_envs, seed=2
-            )
-        cached_flags = [t.encode_cached for t in result.trials]
-        # One distinct extractor point: first evaluation encodes, the
-        # rest reuse the memoized split.
-        assert cached_flags.count(False) == 1
-        assert cached_flags.count(True) == 2

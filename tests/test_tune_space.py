@@ -124,10 +124,6 @@ class TestHPSpace:
         with pytest.raises(KeyError):
             HPSpace("LightFIRM", {"learning_rate": Uniform(0.0, 1.0)})
 
-    def test_unbound_space_skips_validation(self):
-        space = HPSpace(None, {"whatever": Choice((1, 2))})
-        assert space.grid_points() == [{"whatever": 1}, {"whatever": 2}]
-
     def test_grid_classmethod_and_points(self):
         space = HPSpace.grid("ERM", {"learning_rate": [0.1, 0.5],
                                      "l2": [1e-4]})
