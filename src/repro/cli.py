@@ -21,6 +21,7 @@ Usage (after ``pip install -e .``)::
     python -m repro scale-bench --out BENCH_scale.json
     python -m repro scale-bench --smoke --save-model scale_model.json
     python -m repro serve-bench --model scale_model.json
+    python -m repro tune-bench --out BENCH_tune.json
     python -m repro verify --out VERIFY_invariance.json
     python -m repro tune --trainers LightMIRM IRMv1 --jobs 4
     python -m repro tune --smoke --trace tune.jsonl
@@ -35,6 +36,8 @@ structured JSONL run log; ``repro obs report|summary|diff`` renders it
 offline (see ``docs/observability.md``).  ``serve-run --metrics-port``
 turns on the live telemetry plane (Prometheus + JSON exposition, online
 drift/SLO monitors, health alerts) and ``repro obs top`` watches it.
+The ``bench``/``*-bench`` commands write their ``BENCH_*.json`` payload
+and exit 1 when it fails its schema (see ``repro.perfbench.payload``).
 """
 
 from __future__ import annotations
@@ -477,17 +480,31 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finish_bench(schema, path: str, results: dict, config,
+                  **sections) -> int:
+    """Write one ``BENCH_*.json`` payload, print its summary and problems.
+
+    Returns the exit code: 1 when the payload fails its schema (a false
+    ``bit_identical``/``passed`` flag included), else 0.  The file is
+    written either way so a failing run can be inspected.
+    """
+    payload = schema.write(path, results, config, **sections)
+    print(schema.summarize(payload))
+    print(f"wrote {path}")
+    problems = schema.validate(payload)
+    for problem in problems:
+        print(f"invalid {path}: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.perfbench import (
-        BenchConfig, run_suite, summarize, write_bench_json,
-    )
+    from repro.perfbench import GBDT_PAYLOAD, BenchConfig, run_suite
 
     if args.jobs:
         from repro.perfbench import (
-            ParallelBenchConfig, run_parallel_suite, summarize_parallel,
-            write_parallel_bench_json,
+            PARALLEL_PAYLOAD, ParallelBenchConfig, run_parallel_suite,
         )
 
         parallel_config = (ParallelBenchConfig.smoke() if args.quick
@@ -496,11 +513,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             parallel_config, worker_counts=tuple(args.jobs)
         )
         results = run_parallel_suite(parallel_config)
-        print(summarize_parallel(results))
-        write_parallel_bench_json(args.parallel_out, results,
-                                  parallel_config)
-        print(f"wrote {args.parallel_out}")
-        return 0
+        return _finish_bench(PARALLEL_PAYLOAD, args.parallel_out, results,
+                             parallel_config)
 
     config = BenchConfig.smoke() if args.quick else BenchConfig()
     overrides = {
@@ -511,10 +525,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
     results = run_suite(config, only=args.only)
-    print(summarize(results))
-    write_bench_json(args.out, results, config)
-    print(f"wrote {args.out}")
-    return 0
+    return _finish_bench(GBDT_PAYLOAD, args.out, results, config)
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
@@ -720,8 +731,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.perfbench import (
-        ServingBenchConfig, run_serving_suite, summarize_serving,
-        write_serving_bench_json,
+        SERVING_PAYLOAD, ServingBenchConfig, run_serving_suite,
     )
 
     config = (ServingBenchConfig.smoke() if args.quick
@@ -740,18 +750,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     tracer.close()
     if args.trace:
         print(f"wrote run log to {args.trace}")
-    print(summarize_serving(results))
-    write_serving_bench_json(args.out, results, config)
-    print(f"wrote {args.out}")
-    return 0
+    return _finish_bench(SERVING_PAYLOAD, args.out, results, config)
 
 
 def _cmd_scale_bench(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.perfbench import (
-        ScaleBenchConfig, dtype_tolerance_check, run_scale_suite,
-        summarize_scale, write_scale_bench_json,
+        SCALE_PAYLOAD, ScaleBenchConfig, dtype_tolerance_check,
+        run_scale_suite,
     )
 
     config = ScaleBenchConfig.smoke() if args.smoke else ScaleBenchConfig()
@@ -766,20 +773,12 @@ def _cmd_scale_bench(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, **overrides)
 
     tolerance = dtype_tolerance_check(config)
-    status = "passed" if tolerance["passed"] else "FAILED"
-    print(f"float32 tolerance {status}: "
-          f"|dAUC|={tolerance['auc_delta']:.5f} "
-          f"(<= {tolerance['auc_tolerance']})  "
-          f"|dKS|={tolerance['ks_delta']:.5f} "
-          f"(<= {tolerance['ks_tolerance']})")
     results = run_scale_suite(config, isolate=not args.no_isolate,
                               save_model=args.save_model)
-    print(summarize_scale(results))
-    write_scale_bench_json(args.out, results, config, tolerance)
-    print(f"wrote {args.out}")
     if args.save_model:
         print(f"saved scale model to {args.save_model}")
-    return 0 if tolerance["passed"] else 1
+    return _finish_bench(SCALE_PAYLOAD, args.out, results, config,
+                         tolerance=tolerance)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -967,10 +966,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_tune_bench(args: argparse.Namespace) -> int:
     from repro.perfbench import (
-        TuneBenchConfig,
-        run_tune_benchmark,
-        summarize_tune,
-        write_tune_bench_json,
+        TUNE_PAYLOAD, TuneBenchConfig, run_tune_benchmark,
     )
 
     config = TuneBenchConfig.smoke() if args.smoke else TuneBenchConfig()
@@ -979,10 +975,7 @@ def _cmd_tune_bench(args: argparse.Namespace) -> int:
 
         config = dataclasses.replace(config, n_jobs=args.jobs)
     results = run_tune_benchmark(config)
-    print(summarize_tune(results))
-    write_tune_bench_json(args.out, results, config)
-    print(f"wrote {args.out}")
-    return 0 if results["joint_search"]["bit_identical"] else 1
+    return _finish_bench(TUNE_PAYLOAD, args.out, results, config)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:

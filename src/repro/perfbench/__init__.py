@@ -1,4 +1,4 @@
-"""Tracked GBDT performance microbenchmarks.
+"""Tracked performance benchmarks.
 
 This package keeps the repo's perf story honest in two ways:
 
@@ -7,68 +7,70 @@ This package keeps the repo's perf story honest in two ways:
   encoding, per-round matrix copies) verbatim.  They are the baseline the
   golden-equivalence tests compare against bit-for-bit, and the
   denominator of every reported speedup.
-* :mod:`repro.perfbench.suites` times the live kernels against those seed
-  kernels (median-of-k, see :func:`repro.timing.measure`) and writes
-  ``BENCH_gbdt.json`` so the trajectory is visible PR-over-PR.
-* :mod:`repro.perfbench.serving` times the request path — micro-batched
-  vs row-at-a-time scoring (bit-identity asserted), warm-cache scoring,
-  registry load latency — and writes ``BENCH_serving.json``.
-* :mod:`repro.perfbench.parallel` times the experiment trainer×seed
-  fan-out serially and across worker pools (bit-identity asserted per
-  count) and writes ``BENCH_parallel.json``.
-* :mod:`repro.perfbench.scale` measures the end-to-end streaming
-  pipeline (wall-clock + peak RSS via :mod:`repro.perfbench.rss`) at
-  paper-scale row counts and writes ``BENCH_scale.json``.
-* :mod:`repro.perfbench.tune` runs the same joint GBDT×head search with
-  the extractor-encoding cache on and off (bit-identity asserted) and
-  writes ``BENCH_tune.json``.
+* Five suites time the live code, each written to one tracked file:
 
-Run via ``python -m repro bench`` / ``python -m repro serve-bench`` /
-``python -m repro scale-bench`` (or ``python -m benchmarks.perf`` from
-the repo root); ``repro bench --jobs`` adds the parallel-scaling suite.
+  * :mod:`repro.perfbench.suites` — the GBDT kernels against those seed
+    kernels (median-of-k, see :func:`repro.timing.measure`) →
+    ``BENCH_gbdt.json``;
+  * :mod:`repro.perfbench.parallel` — the experiment trainer×seed
+    fan-out, serial vs worker pools (bit-identity asserted per count) →
+    ``BENCH_parallel.json``;
+  * :mod:`repro.perfbench.scale` — the end-to-end streaming pipeline
+    (wall-clock + peak RSS via :mod:`repro.perfbench.rss`) at paper-scale
+    row counts → ``BENCH_scale.json``;
+  * :mod:`repro.perfbench.serving` — the request path: micro-batching,
+    registry load, multi-worker front-end, live-plane overhead →
+    ``BENCH_serving.json``;
+  * :mod:`repro.perfbench.tune` — the joint GBDT×head search with the
+    extractor-encoding cache on and off → ``BENCH_tune.json``.
+
+Every file goes through one payload path, :mod:`repro.perfbench.payload`:
+each suite declares a :class:`BenchPayload` schema (``GBDT_PAYLOAD`` …
+``TUNE_PAYLOAD``) whose ``write``/``validate``/``summarize`` are shared.
+
+Run via ``python -m repro bench`` (``--jobs`` for the parallel suite),
+``serve-bench``, ``scale-bench`` and ``tune-bench``; each exits non-zero
+when its payload fails validation.
 """
 
 from repro.perfbench.parallel import (
+    PARALLEL_PAYLOAD,
     ParallelBenchConfig,
     run_parallel_suite,
-    summarize_parallel,
-    write_parallel_bench_json,
+)
+from repro.perfbench.payload import (
+    BenchPayload,
+    effective_cpu_count,
+    machine_info,
 )
 from repro.perfbench.rss import PeakMemoryProbe, read_peak_rss_bytes
 from repro.perfbench.scale import (
+    SCALE_PAYLOAD,
     ScaleBenchConfig,
     dtype_tolerance_check,
     run_scale_point,
     run_scale_suite,
-    summarize_scale,
-    validate_scale_payload,
-    write_scale_bench_json,
 )
 from repro.perfbench.serving import (
+    SERVING_PAYLOAD,
     ServingBenchConfig,
     run_serving_suite,
-    summarize_serving,
-    validate_serving_payload,
-    write_serving_bench_json,
 )
-from repro.perfbench.suites import (
-    BenchConfig,
-    effective_cpu_count,
-    machine_info,
-    run_suite,
-    summarize,
-    write_bench_json,
-)
+from repro.perfbench.suites import GBDT_PAYLOAD, BenchConfig, run_suite
 from repro.perfbench.tune import (
+    TUNE_PAYLOAD,
     TuneBenchConfig,
     run_tune_benchmark,
-    summarize_tune,
-    validate_tune_payload,
-    write_tune_bench_json,
 )
 
 __all__ = [
+    "GBDT_PAYLOAD",
+    "PARALLEL_PAYLOAD",
+    "SCALE_PAYLOAD",
+    "SERVING_PAYLOAD",
+    "TUNE_PAYLOAD",
     "BenchConfig",
+    "BenchPayload",
     "ParallelBenchConfig",
     "PeakMemoryProbe",
     "ScaleBenchConfig",
@@ -84,17 +86,4 @@ __all__ = [
     "run_parallel_suite",
     "run_serving_suite",
     "run_tune_benchmark",
-    "summarize",
-    "summarize_parallel",
-    "summarize_scale",
-    "summarize_serving",
-    "summarize_tune",
-    "validate_scale_payload",
-    "validate_serving_payload",
-    "validate_tune_payload",
-    "write_bench_json",
-    "write_parallel_bench_json",
-    "write_scale_bench_json",
-    "write_serving_bench_json",
-    "write_tune_bench_json",
 ]

@@ -5,7 +5,8 @@ Times the same trainer×seed grid through
 ``n_jobs=1`` and at each configured worker count, asserting along the way
 that every parallel run returns **bit-identical** :class:`MethodScores`
 — the speedup is only worth tracking if the answers don't move.  The
-payload lands in tracked ``BENCH_parallel.json`` next to the ``tree_fit``
+payload (:data:`PARALLEL_PAYLOAD`) lands in tracked
+``BENCH_parallel.json`` next to the ``tree_fit``
 single-kernel number, with the machine's *effective* CPU count recorded
 so a 1-core container honestly showing ~1.0x is distinguishable from a
 regression on a real multi-core runner.
@@ -13,29 +14,16 @@ regression on a real multi-core runner.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import statistics
 import time
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentContext, ExperimentSettings
-from repro.perfbench.suites import (
-    BenchConfig,
-    bench_tree_fit,
-    machine_info,
-)
+from repro.perfbench.payload import BenchPayload
+from repro.perfbench.suites import BenchConfig, bench_tree_fit
 from repro.train.registry import TrainerSpec
 
-__all__ = [
-    "ParallelBenchConfig",
-    "run_parallel_suite",
-    "summarize_parallel",
-    "write_parallel_bench_json",
-]
-
-#: Format version of BENCH_parallel.json.
-PARALLEL_BENCH_FORMAT = 1
+__all__ = ["PARALLEL_PAYLOAD", "ParallelBenchConfig", "run_parallel_suite"]
 
 
 @dataclass(frozen=True)
@@ -154,47 +142,17 @@ def run_parallel_suite(config: ParallelBenchConfig | None = None) -> dict:
     return {"fan_out": fan_out, "tree_fit": bench_tree_fit(config.tree_bench)}
 
 
-def write_parallel_bench_json(
-    path: str | pathlib.Path,
-    results: dict,
-    config: ParallelBenchConfig,
-) -> dict:
-    """Write the tracked ``BENCH_parallel.json`` payload and return it."""
-    payload = {
-        "format": PARALLEL_BENCH_FORMAT,
-        "config": {
-            "n_samples": config.n_samples,
-            "trainer_seeds": list(config.trainer_seeds),
-            "methods": list(config.methods),
-            "worker_counts": list(config.worker_counts),
-            "repeats": config.repeats,
-        },
-        "machine": machine_info(),
-        "benchmarks": results,
-    }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def summarize_parallel(results: dict) -> str:
-    """Human-readable rendering of one scaling run."""
-    fan_out = results["fan_out"]
-    lines = [
-        f"fan-out: {fan_out['n_tasks']} tasks "
-        f"({len(fan_out['methods'])} methods x "
-        f"{len(fan_out['trainer_seeds'])} seeds, "
-        f"n={fan_out['n_samples']})",
-        f"  serial  {fan_out['serial_s']:8.3f} s",
-    ]
-    for count, entry in fan_out["workers"].items():
-        flag = "bit-identical" if entry["bit_identical"] else "MISMATCH"
-        lines.append(
-            f"  jobs={count:<3s}{entry['seconds']:8.3f} s"
-            f"   speedup {entry['speedup_vs_serial']:5.2f}x   {flag}"
-        )
-    tree = results["tree_fit"]
-    line = f"tree_fit {tree['median_s'] * 1e3:9.3f} ms"
-    if "speedup_vs_seed" in tree:
-        line += f"   speedup vs seed {tree['speedup_vs_seed']:5.2f}x"
-    lines.append(line)
-    return "\n".join(lines)
+#: Schema of BENCH_parallel.json.
+PARALLEL_PAYLOAD = BenchPayload(
+    format=1,
+    fields={
+        "fan_out.serial_s": float,
+        "fan_out.workers.*.seconds": float,
+        "fan_out.workers.*.speedup_vs_serial": float,
+        "fan_out.workers.*.bit_identical": bool,
+        "fan_out.bit_identical": bool,
+        "tree_fit.median_s": float,
+    },
+    show=("n_tasks", "serial_s", "seconds", "speedup_vs_serial", "median_s",
+          "speedup_vs_seed", "bit_identical"),
+)

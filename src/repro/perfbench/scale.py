@@ -20,32 +20,29 @@ parent would carry the largest point's peak into every smaller one.
 under both dtypes and asserts AUC/KS agree within documented tolerances
 (``AUC_TOLERANCE``/``KS_TOLERANCE``); CI fails the scale smoke when the
 reduced-precision path drifts.  Results are written to the tracked
-``BENCH_scale.json`` (regenerate with ``python -m repro scale-bench``).
+``BENCH_scale.json`` through :data:`SCALE_PAYLOAD`, with the tolerance
+check as its ``tolerance`` section (regenerate with
+``python -m repro scale-bench``).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.perfbench.payload import BenchPayload
+
 __all__ = [
     "AUC_TOLERANCE",
     "KS_TOLERANCE",
+    "SCALE_PAYLOAD",
     "ScaleBenchConfig",
     "dtype_tolerance_check",
     "run_scale_point",
     "run_scale_suite",
-    "summarize_scale",
-    "validate_scale_payload",
-    "write_scale_bench_json",
 ]
-
-#: Format version of BENCH_scale.json.
-SCALE_BENCH_FORMAT = 1
 
 #: Documented float32-vs-float64 tolerance on the held-out test metrics.
 #: Reduced precision flips near-tied split choices (tree structures may
@@ -360,95 +357,29 @@ def dtype_tolerance_check(config: ScaleBenchConfig | None = None) -> dict:
     }
 
 
-def write_scale_bench_json(
-    path: str | pathlib.Path,
-    results: dict,
-    config: ScaleBenchConfig,
-    tolerance: dict,
-) -> dict:
-    """Write the tracked ``BENCH_scale.json`` payload and return it."""
-    from repro.perfbench.suites import machine_info
-
-    payload = {
-        "format": SCALE_BENCH_FORMAT,
-        "config": asdict(config),
-        "machine": machine_info(),
-        "tolerance": tolerance,
-        "benchmarks": results,
-    }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-#: Fields every point entry must carry, with their required types.
-_POINT_FIELDS = {
-    "n_rows": int,
-    "n_features": int,
-    "dtype": str,
-    "generate_pack_s": float,
-    "gbdt_fit_s": float,
-    "leaf_encode_s": float,
-    "lr_head_s": float,
-    "total_s": float,
-    "packed_bytes": int,
-    "naive_materialised_bytes": int,
-    "rss_source": str,
-    "rss_below_naive": bool,
-    "isolated": bool,
-}
-
-
-def validate_scale_payload(payload: dict) -> None:
-    """Schema-check one BENCH_scale.json payload; raises ``ValueError``.
-
-    Used by the CI smoke step so a refactor cannot silently turn the
-    tracked artifact into garbage.
-    """
-    problems: list[str] = []
-    if payload.get("format") != SCALE_BENCH_FORMAT:
-        problems.append(f"format != {SCALE_BENCH_FORMAT}")
-    for key in ("config", "machine", "tolerance", "benchmarks"):
-        if key not in payload:
-            problems.append(f"missing top-level key {key!r}")
-    tolerance = payload.get("tolerance", {})
-    if "passed" not in tolerance:
-        problems.append("tolerance.passed missing")
-    benchmarks = payload.get("benchmarks", {})
-    if not benchmarks:
-        problems.append("no benchmark points")
-    for n_rows, entry in benchmarks.items():
-        for field, kind in _POINT_FIELDS.items():
-            if field not in entry:
-                problems.append(f"point {n_rows}: missing {field!r}")
-            elif kind is float:
-                if not isinstance(entry[field], (int, float)):
-                    problems.append(f"point {n_rows}: {field!r} not numeric")
-            elif not isinstance(entry[field], kind):
-                problems.append(f"point {n_rows}: {field!r} not {kind.__name__}")
-        peak = entry.get("peak_rss_bytes")
-        if peak is not None and peak <= 0:
-            problems.append(f"point {n_rows}: peak_rss_bytes <= 0")
-    if problems:
-        raise ValueError(
-            "invalid BENCH_scale.json payload: " + "; ".join(problems)
-        )
-
-
-def summarize_scale(results: dict) -> str:
-    """Human-readable one-line-per-row-count rendering."""
-    lines = []
-    for n_rows in sorted(results, key=int):
-        entry = results[n_rows]
-        peak = entry.get("peak_rss_bytes")
-        peak_mb = f"{peak / 2**20:8.0f} MB" if peak else "     n/a"
-        naive_mb = entry["naive_materialised_bytes"] / 2**20
-        lines.append(
-            f"{int(n_rows):>9,d} rows  total {entry['total_s']:8.2f} s"
-            f"  (pack {entry['generate_pack_s']:6.2f}"
-            f"  fit {entry['gbdt_fit_s']:6.2f}"
-            f"  encode {entry['leaf_encode_s']:6.2f}"
-            f"  head {entry['lr_head_s']:6.2f})"
-            f"  peak {peak_mb} vs naive {naive_mb:6.0f} MB"
-            f"  [{entry['rss_source']}]"
-        )
-    return "\n".join(lines)
+#: Schema of BENCH_scale.json: one scenario per row count, plus the
+#: float32 ``tolerance`` section whose ``passed`` flag gates the file.
+SCALE_PAYLOAD = BenchPayload(
+    format=1,
+    fields={
+        "*.n_rows": int,
+        "*.n_features": int,
+        "*.dtype": str,
+        "*.generate_pack_s": float,
+        "*.gbdt_fit_s": float,
+        "*.leaf_encode_s": float,
+        "*.lr_head_s": float,
+        "*.total_s": float,
+        "*.packed_bytes": int,
+        "*.naive_materialised_bytes": int,
+        "*.peak_rss_bytes": (0, float("inf")),
+        "*.rss_source": str,
+        "*.rss_below_naive": bool,
+        "*.isolated": bool,
+        "tolerance.passed": bool,
+    },
+    show=("total_s", "generate_pack_s", "gbdt_fit_s", "leaf_encode_s",
+          "lr_head_s", "peak_rss_bytes", "naive_materialised_bytes",
+          "rss_source", "auc_delta", "ks_delta", "passed"),
+    sections=("tolerance",),
+)

@@ -13,17 +13,12 @@ seed baseline exists, the seed time and the speedup ratio):
 * ``trainer_epoch`` — end-to-end ``LightMIRMTrainer`` epochs over encoded
   environments (no seed baseline; tracked for trajectory).
 
-``run_suite`` returns a JSON-compatible dict; ``write_bench_json`` stamps
-it with machine info and writes ``BENCH_gbdt.json``.
+``run_suite`` returns a JSON-compatible dict; :data:`GBDT_PAYLOAD` writes,
+validates and summarizes it as ``BENCH_gbdt.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import platform
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +28,10 @@ from repro.gbdt.histogram import HistogramBuilder
 from repro.gbdt.leaf_encoder import encode_leaf_matrix
 from repro.gbdt.tree import DecisionTree, TreeParams
 from repro.perfbench import reference
+from repro.perfbench.payload import BenchPayload
 from repro.timing import Measurement, measure
 
-__all__ = [
-    "BenchConfig",
-    "effective_cpu_count",
-    "machine_info",
-    "run_suite",
-    "summarize",
-    "write_bench_json",
-]
-
-#: Format version of BENCH_gbdt.json.
-BENCH_FORMAT = 1
+__all__ = ["GBDT_PAYLOAD", "BenchConfig", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -254,65 +240,9 @@ def run_suite(config: BenchConfig | None = None,
     return {name: BENCHMARKS[name](config) for name in names}
 
 
-def effective_cpu_count() -> int | None:
-    """CPUs this process may actually run on, not just what exists.
-
-    ``os.cpu_count()`` reports the machine; CI runners and containers
-    usually pin processes to a subset via the scheduler affinity mask, so
-    parallel speedups must be read against ``len(os.sched_getaffinity(0))``.
-    Falls back to ``os.cpu_count()`` where affinity is unsupported.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count()
-
-
-def machine_info() -> dict:
-    """The hardware/software context a timing is only comparable within."""
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "processor": platform.processor(),
-        "cpu_count": os.cpu_count(),
-        "effective_cpu_count": effective_cpu_count(),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-    }
-
-
-def write_bench_json(
-    path: str | pathlib.Path,
-    results: dict,
-    config: BenchConfig,
-) -> dict:
-    """Write the tracked ``BENCH_gbdt.json`` payload and return it."""
-    payload = {
-        "format": BENCH_FORMAT,
-        "config": {
-            "n_rows": config.n_rows,
-            "n_features": config.n_features,
-            "max_bins": config.max_bins,
-            "n_leaves": config.n_leaves,
-            "n_trees": config.n_trees,
-            "repeats": config.repeats,
-        },
-        "machine": machine_info(),
-        "benchmarks": results,
-    }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def summarize(results: dict) -> str:
-    """Human-readable one-line-per-benchmark rendering."""
-    lines = []
-    for name, entry in results.items():
-        line = f"{name:16s} {entry['median_s'] * 1e3:9.3f} ms"
-        if "speedup_vs_seed" in entry:
-            line += (
-                f"   seed {entry['seed_median_s'] * 1e3:9.3f} ms"
-                f"   speedup {entry['speedup_vs_seed']:6.2f}x"
-            )
-        lines.append(line)
-    return "\n".join(lines)
+#: Schema of BENCH_gbdt.json.
+GBDT_PAYLOAD = BenchPayload(
+    format=1,
+    fields={"*.median_s": float, "*.best_s": float, "*.repeats": int},
+    show=("median_s", "seed_median_s", "speedup_vs_seed", "per_epoch_s"),
+)

@@ -6,8 +6,8 @@ content-addressed :class:`~repro.tune.extractor_cache.ExtractorEncodingCache`
 publishing each distinct extractor encoding exactly once, once with every
 trial evaluation re-fitting and re-encoding inline — asserting along the
 way that the two leaderboards are **bit-identical** (the cache is a pure
-perf optimisation or it is a bug).  The payload lands in tracked
-``BENCH_tune.json``.
+perf optimisation or it is a bug).  The payload (:data:`TUNE_PAYLOAD`)
+lands in tracked ``BENCH_tune.json``.
 
 Wall-clock barely moves on a 1-core CI container (the encodes serialise
 either way), so the headline number is *encode work*: the cache's
@@ -18,31 +18,13 @@ extractor configurations the expected ratio is ~T/E.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import dataclass
 
 from repro.experiments.runner import ExperimentContext, ExperimentSettings
-from repro.perfbench.suites import machine_info
+from repro.perfbench.payload import BenchPayload
 
-__all__ = [
-    "TuneBenchConfig",
-    "run_tune_benchmark",
-    "summarize_tune",
-    "validate_tune_payload",
-    "write_tune_bench_json",
-]
-
-#: Format version of BENCH_tune.json.
-TUNE_BENCH_FORMAT = 1
-
-#: Required keys of the ``joint_search`` benchmark entry.
-_REQUIRED_JOINT = (
-    "trainer", "n_trials", "n_extractors", "trial_evaluations",
-    "trials_per_extractor", "cached", "uncached", "encode_seconds_saved",
-    "encode_speedup", "wall_speedup", "bit_identical",
-)
+__all__ = ["TUNE_PAYLOAD", "TuneBenchConfig", "run_tune_benchmark"]
 
 
 @dataclass(frozen=True)
@@ -186,87 +168,26 @@ def run_tune_benchmark(config: TuneBenchConfig | None = None) -> dict:
     return {"joint_search": joint}
 
 
-def validate_tune_payload(payload: object) -> dict:
-    """Check a ``BENCH_tune.json`` payload; returns it.
-
-    Raises:
-        ValueError: On missing keys, a wrong format, a leaderboard
-            mismatch (``bit_identical`` false) or an inert cache (zero
-            hits despite trials sharing extractors).
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("tune bench payload is not a JSON object")
-    missing = [k for k in ("format", "config", "machine", "benchmarks")
-               if k not in payload]
-    if missing:
-        raise ValueError(f"payload is missing keys {missing}")
-    if payload["format"] != TUNE_BENCH_FORMAT:
-        raise ValueError(
-            f"payload format {payload['format']!r} != {TUNE_BENCH_FORMAT}"
-        )
-    joint = payload["benchmarks"].get("joint_search")
-    if not isinstance(joint, dict):
-        raise ValueError("benchmarks must contain a 'joint_search' object")
-    joint_missing = [k for k in _REQUIRED_JOINT if k not in joint]
-    if joint_missing:
-        raise ValueError(f"joint_search is missing keys {joint_missing}")
-    if not joint["bit_identical"]:
-        raise ValueError(
-            "cached and uncached joint searches disagree — the cache "
-            "changed the leaderboard"
-        )
-    if joint["trials_per_extractor"] > 1 and joint["cached"]["hits"] == 0:
-        raise ValueError(
-            "cache recorded zero hits although trials share extractor "
-            "configurations"
-        )
-    return payload
-
-
-def write_tune_bench_json(
-    path: str | pathlib.Path,
-    results: dict,
-    config: TuneBenchConfig,
-) -> dict:
-    """Write the tracked ``BENCH_tune.json`` payload and return it."""
-    payload = {
-        "format": TUNE_BENCH_FORMAT,
-        "config": {
-            "n_samples": config.n_samples,
-            "data_seed": config.data_seed,
-            "trainer": config.trainer,
-            "n_trials": config.n_trials,
-            "n_extractors": config.n_extractors,
-            "eta": config.eta,
-            "min_epochs": config.min_epochs,
-            "max_epochs": config.max_epochs,
-            "seed": config.seed,
-            "n_jobs": config.n_jobs,
-        },
-        "machine": machine_info(),
-        "benchmarks": results,
-    }
-    validate_tune_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def summarize_tune(results: dict) -> str:
-    """Human-readable rendering of one cached-vs-uncached comparison."""
-    joint = results["joint_search"]
-    flag = "bit-identical" if joint["bit_identical"] else "MISMATCH"
-    cached, uncached = joint["cached"], joint["uncached"]
-    return "\n".join([
-        f"joint search: {joint['n_trials']} trials over "
-        f"{joint['n_extractors']} extractors "
-        f"({joint['trial_evaluations']} evaluations, "
-        f"{joint['trials_per_extractor']:.1f} per extractor)",
-        f"  uncached {uncached['wall_s']:8.3f} s wall   "
-        f"{uncached['encode_s']:7.3f} s encode",
-        f"  cached   {cached['wall_s']:8.3f} s wall   "
-        f"{cached['encode_s']:7.3f} s encode   "
-        f"hit-rate {cached['hit_rate']:.2f}",
-        f"  encode speedup {joint['encode_speedup']:5.2f}x   "
-        f"saved {joint['encode_seconds_saved']:.3f} s   "
-        f"wall {joint['wall_speedup']:5.2f}x   {flag}",
-    ])
+#: Schema of BENCH_tune.json.  Both configurations share each extractor
+#: across several trials, so a cache with zero hits did not engage.
+TUNE_PAYLOAD = BenchPayload(
+    format=1,
+    fields={
+        "joint_search.trainer": str,
+        "joint_search.n_trials": int,
+        "joint_search.n_extractors": int,
+        "joint_search.trial_evaluations": int,
+        "joint_search.trials_per_extractor": float,
+        "joint_search.cached.wall_s": float,
+        "joint_search.cached.encode_s": float,
+        "joint_search.cached.hits": (0, float("inf")),
+        "joint_search.uncached.wall_s": float,
+        "joint_search.uncached.encode_s": float,
+        "joint_search.encode_seconds_saved": float,
+        "joint_search.encode_speedup": float,
+        "joint_search.wall_speedup": float,
+        "joint_search.bit_identical": bool,
+    },
+    show=("trial_evaluations", "trials_per_extractor", "wall_s", "encode_s",
+          "hit_rate", "encode_speedup", "wall_speedup", "bit_identical"),
+)

@@ -237,7 +237,7 @@ def _config_dict(config: VerifyConfig) -> dict:
 
 def write_verify_json(path: str | pathlib.Path, payload: dict) -> dict:
     """Write the tracked ``VERIFY_invariance.json`` and return the payload."""
-    from repro.perfbench.suites import machine_info
+    from repro.perfbench.payload import machine_info
 
     payload = {**payload, "machine": machine_info()}
     pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")

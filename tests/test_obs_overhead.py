@@ -1,16 +1,21 @@
-"""Disabled instrumentation must stay a handful of guard checks per epoch.
+"""Instrumentation cost, counted exactly instead of timed.
 
 Every trainer epoch runs through StepTimer/Tracer call sites
 unconditionally; the null-object pattern keeps the disabled cost to a
-guard check per call.  This test counts, exactly, the Python calls one
+guard check per call.  These tests count, exactly, the Python calls one
 epoch of disabled instrumentation makes (via ``sys.setprofile``) and
-checks it against a fixed bound, and that the disabled path never reads
-a clock.  Both are deterministic; the wall-clock cost of tracing is
-measured by the benchmark (``trace.overhead_pct``), not asserted here.
+check it against a fixed bound, and that the disabled path never reads
+a clock.  The enabled live plane is held to a per-row call bound the same
+way.  All of it is deterministic; the wall-clock costs are measured by
+the benchmarks (``trace.overhead_pct``, the ``metrics_overhead``
+scenario of ``BENCH_serving.json``), not asserted here.
 """
 
 import sys
 
+import numpy as np
+
+from repro.obs.live.monitors import CalibrationMonitor, ScoreDriftMonitor
 from repro.obs.profile import active
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.timing import STEP_NAMES, StepTimer
@@ -20,6 +25,13 @@ from repro.train.registry import make_trainer
 #: epoch may make.  Today's call sites make 112; a disabled path that
 #: starts doing real work (formatting, allocation, bookkeeping) exceeds it.
 DISABLED_CALL_BUDGET = 128
+
+#: Python calls per resolved row the live plane's collector path may
+#: make.  Today it makes 2.2: the two ``observe`` calls plus the drift
+#: monitor's chunked ``StreamingPSI`` flush, amortised.  Flushing every
+#: row (the unchunked update that once cost ~18% of the serving wall)
+#: makes 11.
+LIVE_CALLS_PER_ROW_BUDGET = 3.0
 
 #: Clock reads the disabled path must never make.
 CLOCKS = frozenset({"perf_counter", "perf_counter_ns", "monotonic",
@@ -84,10 +96,36 @@ class TestDisabledOverhead:
 
     def test_fit_results_identical_with_null_tracer(self, train_envs):
         """Passing NULL_TRACER explicitly is the same as passing nothing."""
-        import numpy as np
-
         a = make_trainer("ERM", n_epochs=5, seed=0).fit(train_envs)
         b = make_trainer("ERM", n_epochs=5, seed=0).fit(
             train_envs, tracer=NULL_TRACER
         )
         np.testing.assert_array_equal(a.theta, b.theta)
+
+
+class TestLiveOverhead:
+    def test_live_resolve_path_under_budget(self):
+        """Per resolved row, the enabled live plane's monitor calls stay
+        within a fixed Python-call budget."""
+        baseline = np.random.default_rng(0).random(2_000)
+        drift = ScoreDriftMonitor(baseline, window_rows=500)
+        calibration = CalibrationMonitor(float(baseline.mean()))
+        scores = [float(s) for s in baseline]
+        python_calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                python_calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for score in scores:  # the collector's per-row resolve calls
+                drift.observe(score)
+                calibration.observe(score)
+        finally:
+            sys.setprofile(None)
+        per_row = len(python_calls) / len(scores)
+        assert per_row <= LIVE_CALLS_PER_ROW_BUDGET, (
+            f"live plane made {per_row:.2f} Python calls per row "
+            f"(budget {LIVE_CALLS_PER_ROW_BUDGET})"
+        )

@@ -6,12 +6,11 @@ import json
 import os
 
 from repro.perfbench import (
+    PARALLEL_PAYLOAD,
     ParallelBenchConfig,
     effective_cpu_count,
     machine_info,
     run_parallel_suite,
-    summarize_parallel,
-    write_parallel_bench_json,
 )
 
 
@@ -43,13 +42,14 @@ def test_smoke_suite_runs_and_is_bit_identical(tmp_path):
     assert results["tree_fit"]["median_s"] > 0
     assert "speedup_vs_seed" in results["tree_fit"]
 
-    rendered = summarize_parallel(results)
-    assert "bit-identical" in rendered
+    out = tmp_path / "BENCH_parallel.json"
+    payload = PARALLEL_PAYLOAD.write(out, results, config)
+    rendered = PARALLEL_PAYLOAD.summarize(payload)
+    assert "bit_identical=True" in rendered
     assert "tree_fit" in rendered
 
-    out = tmp_path / "BENCH_parallel.json"
-    payload = write_parallel_bench_json(out, results, config)
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
+    assert PARALLEL_PAYLOAD.validate(on_disk) == []
     assert on_disk["machine"]["effective_cpu_count"] >= 1
     assert on_disk["benchmarks"]["fan_out"]["bit_identical"] is True

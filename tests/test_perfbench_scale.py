@@ -6,12 +6,10 @@ import json
 import pytest
 
 from repro.perfbench.scale import (
+    SCALE_PAYLOAD,
     ScaleBenchConfig,
     run_scale_point,
     run_scale_suite,
-    summarize_scale,
-    validate_scale_payload,
-    write_scale_bench_json,
 )
 
 
@@ -64,11 +62,18 @@ class TestScaleSuite:
 
         tolerance = {"passed": True, "auc_delta": 0.0, "ks_delta": 0.0}
         path = tmp_path / "BENCH_scale.json"
-        payload = write_scale_bench_json(path, results, tiny_config,
-                                         tolerance)
-        validate_scale_payload(payload)
-        validate_scale_payload(json.loads(path.read_text()))
-        assert "rows" in summarize_scale(results)
+        payload = SCALE_PAYLOAD.write(path, results, tiny_config,
+                                      tolerance=tolerance)
+        assert SCALE_PAYLOAD.validate(payload) == []
+        assert SCALE_PAYLOAD.validate(json.loads(path.read_text())) == []
+        summary = SCALE_PAYLOAD.summarize(payload)
+        assert "3000" in summary and "total_s=" in summary
+        assert "tolerance" in summary
+
+        payload["tolerance"]["passed"] = False
+        assert SCALE_PAYLOAD.validate(payload) == [
+            "tolerance.passed is not true"
+        ]
 
     def test_isolated_point_measures_its_own_process(self, tiny_config):
         results = run_scale_suite(tiny_config, isolate=True)
@@ -98,16 +103,18 @@ class TestScaleSuite:
 
 class TestValidation:
     def test_rejects_bad_payloads(self):
-        with pytest.raises(ValueError, match="format"):
-            validate_scale_payload({"format": 99})
-        with pytest.raises(ValueError, match="no benchmark points"):
-            validate_scale_payload({
-                "format": 1, "config": {}, "machine": {},
-                "tolerance": {"passed": True}, "benchmarks": {},
-            })
-        with pytest.raises(ValueError, match="missing"):
-            validate_scale_payload({
-                "format": 1, "config": {}, "machine": {},
-                "tolerance": {"passed": True},
-                "benchmarks": {"100": {"n_rows": 100}},
-            })
+        problems = SCALE_PAYLOAD.validate({"format": 99})
+        assert any("format" in p for p in problems)
+        assert "missing top-level key 'tolerance'" in problems
+        assert SCALE_PAYLOAD.validate({
+            "format": 1, "config": {}, "machine": {},
+            "tolerance": {"passed": True}, "benchmarks": {},
+        }) == ["benchmarks section missing or empty"]
+        problems = SCALE_PAYLOAD.validate({
+            "format": 1, "config": {}, "machine": {},
+            "tolerance": {"passed": True},
+            "benchmarks": {"100": {"n_rows": 100, "dtype": 32}},
+        })
+        assert "100.total_s: missing" in problems
+        assert "100.dtype: 32 is not str" in problems
+        assert not any(p.startswith("100.n_rows") for p in problems)

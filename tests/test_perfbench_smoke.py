@@ -11,8 +11,8 @@ import json
 
 import pytest
 
-from repro.perfbench import BenchConfig, run_suite, summarize, write_bench_json
-from repro.perfbench.suites import BENCH_FORMAT, BENCHMARKS
+from repro.perfbench import GBDT_PAYLOAD, BenchConfig, run_suite
+from repro.perfbench.suites import BENCHMARKS
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,11 @@ def test_seed_baselines_present_where_tracked(smoke_results):
 def test_bench_json_schema(tmp_path, smoke_results):
     config, results = smoke_results
     path = tmp_path / "BENCH_gbdt.json"
-    payload = write_bench_json(path, results, config)
+    payload = GBDT_PAYLOAD.write(path, results, config)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
-    assert on_disk["format"] == BENCH_FORMAT
+    assert GBDT_PAYLOAD.validate(on_disk) == []
+    assert on_disk["format"] == GBDT_PAYLOAD.format
     assert on_disk["config"]["n_rows"] == config.n_rows
     assert on_disk["config"]["max_bins"] == config.max_bins
     assert set(on_disk["benchmarks"]) == set(BENCHMARKS)
@@ -60,9 +61,11 @@ def test_bench_json_schema(tmp_path, smoke_results):
     assert on_disk["machine"]["cpu_count"] >= 1
 
 
-def test_summarize_mentions_every_benchmark(smoke_results):
-    _, results = smoke_results
-    text = summarize(results)
+def test_summarize_mentions_every_benchmark(tmp_path, smoke_results):
+    config, results = smoke_results
+    payload = GBDT_PAYLOAD.write(tmp_path / "BENCH_gbdt.json", results,
+                                 config)
+    text = GBDT_PAYLOAD.summarize(payload)
     for name in BENCHMARKS:
         assert name in text
 

@@ -2,14 +2,7 @@
 
 import json
 
-import pytest
-
-from repro.perfbench.tune import (
-    TUNE_BENCH_FORMAT,
-    TuneBenchConfig,
-    summarize_tune,
-    validate_tune_payload,
-)
+from repro.perfbench.tune import TUNE_PAYLOAD, TuneBenchConfig
 
 
 def make_payload():
@@ -31,7 +24,7 @@ def make_payload():
         "bit_identical": True,
     }
     return {
-        "format": TUNE_BENCH_FORMAT,
+        "format": TUNE_PAYLOAD.format,
         "config": {"n_trials": 8},
         "machine": {"python": "3.x"},
         "benchmarks": {"joint_search": joint},
@@ -40,46 +33,49 @@ def make_payload():
 
 class TestValidation:
     def test_valid_payload_passes(self):
-        payload = make_payload()
-        assert validate_tune_payload(payload) is payload
+        assert TUNE_PAYLOAD.validate(make_payload()) == []
 
     def test_round_trips_through_json(self):
         payload = json.loads(json.dumps(make_payload()))
-        validate_tune_payload(payload)
+        assert TUNE_PAYLOAD.validate(payload) == []
 
     def test_non_object_rejected(self):
-        with pytest.raises(ValueError, match="not a JSON object"):
-            validate_tune_payload([1, 2])
+        assert TUNE_PAYLOAD.validate([1, 2]) == [
+            "payload is not a JSON object"
+        ]
 
     def test_missing_top_keys_rejected(self):
         payload = make_payload()
         payload.pop("machine")
-        with pytest.raises(ValueError, match="missing keys.*machine"):
-            validate_tune_payload(payload)
+        assert TUNE_PAYLOAD.validate(payload) == [
+            "missing top-level key 'machine'"
+        ]
 
     def test_wrong_format_rejected(self):
         payload = make_payload()
         payload["format"] = 99
-        with pytest.raises(ValueError, match="format"):
-            validate_tune_payload(payload)
+        assert TUNE_PAYLOAD.validate(payload) == ["format is 99, expected 1"]
 
     def test_missing_joint_fields_rejected(self):
         payload = make_payload()
         payload["benchmarks"]["joint_search"].pop("encode_speedup")
-        with pytest.raises(ValueError, match="encode_speedup"):
-            validate_tune_payload(payload)
+        assert TUNE_PAYLOAD.validate(payload) == [
+            "joint_search.encode_speedup: missing"
+        ]
 
     def test_mismatched_leaderboards_rejected(self):
         payload = make_payload()
         payload["benchmarks"]["joint_search"]["bit_identical"] = False
-        with pytest.raises(ValueError, match="disagree"):
-            validate_tune_payload(payload)
+        assert TUNE_PAYLOAD.validate(payload) == [
+            "joint_search.bit_identical is not true"
+        ]
 
     def test_inert_cache_rejected(self):
         payload = make_payload()
         payload["benchmarks"]["joint_search"]["cached"]["hits"] = 0
-        with pytest.raises(ValueError, match="zero hits"):
-            validate_tune_payload(payload)
+        assert TUNE_PAYLOAD.validate(payload) == [
+            "joint_search.cached.hits: 0 outside (0, inf)"
+        ]
 
 
 class TestConfig:
@@ -101,7 +97,7 @@ class TestConfig:
 
 class TestSummary:
     def test_summary_renders(self):
-        text = summarize_tune(make_payload()["benchmarks"])
-        assert "bit-identical" in text
-        assert "hit-rate 0.83" in text
-        assert "encode speedup  6.00x" in text
+        text = TUNE_PAYLOAD.summarize(make_payload())
+        assert "bit_identical=True" in text
+        assert "hit_rate=0.8333" in text
+        assert "encode_speedup=6" in text

@@ -117,7 +117,7 @@ class TestServeBenchCommand:
         assert "registry_load" in capsys.readouterr().out
 
     def test_workers_flag_overrides_sweep(self, tmp_path, capsys):
-        from repro.perfbench import validate_serving_payload
+        from repro.perfbench import SERVING_PAYLOAD
 
         out_path = tmp_path / "BENCH_serving.json"
         assert main(["serve-bench", "--quick", "--only", "workers",
@@ -126,4 +126,4 @@ class TestServeBenchCommand:
         entry = payload["benchmarks"]["workers"]
         assert list(entry["per_workers"]) == ["1"]
         assert entry["bit_identical"] is True
-        assert validate_serving_payload(payload) == []
+        assert SERVING_PAYLOAD.validate(payload) == []
