@@ -77,8 +77,11 @@ class SplitInfo:
 class _Node:
     """Mutable tree node used during growth and flattened for prediction.
 
-    ``sample_indices`` and ``histogram`` are growth-time state; they are
-    dropped after fitting and absent on deserialised trees.
+    ``sample_indices`` and ``histogram`` are growth-time state: a node
+    holds them only while it is an open leaf, so a fitted tree keeps
+    neither.  ``gain`` is the split gain recorded when an internal node
+    is split (the source of feature importance); it stays ``None`` on
+    leaves and on deserialised trees.
     """
 
     node_id: int
@@ -93,6 +96,7 @@ class _Node:
     right: int = -1
     leaf_index: int = -1  # dense index among leaves; -1 for internal nodes
     value: float = 0.0
+    gain: float | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -454,11 +458,21 @@ class DecisionTree:
                       sample_indices=right_rows, histogram=right_hist)
         self._nodes.append(right)
 
+        # Record the split gain from the node totals (float64 on either
+        # dtype path), then free the parent's growth-time state.
+        lam = self.params.reg_lambda
+        parent_hist = node.histogram
+        node.gain = (
+            left_hist.total_grad**2 / (left_hist.total_hess + lam)
+            + right_hist.total_grad**2 / (right_hist.total_hess + lam)
+            - parent_hist.total_grad**2 / (parent_hist.total_hess + lam)
+        )
         node.feature = split.feature
         node.bin_threshold = split.bin_threshold
         node.left = left.node_id
         node.right = right.node_id
-        node.sample_indices = np.empty(0, dtype=np.int64)  # free memory
+        node.histogram = None
+        node.sample_indices = np.empty(0, dtype=np.int64)
         return left, right
 
     def _finalize_leaves(self) -> None:
@@ -472,6 +486,7 @@ class DecisionTree:
                 node.value = -hist.total_grad / (
                     hist.total_hess + self.params.reg_lambda
                 )
+                node.histogram = None
                 node.sample_indices = np.empty(0, dtype=np.int64)
         self._n_leaves = leaf_counter
 
@@ -502,25 +517,17 @@ class DecisionTree:
     def feature_importance(self, n_features: int) -> np.ndarray:
         """Total split gain attributed to each feature.
 
-        Requires growth-time histograms, so it is unavailable on trees
-        restored from serialised form.
+        Sums the non-negative gains recorded on internal nodes during
+        growth.  Deserialised trees carry no gains, so importance is
+        unavailable on them.
         """
-        if any(n.histogram is None for n in self._nodes):
+        if any(n.gain is None for n in self._nodes if not n.is_leaf):
             raise RuntimeError(
-                "feature importance requires growth-time histograms "
-                "(unavailable on deserialised trees)"
+                "feature importance requires gains recorded from "
+                "growth-time histograms (unavailable on deserialised trees)"
             )
         importance = np.zeros(n_features)
         for node in self._nodes:
             if not node.is_leaf:
-                left = self._nodes[node.left].histogram
-                right = self._nodes[node.right].histogram
-                parent = node.histogram
-                lam = self.params.reg_lambda
-                gain = (
-                    left.total_grad**2 / (left.total_hess + lam)
-                    + right.total_grad**2 / (right.total_hess + lam)
-                    - parent.total_grad**2 / (parent.total_hess + lam)
-                )
-                importance[node.feature] += max(gain, 0.0)
+                importance[node.feature] += max(node.gain, 0.0)
         return importance

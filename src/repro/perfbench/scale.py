@@ -12,9 +12,11 @@ through the streaming path (:func:`repro.gbdt.pack_generated` +
   the one-shot path would allocate),
 * the resident size of the packed uint8 dataset.
 
-Each row count runs in a fresh *spawned* subprocess by default so its
-``ru_maxrss`` high-water mark reflects that point alone — a long-lived
-parent would carry the largest point's peak into every smaller one.
+Each row count runs in a fresh *spawned* subprocess by default, and the
+probe resets the RSS high-water mark on entry where the OS allows it, so
+a point's peak reflects that point alone.  Isolation by itself is not
+enough on Linux: a spawned child's ``ru_maxrss`` starts at its parent's
+peak.
 
 ``dtype_tolerance_check`` is the float32 gate: it trains the same GBDT
 under both dtypes and asserts AUC/KS agree within documented tolerances
@@ -114,7 +116,8 @@ def run_scale_point(
     """Run the full pipeline at one row count and measure it.
 
     Runs in the *current* process; :func:`run_scale_suite` wraps it in a
-    subprocess so ``peak_rss_bytes`` is this point's own high-water mark.
+    subprocess.  ``peak_rss_bytes`` is the probed block's own high-water
+    mark when ``rss_source`` is ``"vmhwm"``.
 
     Args:
         n_rows: Platform size to generate/train at.
@@ -254,8 +257,10 @@ def run_scale_suite(
         config: Sizes; defaults to the tracked configuration.
         isolate: Run each point in a fresh spawned subprocess (the
             default) so peak RSS is per-point.  ``False`` runs in-process
-            — faster for smoke tests, but ``ru_maxrss`` then reports the
-            parent's lifetime peak (entries are marked ``isolated``).
+            — faster for smoke tests, but where the high-water mark
+            cannot be reset (``rss_source`` ``"getrusage"``) the peak is
+            then the parent's lifetime peak (entries are marked
+            ``isolated``).
         save_model: Optional artifact path; the *largest* row count's
             trained pipeline is saved there for ``serve-bench --model``.
 
