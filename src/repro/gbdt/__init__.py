@@ -3,7 +3,7 @@
 from repro.gbdt.binning import QuantileBinner, ReservoirSampler
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
 from repro.gbdt.histogram import HistogramBuilder, NodeHistogram, build_histogram
-from repro.gbdt.leaf_encoder import LeafIndexEncoder, encode_leaf_matrix
+from repro.gbdt.leaf_encoder import LeafDesign, LeafIndexEncoder, encode_leaf_matrix
 from repro.gbdt.packing import (
     PackedBinnedDataset,
     fit_extractor_encode,
@@ -24,6 +24,7 @@ __all__ = [
     "HistogramBuilder",
     "NodeHistogram",
     "build_histogram",
+    "LeafDesign",
     "LeafIndexEncoder",
     "encode_leaf_matrix",
     "DecisionTree",

@@ -4,30 +4,119 @@ Following He et al. (2014) and Section III-C of the paper, each fitted tree
 is treated as a non-linear transformation producing one categorical cross-
 feature per instance — the index of the leaf the instance falls into.  The
 categorical values are one-hot encoded per tree and concatenated into one
-sparse multi-hot vector (exactly one active indicator per tree).
+multi-hot vector (exactly one active indicator per tree).
 
-Because every row has exactly ``n_trees`` non-zeros at strictly increasing
-column positions (tree blocks are laid out in tree order), the CSR arrays
-are known in closed form — ``indptr`` is an arithmetic progression and
-``indices`` the offset leaf matrix — so the matrix is assembled directly
-without the COO→CSR conversion (duplicate summation, sort) round-trip.
+Every row therefore has exactly ``n_trees`` ones, one in each tree's column
+block, so the design matrix is stored as those active column ids alone:
+:class:`LeafDesign` holds an ``(n_trees, n)`` id array and provides the two
+products the LR head needs, ``X θ`` and ``Xᵀ v``.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
-from scipy import sparse
 
 from repro.gbdt.boosting import GBDTClassifier
 from repro.obs.profile import active as _active_profiler
 
-__all__ = ["LeafIndexEncoder", "encode_leaf_matrix"]
+__all__ = ["LeafDesign", "LeafIndexEncoder", "encode_leaf_matrix"]
+
+
+class LeafDesign:
+    """Multi-hot leaf design matrix stored as its active column ids.
+
+    Row ``i`` holds a one in column ``columns[t, i]`` for every tree ``t``
+    and zeros elsewhere.  Tree blocks follow tree order, so each row's ids
+    strictly increase with ``t``.
+
+    The products add in the same order as a CSR matrix with these
+    non-zeros (``csr_matvec`` / ``csc_matvec``), so results are
+    bit-identical to it at every batch size: ``X θ`` sums each row over
+    trees in tree order, and ``Xᵀ v`` sums each column over rows in
+    ascending row order.
+
+    Attributes:
+        columns: ``(n_trees, n)`` C-contiguous ``intp`` column ids (``intp``
+            so ``take`` indexes without a per-call cast).
+        n_columns: Width of the design matrix.
+    """
+
+    __slots__ = ("columns", "n_columns")
+
+    def __init__(self, columns: np.ndarray, n_columns: int):
+        columns = np.ascontiguousarray(columns, dtype=np.intp)
+        if columns.ndim != 2:
+            raise ValueError(
+                f"expected (n_trees, n) column ids, got shape {columns.shape}"
+            )
+        self.columns = columns
+        self.n_columns = int(n_columns)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.columns.shape[1], self.n_columns
+
+    @property
+    def nnz(self) -> int:
+        """Stored ones: ``n * n_trees``."""
+        return self.columns.size
+
+    @property
+    def T(self) -> _TransposedLeafDesign:
+        return _TransposedLeafDesign(self)
+
+    def __getitem__(self, rows) -> LeafDesign:
+        """Row selection by index array, mask or slice; always 2-D."""
+        picked = self.columns[:, rows]
+        if picked.ndim == 1:
+            picked = picked[:, None]
+        return LeafDesign(picked, self.n_columns)
+
+    def __matmul__(self, theta: np.ndarray) -> np.ndarray:
+        """``X θ`` as a 1-D array, adding each row's terms in tree order."""
+        gathered = np.asarray(theta).take(self.columns)
+        if gathered.shape[1] == 1:
+            # One row would reduce pairwise; accumulate stays sequential.
+            return np.add.accumulate(gathered, axis=0)[-1]
+        return np.add.reduce(gathered, axis=0)
+
+    @staticmethod
+    def vstack(blocks: Sequence[LeafDesign]) -> LeafDesign:
+        """Concatenate designs of equal width row-wise."""
+        widths = {block.n_columns for block in blocks}
+        if len(widths) != 1:
+            raise ValueError(f"cannot stack designs of widths {sorted(widths)}")
+        return LeafDesign(
+            np.concatenate([block.columns for block in blocks], axis=1),
+            widths.pop(),
+        )
+
+
+class _TransposedLeafDesign:
+    """``Xᵀ`` of a :class:`LeafDesign`; supports only ``Xᵀ @ v``."""
+
+    __slots__ = ("design",)
+
+    def __init__(self, design: LeafDesign):
+        self.design = design
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        """``Xᵀ v``; ``bincount`` adds each column's rows in ascending order."""
+        columns = self.design.columns
+        return np.bincount(
+            columns.ravel(),
+            weights=np.tile(np.asarray(vector, dtype=np.float64),
+                            columns.shape[0]),
+            minlength=self.design.n_columns,
+        )
 
 
 def encode_leaf_matrix(
     leaf_matrix: np.ndarray, offsets: np.ndarray
-) -> sparse.csr_matrix:
-    """Build the multi-hot CSR matrix for a dense leaf-index matrix.
+) -> LeafDesign:
+    """Build the multi-hot design for a dense leaf-index matrix.
 
     Args:
         leaf_matrix: ``(n, n_trees)`` per-tree dense leaf indices.
@@ -35,42 +124,20 @@ def encode_leaf_matrix(
             one-hot block spans columns ``[offsets[t], offsets[t + 1])``.
 
     Returns:
-        CSR matrix of shape ``(n, offsets[-1])`` with exactly one non-zero
-        per tree per row.  ``data`` uses float32 — the values are all 1.0,
-        exactly representable, and scipy upcasts products with a float64
-        parameter vector, so downstream results are bit-identical.
-        ``indices``/``indptr`` use int32 (scipy's native index dtype)
-        whenever ``nnz = n * n_trees`` and the column count fit in int32,
-        halving index memory at paper scale; int64 otherwise.
+        :class:`LeafDesign` of shape ``(n, offsets[-1])`` whose tree-``t``
+        ids are ``leaf_matrix[:, t] + offsets[t]``.
     """
-    n, n_trees = leaf_matrix.shape
-    nnz = n * n_trees
-    # scipy canonicalises mixed/int64 indices to int32 when it can, which
-    # would silently copy; emitting int32 up front skips that round-trip.
-    index_dtype = (
-        np.int32
-        if nnz < np.iinfo(np.int32).max and int(offsets[-1]) < np.iinfo(np.int32).max
-        else np.int64
-    )
-    indices = np.ascontiguousarray(
-        (leaf_matrix + offsets[:-1][None, :]).ravel(), dtype=index_dtype
-    )
-    indptr = np.arange(n + 1, dtype=index_dtype) * n_trees
-    data = np.ones(indices.size, dtype=np.float32)
-    # Column subsets within each row are strictly increasing (offsets grow
-    # with the tree index), so the arrays are already in canonical form.
-    matrix = sparse.csr_matrix(
-        (data, indices, indptr), shape=(n, int(offsets[-1]))
-    )
-    return matrix
+    columns = np.ascontiguousarray(leaf_matrix.T, dtype=np.intp)
+    columns += np.asarray(offsets[:-1], dtype=np.intp)[:, None]
+    return LeafDesign(columns, int(offsets[-1]))
 
 
 class LeafIndexEncoder:
     """One-hot encoder over the leaf indices of a fitted GBDT.
 
     The encoder's output dimension is ``sum_t n_leaves(tree_t)``; column
-    blocks follow tree order.  Rows are CSR-sparse with exactly one non-zero
-    per tree, which the LR head exploits for fast products.
+    blocks follow tree order.  Every row has exactly one active column per
+    tree, which :class:`LeafDesign` stores directly.
     """
 
     def __init__(self, model: GBDTClassifier):
@@ -85,20 +152,20 @@ class LeafIndexEncoder:
     def n_trees(self) -> int:
         return len(self.model.trees_)
 
-    def transform(self, features: np.ndarray) -> sparse.csr_matrix:
-        """Encode raw features into the sparse multi-hot design matrix.
+    def transform(self, features: np.ndarray) -> LeafDesign:
+        """Encode raw features into the multi-hot design matrix.
 
         Args:
             features: Raw ``(n, d)`` matrix in the GBDT's input space.
 
         Returns:
-            CSR matrix of shape ``(n, n_output_features)`` with exactly
-            ``n_trees`` ones per row.
+            :class:`LeafDesign` of shape ``(n, n_output_features)`` with
+            exactly ``n_trees`` ones per row.
         """
         leaf_matrix = self.model.predict_leaves(features)
         return self.encode_leaves(leaf_matrix)
 
-    def transform_binned(self, binned: np.ndarray) -> sparse.csr_matrix:
+    def transform_binned(self, binned: np.ndarray) -> LeafDesign:
         """Encode pre-binned rows (see :meth:`GBDTClassifier.bin_features`).
 
         Lets a caller share one binned matrix between probability scoring
@@ -106,7 +173,7 @@ class LeafIndexEncoder:
         """
         return self.encode_leaves(self.model.predict_leaves_binned(binned))
 
-    def encode_leaves(self, leaf_matrix: np.ndarray) -> sparse.csr_matrix:
+    def encode_leaves(self, leaf_matrix: np.ndarray) -> LeafDesign:
         """Encode a precomputed ``(n, n_trees)`` leaf-index matrix."""
         leaf_matrix = np.asarray(leaf_matrix)
         if not np.issubdtype(leaf_matrix.dtype, np.integer):

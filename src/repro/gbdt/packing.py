@@ -48,10 +48,9 @@ def leaf_encode_environments(
     """Leaf-encode raw per-province environments with a fitted GBDT.
 
     Each environment's features are binned once and one-hot leaf-encoded
-    into the CSR design matrix the LR heads train on — the per-extractor
-    half of a joint GBDT×head search.  The CSR arrays come out exactly as
-    :class:`~repro.gbdt.leaf_encoder.LeafIndexEncoder` emits them
-    (float32 data, int32 indices where they fit), so packing them into a
+    into the :class:`~repro.gbdt.leaf_encoder.LeafDesign` the LR heads
+    train on — the per-extractor half of a joint GBDT×head search.  Each
+    design is one ``intp`` column-id array, so packing it into a
     :class:`~repro.parallel.shared.SharedArrayPack` and attaching from a
     worker round-trips byte-identically.
     """

@@ -11,20 +11,25 @@ of these have exact closed forms:
 
 so the MAML chain rule ``(I − αH)·g`` is computed without materialising the
 Hessian — the same quantities PyTorch's double backward would produce.  The
-implementation accepts both dense arrays and ``scipy.sparse`` CSR matrices
-(the GBDT+LR design matrix is sparse multi-hot).
+implementation only computes ``X θ`` and ``Xᵀ v``, so ``X`` may be a dense
+array, the GBDT+LR multi-hot :class:`~repro.gbdt.leaf_encoder.LeafDesign`,
+or any other matrix supporting those two products.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.numerics import binary_cross_entropy, sigmoid
 
-__all__ = ["LogisticModel", "sigmoid", "binary_cross_entropy"]
+if TYPE_CHECKING:
+    from repro.gbdt.leaf_encoder import LeafDesign
 
-Matrix = np.ndarray | sparse.spmatrix
+    Matrix = np.ndarray | LeafDesign
+
+__all__ = ["LogisticModel", "sigmoid", "binary_cross_entropy"]
 
 
 class LogisticModel:
@@ -141,7 +146,5 @@ class LogisticModel:
 
     @staticmethod
     def _rmatvec(features: Matrix, vector: np.ndarray) -> np.ndarray:
-        """``Xᵀ v`` for dense or sparse X, always returning a 1-D array."""
-        if sparse.issparse(features):
-            return np.asarray(features.T @ vector).ravel()
-        return features.T @ vector
+        """``Xᵀ v`` for any supported X, always returning a 1-D array."""
+        return np.asarray(features.T @ vector).ravel()

@@ -7,7 +7,7 @@ Public surface:
 * :func:`~repro.parallel.engine.spawn_task_seeds` — per-task RNG streams
   via ``np.random.SeedSequence.spawn``.
 * :class:`~repro.parallel.shared.SharedArrayPack` — one shared-memory
-  block carrying numpy/CSR data to workers without per-task pickling.
+  block carrying numpy data to workers without per-task pickling.
 
 :mod:`repro.parallel.worker` (the experiment worker entry points) is
 imported on demand by the experiment runner, not re-exported here — it

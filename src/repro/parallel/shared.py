@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory handoff of numpy/CSR data to worker processes.
+"""Zero-copy shared-memory handoff of numpy data to worker processes.
 
 The experiment fan-out repeats training dozens of times over the *same*
 encoded design matrix.  Pickling that matrix into every worker would copy
@@ -9,10 +9,10 @@ Workers attach and get numpy views straight into the block — zero copies,
 regardless of the pool's start method.
 
 Layout: arrays are concatenated back to back, each offset aligned to 64
-bytes (cache line) so attached views keep the parent's alignment.  CSR
-matrices are stored as their three backing arrays plus the logical shape;
+bytes (cache line) so attached views keep the parent's alignment.  Leaf
+design matrices are stored as their column-id array plus their width;
 :func:`environments_to_arrays` / :func:`environments_from_arrays` round-
-trip whole per-province environment lists (sparse or dense features).
+trip whole per-province environment lists (leaf-design or dense features).
 
 Attached views are marked read-only: every worker maps the *same*
 physical pages, so an accidental in-place write would corrupt its
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
-from scipy import sparse
 
 from repro.data.dataset import EnvironmentData
+from repro.gbdt.leaf_encoder import LeafDesign
 
 __all__ = [
     "ArrayEntry",
@@ -68,7 +68,7 @@ class PackSpec:
     """Everything a worker needs to attach: block name + offset table.
 
     ``meta`` carries small JSON-like metadata describing how to
-    reassemble higher-level objects (e.g. CSR shapes, environment names);
+    reassemble higher-level objects (e.g. design widths, environment names);
     it must stay tiny — the point is that only *this* object is pickled.
     """
 
@@ -431,26 +431,21 @@ def environments_to_arrays(
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Flatten environments into (arrays, meta) for :meth:`pack`.
 
-    CSR feature matrices contribute their ``data``/``indices``/``indptr``
-    arrays; dense ones a single ``x`` array.  ``meta[prefix]`` records,
-    per environment, its name plus whatever is needed to reassemble.
+    A :class:`LeafDesign` contributes its ``columns`` array and a dense
+    matrix a single ``x`` array.  ``meta[prefix]`` records, per
+    environment, its name and the design width (``None`` when dense).
     """
     arrays: dict[str, np.ndarray] = {}
     described = []
     for i, env in enumerate(environments):
         base = f"{prefix}/{i}"
-        if sparse.issparse(env.features):
-            csr = env.features.tocsr()
-            arrays[f"{base}/data"] = csr.data
-            arrays[f"{base}/indices"] = csr.indices
-            arrays[f"{base}/indptr"] = csr.indptr
-            described.append(
-                {"name": env.name, "sparse": True,
-                 "shape": tuple(int(s) for s in csr.shape)}
-            )
+        if isinstance(env.features, LeafDesign):
+            arrays[f"{base}/columns"] = env.features.columns
+            n_columns = env.features.n_columns
         else:
             arrays[f"{base}/x"] = np.asarray(env.features)
-            described.append({"name": env.name, "sparse": False})
+            n_columns = None
+        described.append({"name": env.name, "n_columns": n_columns})
         arrays[f"{base}/labels"] = env.labels
     return arrays, {prefix: described}
 
@@ -481,14 +476,11 @@ def environments_from_arrays(
     environments = []
     for i, desc in enumerate(meta[prefix]):
         base = f"{prefix}/{i}"
-        if desc["sparse"]:
-            features = sparse.csr_matrix(
-                (arrays[f"{base}/data"], arrays[f"{base}/indices"],
-                 arrays[f"{base}/indptr"]),
-                shape=tuple(desc["shape"]), copy=False,
-            )
-        else:
+        if desc["n_columns"] is None:
             features = arrays[f"{base}/x"]
+        else:
+            features = LeafDesign(arrays[f"{base}/columns"],
+                                  desc["n_columns"])
         environments.append(
             EnvironmentData(desc["name"], features,
                             arrays[f"{base}/labels"])

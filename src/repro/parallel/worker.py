@@ -337,7 +337,7 @@ class EncodeTask:
 class EncodeOutcome:
     """A fitted extractor's encoded, split environments.
 
-    CSR environments pickle back through the result pipe; the parent
+    Encoded environments pickle back through the result pipe; the parent
     immediately republishes them as an immutable shared pack, so the
     copy happens once per distinct configuration rather than per trial.
     """

@@ -198,7 +198,7 @@ def run_scale_point(
         "rows_per_s": n_rows / (t_head - t0) if t_head > t0 else float("inf"),
         "packed_bytes": packed_bytes,
         "design_nnz": int(design.nnz),
-        "design_index_dtype": str(design.indices.dtype),
+        "design_index_dtype": str(design.columns.dtype),
         "naive_materialised_bytes": naive_bytes,
         "peak_rss_bytes": probe.peak_bytes,
         "rss_source": probe.source,
@@ -376,6 +376,8 @@ SCALE_PAYLOAD = BenchPayload(
         "*.lr_head_s": float,
         "*.total_s": float,
         "*.packed_bytes": int,
+        "*.design_nnz": int,
+        "*.design_index_dtype": str,
         "*.naive_materialised_bytes": int,
         "*.peak_rss_bytes": (0, float("inf")),
         "*.rss_source": str,

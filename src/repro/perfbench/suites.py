@@ -9,7 +9,8 @@ seed baseline exists, the seed time and the speedup ratio):
   seed tree (loop histograms + sliced matrix).
 * ``leaf_predict`` — flattened ``O(depth × n)`` routing vs the
   ``O(n_nodes × n)`` per-node mask loop.
-* ``leaf_encode`` — direct-CSR multi-hot assembly vs the COO round-trip.
+* ``leaf_encode`` — leaf-column design assembly vs the seed's COO→CSR
+  round-trip.
 * ``trainer_epoch`` — end-to-end ``LightMIRMTrainer`` epochs over encoded
   environments (no seed baseline; tracked for trajectory).
 
@@ -157,7 +158,7 @@ def bench_leaf_predict(config: BenchConfig) -> dict:
 
 
 def bench_leaf_encode(config: BenchConfig) -> dict:
-    """Multi-hot CSR assembly, direct indptr/indices vs COO round-trip."""
+    """Leaf-column design assembly vs the seed's COO→CSR round-trip."""
     rng = np.random.default_rng(config.seed)
     leaves_per_tree = np.full(config.n_trees, config.n_leaves)
     offsets = np.concatenate(([0], np.cumsum(leaves_per_tree)))

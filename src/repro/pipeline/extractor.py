@@ -10,12 +10,11 @@ module is shared, only the LR learning paradigm differs.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.data.dataset import EnvironmentData, LoanDataset
 from repro.data.splits import validation_split
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
-from repro.gbdt.leaf_encoder import LeafIndexEncoder
+from repro.gbdt.leaf_encoder import LeafDesign, LeafIndexEncoder
 
 __all__ = ["GBDTFeatureExtractor", "default_gbdt_params"]
 
@@ -79,7 +78,7 @@ class GBDTFeatureExtractor:
             return split.train, split.test
         return train, None
 
-    def transform(self, dataset: LoanDataset) -> sparse.csr_matrix:
+    def transform(self, dataset: LoanDataset) -> LeafDesign:
         """Encode all rows of a dataset into the multi-hot leaf space."""
         self._check_fitted()
         # Bin once, then route + encode from the shared binned matrix.

@@ -6,7 +6,7 @@ Composes the three stages of the paper's model:
    plain cross-entropy (Section III-C; the GBDT itself is always ERM-trained,
    only the LR head differs between methods).
 2. **Leaf encoding** — every tree's leaf index becomes a one-hot categorical
-   cross-feature; concatenation yields the sparse multi-hot design matrix.
+   cross-feature; concatenation yields the multi-hot design matrix.
 3. **LR head** — trained by any :class:`~repro.train.base.Trainer`
    (ERM, GroupDRO, V-REx, meta-IRM, LightMIRM, ...) over the per-province
    environments of the encoded data.

@@ -1,6 +1,6 @@
 """Micro-batching queue: coalesce scoring requests into vectorized calls.
 
-Row-at-a-time scoring pays the GBDT routing + CSR assembly fixed costs per
+Row-at-a-time scoring pays the GBDT routing + leaf encoding fixed costs per
 request; the whole stack is vectorized, so coalescing N queued requests
 into one ``predict_proba`` call amortises those costs N ways without
 changing a single score (see the bit-identity test and

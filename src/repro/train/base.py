@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.data.dataset import EnvironmentData
+from repro.gbdt.leaf_encoder import LeafDesign
 from repro.models.logistic import LogisticModel
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.timing import StepTimer
@@ -142,7 +142,7 @@ class TrainResult:
         parameters.  ``groups`` must have one entry per feature row.
 
         Args:
-            features: Dense or CSR design matrix, one row per sample.
+            features: Dense or leaf design matrix, one row per sample.
             groups: Environment name per row (e.g. province labels).
 
         Returns:
@@ -320,10 +320,13 @@ class Trainer(abc.ABC):
 
 def stack_environments(
     environments: Sequence[EnvironmentData],
-) -> tuple[np.ndarray | sparse.csr_matrix, np.ndarray]:
-    """Concatenate environments into one pooled (features, labels) pair."""
+) -> tuple[np.ndarray | LeafDesign, np.ndarray]:
+    """Concatenate environments into one pooled (features, labels) pair.
+
+    Features are all :class:`LeafDesign` blocks or all dense arrays.
+    """
     feature_blocks = [env.features for env in environments]
     labels = np.concatenate([env.labels for env in environments])
-    if any(sparse.issparse(block) for block in feature_blocks):
-        return sparse.vstack(feature_blocks, format="csr"), labels
+    if isinstance(feature_blocks[0], LeafDesign):
+        return LeafDesign.vstack(feature_blocks), labels
     return np.vstack(feature_blocks), labels

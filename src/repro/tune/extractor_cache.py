@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.data.dataset import EnvironmentData
 from repro.obs.runlog import TUNE_CACHE_EVENT, TUNE_ENCODE_SPAN
@@ -68,21 +67,15 @@ def environments_fingerprint(
 ) -> str:
     """Stable content fingerprint of an environment list.
 
-    Hashes names, shapes and raw bytes (CSR matrices through their three
-    backing arrays), so byte-identical data shares a fingerprint across
-    runs regardless of how it was loaded.  Truncated to 16 hex chars —
+    Hashes names, shapes and raw bytes of the dense feature and label
+    arrays, so byte-identical data shares a fingerprint across runs
+    regardless of how it was loaded.  Truncated to 16 hex chars —
     change detection, not collision resistance.
     """
     digest = hashlib.sha256()
     for env in environments:
         digest.update(env.name.encode("utf-8"))
-        if sparse.issparse(env.features):
-            csr = env.features.tocsr()
-            digest.update(str(tuple(csr.shape)).encode())
-            for part in (csr.data, csr.indices, csr.indptr):
-                _hash_array(digest, part)
-        else:
-            _hash_array(digest, np.asarray(env.features))
+        _hash_array(digest, np.asarray(env.features))
         _hash_array(digest, np.asarray(env.labels))
     return digest.hexdigest()[:16]
 

@@ -77,7 +77,8 @@ class TestHeadAttribution:
         rng = np.random.default_rng(2)
         theta = rng.standard_normal(fitted_extractor.n_output_features)
         encoded = fitted_extractor.transform(small_split.train)
-        frequencies = np.asarray(encoded.mean(axis=0)).ravel()
+        frequencies = encoded.T @ np.full(encoded.shape[0],
+                                          1.0 / encoded.shape[0])
         weighted = head_feature_attribution(
             fitted_extractor, theta, leaf_frequencies=frequencies
         )

@@ -6,9 +6,9 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.data.dataset import EnvironmentData
+from repro.gbdt.leaf_encoder import LeafDesign
 from repro.parallel import (
     ParallelEngine,
     SharedArrayPack,
@@ -150,12 +150,11 @@ class TestEnvironmentRoundTrip:
             "DenseProv", rng.standard_normal((6, 3)),
             rng.integers(0, 2, 6).astype(float),
         )
-        csr = sparse.random(8, 5, density=0.4, format="csr",
-                            random_state=1, dtype=np.float64)
-        sparse_env = EnvironmentData(
-            "SparseProv", csr, rng.integers(0, 2, 8).astype(float)
+        design = LeafDesign(rng.integers(0, 5, size=(3, 8)), 5)
+        design_env = EnvironmentData(
+            "DesignProv", design, rng.integers(0, 2, 8).astype(float)
         )
-        return [dense, sparse_env]
+        return [dense, design_env]
 
     def test_round_trip(self):
         environments = self._environments()
@@ -169,10 +168,13 @@ class TestEnvironmentRoundTrip:
             assert [e.name for e in rebuilt] == [e.name for e in environments]
             for original, copy in zip(environments, rebuilt):
                 np.testing.assert_array_equal(original.labels, copy.labels)
-                if sparse.issparse(original.features):
-                    assert sparse.issparse(copy.features)
+                if isinstance(original.features, LeafDesign):
+                    assert isinstance(copy.features, LeafDesign)
+                    assert copy.features.shape == original.features.shape
+                    # Still a read-only view into the block, not a copy.
+                    assert not copy.features.columns.flags.writeable
                     np.testing.assert_array_equal(
-                        original.features.toarray(), copy.features.toarray()
+                        original.features.columns, copy.features.columns
                     )
                 else:
                     np.testing.assert_array_equal(

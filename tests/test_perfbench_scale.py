@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.perfbench.scale import (
@@ -48,7 +49,7 @@ class TestScalePoint:
 
     def test_design_and_environments(self, point):
         assert point["design_nnz"] == 3_000 * 3  # n_rows * n_trees
-        assert point["design_index_dtype"] == "int32"
+        assert point["design_index_dtype"] == str(np.dtype(np.intp))
         assert point["n_environments"] >= 2
         assert point["dtype"] == "float32"
 

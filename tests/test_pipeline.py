@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.baselines.erm import ERMTrainer
 from repro.baselines.finetune import FineTuneConfig, FineTuneTrainer
 from repro.core.config import LightMIRMConfig
 from repro.core.lightmirm import LightMIRMTrainer
 from repro.gbdt.boosting import GBDTParams
+from repro.gbdt.leaf_encoder import LeafDesign
 from repro.pipeline.extractor import GBDTFeatureExtractor
 from repro.pipeline.pipeline import LoanDefaultPipeline
 from repro.train.base import BaseTrainConfig
@@ -17,7 +17,7 @@ from repro.train.base import BaseTrainConfig
 class TestExtractor:
     def test_fit_and_transform(self, small_split, fitted_extractor):
         encoded = fitted_extractor.transform(small_split.test)
-        assert sparse.issparse(encoded)
+        assert isinstance(encoded, LeafDesign)
         assert encoded.shape == (
             small_split.test.n_samples,
             fitted_extractor.n_output_features,

@@ -53,6 +53,17 @@ class TestBitIdentity:
             got, champion_model.predict_proba(request_rows)
         )
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+    def test_small_batches_equal_one_batch(self, champion_model, request_rows,
+                                           chunk):
+        """Bit-identical scores at every batch size, one row included."""
+        batched = champion_model.predict_proba(request_rows)
+        pieces = np.concatenate([
+            champion_model.predict_proba(request_rows[start:start + chunk])
+            for start in range(0, len(request_rows), chunk)
+        ])
+        np.testing.assert_array_equal(pieces, batched)
+
     def test_score_row_equals_batch_entry(self, champion_model, request_rows):
         service = ScoringService(champion_model)
         direct = champion_model.predict_proba(request_rows[:1])[0]

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
-
 from repro.baselines.erm import ERMTrainer
 from repro.data.dataset import EnvironmentData
+from repro.gbdt.leaf_encoder import LeafDesign
 from repro.train.base import BaseTrainConfig, stack_environments
 
 
@@ -58,13 +57,15 @@ class TestStackEnvironments:
         np.testing.assert_array_equal(y, [0] * 4 + [1] * 6)
 
     def test_sparse_stack(self, rng):
+        eye = LeafDesign(np.arange(3)[None, :], 3)
         envs = [
-            EnvironmentData("a", sparse.csr_matrix(np.eye(3)), np.zeros(3)),
-            EnvironmentData("b", sparse.csr_matrix(np.eye(3)), np.ones(3)),
+            EnvironmentData("a", eye, np.zeros(3)),
+            EnvironmentData("b", eye, np.ones(3)),
         ]
         x, y = stack_environments(envs)
-        assert sparse.issparse(x)
+        assert isinstance(x, LeafDesign)
         assert x.shape == (6, 3)
+        np.testing.assert_array_equal(x.columns, [[0, 1, 2, 0, 1, 2]])
 
 
 class TestTrainResult:

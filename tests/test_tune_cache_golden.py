@@ -3,14 +3,13 @@
 The extractor-encoding cache is only admissible if attaching a published
 pack reproduces, **byte for byte**, what a trial would have computed by
 fitting the GBDT and leaf-encoding inline.  These tests pin that
-contract directly at the array level (CSR data/indices/indptr and
-labels, float64 and float32 inputs) and end-to-end at the leaderboard
+contract directly at the array level (leaf column ids and labels,
+float64 and float32 inputs) and end-to-end at the leaderboard
 level, including after LRU eviction forces a re-encode.
 """
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.data.dataset import EnvironmentData
 from repro.gbdt import fit_extractor_encode
@@ -70,14 +69,13 @@ class TestByteIdentity:
                     assert len(cached_list) == len(fresh_list)
                     for fresh, cached in zip(fresh_list, cached_list):
                         assert cached.name == fresh.name
-                        fresh_csr = fresh.features.tocsr()
-                        cached_csr = cached.features.tocsr()
-                        for attr in ("data", "indices", "indptr"):
-                            fresh_arr = getattr(fresh_csr, attr)
-                            cached_arr = getattr(cached_csr, attr)
-                            assert cached_arr.dtype == fresh_arr.dtype
-                            assert (cached_arr.tobytes()
-                                    == fresh_arr.tobytes())
+                        fresh_arr = fresh.features.columns
+                        cached_arr = cached.features.columns
+                        assert cached_arr.dtype == fresh_arr.dtype
+                        assert cached_arr.shape == fresh_arr.shape
+                        assert cached_arr.tobytes() == fresh_arr.tobytes()
+                        assert (cached.features.n_columns
+                                == fresh.features.n_columns)
                         assert (cached.labels.tobytes()
                                 == fresh.labels.tobytes())
             finally:
@@ -92,8 +90,8 @@ class TestByteIdentity:
         first_fit, _ = encode_split(environments)
         second_fit, _ = encode_split(environments)
         for a, b in zip(first_fit, second_fit):
-            assert (a.features.tocsr().data.tobytes()
-                    == b.features.tocsr().data.tobytes())
+            assert (a.features.columns.tobytes()
+                    == b.features.columns.tobytes())
 
 
 def joint_space():
