@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import CausalRole, LoanFeatureSchema
+from repro.gbdt.boosting import GBDTClassifier
+from repro.gbdt.forest import Forest
 from repro.gbdt.tree import DecisionTree
 from repro.pipeline.extractor import GBDTFeatureExtractor
 
@@ -27,46 +29,55 @@ __all__ = [
 ]
 
 
-def leaf_path_features(tree: DecisionTree) -> list[set[int]]:
-    """Per-leaf sets of (tree-local) feature indices tested on the path.
+def leaf_path_features(tree: DecisionTree | Forest,
+                       index: int = 0) -> list[set[int]]:
+    """Per-leaf sets of input columns tested on the root-to-leaf paths.
+
+    Read from the forest arrays, so restored models explain as well as
+    freshly fitted ones.
 
     Args:
-        tree: A fitted (or deserialised) decision tree.
+        tree: A fitted decision tree, or a forest.
+        index: Which tree of the forest (0 for a decision tree).
 
     Returns:
         List indexed by dense leaf index; element ``l`` is the set of
-        feature columns tested on the root-to-leaf-``l`` path.  The root
+        input columns tested on the root-to-leaf-``l`` path.  The root
         leaf of a stump-less tree has an empty set.
     """
-    if tree.n_nodes == 0:
-        raise ValueError("tree is not fitted")
-    nodes = tree._nodes
-    path_features: list[set[int] | None] = [None] * len(nodes)
-    path_features[0] = set()
-    for node in nodes:
-        if node.is_leaf:
+    if isinstance(tree, DecisionTree):
+        if tree.n_nodes == 0:
+            raise ValueError("tree is not fitted")
+        tree = tree.forest
+    start = int(tree.roots[index])
+    stop = int(tree.roots[index + 1])
+    packed = (tree.nodes[start:stop] - (start << 32)).tolist()
+    leaf = tree.leaf[start:stop].tolist()
+    path_features: list[set[int]] = [set()] * (stop - start)
+    result: list[set[int]] = [set()] * int(tree.leaves_per_tree[index])
+    # Children have larger ids than their parent, so one pass in id
+    # order sees every path before extending it.
+    for node, (node_packed, leaf_id) in enumerate(zip(packed, leaf)):
+        if leaf_id >= 0:
+            result[leaf_id] = path_features[node]
             continue
-        inherited = path_features[node.node_id]
-        assert inherited is not None  # parents precede children by id
-        child_set = inherited | {node.feature}
-        path_features[node.left] = set(child_set)
-        path_features[node.right] = set(child_set)
-    result: list[set[int]] = [set() for _ in range(tree.n_leaves)]
-    for node in nodes:
-        if node.is_leaf:
-            result[node.leaf_index] = path_features[node.node_id] or set()
+        left = node_packed >> 32
+        below = path_features[node] | {(node_packed >> 8) & 0xFFFFFF}
+        path_features[left] = below
+        path_features[left + 1] = set(below)
     return result
 
 
 def head_feature_attribution(
-    extractor: GBDTFeatureExtractor,
+    model: GBDTFeatureExtractor | GBDTClassifier,
     theta: np.ndarray,
     leaf_frequencies: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distribute the head's |weights| over the raw features of leaf paths.
 
     Args:
-        extractor: Fitted feature extractor (supplies trees + encoder).
+        model: Fitted feature extractor, or the fitted (or restored) GBDT
+            behind a head, e.g. ``scoring_model.encoder.model``.
         theta: LR head parameters over the leaf one-hot space.
         leaf_frequencies: Optional per-output-column firing frequencies
             (e.g. mean of the encoded design matrix); when given, each
@@ -76,36 +87,35 @@ def head_feature_attribution(
         Array of length ``n_raw_features`` with non-negative attribution
         mass per raw feature (unnormalised).
     """
-    model = extractor.model_
-    encoder = extractor.encoder_
-    if model is None or encoder is None:
+    if isinstance(model, GBDTFeatureExtractor):
+        model = model.model_
+    if model is None or not model.is_fitted:
         raise RuntimeError("extractor is not fitted")
+    forest = model.forest_
+    n_output = int(forest.leaf_offsets[-1])
     theta = np.asarray(theta, dtype=np.float64).ravel()
-    if theta.size != encoder.n_output_features:
+    if theta.size != n_output:
         raise ValueError(
-            f"theta has {theta.size} entries, encoder expects "
-            f"{encoder.n_output_features}"
+            f"theta has {theta.size} entries, encoder expects {n_output}"
         )
     if leaf_frequencies is not None:
         leaf_frequencies = np.asarray(leaf_frequencies, dtype=np.float64).ravel()
         if leaf_frequencies.size != theta.size:
             raise ValueError("leaf_frequencies must align with theta")
 
-    n_raw = len(model.binner.bin_edges_)
-    attribution = np.zeros(n_raw)
+    attribution = np.zeros(forest.n_columns)
     column = 0
-    for tree, cols in zip(model.trees_, model.tree_feature_subsets_):
-        paths = leaf_path_features(tree)
-        for leaf_index, local_features in enumerate(paths):
+    for t in range(forest.n_trees):
+        for features in leaf_path_features(forest, t):
             weight = abs(theta[column])
             if leaf_frequencies is not None:
                 weight *= leaf_frequencies[column]
             column += 1
-            if not local_features or weight == 0.0:
+            if not features or weight == 0.0:
                 continue
-            share = weight / len(local_features)
-            for local in local_features:
-                attribution[cols[local]] += share
+            share = weight / len(features)
+            for feature in features:
+                attribution[feature] += share
     return attribution
 
 

@@ -2,6 +2,7 @@
 
 from repro.gbdt.binning import QuantileBinner, ReservoirSampler
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
+from repro.gbdt.forest import Forest
 from repro.gbdt.histogram import HistogramBuilder, NodeHistogram, build_histogram
 from repro.gbdt.leaf_encoder import LeafDesign, LeafIndexEncoder, encode_leaf_matrix
 from repro.gbdt.packing import (
@@ -10,7 +11,7 @@ from repro.gbdt.packing import (
     leaf_encode_environments,
     pack_generated,
 )
-from repro.gbdt.tree import DecisionTree, FlatTree, SplitInfo, TreeParams
+from repro.gbdt.tree import DecisionTree, SplitInfo, TreeParams
 
 __all__ = [
     "QuantileBinner",
@@ -28,7 +29,7 @@ __all__ = [
     "LeafIndexEncoder",
     "encode_leaf_matrix",
     "DecisionTree",
-    "FlatTree",
+    "Forest",
     "SplitInfo",
     "TreeParams",
 ]

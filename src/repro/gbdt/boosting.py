@@ -11,6 +11,10 @@ threads the column subset into the kernels instead of materialising
 ``binned[:, cols]`` per round, and the ``*_binned`` prediction variants let
 callers bin a feature matrix once (:meth:`GBDTClassifier.bin_features`) and
 reuse it across scores, leaf indices, and staged probabilities.
+
+A fitted ensemble predicts from one :class:`~repro.gbdt.forest.Forest`
+stacked from its trees when fitting ends (or restored from an artifact):
+every ``*_binned`` predictor routes all trees in one pass.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.gbdt.binning import QuantileBinner
+from repro.gbdt.forest import Forest
 from repro.gbdt.histogram import HistogramBuilder
 from repro.gbdt.tree import DecisionTree, TreeParams
 from repro.numerics import binary_cross_entropy, sigmoid
@@ -135,6 +140,12 @@ class GBDTParams:
         }
         return payload
 
+    @classmethod
+    def from_canonical(cls, payload: Mapping[str, object]) -> "GBDTParams":
+        """Inverse of :meth:`canonical`."""
+        own = {key: value for key, value in payload.items() if key != "tree"}
+        return cls(tree=TreeParams(**payload["tree"]), **own)
+
     def fingerprint(self) -> str:
         """Stable 16-hex content hash of the full configuration.
 
@@ -170,19 +181,22 @@ class GBDTClassifier:
     def __init__(self, params: GBDTParams | None = None):
         self.params = params or GBDTParams()
         self.binner = QuantileBinner(max_bins=self.params.max_bins)
+        #: Growth-time trees (nodes and split gains); only a model fitted
+        #: in this process has them.
         self.trees_: list[DecisionTree] = []
-        self.tree_feature_subsets_: list[np.ndarray] = []
+        #: The prediction state, built when fitting ends or on restore.
+        self.forest_: Forest | None = None
         self.base_score_: float = 0.0
         self.train_losses_: list[float] = []
         self.valid_losses_: list[float] = []
 
     @property
     def is_fitted(self) -> bool:
-        return bool(self.trees_)
+        return self.forest_ is not None
 
     @property
     def n_trees_fitted(self) -> int:
-        return len(self.trees_)
+        return 0 if self.forest_ is None else self.forest_.n_trees
 
     def fit(
         self,
@@ -309,7 +323,7 @@ class GBDTClassifier:
             )
 
         self.trees_ = []
-        self.tree_feature_subsets_ = []
+        self.forest_ = None
         self.train_losses_ = []
         self.valid_losses_ = []
         best_valid = np.inf
@@ -355,20 +369,15 @@ class GBDTClassifier:
                     value_dtype=value_dtype,
                 )
                 self.trees_.append(tree)
-                self.tree_feature_subsets_.append(
-                    col_subset if col_subset is not None else np.arange(d)
-                )
 
-                raw += params.learning_rate * tree.predict_value(
-                    binned, columns=col_subset
-                )
+                raw += params.learning_rate * tree.predict_value(binned)
                 self.train_losses_.append(
                     binary_cross_entropy(labels, sigmoid(raw))
                 )
 
             if use_valid:
                 valid_raw += params.learning_rate * tree.predict_value(
-                    valid_binned, columns=col_subset
+                    valid_binned
                 )
                 valid_loss = binary_cross_entropy(
                     valid_labels, sigmoid(valid_raw)
@@ -381,6 +390,7 @@ class GBDTClassifier:
                     rounds_since_best += 1
                     if rounds_since_best >= params.early_stopping_rounds:
                         break
+        self.forest_ = Forest.stack([tree.forest for tree in self.trees_])
         return self
 
     # ------------------------------------------------------- transform-once
@@ -392,12 +402,8 @@ class GBDTClassifier:
 
     def decision_function_binned(self, binned: np.ndarray) -> np.ndarray:
         """Raw additive score (log-odds) over pre-binned rows."""
-        self._check_fitted()
-        raw = np.full(binned.shape[0], self.base_score_)
-        for tree, cols in zip(self.trees_, self.tree_feature_subsets_):
-            raw += self.params.learning_rate * tree.predict_value(
-                binned, columns=cols
-            )
+        for raw in self._staged_raw(binned):
+            pass
         return raw
 
     def predict_proba_binned(self, binned: np.ndarray) -> np.ndarray:
@@ -412,24 +418,29 @@ class GBDTClassifier:
         walks at paper scale.
         """
         self._check_fitted()
-        leaves = np.empty((binned.shape[0], len(self.trees_)), dtype=np.int32)
-        for t, (tree, cols) in enumerate(
-            zip(self.trees_, self.tree_feature_subsets_)
-        ):
-            leaves[:, t] = tree.predict_leaf(binned, columns=cols)
-        return leaves
+        return self.forest_.predict_leaves(binned)
 
     def staged_predict_proba_binned(
         self, binned: np.ndarray
     ) -> Iterator[np.ndarray]:
         """Yield probabilities after each boosting round (pre-binned rows)."""
-        self._check_fitted()
-        raw = np.full(binned.shape[0], self.base_score_)
-        for tree, cols in zip(self.trees_, self.tree_feature_subsets_):
-            raw = raw + self.params.learning_rate * tree.predict_value(
-                binned, columns=cols
-            )
+        for raw in self._staged_raw(binned):
             yield sigmoid(raw)
+
+    def _staged_raw(self, binned: np.ndarray) -> Iterator[np.ndarray]:
+        """The raw score after each tree, updated in place.
+
+        Adds ``learning_rate * value`` tree after tree, the order the
+        boosting loop used; leaf values keep the dtype they were grown in,
+        so a float32 model's products stay float32.
+        """
+        leaves = self.predict_leaves_binned(binned)
+        raw = np.full(leaves.shape[0], self.base_score_)
+        for t in range(self.forest_.n_trees):
+            raw += self.params.learning_rate * self.forest_.tree_values(t)[
+                leaves[:, t]
+            ]
+            yield raw
 
     # ------------------------------------------------------ raw-feature API
 
@@ -467,14 +478,27 @@ class GBDTClassifier:
     def leaves_per_tree(self) -> list[int]:
         """Leaf count of each fitted tree (sizes of the one-hot blocks)."""
         self._check_fitted()
-        return [tree.n_leaves for tree in self.trees_]
+        return self.forest_.leaves_per_tree.tolist()
 
     def feature_importance(self) -> np.ndarray:
-        """Gain-based importance summed over trees, in input-column order."""
+        """Gain-based importance summed over trees, in input-column order.
+
+        Raises:
+            RuntimeError: On a restored model — split gains live on the
+                growth-time trees, which only a model fitted in this
+                process holds.
+        """
         self._check_fitted()
+        if not self.trees_:
+            raise RuntimeError(
+                "feature importance requires split gains recorded from "
+                "growth-time histograms; a restored model has none"
+            )
         d = len(self.binner.bin_edges_)
         importance = np.zeros(d)
-        for tree, cols in zip(self.trees_, self.tree_feature_subsets_):
+        for tree in self.trees_:
+            cols = (tree.column_subset if tree.column_subset is not None
+                    else np.arange(d))
             importance[cols] += tree.feature_importance(cols.size)
         return importance
 

@@ -144,13 +144,12 @@ class LeafIndexEncoder:
         if not model.is_fitted:
             raise ValueError("encoder requires a fitted GBDTClassifier")
         self.model = model
-        leaves = model.leaves_per_tree()
-        self._offsets = np.concatenate(([0], np.cumsum(leaves)))
+        self._offsets = model.forest_.leaf_offsets
         self.n_output_features: int = int(self._offsets[-1])
 
     @property
     def n_trees(self) -> int:
-        return len(self.model.trees_)
+        return self.model.n_trees_fitted
 
     def transform(self, features: np.ndarray) -> LeafDesign:
         """Encode raw features into the multi-hot design matrix.

@@ -7,16 +7,11 @@ leaf budget is exhausted — the strategy LightGBM popularised and the one the
 paper's feature extractor relies on (each tree's leaves become the categories
 of one cross-feature).
 
-Inference is served from a *flattened* struct-of-arrays form built once
-after fitting (:class:`FlatTree`): parallel ``feature`` / ``threshold`` /
-``left`` / ``right`` / ``leaf_index`` arrays in which every leaf points to
-itself.  Routing all rows is then an ``O(depth × n)`` vectorised descent
-— ``node = left[node] + (bin > threshold[node])`` — instead of an
-``O(n_nodes × n)`` per-node mask loop.  The descent leans on two
-structural facts: siblings are appended consecutively during growth (so
-``right == left + 1`` always), and bin thresholds fit in a byte (so each
-node's feature and threshold pack into one int32, halving the per-level
-gather work).
+A fitted tree predicts through a one-tree :class:`~repro.gbdt.forest.Forest`
+built when growth ends, with its feature-bagging column map baked in;
+routing is an ``O(depth × n)`` vectorised descent instead of an
+``O(n_nodes × n)`` per-node mask loop.  The node list stays on the tree
+for split gains (feature importance) and node-level inspection.
 """
 
 from __future__ import annotations
@@ -27,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.gbdt.forest import Forest
 from repro.gbdt.histogram import HistogramBuilder, NodeHistogram
 
-__all__ = ["TreeParams", "DecisionTree", "SplitInfo", "FlatTree"]
+__all__ = ["TreeParams", "DecisionTree", "SplitInfo"]
 
 
 @dataclass(frozen=True)
@@ -73,15 +69,20 @@ class SplitInfo:
     left_count: int
 
 
+#: The row set of a node that no longer needs one, shared by all of them.
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
+
 @dataclass
 class _Node:
-    """Mutable tree node used during growth and flattened for prediction.
+    """Mutable tree node used during growth and packed for prediction.
 
     ``sample_indices`` and ``histogram`` are growth-time state: a node
     holds them only while it is an open leaf, so a fitted tree keeps
     neither.  ``gain`` is the split gain recorded when an internal node
     is split (the source of feature importance); it stays ``None`` on
-    leaves and on deserialised trees.
+    leaves.
     """
 
     node_id: int
@@ -103,151 +104,6 @@ class _Node:
         return self.left == -1
 
 
-@dataclass(frozen=True)
-class FlatTree:
-    """Struct-of-arrays prediction form of a fitted tree.
-
-    Leaves are encoded as self-loops (``left == right == node_id`` with an
-    always-true threshold), so ``depth`` routing iterations settle every
-    row on its leaf regardless of where it landed earlier.
-
-    Attributes:
-        feature: ``(n_nodes,)`` int32 split feature (0 for leaves).
-        threshold: ``(n_nodes,)`` int32 bin threshold (max for leaves, so
-            any bin compares ``<=`` and the self-loop is taken).
-        left: ``(n_nodes,)`` int32 left-child id (self for leaves).
-        right: ``(n_nodes,)`` int32 right-child id (self for leaves).
-        leaf_index: ``(n_nodes,)`` int64 dense leaf index (-1 internal).
-        value: ``(n_leaves,)`` float64 leaf values, by dense leaf index.
-        depth: Maximum leaf depth — the routing iteration count.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf_index: np.ndarray
-    value: np.ndarray
-    depth: int
-
-    #: Leaf threshold in the packed form: no uint8 bin exceeds it, so a
-    #: leaf's self-loop edge is always the "left" (not-greater) branch.
-    _LEAF_THRESHOLD = 255
-
-    def __post_init__(self) -> None:
-        # Fast routing packs each node's (left, feature, threshold) into
-        # one int64 — a single gather per descent level.  It needs
-        # right == left + 1 (siblings are appended consecutively during
-        # growth), byte-sized thresholds, and features below 2^24.  All
-        # hold for every tree this codebase grows or deserialises; the
-        # general where()-descent remains as a fallback.
-        internal = self.leaf_index < 0
-        packable = bool(
-            np.array_equal(self.right[internal], self.left[internal] + 1)
-            and np.all(self.threshold[internal] >= 0)
-            and np.all(self.threshold[internal] < self._LEAF_THRESHOLD)
-            and (self.feature.size == 0
-                 or int(self.feature.max()) < 1 << 24)
-        )
-        pack = None
-        if packable:
-            byte_thr = np.where(
-                internal, self.threshold, self._LEAF_THRESHOLD
-            ).astype(np.int64)
-            pack = (
-                (self.left.astype(np.int64) << 32)
-                | (self.feature.astype(np.int64) << 8)
-                | byte_thr
-            )
-        object.__setattr__(self, "_pack", pack)
-
-    @classmethod
-    def from_nodes(cls, nodes: list[_Node], n_leaves: int,
-                   value_dtype: np.dtype | type | str = np.float64,
-                   ) -> "FlatTree":
-        """Compact a node list into the parallel-array form.
-
-        Args:
-            nodes: Growth-time node list.
-            n_leaves: Dense leaf count.
-            value_dtype: Dtype of the leaf-value array (float32 on the
-                opt-in reduced-precision path; persisted trees always
-                restore as float64).
-        """
-        n_nodes = len(nodes)
-        feature = np.zeros(n_nodes, dtype=np.int32)
-        threshold = np.full(n_nodes, np.iinfo(np.int32).max, dtype=np.int32)
-        left = np.arange(n_nodes, dtype=np.int32)
-        right = np.arange(n_nodes, dtype=np.int32)
-        leaf_index = np.full(n_nodes, -1, dtype=np.int64)
-        value = np.zeros(max(n_leaves, 1), dtype=value_dtype)
-        depth = 0
-        for node in nodes:
-            if node.is_leaf:
-                leaf_index[node.node_id] = node.leaf_index
-                value[node.leaf_index] = node.value
-                depth = max(depth, node.depth)
-            else:
-                feature[node.node_id] = node.feature
-                threshold[node.node_id] = node.bin_threshold
-                left[node.node_id] = node.left
-                right[node.node_id] = node.right
-        return cls(feature=feature, threshold=threshold, left=left,
-                   right=right, leaf_index=leaf_index, value=value,
-                   depth=depth)
-
-    def route(self, binned: np.ndarray,
-              columns: np.ndarray | None = None) -> np.ndarray:
-        """Vectorised descent: leaf *node id* of every row.
-
-        Args:
-            binned: ``(n, d)`` bin-index matrix.  ``d`` is the tree's own
-                feature space when ``columns`` is None, else the full
-                matrix the tree's features index into via ``columns``.
-            columns: Optional map from tree-local feature id to column of
-                ``binned`` (feature bagging without slicing the matrix).
-
-        Returns:
-            ``(n,)`` integer node ids, all leaves.
-        """
-        if self._pack is None:
-            return self._route_general(binned, columns)
-        n, d = binned.shape
-        pack = self._pack
-        if columns is not None:
-            # Remap tree-local features to matrix columns once per call
-            # (n_nodes entries) instead of per routed row.
-            cols = np.asarray(columns, dtype=np.int64)
-            pack = (
-                (self.left.astype(np.int64) << 32)
-                | (cols[self.feature] << 8)
-                | (pack & 255)
-            )
-        flat_bins = binned.ravel()
-        row_offset = np.arange(n, dtype=np.int64) * d
-        node = np.zeros(n, dtype=np.int64)
-        for _ in range(self.depth):
-            p = pack[node]
-            bins = flat_bins[row_offset + ((p >> 8) & 0xFFFFFF)]
-            node = (p >> 32) + (bins > (p & 255))
-        return node
-
-    def _route_general(self, binned: np.ndarray,
-                       columns: np.ndarray | None) -> np.ndarray:
-        """where()-based descent for trees the packed form cannot encode."""
-        n = binned.shape[0]
-        feature = self.feature
-        if columns is not None:
-            feature = np.asarray(columns, dtype=np.int64)[self.feature]
-        node = np.zeros(n, dtype=np.int32)
-        rows = np.arange(n)
-        for _ in range(self.depth):
-            bins = binned[rows, feature[node]]
-            go_left = bins <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
-        return node
-
-
 class DecisionTree:
     """Histogram-based regression tree over pre-binned features.
 
@@ -260,8 +116,9 @@ class DecisionTree:
         self.params = params or TreeParams()
         self._nodes: list[_Node] = []
         self._n_leaves = 0
-        self._flat: FlatTree | None = None
-        self._value_dtype: np.dtype = np.dtype(np.float64)
+        self._forest: Forest | None = None
+        #: Sorted input columns the tree was grown on (None: all of them).
+        self.column_subset: np.ndarray | None = None
 
     @property
     def n_leaves(self) -> int:
@@ -273,14 +130,11 @@ class DecisionTree:
         return len(self._nodes)
 
     @property
-    def flat(self) -> FlatTree:
-        """The struct-of-arrays prediction form (built lazily)."""
-        if self._flat is None:
-            if not self._nodes:
-                raise RuntimeError("tree is not fitted")
-            self._flat = FlatTree.from_nodes(self._nodes, self._n_leaves,
-                                             self._value_dtype)
-        return self._flat
+    def forest(self) -> Forest:
+        """The one-tree prediction arrays, built when growth ends."""
+        if self._forest is None:
+            raise RuntimeError("tree is not fitted")
+        return self._forest
 
     def fit(
         self,
@@ -319,9 +173,8 @@ class DecisionTree:
             raise ValueError("cannot fit a tree on zero samples")
         self._nodes = []
         self._n_leaves = 0
-        self._flat = None
-        self._max_bins = max_bins
-        self._value_dtype = np.dtype(value_dtype)
+        self._forest = None
+        self.column_subset = column_subset
         if builder is None:
             builder = HistogramBuilder(binned, max_bins)
         # Growth-time references, dropped at the end of fit().
@@ -359,8 +212,9 @@ class DecisionTree:
             push_candidate(right)
 
         self._finalize_leaves()
-        self._flat = FlatTree.from_nodes(self._nodes, self._n_leaves,
-                                         self._value_dtype)
+        self._forest = Forest.from_nodes(self._nodes, self._n_leaves,
+                                         value_dtype, column_subset,
+                                         binned.shape[1])
         del self._builder, self._binned, self._column_subset
         del self._gradients, self._hessians
         return self
@@ -472,7 +326,7 @@ class DecisionTree:
         node.left = left.node_id
         node.right = right.node_id
         node.histogram = None
-        node.sample_indices = np.empty(0, dtype=np.int64)
+        node.sample_indices = _NO_ROWS
         return left, right
 
     def _finalize_leaves(self) -> None:
@@ -487,7 +341,7 @@ class DecisionTree:
                     hist.total_hess + self.params.reg_lambda
                 )
                 node.histogram = None
-                node.sample_indices = np.empty(0, dtype=np.int64)
+                node.sample_indices = _NO_ROWS
         self._n_leaves = leaf_counter
 
     def predict_leaf(
@@ -496,36 +350,37 @@ class DecisionTree:
         """Route rows to leaves; returns the dense leaf index per row.
 
         Args:
-            binned: ``(n, d)`` bin-index matrix from the same binner — the
-                tree's own feature space, or the full matrix together with
-                ``columns``.
-            columns: Optional tree-local-feature → column map, so callers
-                with feature-bagged trees never slice the binned matrix.
+            binned: ``(n, d)`` bin-index matrix, as wide as the one the
+                tree was grown on.
+            columns: Optionally the column subset the tree was grown on.
+                The routing arrays already map tree-local features to
+                those columns, so it is only checked.
 
         Returns:
-            ``(n,)`` int array of leaf indices in ``[0, n_leaves)``.
+            ``(n,)`` int32 array of leaf indices in ``[0, n_leaves)``.
         """
-        flat = self.flat
-        return flat.leaf_index[flat.route(binned, columns)]
+        forest = self.forest
+        if columns is not None:
+            grown_on = (self.column_subset if self.column_subset is not None
+                        else np.arange(forest.n_columns))
+            if not np.array_equal(columns, grown_on):
+                raise ValueError(
+                    "columns differ from the subset the tree was grown on"
+                )
+        return forest.predict_leaves(binned)[:, 0]
 
     def predict_value(
         self, binned: np.ndarray, columns: np.ndarray | None = None
     ) -> np.ndarray:
         """Raw leaf values (pre-shrinkage contribution of this tree)."""
-        return self.flat.value[self.predict_leaf(binned, columns)]
+        return self.forest.value[self.predict_leaf(binned, columns)]
 
     def feature_importance(self, n_features: int) -> np.ndarray:
         """Total split gain attributed to each feature.
 
         Sums the non-negative gains recorded on internal nodes during
-        growth.  Deserialised trees carry no gains, so importance is
-        unavailable on them.
+        growth, by tree-local feature.
         """
-        if any(n.gain is None for n in self._nodes if not n.is_leaf):
-            raise RuntimeError(
-                "feature importance requires gains recorded from "
-                "growth-time histograms (unavailable on deserialised trees)"
-            )
         importance = np.zeros(n_features)
         for node in self._nodes:
             if not node.is_leaf:

@@ -14,9 +14,9 @@ from repro.persist.codec import (
     binner_from_dict,
     binner_to_dict,
     gbdt_from_dict,
+    gbdt_from_arrays,
+    gbdt_to_arrays,
     gbdt_to_dict,
-    tree_from_dict,
-    tree_to_dict,
 )
 
 __all__ = [
@@ -27,6 +27,6 @@ __all__ = [
     "binner_to_dict",
     "gbdt_from_dict",
     "gbdt_to_dict",
-    "tree_from_dict",
-    "tree_to_dict",
+    "gbdt_from_arrays",
+    "gbdt_to_arrays",
 ]

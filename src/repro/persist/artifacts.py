@@ -19,7 +19,12 @@ import numpy as np
 from repro.data.dataset import LoanDataset
 from repro.gbdt.leaf_encoder import LeafIndexEncoder
 from repro.models.logistic import LogisticModel
-from repro.persist.codec import _FORMAT_VERSION, gbdt_from_dict, gbdt_to_dict
+from repro.persist.codec import (
+    _FORMAT_VERSION,
+    check_version,
+    gbdt_from_dict,
+    gbdt_to_dict,
+)
 from repro.pipeline.pipeline import LoanDefaultPipeline
 
 __all__ = [
@@ -83,11 +88,13 @@ def pipeline_to_payload(
 
 
 def scoring_model_from_payload(payload: dict) -> ScoringModel:
-    """Restore a :class:`ScoringModel` from an artifact payload dict."""
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported artifact version {payload.get('version')!r}"
-        )
+    """Restore a :class:`ScoringModel` from an artifact payload dict.
+
+    Raises:
+        ValueError: On another format version, or GBDT arrays that do not
+            form a valid model.
+    """
+    check_version(payload)
     gbdt = gbdt_from_dict(payload["gbdt"])
     encoder = LeafIndexEncoder(gbdt)
     theta = np.asarray(payload["theta"], dtype=np.float64)

@@ -1,189 +1,189 @@
-"""JSON-compatible codecs for every persistable model component.
+"""JSON codecs for every persistable model component.
 
 The production system retrains the loan model periodically and serves it
-elsewhere, so models must round-trip through a storage format.  Everything
-here encodes to plain JSON types (dicts, lists, floats) and restores objects
-that predict *bit-identically* to the originals.  Growth-time state
-(histograms, sample indices) is intentionally dropped.
+elsewhere, so models must round-trip through a storage format.  A fitted
+GBDT is its :class:`~repro.gbdt.forest.Forest` arrays plus the binner's
+edges; :func:`gbdt_to_arrays` exposes exactly those arrays and a small
+JSON-compatible meta table, which the artifact files (below) and the
+shared-memory publisher (:mod:`repro.serve.shm_publish`) both store.
+
+In a JSON payload each array is a typed raw-byte record
+``{"dtype": "<f8", "data": "<base64>"}``: the bytes round-trip exactly, so
+restored models predict *bit-identically* to the originals, and decoding
+is a copy rather than a parse.  Growth-time state (node lists, split
+gains, histograms) is not stored.
 """
 
 from __future__ import annotations
+
+import base64
 
 import numpy as np
 
 from repro.gbdt.binning import QuantileBinner
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
-from repro.gbdt.tree import DecisionTree, FlatTree, TreeParams, _Node
+from repro.gbdt.forest import Forest
+from repro.parallel.shared import ragged_from_arrays, ragged_to_arrays
 
 __all__ = [
+    "encode_array",
+    "decode_array",
     "binner_to_dict",
     "binner_from_dict",
-    "tree_to_dict",
-    "tree_from_dict",
+    "gbdt_to_arrays",
+    "gbdt_from_arrays",
     "gbdt_to_dict",
     "gbdt_from_dict",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+#: Dtypes a typed array record may declare (little-endian, fixed width).
+_ARRAY_DTYPES = {name: np.dtype(name) for name in ("<i4", "<i8", "<f4", "<f8")}
+
+#: Forest fields stored as arrays, by array key.
+_FOREST_ARRAYS = {"forest/nodes": "nodes", "forest/leaf": "leaf",
+                  "forest/value": "value", "forest/roots": "roots"}
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """A 1-D array as a JSON-compatible typed raw-byte record."""
+    array = np.ascontiguousarray(array)
+    if array.dtype.str not in _ARRAY_DTYPES or array.ndim != 1:
+        raise ValueError(f"cannot encode a {array.ndim}-D {array.dtype} array")
+    return {"dtype": array.dtype.str,
+            "data": base64.b64encode(array.data).decode("ascii")}
+
+
+def decode_array(record: dict) -> np.ndarray:
+    """Inverse of :func:`encode_array` (a read-only array).
+
+    Raises:
+        ValueError: On an unknown dtype or a byte count that is not a
+            whole number of elements.
+    """
+    dtype = _ARRAY_DTYPES.get(record.get("dtype"))
+    if dtype is None:
+        raise ValueError(f"unknown array dtype {record.get('dtype')!r}")
+    return np.frombuffer(base64.b64decode(record["data"], validate=True),
+                         dtype=dtype)
+
+
+def _encode_arrays(arrays: dict[str, np.ndarray]) -> dict:
+    return {key: encode_array(array) for key, array in arrays.items()}
+
+
+def _decode_arrays(records: dict) -> dict[str, np.ndarray]:
+    return {key: decode_array(record) for key, record in records.items()}
+
+
+def _binner_arrays(binner: QuantileBinner) -> dict[str, np.ndarray]:
+    if not binner.is_fitted:
+        raise ValueError("cannot serialise an unfitted binner")
+    return ragged_to_arrays(binner.bin_edges_, "binner", np.float64)
+
+
+def _binner_from_arrays(arrays: dict[str, np.ndarray],
+                        max_bins: int) -> QuantileBinner:
+    data, offsets = arrays["binner/data"], arrays["binner/offsets"]
+    if data.dtype != np.float64 or offsets.dtype != np.int64 \
+            or offsets.size < 2 or offsets[0] != 0 \
+            or offsets[-1] != data.size or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError("binner edges and offsets do not match")
+    binner = QuantileBinner(max_bins=max_bins)
+    binner.bin_edges_ = ragged_from_arrays(arrays, "binner")
+    return binner
 
 
 def binner_to_dict(binner: QuantileBinner) -> dict:
     """Encode a fitted quantile binner."""
-    if not binner.is_fitted:
-        raise ValueError("cannot serialise an unfitted binner")
     return {
         "version": _FORMAT_VERSION,
         "max_bins": binner.max_bins,
-        "bin_edges": [edges.tolist() for edges in binner.bin_edges_],
+        "arrays": _encode_arrays(_binner_arrays(binner)),
     }
 
 
 def binner_from_dict(payload: dict) -> QuantileBinner:
     """Restore a quantile binner."""
-    _check_version(payload)
-    binner = QuantileBinner(max_bins=payload["max_bins"])
-    binner.bin_edges_ = [
-        np.asarray(edges, dtype=np.float64) for edges in payload["bin_edges"]
-    ]
-    return binner
+    check_version(payload)
+    return _binner_from_arrays(_decode_arrays(payload["arrays"]),
+                               payload["max_bins"])
 
 
-def tree_to_dict(tree: DecisionTree) -> dict:
-    """Encode a fitted decision tree (prediction structure only)."""
-    if tree.n_nodes == 0:
-        raise ValueError("cannot serialise an unfitted tree")
-    params = tree.params
-    return {
-        "version": _FORMAT_VERSION,
-        "params": {
-            "max_leaves": params.max_leaves,
-            "max_depth": params.max_depth,
-            "min_child_samples": params.min_child_samples,
-            "min_child_hessian": params.min_child_hessian,
-            "reg_lambda": params.reg_lambda,
-            "min_split_gain": params.min_split_gain,
-        },
-        "nodes": [
-            {
-                "node_id": node.node_id,
-                "depth": node.depth,
-                "feature": node.feature,
-                "bin_threshold": node.bin_threshold,
-                "left": node.left,
-                "right": node.right,
-                "leaf_index": node.leaf_index,
-                "value": node.value,
-            }
-            for node in tree._nodes
-        ],
-        "n_leaves": tree.n_leaves,
-        "flat": _flat_to_dict(tree.flat),
+def gbdt_to_arrays(model: GBDTClassifier) -> tuple[dict[str, np.ndarray], dict]:
+    """A fitted ensemble as ``(arrays, meta)``.
+
+    ``arrays`` holds the forest and the binner edges; ``meta`` is a small
+    JSON-compatible table (parameters, base score, depth).
+    """
+    if not model.is_fitted:
+        raise ValueError("cannot serialise an unfitted GBDT")
+    forest = model.forest_
+    arrays = {key: getattr(forest, field)
+              for key, field in _FOREST_ARRAYS.items()}
+    arrays.update(_binner_arrays(model.binner))
+    meta = {
+        "params": model.params.canonical(),
+        "base_score": model.base_score_,
+        "depth": forest.depth,
     }
+    return arrays, meta
 
 
-def _flat_to_dict(flat: FlatTree) -> dict:
-    """Encode the struct-of-arrays prediction form."""
-    return {
-        "feature": flat.feature.tolist(),
-        "threshold": flat.threshold.tolist(),
-        "left": flat.left.tolist(),
-        "right": flat.right.tolist(),
-        "leaf_index": flat.leaf_index.tolist(),
-        "value": flat.value.tolist(),
-        "depth": flat.depth,
-    }
+def gbdt_from_arrays(arrays: dict[str, np.ndarray],
+                     meta: dict) -> GBDTClassifier:
+    """Restore an ensemble over the given arrays (no copies).
 
-
-def _flat_from_dict(payload: dict) -> FlatTree:
-    """Restore the struct-of-arrays prediction form."""
-    return FlatTree(
-        feature=np.asarray(payload["feature"], dtype=np.int32),
-        threshold=np.asarray(payload["threshold"], dtype=np.int32),
-        left=np.asarray(payload["left"], dtype=np.int32),
-        right=np.asarray(payload["right"], dtype=np.int32),
-        leaf_index=np.asarray(payload["leaf_index"], dtype=np.int64),
-        value=np.asarray(payload["value"], dtype=np.float64),
-        depth=int(payload["depth"]),
+    Raises:
+        ValueError: If the arrays do not form a valid forest over the
+            binner's columns, or the leaf values are not in the dtype the
+            parameters name.
+    """
+    params = GBDTParams.from_canonical(meta["params"])
+    model = GBDTClassifier(params)
+    model.binner = _binner_from_arrays(arrays, params.max_bins)
+    model.base_score_ = float(meta["base_score"])
+    model.forest_ = Forest(
+        **{field: arrays[key] for key, field in _FOREST_ARRAYS.items()},
+        depth=meta["depth"],
+        n_columns=len(model.binner.bin_edges_),
     )
-
-
-def tree_from_dict(payload: dict) -> DecisionTree:
-    """Restore a decision tree that predicts identically to the original."""
-    _check_version(payload)
-    tree = DecisionTree(TreeParams(**payload["params"]))
-    tree._nodes = [
-        _Node(
-            node_id=node["node_id"],
-            depth=node["depth"],
-            feature=node["feature"],
-            bin_threshold=node["bin_threshold"],
-            left=node["left"],
-            right=node["right"],
-            leaf_index=node["leaf_index"],
-            value=node["value"],
+    if model.forest_.value.dtype != np.dtype(params.dtype):
+        raise ValueError(
+            f"leaf values are {model.forest_.value.dtype}, "
+            f"parameters say {params.dtype}"
         )
-        for node in payload["nodes"]
-    ]
-    tree._n_leaves = payload["n_leaves"]
-    # Older payloads lack the flattened arrays; the tree rebuilds them
-    # lazily from the node list on first prediction.
-    if "flat" in payload:
-        tree._flat = _flat_from_dict(payload["flat"])
-    return tree
+    return model
 
 
 def gbdt_to_dict(model: GBDTClassifier) -> dict:
     """Encode a fitted boosted ensemble."""
-    if not model.is_fitted:
-        raise ValueError("cannot serialise an unfitted GBDT")
-    params = model.params
-    return {
-        "version": _FORMAT_VERSION,
-        "params": {
-            "n_trees": params.n_trees,
-            "learning_rate": params.learning_rate,
-            "max_bins": params.max_bins,
-            "subsample": params.subsample,
-            "colsample": params.colsample,
-            "early_stopping_rounds": params.early_stopping_rounds,
-            "seed": params.seed,
-        },
-        "binner": binner_to_dict(model.binner),
-        "base_score": model.base_score_,
-        "trees": [tree_to_dict(tree) for tree in model.trees_],
-        "tree_feature_subsets": [
-            subset.tolist() for subset in model.tree_feature_subsets_
-        ],
-    }
+    arrays, meta = gbdt_to_arrays(model)
+    return {"version": _FORMAT_VERSION, **meta,
+            "arrays": _encode_arrays(arrays)}
 
 
 def gbdt_from_dict(payload: dict) -> GBDTClassifier:
     """Restore a boosted ensemble (prediction and leaf encoding work)."""
-    _check_version(payload)
-    params = payload["params"]
-    model = GBDTClassifier(
-        GBDTParams(
-            n_trees=params["n_trees"],
-            learning_rate=params["learning_rate"],
-            max_bins=params["max_bins"],
-            subsample=params["subsample"],
-            colsample=params["colsample"],
-            early_stopping_rounds=params["early_stopping_rounds"],
-            seed=params["seed"],
-        )
-    )
-    model.binner = binner_from_dict(payload["binner"])
-    model.base_score_ = payload["base_score"]
-    model.trees_ = [tree_from_dict(tree) for tree in payload["trees"]]
-    model.tree_feature_subsets_ = [
-        np.asarray(subset, dtype=np.int64)
-        for subset in payload["tree_feature_subsets"]
-    ]
-    return model
+    check_version(payload)
+    return gbdt_from_arrays(_decode_arrays(payload["arrays"]), payload)
 
 
-def _check_version(payload: dict) -> None:
+def check_version(payload: dict) -> None:
+    """Reject payloads of any other format version.
+
+    Raises:
+        ValueError: Naming the version; format-1 payloads (per-node
+            decimal trees) must be re-saved.
+    """
     version = payload.get("version")
+    if version == 1:
+        raise ValueError(
+            "serialisation version 1 (per-node decimal trees) is no longer "
+            "readable; load it with the release that wrote it and re-save "
+            f"it to write version {_FORMAT_VERSION}"
+        )
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported serialisation version {version!r} "

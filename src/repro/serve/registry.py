@@ -23,8 +23,7 @@ complete index, just possibly one mutation old.
 
 This module is also the single-file persistence surface:
 :meth:`ModelRegistry.save_file` / :meth:`ModelRegistry.load_file` read and
-write one bare artifact in the same format, and pre-registry files load
-verbatim.
+write one bare artifact in the same format.
 """
 
 from __future__ import annotations
@@ -250,13 +249,13 @@ class ModelRegistry:
         Raises:
             KeyError: Unknown slot/version, or an empty slot.
         """
-        version = self._resolve(ref)
-        entry = self.describe(version)
-        payload = json.loads((self.root / entry.path).read_text())
-        return scoring_model_from_payload(payload)
-
-    def _resolve(self, ref: str) -> str:
         index = self._read_index()
+        entry = index["versions"][self._resolve(index, ref)]
+        return self.load_file(self.root / entry["path"])
+
+    @staticmethod
+    def _resolve(index: dict, ref: str) -> str:
+        """Version id a slot name or version id refers to in ``index``."""
         if ref in _SLOTS:
             if ref not in index["slots"]:
                 raise KeyError(f"slot {ref!r} is empty")
@@ -355,7 +354,10 @@ class ModelRegistry:
     def load_file(path: str | pathlib.Path) -> ScoringModel:
         """Restore a :class:`ScoringModel` from one bare artifact file.
 
-        Pre-registry artifacts load unchanged.
+        Pre-registry artifacts of the current format load unchanged.
+
+        Raises:
+            ValueError: On another format version or a malformed model.
         """
         payload = json.loads(pathlib.Path(path).read_text())
         return scoring_model_from_payload(payload)

@@ -2,11 +2,11 @@
 
 The multi-worker front-end (:mod:`repro.serve.frontend`) runs N scoring
 processes against the *same* model.  Shipping the JSON artifact to every
-worker would deserialise the FlatTree arrays N times; instead the parent
-flattens the model's numeric state — every tree's struct-of-arrays
-prediction form, the binner's bin edges, the per-tree feature subsets and
-the LR-head weights — into one :class:`~repro.parallel.shared.SharedArrayPack`
-and ships only the tiny :class:`~repro.parallel.shared.PackSpec`.  Workers
+worker would decode the model N times; instead the parent copies the
+model's numeric state — the GBDT's forest arrays and bin edges (the arrays
+the artifact codec stores) and the LR-head weights — into one
+:class:`~repro.parallel.shared.SharedArrayPack` and ships only the tiny
+:class:`~repro.parallel.shared.PackSpec`.  Workers
 attach read-only views and rebuild a :class:`~repro.persist.artifacts.ScoringModel`
 whose ``predict_proba`` is **bit-identical** to the original: the arrays
 are copied verbatim into the block once and never transformed.
@@ -23,18 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gbdt.binning import QuantileBinner
-from repro.gbdt.boosting import GBDTClassifier, GBDTParams
 from repro.gbdt.leaf_encoder import LeafIndexEncoder
-from repro.gbdt.tree import DecisionTree, FlatTree, TreeParams
 from repro.models.logistic import LogisticModel
-from repro.parallel.shared import (
-    PackSpec,
-    SharedArrayPack,
-    ragged_from_arrays,
-    ragged_to_arrays,
-)
+from repro.parallel.shared import PackSpec, SharedArrayPack
 from repro.persist.artifacts import ScoringModel
+from repro.persist.codec import gbdt_from_arrays, gbdt_to_arrays
 
 __all__ = [
     "scoring_model_to_arrays",
@@ -46,11 +39,7 @@ __all__ = [
 ]
 
 #: Version of the shared-memory model layout (stored in the pack meta).
-SHM_MODEL_FORMAT = 1
-
-#: FlatTree fields packed per tree, in layout order.
-_TREE_FIELDS = ("feature", "threshold", "left", "right", "leaf_index",
-                "value")
+SHM_MODEL_FORMAT = 2
 
 
 def scoring_model_to_arrays(
@@ -62,51 +51,18 @@ def scoring_model_to_arrays(
         model: A restored (or freshly trained) GBDT+LR scorer.
 
     Returns:
-        ``(arrays, meta)`` where ``arrays`` maps pack keys to the model's
-        numeric state and ``meta`` is the small JSON-like table
-        :func:`scoring_model_from_arrays` needs to reassemble it.
+        ``(arrays, meta)``: the GBDT's arrays (the ones the artifact
+        codec stores) plus ``theta``, and the small JSON-like table
+        :func:`scoring_model_from_arrays` needs to reassemble them.
     """
-    gbdt = model.encoder.model
-    if not gbdt.is_fitted:
-        raise ValueError("cannot publish an unfitted model")
-    arrays: dict[str, np.ndarray] = {"theta": np.asarray(model.theta)}
-    trees_meta = []
-    for t, tree in enumerate(gbdt.trees_):
-        flat = tree.flat
-        for field in _TREE_FIELDS:
-            arrays[f"tree/{t}/{field}"] = getattr(flat, field)
-        trees_meta.append({"depth": int(flat.depth),
-                           "n_leaves": int(tree.n_leaves)})
-    arrays.update(ragged_to_arrays(gbdt.binner.bin_edges_, "binner",
-                                   np.float64))
-    arrays.update(ragged_to_arrays(gbdt.tree_feature_subsets_, "subsets",
-                                   np.int64))
-    params = gbdt.params
+    arrays, gbdt_meta = gbdt_to_arrays(model.encoder.model)
+    arrays["theta"] = np.asarray(model.theta)
     meta = {
         "shm_model_format": SHM_MODEL_FORMAT,
         "trainer_name": model.trainer_name,
         "metadata": dict(model.metadata),
         "l2": float(model.model.l2),
-        "base_score": float(gbdt.base_score_),
-        "trees": trees_meta,
-        "gbdt_params": {
-            "n_trees": params.n_trees,
-            "learning_rate": params.learning_rate,
-            "max_bins": params.max_bins,
-            "subsample": params.subsample,
-            "colsample": params.colsample,
-            "early_stopping_rounds": params.early_stopping_rounds,
-            "seed": params.seed,
-            "dtype": params.dtype,
-        },
-        "tree_params": {
-            "max_leaves": params.tree.max_leaves,
-            "max_depth": params.tree.max_depth,
-            "min_child_samples": params.tree.min_child_samples,
-            "min_child_hessian": params.tree.min_child_hessian,
-            "reg_lambda": params.tree.reg_lambda,
-            "min_split_gain": params.tree.min_split_gain,
-        },
+        "gbdt": gbdt_meta,
     }
     return arrays, meta
 
@@ -116,7 +72,7 @@ def scoring_model_from_arrays(
 ) -> ScoringModel:
     """Rebuild a bit-identical :class:`ScoringModel` from pack views.
 
-    The heavy state (tree arrays, bin edges, theta) stays zero-copy:
+    The heavy state (forest arrays, bin edges, theta) stays zero-copy:
     every array the returned model scores with is a view into the shared
     block, so N attached workers share one physical copy.
 
@@ -130,26 +86,9 @@ def scoring_model_from_arrays(
             f"unsupported shared-model format "
             f"{meta.get('shm_model_format')!r}"
         )
-    gbdt = GBDTClassifier(
-        GBDTParams(tree=TreeParams(**meta["tree_params"]),
-                   **meta["gbdt_params"])
-    )
-    gbdt.binner = QuantileBinner(max_bins=meta["gbdt_params"]["max_bins"])
-    gbdt.binner.bin_edges_ = ragged_from_arrays(arrays, "binner")
-    gbdt.base_score_ = meta["base_score"]
-    gbdt.tree_feature_subsets_ = ragged_from_arrays(arrays, "subsets")
-    tree_params = TreeParams(**meta["tree_params"])
-    for t, tree_meta in enumerate(meta["trees"]):
-        tree = DecisionTree(tree_params)
-        tree._flat = FlatTree(
-            **{field: arrays[f"tree/{t}/{field}"] for field in _TREE_FIELDS},
-            depth=tree_meta["depth"],
-        )
-        tree._n_leaves = tree_meta["n_leaves"]
-        gbdt.trees_.append(tree)
     theta = arrays["theta"]
     return ScoringModel(
-        encoder=LeafIndexEncoder(gbdt),
+        encoder=LeafIndexEncoder(gbdt_from_arrays(arrays, meta["gbdt"])),
         model=LogisticModel(theta.size, l2=meta["l2"]),
         theta=theta,
         trainer_name=meta["trainer_name"],

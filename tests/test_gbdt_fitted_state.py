@@ -1,7 +1,7 @@
 """What a fitted GBDT keeps: prediction structure and recorded split gains.
 
 Histograms and row indices are growth-time state.  A fitted tree drops
-them, so a fitted model's memory is its flattened trees, its node list
+them, so a fitted model's memory is its forest arrays, its node list
 and its binner — not ``n_nodes × n_features × max_bins`` histogram
 cells.  Feature importance is read from the split gains recorded during
 growth; the goldens below pin it bit for bit to the values the older
@@ -31,13 +31,12 @@ def _problem(seed: int, n: int, d: int):
 
 
 def _flat_nbytes(model: GBDTClassifier) -> int:
-    """Bytes of every tree's FlatTree arrays."""
+    """Bytes of the model's forest arrays."""
     total = 0
-    for tree in model.trees_:
-        for f in dataclasses.fields(tree.flat):
-            value = getattr(tree.flat, f.name)
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
+    for f in dataclasses.fields(model.forest_):
+        value = getattr(model.forest_, f.name)
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
     return total
 
 
@@ -58,8 +57,10 @@ class TestFittedModelHoldsNoGrowthState:
 
     def test_retained_bytes_bounded_by_flat_trees(self, dtype):
         """Traced bytes the fitted model holds stay a small multiple of
-        its FlatTree arrays (~17x measured: per-node Python objects and
-        the binner's edges).  Kept histograms made it ~800-1100x."""
+        its forest arrays (~23x measured: per-node Python objects, the
+        per-tree forests and the binner's edges; ~17x of the twice-larger
+        per-tree arrays that preceded the forest).  Kept histograms made
+        it ~800-1100x."""
         x, y = _problem(5, 3_000, 20)
         gc.collect()
         tracemalloc.start()

@@ -81,13 +81,13 @@ class TestDtypePlumbing:
         train, _ = problem
         model = _fit(train, "float32")
         for tree in model.trees_:
-            assert tree.flat.value.dtype == np.float32
+            assert tree.forest.value.dtype == np.float32
 
     def test_float64_leaf_values_by_default(self, problem):
         train, _ = problem
         model = _fit(train, "float64")
         for tree in model.trees_:
-            assert tree.flat.value.dtype == np.float64
+            assert tree.forest.value.dtype == np.float64
 
     def test_predictions_are_finite_and_probabilistic(self, problem):
         train, test = problem

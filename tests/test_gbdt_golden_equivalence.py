@@ -324,17 +324,6 @@ class TestPersistedFlatTrees:
         np.testing.assert_array_equal(model.predict_leaves(x),
                                       restored.predict_leaves(x))
 
-    def test_payload_without_flat_rebuilds_lazily(self):
-        _, _, _, x, y = _problem(8, 1_200, 5, 16)
-        params = GBDTParams(n_trees=3, max_bins=16, seed=8)
-        model = GBDTClassifier(params).fit(x, y)
-        payload = gbdt_to_dict(model)
-        for tree_payload in payload["trees"]:
-            tree_payload.pop("flat", None)
-        restored = gbdt_from_dict(payload)
-        np.testing.assert_array_equal(model.predict_proba(x),
-                                      restored.predict_proba(x))
-
 
 class TestSplitSearchGolden:
     """Vectorised ``_best_split`` vs the seed per-feature scan.

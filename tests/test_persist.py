@@ -9,7 +9,6 @@ from repro.baselines.erm import ERMTrainer
 from repro.baselines.finetune import FineTuneConfig, FineTuneTrainer
 from repro.gbdt.binning import QuantileBinner
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
-from repro.gbdt.tree import DecisionTree
 from repro.persist import (
     binner_from_dict,
     binner_to_dict,
@@ -17,9 +16,8 @@ from repro.persist import (
     gbdt_to_dict,
     pipeline_to_payload,
     scoring_model_from_payload,
-    tree_from_dict,
-    tree_to_dict,
 )
+from repro.persist.codec import decode_array, encode_array
 from repro.pipeline.pipeline import LoanDefaultPipeline
 from repro.serve.registry import ModelRegistry
 from repro.train.base import BaseTrainConfig
@@ -60,34 +58,6 @@ class TestBinnerRoundTrip:
         payload["version"] = 99
         with pytest.raises(ValueError, match="version"):
             binner_from_dict(payload)
-
-
-class TestTreeRoundTrip:
-    def test_identical_leaves_and_values(self, fitted_gbdt):
-        model, x = fitted_gbdt
-        binned = model.binner.transform(x)
-        tree = model.trees_[0]
-        cols = model.tree_feature_subsets_[0]
-        restored = tree_from_dict(tree_to_dict(tree))
-        np.testing.assert_array_equal(
-            tree.predict_leaf(binned[:, cols]),
-            restored.predict_leaf(binned[:, cols]),
-        )
-        np.testing.assert_array_equal(
-            tree.predict_value(binned[:, cols]),
-            restored.predict_value(binned[:, cols]),
-        )
-        assert restored.n_leaves == tree.n_leaves
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(ValueError):
-            tree_to_dict(DecisionTree())
-
-    def test_restored_tree_has_no_importance(self, fitted_gbdt):
-        model, _ = fitted_gbdt
-        restored = tree_from_dict(tree_to_dict(model.trees_[0]))
-        with pytest.raises(RuntimeError, match="histograms"):
-            restored.feature_importance(6)
 
 
 class TestGBDTRoundTrip:
@@ -171,3 +141,79 @@ class TestPayloadCodecs:
             model.predict_proba(small_split.test.features),
             fitted_pipeline.predict_proba(small_split.test),
         )
+
+
+class TestUntrustedArtifacts:
+    """A model file may hold anything; a bad one raises ``ValueError``."""
+
+    @staticmethod
+    def _tampered(model, key, edit):
+        """The model's payload with one decoded array replaced."""
+        payload = json.loads(json.dumps(gbdt_to_dict(model)))
+        array = decode_array(payload["arrays"][key]).copy()
+        payload["arrays"][key] = encode_array(edit(array))
+        return payload
+
+    @staticmethod
+    def _internal_node(model) -> int:
+        return int(np.flatnonzero(model.forest_.leaf < 0)[0])
+
+    def test_version_1_payload_asks_for_a_resave(self, fitted_pipeline):
+        payload = pipeline_to_payload(fitted_pipeline)
+        payload["version"] = 1
+        with pytest.raises(ValueError, match="re-save"):
+            scoring_model_from_payload(payload)
+
+    def test_unknown_dtype(self, fitted_gbdt):
+        model, _ = fitted_gbdt
+        payload = gbdt_to_dict(model)
+        payload["arrays"]["forest/value"]["dtype"] = "<c16"
+        with pytest.raises(ValueError, match="dtype"):
+            gbdt_from_dict(payload)
+
+    def test_mismatched_lengths(self, fitted_gbdt):
+        model, _ = fitted_gbdt
+        payload = self._tampered(model, "forest/leaf", lambda a: a[:-1])
+        with pytest.raises(ValueError, match="leaf ids"):
+            gbdt_from_dict(payload)
+
+    def test_out_of_range_child_id(self, fitted_gbdt):
+        model, _ = fitted_gbdt
+        node = self._internal_node(model)
+
+        def edit(nodes):
+            nodes[node] = (nodes[node] & 0xFFFFFFFF) | (10**6 << 32)
+            return nodes
+
+        with pytest.raises(ValueError, match="child id"):
+            gbdt_from_dict(self._tampered(model, "forest/nodes", edit))
+
+    def test_out_of_range_leaf_id(self, fitted_gbdt):
+        model, _ = fitted_gbdt
+        leaf_node = int(np.flatnonzero(model.forest_.leaf >= 0)[0])
+
+        def edit(leaf):
+            leaf[leaf_node] = 99
+            return leaf
+
+        with pytest.raises(ValueError, match="leaf id"):
+            gbdt_from_dict(self._tampered(model, "forest/leaf", edit))
+
+    def test_out_of_range_column_id(self, fitted_gbdt):
+        model, _ = fitted_gbdt
+        node = self._internal_node(model)
+        n_columns = len(model.binner.bin_edges_)
+
+        def edit(nodes):
+            nodes[node] = (nodes[node] & ~(0xFFFFFF << 8)) | (n_columns << 8)
+            return nodes
+
+        with pytest.raises(ValueError, match="column id"):
+            gbdt_from_dict(self._tampered(model, "forest/nodes", edit))
+
+    def test_leaf_values_must_match_the_params_dtype(self, fitted_gbdt):
+        model, _ = fitted_gbdt
+        payload = self._tampered(model, "forest/value",
+                                 lambda v: v.astype(np.float32))
+        with pytest.raises(ValueError, match="parameters say float64"):
+            gbdt_from_dict(payload)
