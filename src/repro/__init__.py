@@ -19,65 +19,29 @@ Quickstart::
     print(pipeline.evaluate(split.test).summary())
 """
 
-from repro.baselines import (
-    ERMTrainer,
-    FineTuneTrainer,
-    GroupDROTrainer,
-    UpSamplingTrainer,
-    VRExTrainer,
-)
-from repro.core import (
-    LightMIRMConfig,
-    LightMIRMTrainer,
-    MetaIRMConfig,
-    MetaIRMTrainer,
-    MetaLossReplayQueue,
-)
-from repro.data import (
-    GeneratorConfig,
-    LoanDataGenerator,
-    LoanDataset,
-    generate_default_dataset,
-    iid_split,
-    temporal_split,
-)
-from repro.gbdt import GBDTClassifier, GBDTParams, LeafIndexEncoder
-from repro.metrics import FairnessReport, auc_score, evaluate_environments, ks_score
-from repro.models import LogisticModel
-from repro.pipeline import LoanDefaultPipeline
-from repro.train import BaseTrainConfig, Trainer, TrainResult, make_trainer
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ERMTrainer",
-    "FineTuneTrainer",
-    "GroupDROTrainer",
-    "UpSamplingTrainer",
-    "VRExTrainer",
-    "LightMIRMConfig",
-    "LightMIRMTrainer",
-    "MetaIRMConfig",
-    "MetaIRMTrainer",
-    "MetaLossReplayQueue",
-    "GeneratorConfig",
-    "LoanDataGenerator",
-    "LoanDataset",
-    "generate_default_dataset",
-    "iid_split",
-    "temporal_split",
-    "GBDTClassifier",
-    "GBDTParams",
-    "LeafIndexEncoder",
-    "FairnessReport",
-    "auc_score",
-    "evaluate_environments",
-    "ks_score",
-    "LogisticModel",
-    "LoanDefaultPipeline",
-    "BaseTrainConfig",
-    "Trainer",
-    "TrainResult",
-    "make_trainer",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "baselines": (
+        "ERMTrainer", "FineTuneTrainer", "GroupDROTrainer",
+        "UpSamplingTrainer", "VRExTrainer",
+    ),
+    "core": (
+        "LightMIRMConfig", "LightMIRMTrainer", "MetaIRMConfig",
+        "MetaIRMTrainer", "MetaLossReplayQueue",
+    ),
+    "data": (
+        "GeneratorConfig", "LoanDataGenerator", "LoanDataset",
+        "generate_default_dataset", "iid_split", "temporal_split",
+    ),
+    "gbdt": ("GBDTClassifier", "GBDTParams", "LeafIndexEncoder"),
+    "metrics": (
+        "FairnessReport", "auc_score", "evaluate_environments", "ks_score",
+    ),
+    "models": ("LogisticModel",),
+    "pipeline": ("LoanDefaultPipeline",),
+    "train": ("BaseTrainConfig", "Trainer", "TrainResult", "make_trainer"),
+})
+__all__ += ["__version__"]

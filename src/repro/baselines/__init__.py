@@ -1,27 +1,12 @@
 """Baseline trainers from the paper's comparison (Section IV-A1)."""
 
-from repro.baselines.erm import ERMTrainer
-from repro.baselines.finetune import (
-    FineTuneConfig,
-    FineTunedTrainResult,
-    FineTuneTrainer,
-)
-from repro.baselines.group_dro import GroupDROConfig, GroupDROTrainer
-from repro.baselines.irmv1 import IRMv1Config, IRMv1Trainer
-from repro.baselines.upsampling import UpSamplingConfig, UpSamplingTrainer
-from repro.baselines.vrex import VRExConfig, VRExTrainer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ERMTrainer",
-    "FineTuneConfig",
-    "FineTunedTrainResult",
-    "FineTuneTrainer",
-    "GroupDROConfig",
-    "GroupDROTrainer",
-    "IRMv1Config",
-    "IRMv1Trainer",
-    "UpSamplingConfig",
-    "UpSamplingTrainer",
-    "VRExConfig",
-    "VRExTrainer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "erm": ("ERMTrainer",),
+    "finetune": ("FineTuneConfig", "FineTunedTrainResult", "FineTuneTrainer"),
+    "group_dro": ("GroupDROConfig", "GroupDROTrainer"),
+    "irmv1": ("IRMv1Config", "IRMv1Trainer"),
+    "upsampling": ("UpSamplingConfig", "UpSamplingTrainer"),
+    "vrex": ("VRExConfig", "VRExTrainer"),
+})

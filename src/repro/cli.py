@@ -500,10 +500,10 @@ def _finish_bench(schema, path: str, results: dict, config,
 def _cmd_bench(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.perfbench import GBDT_PAYLOAD, BenchConfig, run_suite
+    from repro.perfbench.suites import GBDT_PAYLOAD, BenchConfig, run_suite
 
     if args.jobs:
-        from repro.perfbench import (
+        from repro.perfbench.parallel import (
             PARALLEL_PAYLOAD, ParallelBenchConfig, run_parallel_suite,
         )
 
@@ -630,9 +630,9 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     monitors: dict = {}
     tracer = NULL_TRACER
     if live:
-        from repro.obs.live import (
-            CalibrationMonitor, HealthMonitor, ScoreDriftMonitor, SLOConfig,
-            SLOTracker,
+        from repro.obs.live.health import HealthMonitor
+        from repro.obs.live.monitors import (
+            CalibrationMonitor, ScoreDriftMonitor, SLOConfig, SLOTracker,
         )
 
         # Baseline the score monitors on the champion's own training
@@ -671,7 +671,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     exporter = writer = None
     try:
         if args.metrics_port is not None:
-            from repro.obs.live import MetricsExporter
+            from repro.obs.live.export import MetricsExporter
 
             exporter = MetricsExporter(frontend.live_snapshot,
                                        port=args.metrics_port)
@@ -679,7 +679,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
             print(f"metrics         http://127.0.0.1:{port}/metrics "
                   f"(JSON at /snapshot)")
         if args.metrics_snapshot is not None:
-            from repro.obs.live import SnapshotFileWriter
+            from repro.obs.live.export import SnapshotFileWriter
 
             writer = SnapshotFileWriter(frontend.live_snapshot,
                                         args.metrics_snapshot,
@@ -730,7 +730,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.perfbench import (
+    from repro.perfbench.serving import (
         SERVING_PAYLOAD, ServingBenchConfig, run_serving_suite,
     )
 
@@ -756,7 +756,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 def _cmd_scale_bench(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.perfbench import (
+    from repro.perfbench.scale import (
         SCALE_PAYLOAD, ScaleBenchConfig, dtype_tolerance_check,
         run_scale_suite,
     )
@@ -784,10 +784,11 @@ def _cmd_scale_bench(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.verify import (
-        SEMConfig, VerifyConfig, run_verification, summarize_verification,
+    from repro.verify.scorecard import (
+        VerifyConfig, run_verification, summarize_verification,
         write_verify_json,
     )
+    from repro.verify.sem import SEMConfig
 
     config = (VerifyConfig.smoke(seed=args.seed) if args.smoke
               else VerifyConfig(sem=SEMConfig(seed=args.seed)))
@@ -818,16 +819,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.train.registry import resolve_trainer_name
-    from repro.tune import (
-        ASHAConfig,
-        HPSpace,
-        build_leaderboard,
-        default_extractor_space,
-        default_space,
-        load_trial_records,
-        run_asha,
-        run_joint_asha,
-        write_leaderboard,
+    from repro.tune.asha import ASHAConfig, run_asha, run_joint_asha
+    from repro.tune.buffer import load_trial_records
+    from repro.tune.leaderboard import build_leaderboard, write_leaderboard
+    from repro.tune.space import (
+        HPSpace, default_extractor_space, default_space,
     )
 
     if args.smoke:
@@ -965,7 +961,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune_bench(args: argparse.Namespace) -> int:
-    from repro.perfbench import (
+    from repro.perfbench.tune import (
         TUNE_PAYLOAD, TuneBenchConfig, run_tune_benchmark,
     )
 
@@ -979,10 +975,12 @@ def _cmd_tune_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import format_diff, format_report, format_summary, load_run
+    from repro.obs.report import (
+        format_diff, format_report, format_summary, load_run,
+    )
 
     if args.action == "top":
-        from repro.obs.live import run_top
+        from repro.obs.live.top import run_top
 
         if args.paths or (args.url is None) == (args.file is None):
             print("obs top takes no run logs; give exactly one of "

@@ -1,22 +1,13 @@
 """The paper's contribution: meta-IRM and LightMIRM trainers."""
 
-from repro.core.config import LightMIRMConfig, MetaIRMConfig
-from repro.core.lightmirm import LightMIRMTrainer
-from repro.core.meta_grad import (
-    backprop_through_inner_step,
-    sigma_and_weights,
-    sigma_of,
-)
-from repro.core.meta_irm import MetaIRMTrainer
-from repro.core.mrq import MetaLossReplayQueue
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LightMIRMConfig",
-    "MetaIRMConfig",
-    "LightMIRMTrainer",
-    "MetaIRMTrainer",
-    "MetaLossReplayQueue",
-    "backprop_through_inner_step",
-    "sigma_and_weights",
-    "sigma_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("LightMIRMConfig", "MetaIRMConfig"),
+    "lightmirm": ("LightMIRMTrainer",),
+    "meta_irm": ("MetaIRMTrainer",),
+    "mrq": ("MetaLossReplayQueue",),
+    "meta_grad": (
+        "backprop_through_inner_step", "sigma_and_weights", "sigma_of",
+    ),
+})

@@ -1,51 +1,21 @@
 """Synthetic auto-loan platform data: schema, provinces, drift, generation."""
 
-from repro.data.dataset import EnvironmentData, LoanDataset, group_by_environment
-from repro.data.generator import (
-    GeneratorConfig,
-    LoanDataGenerator,
-    generate_default_dataset,
-)
-from repro.data.provinces import (
-    ProvinceProfile,
-    ProvinceRegistry,
-    default_registry,
-    extended_registry,
-)
-from repro.data.schema import (
-    VEHICLE_TYPES,
-    CausalRole,
-    FeatureBlock,
-    FeatureSpec,
-    LoanFeatureSchema,
-    build_schema,
-)
-from repro.data.splits import (
-    TrainTestSplit,
-    iid_split,
-    temporal_split,
-    validation_split,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnvironmentData",
-    "LoanDataset",
-    "group_by_environment",
-    "GeneratorConfig",
-    "LoanDataGenerator",
-    "generate_default_dataset",
-    "ProvinceProfile",
-    "ProvinceRegistry",
-    "default_registry",
-    "extended_registry",
-    "VEHICLE_TYPES",
-    "CausalRole",
-    "FeatureBlock",
-    "FeatureSpec",
-    "LoanFeatureSchema",
-    "build_schema",
-    "TrainTestSplit",
-    "iid_split",
-    "temporal_split",
-    "validation_split",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "dataset": ("EnvironmentData", "LoanDataset", "group_by_environment"),
+    "generator": (
+        "GeneratorConfig", "LoanDataGenerator", "generate_default_dataset",
+    ),
+    "provinces": (
+        "ProvinceProfile", "ProvinceRegistry", "default_registry",
+        "extended_registry",
+    ),
+    "schema": (
+        "VEHICLE_TYPES", "CausalRole", "FeatureBlock", "FeatureSpec",
+        "LoanFeatureSchema", "build_schema",
+    ),
+    "splits": (
+        "TrainTestSplit", "iid_split", "temporal_split", "validation_split",
+    ),
+})

@@ -1,24 +1,13 @@
 """Evaluation: tracking callbacks, online replay, report rendering."""
 
-from repro.eval.online import OnlineReplayResult, replay_online_test
-from repro.eval.policy import (
-    OperatingPoint,
-    threshold_for_bad_debt,
-    threshold_for_fpr_cap,
-    threshold_for_refusal_budget,
-)
-from repro.eval.reports import format_series, format_table, highlight_best
-from repro.eval.tracking import KSTrackingCallback
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OnlineReplayResult",
-    "replay_online_test",
-    "OperatingPoint",
-    "threshold_for_bad_debt",
-    "threshold_for_fpr_cap",
-    "threshold_for_refusal_budget",
-    "format_series",
-    "format_table",
-    "highlight_best",
-    "KSTrackingCallback",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "online": ("OnlineReplayResult", "replay_online_test"),
+    "policy": (
+        "OperatingPoint", "threshold_for_bad_debt", "threshold_for_fpr_cap",
+        "threshold_for_refusal_budget",
+    ),
+    "reports": ("format_series", "format_table", "highlight_best"),
+    "tracking": ("KSTrackingCallback",),
+})

@@ -21,10 +21,8 @@ Table VI    :mod:`repro.experiments.table6_iid`
 ==========  =====================================================
 """
 
-from repro.experiments.runner import (
-    ExperimentContext,
-    ExperimentSettings,
-    MethodScores,
-)
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentContext", "ExperimentSettings", "MethodScores"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "runner": ("ExperimentContext", "ExperimentSettings", "MethodScores"),
+})

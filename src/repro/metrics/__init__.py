@@ -1,68 +1,25 @@
 """Evaluation metrics: AUC, KS, per-environment fairness, operating curves."""
 
-from repro.metrics.auc import auc_score, roc_curve
-from repro.metrics.calibration import (
-    ConfusionCounts,
-    bad_debt_rate,
-    confusion_at_threshold,
-    false_positive_rate,
-    refusal_rate,
-    threshold_sweep,
-)
-from repro.metrics.fairness import (
-    EnvironmentScores,
-    FairnessReport,
-    evaluate_environments,
-    scorable_environments,
-)
-from repro.metrics.invariance import (
-    coefficient_recovery,
-    cosine_similarity,
-    weight_mass,
-)
-from repro.metrics.ks import ks_curve, ks_score, two_sample_ks
-from repro.metrics.uncertainty import (
-    BootstrapInterval,
-    bootstrap_auc,
-    bootstrap_ks,
-    bootstrap_metric,
-    paired_bootstrap_difference,
-)
-from repro.metrics.probability import (
-    ReliabilityBin,
-    brier_score,
-    calibration_gap_by_environment,
-    expected_calibration_error,
-    reliability_bins,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BootstrapInterval",
-    "bootstrap_auc",
-    "bootstrap_ks",
-    "bootstrap_metric",
-    "paired_bootstrap_difference",
-    "ReliabilityBin",
-    "brier_score",
-    "calibration_gap_by_environment",
-    "expected_calibration_error",
-    "reliability_bins",
-    "auc_score",
-    "roc_curve",
-    "ks_score",
-    "ks_curve",
-    "two_sample_ks",
-    "coefficient_recovery",
-    "cosine_similarity",
-    "weight_mass",
-    "EnvironmentScores",
-    "FairnessReport",
-    "evaluate_environments",
-    "scorable_environments",
-    "ConfusionCounts",
-    "confusion_at_threshold",
-    "false_positive_rate",
-    "bad_debt_rate",
-    "refusal_rate",
-    "threshold_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "uncertainty": (
+        "BootstrapInterval", "bootstrap_auc", "bootstrap_ks",
+        "bootstrap_metric", "paired_bootstrap_difference",
+    ),
+    "probability": (
+        "ReliabilityBin", "brier_score", "calibration_gap_by_environment",
+        "expected_calibration_error", "reliability_bins",
+    ),
+    "auc": ("auc_score", "roc_curve"),
+    "ks": ("ks_score", "ks_curve", "two_sample_ks"),
+    "invariance": ("coefficient_recovery", "cosine_similarity", "weight_mass"),
+    "fairness": (
+        "EnvironmentScores", "FairnessReport", "evaluate_environments",
+        "scorable_environments",
+    ),
+    "calibration": (
+        "ConfusionCounts", "confusion_at_threshold", "false_positive_rate",
+        "bad_debt_rate", "refusal_rate", "threshold_sweep",
+    ),
+})

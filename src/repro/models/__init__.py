@@ -1,5 +1,7 @@
 """Prediction models: the logistic-regression head of GBDT+LR."""
 
-from repro.models.logistic import LogisticModel, binary_cross_entropy, sigmoid
+from repro._lazy import lazy_exports
 
-__all__ = ["LogisticModel", "binary_cross_entropy", "sigmoid"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "logistic": ("LogisticModel", "binary_cross_entropy", "sigmoid"),
+})

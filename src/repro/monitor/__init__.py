@@ -1,21 +1,11 @@
 """Drift monitoring: PSI-based stability reports and streaming accumulation."""
 
-from repro.monitor.drift import (
-    ConceptDrift,
-    DriftReport,
-    FeatureDrift,
-    concept_drift_report,
-    drift_report,
-    population_stability_index,
-)
-from repro.monitor.streaming import StreamingPSI
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConceptDrift",
-    "DriftReport",
-    "FeatureDrift",
-    "StreamingPSI",
-    "concept_drift_report",
-    "drift_report",
-    "population_stability_index",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "drift": (
+        "ConceptDrift", "DriftReport", "FeatureDrift", "concept_drift_report",
+        "drift_report", "population_stability_index",
+    ),
+    "streaming": ("StreamingPSI",),
+})

@@ -21,57 +21,20 @@ Table III timings and convergence curves without re-running training —
 and ``repro obs top`` renders the live plane while serving.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import KernelProfiler, profiled
-from repro.obs.report import (
-    format_diff,
-    format_report,
-    format_summary,
-    health_lines,
-    load_run,
-    timing_tables,
-)
-from repro.obs.runlog import (
-    ALERT_EVENT,
-    HEALTH_TRANSITION_EVENT,
-    LIFECYCLE_SPAN,
-    LIFECYCLE_STAGE_EVENT,
-    SCHEMA_VERSION,
-    RunLog,
-    RunLogReader,
-    RunLogWriter,
-    SchemaError,
-    dataset_fingerprint,
-    run_manifest_fields,
-    validate_record,
-)
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "KernelProfiler",
-    "profiled",
-    "format_diff",
-    "format_report",
-    "format_summary",
-    "health_lines",
-    "load_run",
-    "timing_tables",
-    "ALERT_EVENT",
-    "HEALTH_TRANSITION_EVENT",
-    "LIFECYCLE_SPAN",
-    "LIFECYCLE_STAGE_EVENT",
-    "SCHEMA_VERSION",
-    "RunLog",
-    "RunLogReader",
-    "RunLogWriter",
-    "SchemaError",
-    "dataset_fingerprint",
-    "run_manifest_fields",
-    "validate_record",
-    "NULL_TRACER",
-    "Tracer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "profile": ("KernelProfiler", "profiled"),
+    "report": (
+        "format_diff", "format_report", "format_summary", "health_lines",
+        "load_run", "timing_tables",
+    ),
+    "runlog": (
+        "ALERT_EVENT", "HEALTH_TRANSITION_EVENT", "LIFECYCLE_SPAN",
+        "LIFECYCLE_STAGE_EVENT", "SCHEMA_VERSION", "RunLog", "RunLogReader",
+        "RunLogWriter", "SchemaError", "dataset_fingerprint",
+        "run_manifest_fields", "validate_record",
+    ),
+    "tracer": ("NULL_TRACER", "Tracer"),
+})

@@ -16,56 +16,17 @@ wiring.  ``docs/observability.md`` documents the slab layout, snapshot
 shapes and alert schema.
 """
 
-from repro.obs.live.export import (
-    MetricsExporter,
-    SnapshotFileWriter,
-    render_prometheus,
-)
-from repro.obs.live.health import (
-    DEFAULT_SERVING_RULES,
-    HealthMonitor,
-    HealthRule,
-)
-from repro.obs.live.monitors import (
-    CalibrationMonitor,
-    SLOConfig,
-    SLOTracker,
-    ScoreDriftMonitor,
-)
-from repro.obs.live.slab import (
-    SERVING_SLAB_LAYOUT,
-    MetricsAggregator,
-    MetricsSlab,
-    SlabLayout,
-    SlabWriter,
-    telemetry_to_row,
-)
-from repro.obs.live.top import (
-    fetch_snapshot,
-    read_snapshot_file,
-    render_top,
-    run_top,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SlabLayout",
-    "MetricsSlab",
-    "SlabWriter",
-    "MetricsAggregator",
-    "SERVING_SLAB_LAYOUT",
-    "telemetry_to_row",
-    "ScoreDriftMonitor",
-    "CalibrationMonitor",
-    "SLOTracker",
-    "SLOConfig",
-    "HealthRule",
-    "HealthMonitor",
-    "DEFAULT_SERVING_RULES",
-    "MetricsExporter",
-    "SnapshotFileWriter",
-    "render_prometheus",
-    "render_top",
-    "fetch_snapshot",
-    "read_snapshot_file",
-    "run_top",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "slab": (
+        "SlabLayout", "MetricsSlab", "SlabWriter", "MetricsAggregator",
+        "SERVING_SLAB_LAYOUT", "telemetry_to_row",
+    ),
+    "monitors": (
+        "ScoreDriftMonitor", "CalibrationMonitor", "SLOTracker", "SLOConfig",
+    ),
+    "health": ("HealthRule", "HealthMonitor", "DEFAULT_SERVING_RULES"),
+    "export": ("MetricsExporter", "SnapshotFileWriter", "render_prometheus"),
+    "top": ("render_top", "fetch_snapshot", "read_snapshot_file", "run_top"),
+})

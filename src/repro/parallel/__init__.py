@@ -14,32 +14,16 @@ imported on demand by the experiment runner, not re-exported here — it
 pulls in the training stack, which this package must not depend on.
 """
 
-from repro.parallel.engine import (
-    ParallelEngine,
-    WorkerTaskError,
-    default_start_method,
-    spawn_task_seeds,
-)
-from repro.parallel.shared import (
-    ArrayEntry,
-    PackSpec,
-    SharedArrayPack,
-    environments_from_arrays,
-    environments_to_arrays,
-    ragged_from_arrays,
-    ragged_to_arrays,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ParallelEngine",
-    "WorkerTaskError",
-    "default_start_method",
-    "spawn_task_seeds",
-    "ArrayEntry",
-    "PackSpec",
-    "SharedArrayPack",
-    "environments_from_arrays",
-    "environments_to_arrays",
-    "ragged_from_arrays",
-    "ragged_to_arrays",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": (
+        "ParallelEngine", "WorkerTaskError", "default_start_method",
+        "spawn_task_seeds",
+    ),
+    "shared": (
+        "ArrayEntry", "PackSpec", "SharedArrayPack",
+        "environments_from_arrays", "environments_to_arrays",
+        "ragged_from_arrays", "ragged_to_arrays",
+    ),
+})

@@ -27,7 +27,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.data.dataset import EnvironmentData
-from repro.gbdt.leaf_encoder import LeafDesign
 
 __all__ = [
     "ArrayEntry",
@@ -435,6 +434,10 @@ def environments_to_arrays(
     matrix a single ``x`` array.  ``meta[prefix]`` records, per
     environment, its name and the design width (``None`` when dense).
     """
+    # Not a module-scope import: repro.gbdt.packing imports this module,
+    # and this package must not depend on the training stack at import.
+    from repro.gbdt.leaf_encoder import LeafDesign
+
     arrays: dict[str, np.ndarray] = {}
     described = []
     for i, env in enumerate(environments):
@@ -473,6 +476,8 @@ def environments_from_arrays(
     arrays: dict[str, np.ndarray], meta: dict, prefix: str
 ) -> list[EnvironmentData]:
     """Reassemble environments from attached views (zero-copy)."""
+    from repro.gbdt.leaf_encoder import LeafDesign
+
     environments = []
     for i, desc in enumerate(meta[prefix]):
         base = f"{prefix}/{i}"

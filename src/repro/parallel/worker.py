@@ -8,7 +8,9 @@ task pipe is a few hundred bytes (a trainer spec, a seed, a flag).
 Everything here is module-level and picklable by construction, so the
 same code runs under ``fork`` and ``spawn`` start methods — and inline
 in the parent when ``n_jobs=1``, where :func:`init_experiment_worker`
-simply populates the module state of the calling process.
+simply populates the module state of the calling process.  Each module a
+task runs is imported here at module scope, so a forked worker imports
+nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.data.dataset import EnvironmentData
+from repro.experiments.runner import evaluate_result_on
+from repro.gbdt.packing import fit_extractor_encode
 from repro.metrics.fairness import FairnessReport
 from repro.obs.tracer import Tracer
 from repro.parallel.shared import (
@@ -25,7 +29,9 @@ from repro.parallel.shared import (
     SharedArrayPack,
     environments_from_arrays,
 )
+from repro.pipeline.extractor import default_gbdt_params
 from repro.train.registry import TrainerSpec
+from repro.tune.search import split_environments
 
 __all__ = [
     "FitTask",
@@ -148,8 +154,6 @@ class FitOutcome:
 
 def run_fit_task(task: FitTask) -> FitOutcome:
     """Train one seeded head on the shared environments and evaluate it."""
-    from repro.experiments.runner import evaluate_result_on
-
     tracer = Tracer(enabled=task.traced)
     result = task.spec.build(task.seed).fit(
         worker_environments("train"), tracer=tracer
@@ -233,8 +237,6 @@ class TrialOutcome:
 def _fit_and_score(task: TrialTask, fit_envs, valid_envs,
                    encode_seconds: float = 0.0,
                    encode_cached: bool | None = None) -> TrialOutcome:
-    from repro.experiments.runner import evaluate_result_on
-
     started = time.perf_counter()
     result = task.spec.build(task.seed).fit(fit_envs)
     train_seconds = time.perf_counter() - started
@@ -296,10 +298,6 @@ def _encode_for_task(
     its arguments plus the shared raw environments, which is what makes
     the cached and uncached paths bit-identical.
     """
-    from repro.gbdt.packing import fit_extractor_encode
-    from repro.pipeline.extractor import default_gbdt_params
-    from repro.tune.search import split_environments
-
     params = default_gbdt_params().replace_flat(extractor_params)
     seed = 0 if split_seed is None else int(split_seed)
     _, encoded, encode_seconds = fit_extractor_encode(

@@ -33,57 +33,19 @@ Run via ``python -m repro bench`` (``--jobs`` for the parallel suite),
 when its payload fails validation.
 """
 
-from repro.perfbench.parallel import (
-    PARALLEL_PAYLOAD,
-    ParallelBenchConfig,
-    run_parallel_suite,
-)
-from repro.perfbench.payload import (
-    BenchPayload,
-    effective_cpu_count,
-    machine_info,
-)
-from repro.perfbench.rss import PeakMemoryProbe, read_peak_rss_bytes
-from repro.perfbench.scale import (
-    SCALE_PAYLOAD,
-    ScaleBenchConfig,
-    dtype_tolerance_check,
-    run_scale_point,
-    run_scale_suite,
-)
-from repro.perfbench.serving import (
-    SERVING_PAYLOAD,
-    ServingBenchConfig,
-    run_serving_suite,
-)
-from repro.perfbench.suites import GBDT_PAYLOAD, BenchConfig, run_suite
-from repro.perfbench.tune import (
-    TUNE_PAYLOAD,
-    TuneBenchConfig,
-    run_tune_benchmark,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GBDT_PAYLOAD",
-    "PARALLEL_PAYLOAD",
-    "SCALE_PAYLOAD",
-    "SERVING_PAYLOAD",
-    "TUNE_PAYLOAD",
-    "BenchConfig",
-    "BenchPayload",
-    "ParallelBenchConfig",
-    "PeakMemoryProbe",
-    "ScaleBenchConfig",
-    "ServingBenchConfig",
-    "TuneBenchConfig",
-    "dtype_tolerance_check",
-    "effective_cpu_count",
-    "machine_info",
-    "read_peak_rss_bytes",
-    "run_scale_point",
-    "run_scale_suite",
-    "run_suite",
-    "run_parallel_suite",
-    "run_serving_suite",
-    "run_tune_benchmark",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "suites": ("GBDT_PAYLOAD", "BenchConfig", "run_suite"),
+    "parallel": (
+        "PARALLEL_PAYLOAD", "ParallelBenchConfig", "run_parallel_suite",
+    ),
+    "scale": (
+        "SCALE_PAYLOAD", "ScaleBenchConfig", "dtype_tolerance_check",
+        "run_scale_point", "run_scale_suite",
+    ),
+    "serving": ("SERVING_PAYLOAD", "ServingBenchConfig", "run_serving_suite"),
+    "tune": ("TUNE_PAYLOAD", "TuneBenchConfig", "run_tune_benchmark"),
+    "payload": ("BenchPayload", "effective_cpu_count", "machine_info"),
+    "rss": ("PeakMemoryProbe", "read_peak_rss_bytes"),
+})

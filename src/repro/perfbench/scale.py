@@ -323,7 +323,8 @@ def dtype_tolerance_check(config: ScaleBenchConfig | None = None) -> dict:
     from repro.data.generator import GeneratorConfig, LoanDataGenerator
     from repro.data.splits import temporal_split
     from repro.gbdt.boosting import GBDTClassifier
-    from repro.metrics import auc_score, ks_score
+    from repro.metrics.auc import auc_score
+    from repro.metrics.ks import ks_score
     import dataclasses
 
     config = config or ScaleBenchConfig()

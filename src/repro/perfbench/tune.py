@@ -89,12 +89,9 @@ def run_tune_benchmark(config: TuneBenchConfig | None = None) -> dict:
         cache's hit/miss/encode accounting, the encode-work speedup and
         the ``bit_identical`` flag CI gates on.
     """
-    from repro.tune import (
-        ASHAConfig,
-        HPSpace,
-        default_extractor_space,
-        default_space,
-        run_joint_asha,
+    from repro.tune.asha import ASHAConfig, run_joint_asha
+    from repro.tune.space import (
+        HPSpace, default_extractor_space, default_space,
     )
 
     config = config or TuneBenchConfig()

@@ -5,28 +5,14 @@ The save/load surface for whole pipelines is
 bare artifact files); this package holds the payload codecs it uses.
 """
 
-from repro.persist.artifacts import (
-    ScoringModel,
-    pipeline_to_payload,
-    scoring_model_from_payload,
-)
-from repro.persist.codec import (
-    binner_from_dict,
-    binner_to_dict,
-    gbdt_from_dict,
-    gbdt_from_arrays,
-    gbdt_to_arrays,
-    gbdt_to_dict,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScoringModel",
-    "pipeline_to_payload",
-    "scoring_model_from_payload",
-    "binner_from_dict",
-    "binner_to_dict",
-    "gbdt_from_dict",
-    "gbdt_to_dict",
-    "gbdt_from_arrays",
-    "gbdt_to_arrays",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "artifacts": (
+        "ScoringModel", "pipeline_to_payload", "scoring_model_from_payload",
+    ),
+    "codec": (
+        "binner_from_dict", "binner_to_dict", "gbdt_from_dict", "gbdt_to_dict",
+        "gbdt_from_arrays", "gbdt_to_arrays",
+    ),
+})

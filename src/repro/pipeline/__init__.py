@@ -1,6 +1,8 @@
 """End-to-end GBDT+LR pipeline and the shared feature-extraction stage."""
 
-from repro.pipeline.extractor import GBDTFeatureExtractor, default_gbdt_params
-from repro.pipeline.pipeline import LoanDefaultPipeline
+from repro._lazy import lazy_exports
 
-__all__ = ["GBDTFeatureExtractor", "default_gbdt_params", "LoanDefaultPipeline"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "extractor": ("GBDTFeatureExtractor", "default_gbdt_params"),
+    "pipeline": ("LoanDefaultPipeline",),
+})

@@ -33,54 +33,18 @@ backpressure semantics, degradation policy, telemetry schema and the
 monitoring runbook.
 """
 
-from repro.serve.batching import MicroBatcher, Ticket
-from repro.serve.degradation import DriftGuard, GuardDecision
-from repro.serve.frontend import (
-    FrontendConfig,
-    FrontendResult,
-    FrontendTicket,
-    ScoringFrontend,
-)
-from repro.serve.lifecycle import (
-    LifecycleController,
-    PromotionGates,
-    RetrainConfig,
-)
-from repro.serve.registry import (
-    CHALLENGER,
-    CHAMPION,
-    ModelRegistry,
-    ModelVersion,
-)
-from repro.serve.service import ScoringService, ServiceConfig
-from repro.serve.shm_publish import ModelPublisher, PublishedModel
-from repro.serve.telemetry import (
-    FrontendTelemetry,
-    LatencyHistogram,
-    ServingTelemetry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHALLENGER",
-    "CHAMPION",
-    "DriftGuard",
-    "FrontendConfig",
-    "FrontendResult",
-    "FrontendTelemetry",
-    "FrontendTicket",
-    "GuardDecision",
-    "LatencyHistogram",
-    "LifecycleController",
-    "MicroBatcher",
-    "ModelPublisher",
-    "ModelRegistry",
-    "ModelVersion",
-    "PromotionGates",
-    "PublishedModel",
-    "RetrainConfig",
-    "ScoringFrontend",
-    "ScoringService",
-    "ServiceConfig",
-    "ServingTelemetry",
-    "Ticket",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "registry": ("CHALLENGER", "CHAMPION", "ModelRegistry", "ModelVersion"),
+    "degradation": ("DriftGuard", "GuardDecision"),
+    "frontend": (
+        "FrontendConfig", "FrontendResult", "FrontendTicket",
+        "ScoringFrontend",
+    ),
+    "telemetry": ("FrontendTelemetry", "LatencyHistogram", "ServingTelemetry"),
+    "lifecycle": ("LifecycleController", "PromotionGates", "RetrainConfig"),
+    "batching": ("MicroBatcher", "Ticket"),
+    "shm_publish": ("ModelPublisher", "PublishedModel"),
+    "service": ("ScoringService", "ServiceConfig"),
+})

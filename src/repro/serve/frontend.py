@@ -61,6 +61,7 @@ from repro.parallel.engine import default_start_method
 from repro.parallel.shared import PackSpec
 from repro.persist.artifacts import ScoringModel
 from repro.serve.degradation import DriftGuard
+from repro.serve.service import ScoringService, ServiceConfig
 from repro.serve.shm_publish import ModelPublisher, attach_model
 from repro.serve.telemetry import FrontendTelemetry, ServingTelemetry
 
@@ -182,8 +183,6 @@ def _resolve_batch(services: dict, batch: list) -> list[tuple]:
     Returns response tuples ``(req_id, status, value, generation)`` in
     the same order requests were drained.
     """
-    from repro.serve.service import ScoringService  # noqa: F401 (doc link)
-
     responses: dict[int, tuple] = {}
     by_generation: dict[int, list[tuple[int, np.ndarray]]] = {}
     for req_id, row, generation in batch:
@@ -233,8 +232,6 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
     and publishes absolute totals into its row after every scored batch;
     idle polls refresh only the heartbeat word.
     """
-    from repro.serve.service import ScoringService, ServiceConfig
-
     packs: dict[int, object] = {}
     services: dict[int, ScoringService] = {}
     slab = slab_writer = telemetry = None

@@ -41,12 +41,16 @@ from typing import Callable
 import numpy as np
 
 from repro.data.dataset import LoanDataset
+from repro.gbdt.boosting import GBDTParams
+from repro.gbdt.tree import TreeParams
 from repro.metrics.fairness import FairnessReport, evaluate_environments
 from repro.obs.runlog import LIFECYCLE_SPAN, LIFECYCLE_STAGE_EVENT
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.engine import ParallelEngine
 from repro.persist.artifacts import ScoringModel
+from repro.pipeline.pipeline import LoanDefaultPipeline
 from repro.serve.registry import CHALLENGER, ModelRegistry
+from repro.train.registry import make_trainer
 
 __all__ = [
     "PromotionGates",
@@ -125,12 +129,6 @@ def _retrain_task(payload: dict) -> str:
     method; everything crosses the process boundary as paths and small
     dicts.  Returns the artifact path.
     """
-    from repro.gbdt.boosting import GBDTParams
-    from repro.gbdt.tree import TreeParams
-    from repro.pipeline.pipeline import LoanDefaultPipeline
-    from repro.serve.registry import ModelRegistry as _Registry
-    from repro.train.registry import make_trainer
-
     train = LoanDataset.load(payload["dataset_path"])
     trainer = make_trainer(payload["trainer"],
                            **payload["trainer_overrides"])
@@ -139,8 +137,8 @@ def _retrain_task(payload: dict) -> str:
     pipeline = LoanDefaultPipeline(trainer, gbdt_params=params)
     pipeline.fit(train)
     artifact_path = payload["artifact_path"]
-    _Registry.save_file(pipeline, artifact_path,
-                        metadata=payload["metadata"])
+    ModelRegistry.save_file(pipeline, artifact_path,
+                            metadata=payload["metadata"])
     return artifact_path
 
 

@@ -1,33 +1,14 @@
 """Training infrastructure shared by all methods."""
 
-from repro.train.base import (
-    BaseTrainConfig,
-    EpochCallback,
-    Trainer,
-    TrainingHistory,
-    TrainResult,
-    stack_environments,
-)
-from repro.train.registry import (
-    TrainerInfo,
-    available_trainers,
-    make_trainer,
-    penalty_parameter,
-    resolve_trainer_name,
-    trainer_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BaseTrainConfig",
-    "EpochCallback",
-    "Trainer",
-    "TrainerInfo",
-    "TrainingHistory",
-    "TrainResult",
-    "stack_environments",
-    "available_trainers",
-    "make_trainer",
-    "penalty_parameter",
-    "resolve_trainer_name",
-    "trainer_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": (
+        "BaseTrainConfig", "EpochCallback", "Trainer", "TrainingHistory",
+        "TrainResult", "stack_environments",
+    ),
+    "registry": (
+        "TrainerInfo", "available_trainers", "make_trainer",
+        "penalty_parameter", "resolve_trainer_name", "trainer_names",
+    ),
+})

@@ -21,6 +21,7 @@ from repro.gbdt.leaf_encoder import LeafDesign
 from repro.models.logistic import LogisticModel
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.timing import StepTimer
+from repro.train.optimizers import make_optimizer
 
 __all__ = [
     "BaseTrainConfig",
@@ -219,8 +220,6 @@ class Trainer(abc.ABC):
         self._batch_rng = np.random.default_rng(
             np.random.SeedSequence([self.config.seed, 0x6B617463])
         )
-        from repro.train.optimizers import make_optimizer
-
         self._optimizer = make_optimizer(
             self.config.optimizer, self.config.learning_rate
         )

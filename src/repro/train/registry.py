@@ -6,9 +6,9 @@ Table I names, and unknown names fail with a did-you-mean suggestion.
 :func:`trainer_names` exposes per-trainer metadata (canonical name,
 aliases, penalty field, config class) for the CLI ``list`` command.
 
-Imports of the concrete trainers happen inside the factory functions: the
-trainers themselves import :mod:`repro.train.base`, so importing them at
-module scope would make ``repro.train`` circular.
+The registry imports every concrete trainer at module scope, so a process
+that imports it (a worker-pool parent, say) has each trainer loaded before
+it forks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,16 @@ import difflib
 import re
 from dataclasses import dataclass
 
-from repro.train.base import Trainer
+from repro.baselines.erm import ERMTrainer
+from repro.baselines.finetune import FineTuneConfig, FineTuneTrainer
+from repro.baselines.group_dro import GroupDROConfig, GroupDROTrainer
+from repro.baselines.irmv1 import IRMv1Config, IRMv1Trainer
+from repro.baselines.upsampling import UpSamplingConfig, UpSamplingTrainer
+from repro.baselines.vrex import VRExConfig, VRExTrainer
+from repro.core.config import LightMIRMConfig, MetaIRMConfig
+from repro.core.lightmirm import LightMIRMTrainer
+from repro.core.meta_irm import MetaIRMTrainer
+from repro.train.base import BaseTrainConfig, Trainer
 
 __all__ = [
     "make_trainer",
@@ -196,17 +205,6 @@ def make_trainer(name: str, **config_overrides) -> Trainer:
     Raises:
         KeyError: For unknown names (with a did-you-mean suggestion).
     """
-    from repro.baselines.erm import ERMTrainer
-    from repro.baselines.finetune import FineTuneConfig, FineTuneTrainer
-    from repro.baselines.group_dro import GroupDROConfig, GroupDROTrainer
-    from repro.baselines.irmv1 import IRMv1Config, IRMv1Trainer
-    from repro.baselines.upsampling import UpSamplingConfig, UpSamplingTrainer
-    from repro.baselines.vrex import VRExConfig, VRExTrainer
-    from repro.core.config import LightMIRMConfig, MetaIRMConfig
-    from repro.core.lightmirm import LightMIRMTrainer
-    from repro.core.meta_irm import MetaIRMTrainer
-    from repro.train.base import BaseTrainConfig
-
     if name.startswith("meta-IRM(") and name.endswith(")"):
         # Legacy exact syntax kept on the fast path so the ValueError for a
         # malformed count (e.g. "meta-IRM(five)") is preserved verbatim.

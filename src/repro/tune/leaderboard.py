@@ -101,7 +101,7 @@ def build_leaderboard(
     if not results:
         raise ValueError("build_leaderboard needs at least one SearchResult")
     if machine is None:
-        from repro.perfbench import machine_info
+        from repro.perfbench.payload import machine_info
 
         machine = machine_info()
     objective = results[0].objective

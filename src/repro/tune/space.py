@@ -31,6 +31,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.baselines.finetune import FineTuneConfig
+from repro.baselines.group_dro import GroupDROConfig
+from repro.baselines.irmv1 import IRMv1Config
+from repro.baselines.upsampling import UpSamplingConfig
+from repro.baselines.vrex import VRExConfig
+from repro.core.config import LightMIRMConfig, MetaIRMConfig
+from repro.train.base import BaseTrainConfig
+from repro.train.registry import resolve_trainer_name
+
 __all__ = [
     "SpaceError",
     "ParamSpec",
@@ -203,23 +212,10 @@ class IntRange(ParamSpec):
 def config_class_for(trainer: str) -> type:
     """The config dataclass of a registered trainer, by any accepted name.
 
-    Imports happen lazily for the same reason they do in
-    :func:`~repro.train.registry.make_trainer` — the trainers import the
-    training base module, so module-scope imports would be circular.
-
     Raises:
         KeyError: For unknown trainer names (same error surface as the
             registry).
     """
-    from repro.baselines.finetune import FineTuneConfig
-    from repro.baselines.group_dro import GroupDROConfig
-    from repro.baselines.irmv1 import IRMv1Config
-    from repro.baselines.upsampling import UpSamplingConfig
-    from repro.baselines.vrex import VRExConfig
-    from repro.core.config import LightMIRMConfig, MetaIRMConfig
-    from repro.train.base import BaseTrainConfig
-    from repro.train.registry import resolve_trainer_name
-
     canonical = resolve_trainer_name(trainer)
     if canonical.startswith("meta-IRM("):
         canonical = "meta-IRM"
@@ -449,8 +445,6 @@ _DEFAULT_SPACES: dict[str, HPSpace] = {}
 
 def register_space(trainer: str, space: HPSpace) -> None:
     """Register (or replace) the default space of a trainer."""
-    from repro.train.registry import resolve_trainer_name
-
     _DEFAULT_SPACES[resolve_trainer_name(trainer)] = space
 
 
@@ -460,8 +454,6 @@ def default_space(trainer: str) -> HPSpace:
     Raises:
         KeyError: For unknown trainer names.
     """
-    from repro.train.registry import resolve_trainer_name
-
     canonical = resolve_trainer_name(trainer)
     if canonical.startswith("meta-IRM("):
         canonical = "meta-IRM"

@@ -14,38 +14,18 @@ Three pieces, layered so every future PR can regress against them:
 Run via ``python -m repro verify`` (``--smoke`` for the CI-sized bed).
 """
 
-from repro.verify.harness import (
-    assert_deterministic,
-    assert_environment_permutation_invariant,
-    assert_label_flip_symmetry,
-    assert_monotone_transform_invariant,
-    assert_persist_round_trip,
-    monotone_transforms,
-    random_environments,
-    random_labels_and_scores,
-)
-from repro.verify.scorecard import (
-    VerifyConfig,
-    run_verification,
-    summarize_verification,
-    write_verify_json,
-)
-from repro.verify.sem import SEMBed, SEMConfig, make_sem_bed
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SEMBed",
-    "SEMConfig",
-    "make_sem_bed",
-    "VerifyConfig",
-    "run_verification",
-    "summarize_verification",
-    "write_verify_json",
-    "assert_deterministic",
-    "assert_environment_permutation_invariant",
-    "assert_label_flip_symmetry",
-    "assert_monotone_transform_invariant",
-    "assert_persist_round_trip",
-    "monotone_transforms",
-    "random_environments",
-    "random_labels_and_scores",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "sem": ("SEMBed", "SEMConfig", "make_sem_bed"),
+    "scorecard": (
+        "VerifyConfig", "run_verification", "summarize_verification",
+        "write_verify_json",
+    ),
+    "harness": (
+        "assert_deterministic", "assert_environment_permutation_invariant",
+        "assert_label_flip_symmetry", "assert_monotone_transform_invariant",
+        "assert_persist_round_trip", "monotone_transforms",
+        "random_environments", "random_labels_and_scores",
+    ),
+})
