@@ -15,12 +15,9 @@ Usage (after ``pip install -e .``)::
     python -m repro obs top --url http://127.0.0.1:9100
     python -m repro experiment table1
     python -m repro experiment table1 --jobs 4
-    python -m repro bench --out BENCH_gbdt.json
-    python -m repro bench --jobs 2 4 8 --parallel-out BENCH_parallel.json
-    python -m repro serve-bench --out BENCH_serving.json
+    python -m repro bench --jobs 2 4 8 --out BENCH_parallel.json
     python -m repro scale-bench --out BENCH_scale.json
     python -m repro scale-bench --smoke --save-model scale_model.json
-    python -m repro serve-bench --model scale_model.json
     python -m repro tune-bench --out BENCH_tune.json
     python -m repro verify --out VERIFY_invariance.json
     python -m repro tune --trainers LightMIRM IRMv1 --jobs 4
@@ -31,18 +28,24 @@ Usage (after ``pip install -e .``)::
 
 ``experiment`` runs one of the paper's tables/figures at a configurable
 scale and prints the same rows/series the paper reports.  ``--trace PATH``
-(on ``train``, ``verify``, ``serve-bench`` and ``experiment``) records a
-structured JSONL run log; ``repro obs report|summary|diff`` renders it
-offline (see ``docs/observability.md``).  ``serve-run --metrics-port``
-turns on the live telemetry plane (Prometheus + JSON exposition, online
-drift/SLO monitors, health alerts) and ``repro obs top`` watches it.
+(on ``train``, ``verify``, ``serve-run``, ``tune`` and ``experiment``)
+records a structured JSONL run log; ``repro obs report|summary|diff``
+renders it offline (see ``docs/observability.md``).
+``serve-run --metrics-port`` turns on the live telemetry plane
+(Prometheus + JSON exposition, online drift/SLO monitors, health alerts)
+and ``repro obs top`` watches it.
 The ``bench``/``*-bench`` commands write their ``BENCH_*.json`` payload
 and exit 1 when it fails its schema (see ``repro.perfbench.payload``).
+They measure only what the repository benchmark (``bench/run.py``)
+cannot: the parallel fan-out, the paper-scale points and the tune
+encoding cache.  A command whose output directory is missing exits 2
+before it runs anything.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.data.dataset import LoanDataset
@@ -182,50 +185,17 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write a structured JSONL run log")
 
     bench = sub.add_parser(
-        "bench", help="run the tracked GBDT perf microbenchmarks"
+        "bench",
+        help="run the parallel-scaling benchmark: experiment fan-out "
+             "serial vs worker pools",
     )
-    bench.add_argument("--out", default="BENCH_gbdt.json",
-                       help="output JSON path (default: BENCH_gbdt.json)")
+    bench.add_argument("--out", default="BENCH_parallel.json",
+                       help="output JSON path (default: BENCH_parallel.json)")
     bench.add_argument("--quick", action="store_true",
                        help="tiny smoke sizes instead of the tracked config")
-    bench.add_argument("--repeats", type=int,
-                       help="override the per-benchmark repeat count")
-    bench.add_argument("--n-rows", type=int, help="override benchmark rows")
-    bench.add_argument("--n-features", type=int,
-                       help="override benchmark feature count")
-    bench.add_argument("--max-bins", type=int,
-                       help="override benchmark histogram bins")
-    bench.add_argument("--only", nargs="+", metavar="NAME",
-                       help="run a subset of benchmarks (see docs)")
     bench.add_argument("--jobs", type=int, nargs="+", metavar="N",
-                       help="run the parallel-scaling suite instead: "
-                            "experiment fan-out serial vs each worker "
-                            "count, written to --parallel-out")
-    bench.add_argument("--parallel-out", default="BENCH_parallel.json",
-                       help="output JSON path for --jobs "
-                            "(default: BENCH_parallel.json)")
-
-    serve_bench = sub.add_parser(
-        "serve-bench", help="run the tracked serving benchmarks"
-    )
-    serve_bench.add_argument("--out", default="BENCH_serving.json",
-                             help="output JSON path "
-                                  "(default: BENCH_serving.json)")
-    serve_bench.add_argument("--quick", action="store_true",
-                             help="tiny smoke sizes instead of the tracked "
-                                  "config")
-    serve_bench.add_argument("--only", nargs="+", metavar="NAME",
-                             help="run a subset of serving benchmarks")
-    serve_bench.add_argument("--model", metavar="PATH",
-                             help="serve a saved artifact (e.g. the scale "
-                                  "bench's --save-model output) instead of "
-                                  "training the fixture")
-    serve_bench.add_argument("--workers", type=int, nargs="+", metavar="N",
-                             help="worker counts for the multi-worker "
-                                  "scenario (default: 1 2 4; 1 2 with "
-                                  "--quick)")
-    serve_bench.add_argument("--trace", metavar="PATH",
-                             help="write a structured JSONL run log")
+                       help="worker counts to compare against the serial "
+                            "run (default: 2 4 8; 2 with --quick)")
 
     scale_bench = sub.add_parser(
         "scale-bench",
@@ -498,34 +468,18 @@ def _finish_bench(schema, path: str, results: dict, config,
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import dataclasses
+    from repro.perfbench.parallel import (
+        PARALLEL_PAYLOAD, ParallelBenchConfig, run_parallel_suite,
+    )
 
-    from repro.perfbench.suites import GBDT_PAYLOAD, BenchConfig, run_suite
-
+    config = (ParallelBenchConfig.smoke() if args.quick
+              else ParallelBenchConfig())
     if args.jobs:
-        from repro.perfbench.parallel import (
-            PARALLEL_PAYLOAD, ParallelBenchConfig, run_parallel_suite,
-        )
+        import dataclasses
 
-        parallel_config = (ParallelBenchConfig.smoke() if args.quick
-                           else ParallelBenchConfig())
-        parallel_config = dataclasses.replace(
-            parallel_config, worker_counts=tuple(args.jobs)
-        )
-        results = run_parallel_suite(parallel_config)
-        return _finish_bench(PARALLEL_PAYLOAD, args.parallel_out, results,
-                             parallel_config)
-
-    config = BenchConfig.smoke() if args.quick else BenchConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in ("repeats", "n_rows", "n_features", "max_bins")
-        if getattr(args, name) is not None
-    }
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    results = run_suite(config, only=args.only)
-    return _finish_bench(GBDT_PAYLOAD, args.out, results, config)
+        config = dataclasses.replace(config, worker_counts=tuple(args.jobs))
+    results = run_parallel_suite(config)
+    return _finish_bench(PARALLEL_PAYLOAD, args.out, results, config)
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
@@ -725,32 +679,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"wrote run log to {args.trace}")
     return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.perfbench.serving import (
-        SERVING_PAYLOAD, ServingBenchConfig, run_serving_suite,
-    )
-
-    config = (ServingBenchConfig.smoke() if args.quick
-              else ServingBenchConfig())
-    if args.workers:
-        config = dataclasses.replace(
-            config, worker_counts=tuple(args.workers)
-        )
-    tracer = _make_tracer(
-        args, "serve-bench",
-        config={"quick": bool(args.quick)},
-        seed=config.seed,
-    )
-    results = run_serving_suite(config, only=args.only, tracer=tracer,
-                                model_path=args.model)
-    tracer.close()
-    if args.trace:
-        print(f"wrote run log to {args.trace}")
-    return _finish_bench(SERVING_PAYLOAD, args.out, results, config)
 
 
 def _cmd_scale_bench(args: argparse.Namespace) -> int:
@@ -1034,7 +962,6 @@ _COMMANDS = {
     "serve-run": _cmd_serve_run,
     "experiment": _cmd_experiment,
     "bench": _cmd_bench,
-    "serve-bench": _cmd_serve_bench,
     "scale-bench": _cmd_scale_bench,
     "verify": _cmd_verify,
     "tune": _cmd_tune,
@@ -1044,9 +971,27 @@ _COMMANDS = {
 }
 
 
+def _missing_output_dir(args: argparse.Namespace) -> str | None:
+    """The first output path whose directory does not exist, if any.
+
+    Checked before a command runs, so a long suite is not lost to a
+    typo in where its result goes.
+    """
+    for path in (getattr(args, "out", None),
+                 getattr(args, "save_model", None)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            return path
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    missing = _missing_output_dir(args)
+    if missing is not None:
+        print(f"repro {args.command}: error: output directory of "
+              f"{missing!r} does not exist", file=sys.stderr)
+        return 2
     return _COMMANDS[args.command](args)
 
 

@@ -227,7 +227,7 @@ class DecisionTree:
         only, and a single flat argmax.  Row-major flattening makes the
         tie-break deterministic — lowest feature, then lowest bin — which
         is exactly the order the seed per-feature loop
-        (:func:`repro.perfbench.reference.best_split_seed`) visits
+        (``best_split_seed`` in ``tests/seed_reference.py``) visits
         candidates in, so the two are bit-identical (golden-tested).
         """
         params = self.params

@@ -20,10 +20,10 @@ The validation rules are the same for every file:
   scenarios, holds no other;
 * every scenario present carries its required fields, with the declared
   type or inside the declared open range.  The fields of an absent
-  scenario are not required, so an ``--only`` subset validates;
+  scenario are not required;
 * every ``bit_identical`` and ``passed`` flag anywhere in the payload is
-  true.  Those flags record correctness contracts (a parallel, batched or
-  cached result equals the plain one; float32 stays within tolerance).
+  true.  Those flags record correctness contracts (a parallel or cached
+  result equals the plain one; float32 stays within tolerance).
   Timing budgets are recorded but never gated here, so validating a
   smoke run is deterministic.
 """

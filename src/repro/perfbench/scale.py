@@ -124,7 +124,7 @@ def run_scale_point(
         config: Suite configuration (feature width, model sizes, dtype).
         save_model: Optional path; when set, the trained GBDT+LR pipeline
             is saved as a serving artifact (``ModelRegistry.save_file``
-            format) for ``serve-bench --model``.
+            format) for ``evaluate --model`` or the registry.
 
     Returns:
         JSON-compatible dict of timings, sizes and peak memory.
@@ -262,7 +262,7 @@ def run_scale_suite(
             then the parent's lifetime peak (entries are marked
             ``isolated``).
         save_model: Optional artifact path; the *largest* row count's
-            trained pipeline is saved there for ``serve-bench --model``.
+            trained pipeline is saved there for ``evaluate --model``.
 
     Returns:
         Mapping ``str(n_rows)`` -> point entry.

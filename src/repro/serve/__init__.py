@@ -8,8 +8,8 @@ artifacts :mod:`repro.persist` writes into an operated service:
   champion/challenger slots and atomic promote/rollback (the canonical
   save/load surface, including bare artifact files).
 * :mod:`~repro.serve.batching` — micro-batching queue coalescing requests
-  into one vectorized call (bit-identical scores, see
-  ``BENCH_serving.json`` for the throughput win).
+  into one vectorized call (bit-identical scores; ``bench/`` reports the
+  per-row cost at batch 1 and batch N).
 * :mod:`~repro.serve.degradation` — streaming-PSI drift guard and
   challenger-failure fallback rules.
 * :mod:`~repro.serve.telemetry` — latency histograms, throughput,

@@ -3,8 +3,8 @@
 Row-at-a-time scoring pays the GBDT routing + leaf encoding fixed costs per
 request; the whole stack is vectorized, so coalescing N queued requests
 into one ``predict_proba`` call amortises those costs N ways without
-changing a single score (see the bit-identity test and
-``BENCH_serving.json``).  The batcher is synchronous and deterministic —
+changing a single score (see the bit-identity test; ``bench/`` reports
+``serve.service.us_per_row_b1``/``_bN``).  The batcher is synchronous and deterministic —
 requests are scored in submission order when the queue reaches
 ``max_batch_size`` or on an explicit :meth:`flush` — which keeps it easy
 to embed in a request loop, a thread, or an async wrapper.

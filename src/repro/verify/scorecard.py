@@ -15,9 +15,9 @@ in :func:`repro.train.registry.available_trainers` on the SEM bed of
   fresh in-distribution draw.  Shortcut reliance shows up as a large gap.
 
 ``write_verify_json`` persists the machine-readable scorecard as
-``VERIFY_invariance.json`` (the correctness twin of ``BENCH_gbdt.json``);
-``python -m repro verify`` is the CLI entry point and exits non-zero when
-any check fails.
+``VERIFY_invariance.json`` (the correctness twin of the ``BENCH_*.json``
+files); ``python -m repro verify`` is the CLI entry point and exits
+non-zero when any check fails.
 """
 
 from __future__ import annotations

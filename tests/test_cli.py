@@ -51,11 +51,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scale-bench", "--dtype", "float16"])
 
-    def test_serve_bench_accepts_model(self):
-        args = build_parser().parse_args(
-            ["serve-bench", "--quick", "--model", "m.json"]
-        )
-        assert args.model == "m.json"
+
+class TestMissingOutputDirectory:
+    """A bench command checks where its payload goes before it runs."""
+
+    @pytest.mark.parametrize("argv, module, runner", [
+        (["bench", "--quick", "--out", "{missing}/b.json"],
+         "repro.perfbench.parallel", "run_parallel_suite"),
+        (["scale-bench", "--smoke", "--out", "{missing}/b.json"],
+         "repro.perfbench.scale", "run_scale_suite"),
+        (["scale-bench", "--smoke", "--save-model", "{missing}/m.json"],
+         "repro.perfbench.scale", "run_scale_suite"),
+        (["tune-bench", "--smoke", "--out", "{missing}/b.json"],
+         "repro.perfbench.tune", "run_tune_benchmark"),
+    ])
+    def test_exits_2_before_the_suite_runs(self, argv, module, runner,
+                                           tmp_path, monkeypatch, capsys):
+        import importlib
+
+        calls = []
+        monkeypatch.setattr(importlib.import_module(module), runner,
+                            lambda *a, **k: calls.append(a))
+        missing = tmp_path / "no_such_dir"
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert main(argv) == 2
+        assert calls == []
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "does not exist" in err
 
 
 class TestGenerate:

@@ -3,7 +3,7 @@
 A fitted ensemble predicts from one :class:`~repro.gbdt.forest.Forest`
 that routes every tree in one pass.  These tests hold it bit for bit to
 two oracles: the seed per-node mask loop
-(:func:`repro.perfbench.reference.predict_leaf_seed`) walking each
+(:func:`tests.seed_reference.predict_leaf_seed`) walking each
 growth-time tree, and a per-tree ``raw += lr * value`` loop written here.
 The forest arrays are byte-equal in the fitted, registry-loaded and
 shm-attached models, and loading costs the same number of Python calls
@@ -24,11 +24,12 @@ from repro.explain import head_feature_attribution
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
 from repro.gbdt.tree import TreeParams
 from repro.numerics import sigmoid
-from repro.perfbench import reference
 from repro.pipeline.pipeline import LoanDefaultPipeline
 from repro.serve.registry import ModelRegistry
 from repro.serve.shm_publish import attach_model, publish_model
 from repro.train.base import BaseTrainConfig
+
+from tests import seed_reference as reference
 
 FOREST_FIELDS = ("nodes", "leaf", "value", "roots")
 

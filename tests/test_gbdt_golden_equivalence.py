@@ -2,7 +2,7 @@
 
 The vectorised kernels (per-feature/fused histogram builder, flattened
 struct-of-arrays tree routing, leaf-column encoding) are required to
-reproduce the seed implementations in :mod:`repro.perfbench.reference`
+reproduce the seed implementations in :mod:`tests.seed_reference`
 *bit for bit* when given identical inputs: identical histogram sums,
 identical splits and leaf values, identical probabilities.
 
@@ -24,8 +24,9 @@ from repro.gbdt.boosting import GBDTClassifier, GBDTParams
 from repro.gbdt.histogram import HistogramBuilder, build_histogram
 from repro.gbdt.tree import DecisionTree, TreeParams
 from repro.gbdt.leaf_encoder import encode_leaf_matrix
-from repro.perfbench import reference
 from repro.persist.codec import gbdt_from_dict, gbdt_to_dict
+
+from tests import seed_reference as reference
 
 
 def _problem(seed: int, n: int, d: int, max_bins: int,

@@ -7,8 +7,8 @@ epoch of disabled instrumentation makes (via ``sys.setprofile``) and
 check it against a fixed bound, and that the disabled path never reads
 a clock.  The enabled live plane is held to a per-row call bound the same
 way.  All of it is deterministic; the wall-clock costs are measured by
-the benchmarks (``trace.overhead_pct``, the ``metrics_overhead``
-scenario of ``BENCH_serving.json``), not asserted here.
+the repository benchmark (``trace.overhead_pct`` of ``bench/run.py``),
+not asserted here.
 """
 
 import sys

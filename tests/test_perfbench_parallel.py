@@ -24,6 +24,7 @@ def test_machine_info_records_effective_cores():
 def test_smoke_suite_runs_and_is_bit_identical(tmp_path):
     config = ParallelBenchConfig.smoke()
     results = run_parallel_suite(config)
+    assert set(results) == {"fan_out"}
 
     fan_out = results["fan_out"]
     assert fan_out["n_tasks"] == (
@@ -39,17 +40,41 @@ def test_smoke_suite_runs_and_is_bit_identical(tmp_path):
         assert entry["speedup_vs_serial"] > 0
     assert fan_out["bit_identical"] is True
 
-    assert results["tree_fit"]["median_s"] > 0
-    assert "speedup_vs_seed" in results["tree_fit"]
-
     out = tmp_path / "BENCH_parallel.json"
     payload = PARALLEL_PAYLOAD.write(out, results, config)
     rendered = PARALLEL_PAYLOAD.summarize(payload)
     assert "bit_identical=True" in rendered
-    assert "tree_fit" in rendered
+    assert "fan_out" in rendered
 
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
     assert PARALLEL_PAYLOAD.validate(on_disk) == []
+    assert on_disk["format"] == 2
     assert on_disk["machine"]["effective_cpu_count"] >= 1
     assert on_disk["benchmarks"]["fan_out"]["bit_identical"] is True
+
+
+def test_a_false_bit_identity_flag_fails_validation(tmp_path):
+    results = {"fan_out": {
+        "serial_s": 1.0,
+        "workers": {"2": {"seconds": 0.6, "speedup_vs_serial": 1.7,
+                          "bit_identical": False}},
+        "bit_identical": False,
+    }}
+    payload = PARALLEL_PAYLOAD.write(tmp_path / "b.json", results,
+                                     ParallelBenchConfig.smoke())
+    problems = PARALLEL_PAYLOAD.validate(payload)
+    assert any("fan_out.workers.2.bit_identical" in p for p in problems)
+    assert any("fan_out.bit_identical" in p for p in problems)
+
+
+def test_cli_bench_quick_writes_json(tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--quick", "--jobs", "2", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert PARALLEL_PAYLOAD.validate(payload) == []
+    assert payload["config"]["worker_counts"] == [2]
+    assert list(payload["benchmarks"]["fan_out"]["workers"]) == ["2"]
+    assert "speedup_vs_serial" in capsys.readouterr().out

@@ -105,25 +105,3 @@ class TestServeRun:
                      "--data", str(dataset_file), "--limit", "200",
                      "--workers", "1", "--drift-threshold", "0.25"]) == 0
         assert "drift guard" in capsys.readouterr().out
-
-
-class TestServeBenchCommand:
-    def test_quick_run_writes_json(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_serving.json"
-        assert main(["serve-bench", "--quick", "--only", "registry_load",
-                     "--out", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text())
-        assert "registry_load" in payload["benchmarks"]
-        assert "registry_load" in capsys.readouterr().out
-
-    def test_workers_flag_overrides_sweep(self, tmp_path, capsys):
-        from repro.perfbench import SERVING_PAYLOAD
-
-        out_path = tmp_path / "BENCH_serving.json"
-        assert main(["serve-bench", "--quick", "--only", "workers",
-                     "--workers", "1", "--out", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text())
-        entry = payload["benchmarks"]["workers"]
-        assert list(entry["per_workers"]) == ["1"]
-        assert entry["bit_identical"] is True
-        assert SERVING_PAYLOAD.validate(payload) == []
