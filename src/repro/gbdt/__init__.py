@@ -9,7 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "leaf_encode_environments",
     ),
     "boosting": ("GBDTClassifier", "GBDTParams"),
-    "histogram": ("HistogramBuilder", "NodeHistogram", "build_histogram"),
+    "histogram": ("HistogramBuilder", "NodeHistogram"),
     "leaf_encoder": ("LeafDesign", "LeafIndexEncoder", "encode_leaf_matrix"),
     "tree": ("DecisionTree", "SplitInfo", "TreeParams"),
     "forest": ("Forest",),

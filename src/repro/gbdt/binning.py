@@ -252,6 +252,10 @@ class QuantileBinner:
             features = features.astype(np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        if not np.all(np.isfinite(features)):
+        # Two reductions, no (n, d) bool mask: NaN propagates through
+        # both, and +inf/-inf surface in max/min respectively.
+        if features.size and not (
+            np.isfinite(features.min()) and np.isfinite(features.max())
+        ):
             raise ValueError("features must be finite")
         return features

@@ -13,10 +13,15 @@ picks the faster of two accumulation kernels per node:
   ``intp`` scratch row once per feature so every ``np.bincount`` call
   skips its internal cast-to-intp allocation.  The per-row weight vector
   is passed as-is; no ``(k, d)`` weight expansion is ever materialised.
-* **Fused-index flat bincount** (small nodes).  Every (row, feature) cell
-  maps to the flat slot ``feature * max_bins + bin`` and three bincounts
-  over the raveled block build the whole histogram, amortising call
-  overhead that would dominate a 3·d-call loop on a few hundred rows.
+* **Fused-index flat bincount in column blocks** (small nodes).  The
+  node's rows are gathered once as uint8; then, for each block of
+  columns, every (row, column) cell maps to the flat slot
+  ``column * max_bins + bin`` and three bincounts over the block build
+  that block's histogram rows, amortising call overhead that would
+  dominate a 3·d-call loop on a few hundred rows.  Slot ids and tiled
+  weights live in two reused scratch buffers of about
+  ``_FUSED_BLOCK_CELLS`` cells, so the kernel's scratch stays bounded
+  whatever the node's rows × columns.
 
 Two further structural facts are exploited: full-matrix bin *counts* do
 not depend on the gradients, so they are computed once per builder and
@@ -38,7 +43,7 @@ import numpy as np
 
 from repro.obs.profile import active as _active_profiler
 
-__all__ = ["NodeHistogram", "HistogramBuilder", "build_histogram"]
+__all__ = ["NodeHistogram", "HistogramBuilder"]
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,9 @@ class HistogramBuilder:
     #: Node size (rows) above which the per-feature kernel beats the
     #: fused-index kernel (bincount call overhead amortised).
     _PER_FEATURE_MIN_ROWS = 8192
+    #: Cells (rows × columns) per fused-kernel column block: bounds the
+    #: kernel's intp slot and float64 weight scratch to 512 KiB each.
+    _FUSED_BLOCK_CELLS = 1 << 16
 
     def __init__(self, binned: np.ndarray, max_bins: int,
                  hist_dtype: np.dtype | type | str = np.float64):
@@ -123,6 +131,7 @@ class HistogramBuilder:
         self._scratch = np.empty(self.n_samples, dtype=np.intp)
         self._row_ids = np.arange(self.n_samples, dtype=np.int64)
         self._col_ids = np.arange(self.n_features)
+        self._slot_buf = np.empty(0, dtype=np.intp)
         self._weight_buf = np.empty(0, dtype=np.float64)
         self._full_counts_cache: np.ndarray | None = None
 
@@ -270,73 +279,46 @@ class HistogramBuilder:
         sample_indices: np.ndarray,
         column_subset: np.ndarray | None,
     ) -> NodeHistogram:
-        """Small-node kernel: three flat bincounts over fused slot ids."""
+        """Small-node kernel: three flat bincounts per column block.
+
+        Every slot belongs to one column, and each block's cells are
+        raveled row-major, so every slot still accumulates in row order.
+        """
         if column_subset is None:
             block = self._binned[sample_indices]
         else:
             block = self._binned[np.ix_(sample_indices, column_subset)]
         n_node, n_cols = block.shape
-        offsets = np.arange(n_cols, dtype=np.int64) * self.max_bins
-        # Slot of cell (i, f): f * max_bins + bin — int64 so bincount
-        # takes the array as-is.
-        slots = (block + offsets[None, :]).ravel()
-        n_slots = n_cols * self.max_bins
-
-        count = np.bincount(slots, minlength=n_slots)
-        grad = np.bincount(
-            slots,
-            weights=self._expand(gradients[sample_indices], n_cols),
-            minlength=n_slots,
-        )
-        hess = np.bincount(
-            slots,
-            weights=self._expand(hessians[sample_indices], n_cols),
-            minlength=n_slots,
-        )
-        shape = (n_cols, self.max_bins)
-        return NodeHistogram(
-            grad=grad.reshape(shape).astype(self.hist_dtype, copy=False),
-            hess=hess.reshape(shape).astype(self.hist_dtype, copy=False),
-            count=count.reshape(shape),
-        )
-
-    def _expand(self, values: np.ndarray, n_cols: int) -> np.ndarray:
-        """Tile per-row values across columns into the reusable scratch.
-
-        Returns a ``(len(values) * n_cols,)`` view of the scratch buffer
-        where every row value repeats ``n_cols`` times — aligned with the
-        row-major ravel of the gathered fused-index block.
-        """
-        needed = values.size * n_cols
-        if self._weight_buf.size < needed:
-            self._weight_buf = np.empty(needed, dtype=np.float64)
-        out = self._weight_buf[:needed]
-        out.reshape(values.size, n_cols)[:] = values[:, None]
-        return out
-
-
-def build_histogram(
-    binned: np.ndarray,
-    gradients: np.ndarray,
-    hessians: np.ndarray,
-    sample_indices: np.ndarray,
-    max_bins: int,
-) -> NodeHistogram:
-    """One-shot histogram build (constructs a throwaway builder).
-
-    Prefer a shared :class:`HistogramBuilder` when building many nodes
-    over the same binned matrix; this wrapper exists for single builds
-    and backward compatibility.
-
-    Args:
-        binned: Full ``(n, d)`` uint8 bin-index matrix.
-        gradients: Per-sample gradients ``(n,)``.
-        hessians: Per-sample hessians ``(n,)``.
-        sample_indices: Row indices belonging to the node.
-        max_bins: Histogram width (bins per feature).
-
-    Returns:
-        A :class:`NodeHistogram` with ``(d, max_bins)`` arrays.
-    """
-    builder = HistogramBuilder(binned, max_bins)
-    return builder.build(gradients, hessians, sample_indices)
+        mb = self.max_bins
+        grad_w = gradients[sample_indices]
+        hess_w = hessians[sample_indices]
+        width = max(1, self._FUSED_BLOCK_CELLS // max(n_node, 1))
+        if self._slot_buf.size < n_node * width:
+            self._slot_buf = np.empty(n_node * width, dtype=np.intp)
+            self._weight_buf = np.empty(n_node * width, dtype=np.float64)
+        offsets = np.arange(width, dtype=np.intp) * mb
+        grad = np.empty((n_cols, mb), dtype=self.hist_dtype)
+        hess = np.empty((n_cols, mb), dtype=self.hist_dtype)
+        count = np.empty((n_cols, mb), dtype=np.int64)
+        bc = np.bincount
+        for start in range(0, n_cols, width):
+            stop = min(start + width, n_cols)
+            w = stop - start
+            n_slots = w * mb
+            # Slot of cell (i, f): (f - start) * max_bins + bin, written
+            # as intp so bincount takes the scratch as-is.
+            slots = self._slot_buf[: n_node * w]
+            np.add(block[:, start:stop], offsets[:w],
+                   out=slots.reshape(n_node, w), casting="unsafe")
+            weights = self._weight_buf[: n_node * w]
+            tiled = weights.reshape(n_node, w)
+            count[start:stop] = bc(slots, minlength=n_slots).reshape(w, mb)
+            tiled[:] = grad_w[:, None]
+            grad[start:stop] = bc(
+                slots, weights=weights, minlength=n_slots
+            ).reshape(w, mb)
+            tiled[:] = hess_w[:, None]
+            hess[start:stop] = bc(
+                slots, weights=weights, minlength=n_slots
+            ).reshape(w, mb)
+        return NodeHistogram(grad=grad, hess=hess, count=count)

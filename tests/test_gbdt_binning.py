@@ -1,5 +1,7 @@
 """Unit tests for the quantile binner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,57 @@ class TestValidation:
     def test_1d_input_raises(self):
         with pytest.raises(ValueError):
             QuantileBinner().fit(np.zeros(5))
+
+
+def _poisoned(shape, dtype, value, where):
+    """Finite matrix with ``value`` at the first, middle or last cell."""
+    x = np.arange(np.prod(shape), dtype=dtype).reshape(shape) / 7
+    flat = {"first": 0, "middle": x.size // 2, "last": x.size - 1}[where]
+    x.flat[flat] = value
+    return x
+
+
+class TestNonFiniteRejected:
+    """Every entry point rejects NaN and ±inf wherever the cell sits."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_rows", [1, 40])
+    def test_every_entry_point_raises(self, value, where, dtype, n_rows):
+        bad = _poisoned((n_rows, 3), dtype, value, where)
+        fitted = QuantileBinner(max_bins=8).fit(
+            np.arange(120, dtype=np.float64).reshape(40, 3))
+        with pytest.raises(ValueError, match="finite"):
+            QuantileBinner(max_bins=8).fit(bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuantileBinner(max_bins=8).fit_streamed(
+                [np.zeros((5, 3), dtype=dtype), bad])
+        with pytest.raises(ValueError, match="finite"):
+            fitted.transform(bad)
+        with pytest.raises(ValueError, match="finite"):
+            fitted.transform_into(bad, np.zeros((n_rows, 3), dtype=np.uint8))
+
+    def test_empty_batch_passes(self):
+        fitted = QuantileBinner(max_bins=8).fit(np.eye(3))
+        assert fitted.transform(np.empty((0, 3))).shape == (0, 3)
+
+
+class TestCheckMatrixMemory:
+    def test_finiteness_check_allocates_under_1mb(self):
+        # The old (n, d) bool mask was 6.3 MB at this size.  Untouched
+        # zeros read through the kernel's zero page, so this 50 MB input
+        # leaves the process's RSS high-water mark where it was (the
+        # getrusage tests in test_perfbench_rss.py read that mark).
+        x = np.zeros((30_000, 210))
+        tracemalloc.start()
+        try:
+            out = QuantileBinner._check_matrix(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out is x
+        assert peak < 2**20
 
 
 class TestBinningProperty:

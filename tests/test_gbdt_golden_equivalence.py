@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gbdt.binning import QuantileBinner
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
-from repro.gbdt.histogram import HistogramBuilder, build_histogram
+from repro.gbdt.histogram import HistogramBuilder
 from repro.gbdt.tree import DecisionTree, TreeParams
 from repro.gbdt.leaf_encoder import encode_leaf_matrix
 from repro.persist.codec import gbdt_from_dict, gbdt_to_dict
@@ -81,7 +83,7 @@ class TestHistogramKernel:
     def test_full_matrix(self, seed, n, d, max_bins):
         binned, g, h, _, _ = _problem(seed, n, d, max_bins)
         rows = np.arange(n)
-        ours = build_histogram(binned, g, h, rows, max_bins)
+        ours = HistogramBuilder(binned, max_bins).build(g, h, rows)
         golden = reference.build_histogram_seed(binned, g, h, rows, max_bins)
         _assert_histograms_identical(ours, golden)
 
@@ -116,7 +118,7 @@ class TestHistogramKernel:
                                       constant_cols=(1, 4))
         assert binned[:, 1].max() == binned[:, 1].min()  # truly constant
         rows = np.arange(1_000)
-        ours = build_histogram(binned, g, h, rows, 16)
+        ours = HistogramBuilder(binned, 16).build(g, h, rows)
         golden = reference.build_histogram_seed(binned, g, h, rows, 16)
         _assert_histograms_identical(ours, golden)
 
@@ -129,8 +131,93 @@ class TestHistogramKernel:
 
     def test_count_is_int64(self):
         binned, g, h, _, _ = _problem(5, 500, 3, 8)
-        hist = build_histogram(binned, g, h, np.arange(500), 8)
+        hist = HistogramBuilder(binned, 8).build(g, h, np.arange(500))
         assert hist.count.dtype == np.int64
+
+
+#: Fused-kernel cell budgets: one column per block for any real node (1),
+#: narrow ragged blocks (7, 100) and the shipped default.
+_BLOCK_BUDGETS = [1, 7, 100, HistogramBuilder._FUSED_BLOCK_CELLS]
+
+
+class TestBlockedFusedKernel:
+    """The column-blocked small-node kernel is exact at every block shape."""
+
+    @pytest.mark.parametrize("budget", _BLOCK_BUDGETS)
+    @pytest.mark.parametrize("max_bins", [2, 256])
+    @pytest.mark.parametrize("hist_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bagged", [False, True])
+    def test_matches_seed(self, monkeypatch, budget, max_bins, hist_dtype,
+                          bagged):
+        monkeypatch.setattr(HistogramBuilder, "_FUSED_BLOCK_CELLS", budget)
+        binned, g, h, _, _ = _problem(7, 1_500, 9, max_bins)
+        cols = np.array([0, 2, 3, 5, 8]) if bagged else None
+        sliced = binned if cols is None else binned[:, cols]
+        builder = HistogramBuilder(binned, max_bins, hist_dtype=hist_dtype)
+        rng = np.random.default_rng(budget)
+        # 1 / 3 / 30 / 700-row nodes give blocks of 1 to 100 columns,
+        # several with a ragged last block.
+        for k in (1, 3, 30, 700):
+            rows = rng.choice(1_500, size=k, replace=False)
+            ours = builder.build(g, h, rows, column_subset=cols)
+            golden = reference.build_histogram_seed(sliced, g, h, rows,
+                                                    max_bins)
+            assert ours.grad.dtype == hist_dtype
+            np.testing.assert_array_equal(
+                ours.grad, golden.grad.astype(hist_dtype))
+            np.testing.assert_array_equal(
+                ours.hess, golden.hess.astype(hist_dtype))
+            np.testing.assert_array_equal(ours.count, golden.count)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_node=st.integers(1, 300),
+        n_cols=st.integers(1, 12),
+        budget=st.integers(1, 400),
+        max_bins=st.sampled_from([2, 3, 17, 256]),
+        bagged=st.booleans(),
+    )
+    def test_any_block_shape_matches_seed(self, seed, n_node, n_cols,
+                                          budget, max_bins, bagged):
+        rng = np.random.default_rng(seed)
+        n = n_node + 50
+        binned = rng.integers(0, max_bins, size=(n, n_cols), dtype=np.uint8)
+        g = rng.standard_normal(n)
+        h = rng.random(n) + 0.01
+        rows = rng.choice(n, size=n_node, replace=False)
+        cols = None
+        sliced = binned
+        if bagged:
+            cols = np.sort(rng.choice(n_cols, size=max(1, n_cols // 2),
+                                      replace=False))
+            sliced = binned[:, cols]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(HistogramBuilder, "_FUSED_BLOCK_CELLS", budget)
+            ours = HistogramBuilder(binned, max_bins).build(
+                g, h, rows, column_subset=cols)
+        golden = reference.build_histogram_seed(sliced, g, h, rows, max_bins)
+        _assert_histograms_identical(ours, golden)
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_tree_and_bagged_ensemble_under_tiny_budget(self, monkeypatch,
+                                                        budget):
+        monkeypatch.setattr(HistogramBuilder, "_FUSED_BLOCK_CELLS", budget)
+        binned, g, h, x, y = _problem(5, 2_500, 8, 16)
+        params = TreeParams(max_leaves=15, min_child_samples=20)
+        ours = DecisionTree(params).fit(binned, g, h, max_bins=16)
+        golden = reference.SeedDecisionTree(params).fit(binned, g, h,
+                                                        max_bins=16)
+        _assert_trees_identical(ours, golden)
+
+        gbdt_params = GBDTParams(n_trees=6, max_bins=16, colsample=0.7,
+                                 seed=5)
+        ours_gbdt = GBDTClassifier(gbdt_params).fit(x, y)
+        golden_gbdt = reference.SeedGBDT(gbdt_params).fit(x, y)
+        np.testing.assert_array_equal(ours_gbdt.train_losses_,
+                                      golden_gbdt.train_losses_)
+        np.testing.assert_array_equal(ours_gbdt.predict_proba(x),
+                                      golden_gbdt.predict_proba(x))
 
 
 class TestTreeGrowth:
@@ -340,8 +427,8 @@ class TestSplitSearchGolden:
 
         rows = np.arange(binned.shape[0])
         node = _Node(node_id=0, depth=0, sample_indices=rows)
-        node.histogram = build_histogram(
-            binned, gradients, hessians, rows, max_bins
+        node.histogram = HistogramBuilder(binned, max_bins).build(
+            gradients, hessians, rows
         )
         return node
 
