@@ -22,7 +22,7 @@ def test_table3_step_timing(benchmark, extended_context, results_dir):
     rendered = format_table3(timings)
     save_and_print(results_dir, "table3_timing", rendered)
 
-    by_name = {t.method: t for t in timings}
+    by_name = {t.label: t for t in timings}
     complete = by_name["meta-IRM"]
     sampled = by_name["meta-IRM(5)"]
     light = by_name["LightMIRM"]

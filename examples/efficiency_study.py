@@ -17,9 +17,10 @@ from repro.core import (
 )
 from repro.data import GeneratorConfig, LoanDataGenerator, temporal_split
 from repro.data.provinces import extended_registry
-from repro.eval.reports import format_table
+from repro.experiments.table3_timing import format_table3
+from repro.obs.report import TimingTable
 from repro.pipeline import GBDTFeatureExtractor
-from repro.timing import STEP_NAMES, StepTimer
+from repro.timing import StepTimer
 
 PROFILE_EPOCHS = 10
 
@@ -47,40 +48,12 @@ def main() -> None:
         ),
     }
 
-    timers: dict[str, StepTimer] = {}
+    tables = []
     for name, trainer in trainers.items():
         timer = StepTimer(enabled=True)
         trainer.fit(environments, timer=timer)
-        timers[name] = timer
-
-    rows = []
-    for step in STEP_NAMES:
-        row: dict[str, object] = {"step": step}
-        for name, timer in timers.items():
-            row[name] = timer.total_step_seconds(step) / PROFILE_EPOCHS
-        rows.append(row)
-    epoch_row: dict[str, object] = {"step": "whole epoch"}
-    for name, timer in timers.items():
-        epoch_row[name] = timer.mean_epoch_seconds
-    rows.append(epoch_row)
-
-    print(
-        format_table(
-            rows,
-            columns=("step",) + tuple(trainers),
-            title="Per-epoch step cost (seconds)",
-        )
-    )
-
-    complete = timers["meta-IRM"]
-    light = timers["LightMIRM"]
-    meta_ratio = complete.total_step_seconds(
-        "calculating_meta_losses"
-    ) / light.total_step_seconds("calculating_meta_losses")
-    epoch_ratio = complete.mean_epoch_seconds / light.mean_epoch_seconds
-    print()
-    print(f"meta-loss step: LightMIRM is {meta_ratio:.1f}x faster")
-    print(f"whole epoch   : LightMIRM is {epoch_ratio:.1f}x faster")
+        tables.append(TimingTable.from_timer(name, timer, PROFILE_EPOCHS))
+    print(format_table3(tables))
 
 
 if __name__ == "__main__":

@@ -11,32 +11,18 @@ like M/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.config import LightMIRMConfig, MetaIRMConfig
 from repro.core.lightmirm import LightMIRMTrainer
 from repro.core.meta_irm import MetaIRMTrainer
-from repro.eval.reports import format_table
 from repro.experiments.runner import ExperimentContext
-from repro.timing import STEP_NAMES, StepTimer
+from repro.obs.report import TimingTable, format_timing_table
+from repro.timing import StepTimer
 from repro.train.base import Trainer
 
-__all__ = ["StepTimings", "run_table3", "format_table3", "step_proportions"]
+__all__ = ["run_table3", "format_table3", "step_proportions"]
 
 #: Epochs to profile; enough for stable per-step means.
 PROFILE_EPOCHS = 10
-
-
-@dataclass(frozen=True)
-class StepTimings:
-    """Mean per-epoch step timings of one method (one Table III column)."""
-
-    method: str
-    mean_step_seconds: dict[str, float]
-    mean_epoch_seconds: float
-
-    def step(self, name: str) -> float:
-        return self.mean_step_seconds.get(name, 0.0)
 
 
 def _profiled_trainers(seed: int, n_sampled: int) -> dict[str, Trainer]:
@@ -56,7 +42,7 @@ def _profiled_trainers(seed: int, n_sampled: int) -> dict[str, Trainer]:
 
 def run_table3(
     context: ExperimentContext, n_sampled: int = 5
-) -> list[StepTimings]:
+) -> list[TimingTable]:
     """Profile the three Table III methods on the shared context.
 
     Per-epoch step times are averaged over ``PROFILE_EPOCHS`` epochs.  The
@@ -68,21 +54,11 @@ def run_table3(
     for name, trainer in _profiled_trainers(seed, n_sampled).items():
         timer = StepTimer(enabled=True)
         context.fit_trainer(trainer, timer=timer)
-        per_epoch = {
-            step: timer.total_step_seconds(step) / PROFILE_EPOCHS
-            for step in STEP_NAMES
-        }
-        timings.append(
-            StepTimings(
-                method=name,
-                mean_step_seconds=per_epoch,
-                mean_epoch_seconds=timer.mean_epoch_seconds,
-            )
-        )
+        timings.append(TimingTable.from_timer(name, timer, PROFILE_EPOCHS))
     return timings
 
 
-def step_proportions(timing: StepTimings) -> dict[str, float]:
+def step_proportions(timing: TimingTable) -> dict[str, float]:
     """Fraction of the epoch each step takes (the Fig 7 pie data)."""
     total = sum(timing.mean_step_seconds.values())
     if total == 0:
@@ -93,27 +69,14 @@ def step_proportions(timing: StepTimings) -> dict[str, float]:
     }
 
 
-def format_table3(timings: list[StepTimings]) -> str:
-    """Render Table III (per-step seconds) and the Fig 7 proportions."""
-    rows = []
-    for step in STEP_NAMES:
-        row: dict[str, object] = {"step": step}
-        for t in timings:
-            row[t.method] = t.step(step)
-        rows.append(row)
-    epoch_row: dict[str, object] = {"step": "the whole epoch"}
-    for t in timings:
-        epoch_row[t.method] = t.mean_epoch_seconds
-    rows.append(epoch_row)
-    methods = tuple(t.method for t in timings)
-    table = format_table(
-        rows,
-        columns=("step",) + methods,
-        title="Table III: per-epoch time cost of operation steps (seconds)",
-        float_format="{:.4f}",
-    )
-    complete = next(t for t in timings if t.method == "meta-IRM")
-    light = next(t for t in timings if t.method == "LightMIRM")
+def format_table3(timings: list[TimingTable]) -> str:
+    """Render Table III (per-step seconds), the speedups and Fig 7.
+
+    Expects columns labelled ``meta-IRM`` and ``LightMIRM``.
+    """
+    table = format_timing_table(timings)
+    complete = next(t for t in timings if t.label == "meta-IRM")
+    light = next(t for t in timings if t.label == "LightMIRM")
     meta_ratio = _ratio(
         complete.step("calculating_meta_losses"),
         light.step("calculating_meta_losses"),
@@ -131,7 +94,7 @@ def format_table3(timings: list[StepTimings]) -> str:
         rendered = "  ".join(
             f"{name}={fraction:.1%}" for name, fraction in proportions.items()
         )
-        lines.append(f"  {t.method:16s} {rendered}")
+        lines.append(f"  {t.label:16s} {rendered}")
     return "\n".join(lines)
 
 

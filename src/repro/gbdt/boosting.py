@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import Iterator, Mapping
 
@@ -32,7 +31,6 @@ from repro.gbdt.forest import Forest
 from repro.gbdt.histogram import HistogramBuilder
 from repro.gbdt.tree import DecisionTree, TreeParams
 from repro.numerics import binary_cross_entropy, sigmoid
-from repro.obs.profile import active as _active_profiler
 
 __all__ = ["GBDTParams", "GBDTClassifier"]
 
@@ -330,50 +328,42 @@ class GBDTClassifier:
         rounds_since_best = 0
 
         for _ in range(params.n_trees):
-            profiler = _active_profiler()
-            round_section = (
-                profiler.section("boosting_round", rows=n)
-                if profiler is not None else nullcontext()
+            prob = sigmoid(raw)
+            gradients = prob - labels_t
+            hessians = np.maximum(prob * (1.0 - prob), 1e-12).astype(
+                value_dtype, copy=False
             )
-            with round_section:
-                prob = sigmoid(raw)
-                gradients = prob - labels_t
-                hessians = np.maximum(prob * (1.0 - prob), 1e-12).astype(
-                    value_dtype, copy=False
-                )
 
-                row_subset = None
-                if params.subsample < 1.0:
-                    size = max(1, int(round(params.subsample * n)))
-                    row_subset = rng.choice(n, size=size, replace=False)
-                    # Sorted rows make the histogram gathers sequential in
-                    # memory; set-based statistics are order-invariant, so
-                    # fitted trees are unchanged.
-                    row_subset.sort()
-                col_subset = None
-                if params.colsample < 1.0:
-                    size = max(1, int(round(params.colsample * d)))
-                    col_subset = np.sort(
-                        rng.choice(d, size=size, replace=False)
-                    )
+            row_subset = None
+            if params.subsample < 1.0:
+                size = max(1, int(round(params.subsample * n)))
+                row_subset = rng.choice(n, size=size, replace=False)
+                # Sorted rows make the histogram gathers sequential in
+                # memory; set-based statistics are order-invariant, so
+                # fitted trees are unchanged.
+                row_subset.sort()
+            col_subset = None
+            if params.colsample < 1.0:
+                size = max(1, int(round(params.colsample * d)))
+                col_subset = np.sort(rng.choice(d, size=size, replace=False))
 
-                tree = DecisionTree(params.tree)
-                tree.fit(
-                    binned,
-                    gradients,
-                    hessians,
-                    max_bins=params.max_bins,
-                    sample_indices=row_subset,
-                    column_subset=col_subset,
-                    builder=builder,
-                    value_dtype=value_dtype,
-                )
-                self.trees_.append(tree)
+            tree = DecisionTree(params.tree)
+            tree.fit(
+                binned,
+                gradients,
+                hessians,
+                max_bins=params.max_bins,
+                sample_indices=row_subset,
+                column_subset=col_subset,
+                builder=builder,
+                value_dtype=value_dtype,
+            )
+            self.trees_.append(tree)
 
-                raw += params.learning_rate * tree.predict_value(binned)
-                self.train_losses_.append(
-                    binary_cross_entropy(labels, sigmoid(raw))
-                )
+            raw += params.learning_rate * tree.predict_value(binned)
+            self.train_losses_.append(
+                binary_cross_entropy(labels, sigmoid(raw))
+            )
 
             if use_valid:
                 valid_raw += params.learning_rate * tree.predict_value(

@@ -41,8 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.profile import active as _active_profiler
-
 __all__ = ["NodeHistogram", "HistogramBuilder"]
 
 
@@ -158,41 +156,8 @@ class HistogramBuilder:
         """
         if sample_indices is not None and self._is_all_rows(sample_indices):
             sample_indices = None
-        profiler = _active_profiler()
-        if profiler is not None:
-            n_rows = (
-                self.n_samples if sample_indices is None
-                else sample_indices.size
-            )
-            n_cols = (
-                self.n_features if column_subset is None
-                else len(column_subset)
-            )
-            with profiler.section(
-                "histogram_build",
-                rows=int(n_rows),
-                cells=int(n_cols) * self.max_bins,
-            ):
-                return self._dispatch(
-                    gradients, hessians, sample_indices, column_subset
-                )
-        return self._dispatch(
-            gradients, hessians, sample_indices, column_subset
-        )
-
-    def _dispatch(
-        self,
-        gradients: np.ndarray,
-        hessians: np.ndarray,
-        sample_indices: np.ndarray | None,
-        column_subset: np.ndarray | None,
-    ) -> NodeHistogram:
-        """Kernel selection (rows already normalised by :meth:`build`)."""
-        if sample_indices is None:
-            return self._build_per_feature(
-                gradients, hessians, None, column_subset
-            )
-        if sample_indices.size >= self._PER_FEATURE_MIN_ROWS:
+        if (sample_indices is None
+                or sample_indices.size >= self._PER_FEATURE_MIN_ROWS):
             return self._build_per_feature(
                 gradients, hessians, sample_indices, column_subset
             )

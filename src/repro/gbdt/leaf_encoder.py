@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.gbdt.boosting import GBDTClassifier
-from repro.obs.profile import active as _active_profiler
 
 __all__ = ["LeafDesign", "LeafIndexEncoder", "encode_leaf_matrix"]
 
@@ -184,14 +183,6 @@ class LeafIndexEncoder:
         per_tree_leaves = np.diff(self._offsets)
         if np.any(leaf_matrix < 0) or np.any(leaf_matrix >= per_tree_leaves[None, :]):
             raise ValueError("leaf index out of range for its tree")
-        profiler = _active_profiler()
-        if profiler is not None:
-            with profiler.section(
-                "leaf_encode",
-                rows=int(leaf_matrix.shape[0]),
-                cells=int(leaf_matrix.size),
-            ):
-                return encode_leaf_matrix(leaf_matrix, self._offsets)
         return encode_leaf_matrix(leaf_matrix, self._offsets)
 
     def column_origin(self, column: int) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Unified observability layer: tracing, metrics, kernel profiling.
+"""Unified observability layer: tracing, run logs, metrics, live telemetry.
 
 Four pieces, all zero-dependency (stdlib + numpy) and disabled-by-default:
 
@@ -9,23 +9,20 @@ Four pieces, all zero-dependency (stdlib + numpy) and disabled-by-default:
   and run manifest (config, seed, git describe, dataset fingerprint).
 * :mod:`repro.obs.metrics` — counters/gauges/histograms shared with the
   serving telemetry.
-* :mod:`repro.obs.profile` — aggregate profiling hooks inside the GBDT
-  hot paths (histogram build, leaf encode, boosting rounds), with opt-in
-  tracemalloc allocation tracking.
 * :mod:`repro.obs.live` — the live telemetry plane for the serving
   stack: shared-memory metrics slabs, cross-process aggregation, online
   quality monitors, health alerts and Prometheus/JSON exposition.
 
 ``repro obs report|summary|diff`` renders a run log offline — per-step
-Table III timings and convergence curves without re-running training —
-and ``repro obs top`` renders the live plane while serving.
+Table III timings, per-layer span times and convergence curves without
+re-running training — and ``repro obs top`` renders the live plane while
+serving.
 """
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
-    "profile": ("KernelProfiler", "profiled"),
     "report": (
         "format_diff", "format_report", "format_summary", "health_lines",
         "load_run", "timing_tables",

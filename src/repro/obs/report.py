@@ -8,7 +8,11 @@ Fig 8-style convergence curves offline (``repro obs report run.jsonl``).
 
 When one log contains several fits (``repro verify --trace``, experiment
 sweeps), step spans are attributed to their owning trainer by walking the
-span parent chain to the enclosing ``fit`` span.
+span parent chain to the nearest enclosing ``fit`` or ``pipeline.fit``
+span.  :class:`TimingTable` is the one Table III column type: built from
+a log by :func:`timing_tables` or from a live
+:class:`~repro.timing.StepTimer` by :meth:`TimingTable.from_timer`, and
+rendered by :func:`format_timing_table`.
 """
 
 from __future__ import annotations
@@ -24,12 +28,15 @@ from repro.obs.runlog import (
     RunLog,
     RunLogReader,
 )
-from repro.timing import STEP_NAMES
+from repro.timing import STEP_NAMES, StepTimer
 
 __all__ = [
     "TimingTable",
+    "Layer",
     "load_run",
     "timing_tables",
+    "format_timing_table",
+    "layers",
     "health_lines",
     "tune_cache_lines",
     "format_report",
@@ -39,6 +46,10 @@ __all__ = [
 
 #: Label used when a record cannot be attributed to a specific fit.
 _UNATTRIBUTED = "(run)"
+
+#: Spans that own the step spans beneath them (their ``trainer`` field
+#: labels the Table III column).
+_FIT_SPANS = frozenset({"fit", "pipeline.fit"})
 
 
 def load_run(path) -> RunLog:
@@ -52,7 +63,7 @@ class TimingTable:
 
     Attributes:
         label: Trainer name (or :data:`_UNATTRIBUTED`).
-        n_epochs: Epoch events attributed to the fit.
+        n_epochs: Epochs the per-step totals are divided by.
         mean_step_seconds: Mean per-epoch seconds per canonical step.
         mean_epoch_seconds: Mean whole-epoch wall time.
     """
@@ -62,20 +73,42 @@ class TimingTable:
     mean_step_seconds: dict[str, float]
     mean_epoch_seconds: float
 
+    @classmethod
+    def from_timer(cls, label: str, timer: StepTimer,
+                   n_epochs: int) -> "TimingTable":
+        """The column a run log of the same fit yields, from its timer.
+
+        Step totals are divided exactly as :func:`timing_tables` divides
+        the log's step spans, so a traced fit gives equal columns.
+        """
+        return cls(
+            label=label,
+            n_epochs=n_epochs,
+            mean_step_seconds={
+                step: timer.total_step_seconds(step) / (n_epochs or 1)
+                for step in STEP_NAMES
+            },
+            mean_epoch_seconds=timer.mean_epoch_seconds,
+        )
+
+    def step(self, name: str) -> float:
+        """Mean per-epoch seconds of one step (0 if never timed)."""
+        return self.mean_step_seconds.get(name, 0.0)
+
 
 def _span_index(run: RunLog) -> dict[int, dict]:
     return {record["id"]: record for record in run.spans()}
 
 
 def _owning_fit_label(span_id, index: dict[int, dict]) -> str:
-    """Trainer of the nearest enclosing ``fit`` span, else unattributed."""
+    """Trainer of the nearest enclosing fit span, else unattributed."""
     seen = set()
     while span_id is not None and span_id not in seen:
         seen.add(span_id)
         record = index.get(span_id)
         if record is None:
             break
-        if record["name"] == "fit":
+        if record["name"] in _FIT_SPANS:
             return str(record["fields"].get("trainer", _UNATTRIBUTED))
         span_id = record["parent"]
     return _UNATTRIBUTED
@@ -140,12 +173,13 @@ def timing_tables(run: RunLog) -> list[TimingTable]:
     return tables
 
 
-def _format_timing(tables: list[TimingTable]) -> str:
+def format_timing_table(tables: list[TimingTable]) -> str:
+    """Render Table III: one row per step, one column per table."""
     rows = []
     for step in STEP_NAMES:
         row: dict[str, object] = {"step": step}
         for table in tables:
-            row[table.label] = table.mean_step_seconds.get(step, 0.0)
+            row[table.label] = table.step(step)
         rows.append(row)
     epoch_row: dict[str, object] = {"step": "the whole epoch"}
     for table in tables:
@@ -154,8 +188,75 @@ def _format_timing(tables: list[TimingTable]) -> str:
     return format_table(
         rows,
         columns=("step",) + tuple(t.label for t in tables),
-        title="Per-epoch time cost of operation steps (seconds, Table III "
-              "format)",
+        title="Table III: per-epoch time cost of operation steps (seconds)",
+        float_format="{:.4f}",
+    )
+
+
+@dataclass(frozen=True)
+class Layer:
+    """Every span of one name in a run log, aggregated.
+
+    Attributes:
+        name: Span name.
+        calls: Spans of that name.
+        total_seconds: Sum of their durations.
+        self_seconds: Sum of their self times: each span's duration minus
+            the union of its direct children's intervals (clipped to the
+            span), so overlapping children are not counted twice.
+    """
+
+    name: str
+    calls: int
+    total_seconds: float
+    self_seconds: float
+
+
+def layers(run: RunLog) -> list[Layer]:
+    """Calls, total and self seconds of every non-step span name.
+
+    ``step:*`` spans are Table III's (see :func:`timing_tables`); they
+    still count as children when their parents' self time is taken.
+    Names appear in order of their first span's start.
+    """
+    spans = sorted(run.spans(), key=lambda span: span["start_s"])
+    children: dict[int | None, list[dict]] = {}
+    for span in spans:
+        children.setdefault(span["parent"], []).append(span)
+    totals: dict[str, list] = {}
+    for span in spans:
+        if span["name"].startswith("step:"):
+            continue
+        start, duration = span["start_s"], span["dur_s"]
+        end = start + duration
+        # Sweep the children in start order; ``reach`` is the end of the
+        # covered prefix, so overlaps are counted once.
+        covered, reach = 0.0, start
+        for child in children.get(span["id"], ()):
+            lo = max(child["start_s"], reach)
+            hi = min(child["start_s"] + child["dur_s"], end)
+            if hi > lo:
+                covered += hi - lo
+                reach = hi
+        entry = totals.setdefault(span["name"], [0, 0.0, 0.0])
+        entry[0] += 1
+        entry[1] += duration
+        entry[2] += max(0.0, duration - covered)
+    return [Layer(name, *entry) for name, entry in totals.items()]
+
+
+def _format_layers(run: RunLog) -> str | None:
+    rows = [
+        {"layer": layer.name, "calls": layer.calls,
+         "total_s": layer.total_seconds, "self_s": layer.self_seconds}
+        for layer in layers(run)
+    ]
+    if not rows:
+        return None
+    return format_table(
+        rows,
+        columns=("layer", "calls", "total_s", "self_s"),
+        title="Layers (seconds; self excludes direct child spans)",
         float_format="{:.4f}",
     )
 
@@ -349,28 +450,16 @@ def format_report(run: RunLog, max_curve_rows: int = 20) -> str:
     sections = ["\n".join(_manifest_lines(run))]
     tables = timing_tables(run)
     if tables:
-        sections.append(_format_timing(tables))
+        sections.append(format_timing_table(tables))
         for table in tables:
             curves = _format_curves(run, table.label, max_curve_rows)
             if curves is not None:
                 sections.append(curves)
     else:
         sections.append("(no training events in this log)")
-    profiles = run.events("gbdt_profile")
-    if profiles:
-        lines = ["GBDT kernel profile:"]
-        for section, stats in sorted(
-            profiles[-1]["fields"].get("sections", {}).items()
-        ):
-            lines.append(
-                f"  {section:18s} calls={stats['calls']:<7d} "
-                f"{stats['seconds']:.4f}s  "
-                f"{stats['rows_per_s']:,.0f} rows/s"
-            )
-        peak = profiles[-1]["fields"].get("alloc_peak_bytes")
-        if peak is not None:
-            lines.append(f"  alloc high-water  {peak / 1e6:.1f} MB")
-        sections.append("\n".join(lines))
+    layer_table = _format_layers(run)
+    if layer_table is not None:
+        sections.append(layer_table)
     snapshots = run.metrics_snapshots()
     if snapshots:
         counters = snapshots[-1]["fields"].get("counters", {})

@@ -14,12 +14,13 @@ Composes the three stages of the paper's model:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.data.dataset import EnvironmentData, LoanDataset
 from repro.gbdt.boosting import GBDTParams
 from repro.metrics.fairness import FairnessReport, evaluate_environments
-from repro.obs.profile import profiled
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pipeline.extractor import GBDTFeatureExtractor
 from repro.timing import StepTimer
@@ -74,10 +75,13 @@ class LoanDefaultPipeline:
             callback: Per-epoch hook forwarded to the LR trainer.
             timer: Optional step timer; the one-off leaf encoding is charged
                 to the ``transforming_format`` step (Table III).
-            tracer: Optional run tracer.  The GBDT stage runs under kernel
-                profiling (histogram builds, boosting rounds, leaf encode)
-                and its aggregates land in a ``gbdt_profile`` event; the LR
-                stage is traced through the trainer.
+            tracer: Optional run tracer.  The whole fit is a
+                ``pipeline.fit`` span (field ``trainer``) holding a
+                ``gbdt.boosting.fit`` span (fields ``rows``, ``trees``)
+                when the extractor is fitted here, a
+                ``pipeline.encode_environments`` span (field ``rows``)
+                around the one-off encode, and the trainer's own ``fit``
+                span.
 
         Returns:
             self.
@@ -98,20 +102,21 @@ class LoanDefaultPipeline:
         # Attach before the one-off encode so its transforming_format step
         # is mirrored into the log (the trainer re-attaches harmlessly).
         tracer.attach_timer(timer)
-        if tracer.enabled:
-            with tracer.span("gbdt_stage"), profiled() as profiler:
-                if not self.extractor.is_fitted:
-                    self.extractor.fit(train)
+        with tracer.span("pipeline.fit", trainer=self.trainer.name):
+            if not self.extractor.is_fitted:
+                start = time.perf_counter()
+                self.extractor.fit(train)
+                tracer.record_span(
+                    "gbdt.boosting.fit", time.perf_counter() - start,
+                    rows=train.n_samples, trees=self.gbdt_.n_trees_fitted,
+                )
+            with tracer.span("pipeline.encode_environments",
+                             rows=train.n_samples):
                 with timer.step("transforming_format"):
                     environments = self.extractor.encode_environments(train)
-            tracer.event("gbdt_profile", **profiler.snapshot())
-        else:
-            if not self.extractor.is_fitted:
-                self.extractor.fit(train)
-            with timer.step("transforming_format"):
-                environments = self.extractor.encode_environments(train)
-        self.result_ = self.trainer.fit(environments, callback=callback,
-                                        timer=timer, tracer=tracer)
+            self.result_ = self.trainer.fit(
+                environments, callback=callback, timer=timer, tracer=tracer
+            )
         return self
 
     def encode_environments(self, dataset: LoanDataset) -> list[EnvironmentData]:

@@ -4,7 +4,9 @@ The paper profiles five operation steps of each training algorithm (loading
 data, transforming the format, inner optimization, calculating the
 meta-losses, backward propagation) and reports per-step and whole-epoch
 times.  :class:`StepTimer` is threaded through every trainer so the same
-steps can be measured on our substrate.
+steps can be measured on our substrate; its Table III column is
+:meth:`repro.obs.report.TimingTable.from_timer`, the same view a traced
+run log yields.
 """
 
 from __future__ import annotations
@@ -129,42 +131,6 @@ class StepTimer:
         """Total seconds spent in a step."""
         entry = self.stats.get(name)
         return entry.total_seconds if entry else 0.0
-
-    def proportions(self) -> dict[str, float]:
-        """Fraction of total instrumented time per step (Fig 7 data)."""
-        total = sum(s.total_seconds for s in self.stats.values())
-        if total == 0:
-            return {name: 0.0 for name in self.stats}
-        return {
-            name: entry.total_seconds / total for name, entry in self.stats.items()
-        }
-
-    def as_table_row(self) -> dict[str, float]:
-        """Mean per-step seconds keyed by the canonical Table III names."""
-        return {name: self.mean_step_seconds(name) for name in STEP_NAMES}
-
-    def snapshot(self) -> dict:
-        """JSON-compatible timer state, emitted even without epochs.
-
-        ``epochs.estimated`` flags the no-epoch fallback of
-        :attr:`mean_epoch_seconds` so downstream consumers can tell a
-        measured whole-epoch time from a per-step reconstruction.
-        """
-        return {
-            "steps": {
-                name: {
-                    "total_seconds": entry.total_seconds,
-                    "count": entry.count,
-                    "mean_seconds": entry.mean_seconds,
-                }
-                for name, entry in self.stats.items()
-            },
-            "epochs": {
-                "count": self.n_epochs,
-                "mean_seconds": self.mean_epoch_seconds,
-                "estimated": not self.epoch_seconds and bool(self.stats),
-            },
-        }
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ class TestTable2:
 class TestTable3:
     def test_timings_structure(self, tiny_context):
         timings = run_table3(tiny_context)
-        assert [t.method for t in timings] == [
+        assert [t.label for t in timings] == [
             "meta-IRM", "meta-IRM(5)", "LightMIRM",
         ]
         complete = timings[0]

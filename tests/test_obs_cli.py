@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.obs.report import timing_tables
 from repro.obs.runlog import RunLogReader
+from repro.serve.registry import ModelRegistry
 from repro.timing import STEP_NAMES
 
 
@@ -27,11 +28,15 @@ def dataset_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory, dataset_file):
-    """One traced LightMIRM training run, shared by the read-side tests."""
+    """One traced LightMIRM training run, shared by the read-side tests.
+
+    The fitted model is saved beside the log as ``model.json``.
+    """
     trace = tmp_path_factory.mktemp("obs-cli-run") / "run.jsonl"
     code = main([
         "train", "--method", "lightmirm", "--data", str(dataset_file),
         "--epochs", "6", "--seed", "1", "--trace", str(trace),
+        "--out", str(trace.with_name("model.json")),
     ])
     assert code == 0
     return trace
@@ -73,13 +78,19 @@ class TestTracedTrain:
             curve = run.curve("epoch", field)
             assert [epoch for epoch, _ in curve] == list(range(6)), field
 
-    def test_gbdt_profile_event_present(self, traced_run):
+    def test_gbdt_layer_spans_present(self, traced_run):
         run = RunLogReader.read(traced_run)
-        (profile,) = run.events("gbdt_profile")
-        sections = profile["fields"]["sections"]
-        assert {"boosting_round", "histogram_build", "leaf_encode"} \
-            <= set(sections)
-        assert sections["leaf_encode"]["rows"] > 0
+        (fit,) = run.spans("pipeline.fit")
+        assert fit["fields"]["trainer"] == "LightMIRM"
+        (boosting,) = run.spans("gbdt.boosting.fit")
+        (encode,) = run.spans("pipeline.encode_environments")
+        assert boosting["parent"] == encode["parent"] == fit["id"]
+        model = ModelRegistry.load_file(traced_run.with_name("model.json"))
+        assert boosting["fields"]["trees"] == model.encoder.n_trees
+        assert boosting["fields"]["rows"] > 0
+        assert encode["fields"]["rows"] > 0
+        # The GBDT stage is spans only: the events are the trainer's.
+        assert {e["name"] for e in run.events()} == {"epoch", "epoch_time"}
 
     def test_untraced_train_writes_no_log(self, dataset_file, capsys):
         code = main([
@@ -100,7 +111,8 @@ class TestObsReport:
         assert "the whole epoch" in out
         assert "Convergence of LightMIRM" in out
         assert "meta_loss_total" in out
-        assert "GBDT kernel profile" in out
+        assert "Layers" in out
+        assert "gbdt.boosting.fit" in out
 
     def test_summary_renders_headline(self, traced_run, capsys):
         assert main(["obs", "summary", str(traced_run)]) == 0

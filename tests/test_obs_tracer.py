@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs.report import Layer, format_report, layers
 from repro.obs.runlog import (
     RunLog,
     RunLogReader,
@@ -282,6 +283,57 @@ class TestRunLogQueries:
 
     def test_manifest_less_log(self):
         assert RunLog([]).manifest is None
+
+
+def _span(span_id, name, start, dur, parent=None):
+    return {"kind": "span", "name": name, "id": span_id, "parent": parent,
+            "start_s": start, "dur_s": dur, "fields": {}}
+
+
+class TestLayers:
+    def test_self_time_subtracts_direct_children(self):
+        run = RunLog([
+            _span(1, "child", 0.1, 0.3, parent=0),
+            _span(2, "child", 0.5, 0.2, parent=0),
+            _span(0, "parent", 0.0, 1.0),
+        ])
+        by_name = {layer.name: layer for layer in layers(run)}
+        assert by_name["parent"].self_seconds == pytest.approx(0.5)
+        assert by_name["child"] == Layer("child", 2, pytest.approx(0.5),
+                                         pytest.approx(0.5))
+
+    def test_overlapping_children_counted_once(self):
+        run = RunLog([
+            _span(1, "worker", 0.1, 0.4, parent=0),  # [0.1, 0.5]
+            _span(2, "worker", 0.3, 0.3, parent=0),  # [0.3, 0.6]
+            _span(0, "parent", 0.0, 1.0),
+        ])
+        (parent,) = [l for l in layers(run) if l.name == "parent"]
+        assert parent.self_seconds == pytest.approx(0.5)
+
+    def test_children_outside_the_parent_are_clipped(self):
+        run = RunLog([
+            _span(1, "late", 0.5, 1.0, parent=0),   # [0.5, 1.5]
+            _span(2, "whole", -1.0, 3.0, parent=3),
+            _span(0, "parent", 0.0, 1.0),
+            _span(3, "covered", 0.0, 1.0),
+        ])
+        by_name = {layer.name: layer for layer in layers(run)}
+        assert by_name["parent"].self_seconds == pytest.approx(0.5)
+        assert by_name["covered"].self_seconds == 0.0
+
+    def test_steps_are_children_not_layers(self):
+        run = RunLog([
+            _span(2, "step:inner_optimization", 0.2, 0.2, parent=1),
+            _span(1, "fit", 0.1, 0.5, parent=0),
+            _span(0, "pipeline.fit", 0.0, 1.0),
+        ])
+        rows = layers(run)
+        assert [layer.name for layer in rows] == ["pipeline.fit", "fit"]
+        # Only direct children count: the step leaves pipeline.fit alone.
+        assert rows[0].self_seconds == pytest.approx(0.5)
+        assert rows[1].self_seconds == pytest.approx(0.3)
+        assert "Layers" in format_report(run)
 
 
 class TestManifestHelpers:

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from repro.eval.tracking import KSTrackingCallback
+from repro.gbdt.boosting import GBDTParams
 from repro.models.logistic import LogisticModel
-from repro.obs.report import timing_tables
-from repro.obs.runlog import RunLog, validate_record
+from repro.obs.report import TimingTable, load_run, timing_tables
+from repro.obs.runlog import RunLog, RunLogWriter, validate_record
 from repro.obs.tracer import Tracer
-from repro.timing import STEP_NAMES
+from repro.pipeline.pipeline import LoanDefaultPipeline
+from repro.timing import STEP_NAMES, StepTimer
 from repro.train.registry import (
     available_trainers,
     make_trainer,
@@ -114,6 +116,42 @@ class TestTimingReconstruction:
         ]
         assert len(epoch_times) == 4
         assert all(r["fields"]["seconds"] > 0 for r in epoch_times)
+
+
+class TestTimerAndLogAgree:
+    """The step timer and the run log of one fit give one Table III.
+
+    Both sides add the same floats in the same order (the log's step spans
+    carry the timer's own measurements), so the columns are equal with
+    ``==``, not approximately.
+    """
+
+    @pytest.mark.parametrize("name", ["LightMIRM", "meta-IRM"])
+    def test_trainer_fit(self, name, tiny_envs):
+        timer, tracer = StepTimer(), Tracer()
+        make_trainer(name, n_epochs=4, seed=0).fit(
+            tiny_envs, timer=timer, tracer=tracer
+        )
+        (logged,) = timing_tables(RunLog(tracer.records))
+        assert logged == TimingTable.from_timer(name, timer, 4)
+
+    def test_pipeline_fit(self, small_split, tmp_path):
+        timer, tracer = StepTimer(), Tracer()
+        pipeline = LoanDefaultPipeline(
+            make_trainer("LightMIRM", n_epochs=3, seed=0),
+            gbdt_params=GBDTParams(n_trees=3),
+        )
+        pipeline.fit(small_split.train, timer=timer, tracer=tracer)
+        expected = TimingTable.from_timer("LightMIRM", timer, 3)
+        # The one-off encode is in the trainer's column: no "(run)" column.
+        assert timing_tables(RunLog(tracer.records)) == [expected]
+        assert expected.step("transforming_format") > 0
+
+        path = tmp_path / "run.jsonl"
+        with RunLogWriter(path) as writer:
+            for record in tracer.records:
+                writer.write(record)
+        assert timing_tables(load_run(path)) == [expected]
 
 
 class TestLightMIRMExtras:

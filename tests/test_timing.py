@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from repro.experiments.table3_timing import step_proportions
+from repro.obs.report import TimingTable
 from repro.timing import STEP_NAMES, StepStats, StepTimer
 
 
@@ -52,15 +54,16 @@ class TestStepTimer:
 
     def test_proportions_sum_to_one(self):
         timer = StepTimer(enabled=True)
-        with timer.step("a"):
+        with timer.step("inner_optimization"):
             time.sleep(0.002)
-        with timer.step("b"):
+        with timer.step("backward_propagation"):
             time.sleep(0.002)
-        proportions = timer.proportions()
+        proportions = step_proportions(TimingTable.from_timer("m", timer, 1))
         assert sum(proportions.values()) == pytest.approx(1.0)
 
     def test_proportions_empty(self):
-        assert StepTimer(enabled=True).proportions() == {}
+        table = TimingTable.from_timer("m", StepTimer(enabled=True), 1)
+        assert step_proportions(table) == dict.fromkeys(STEP_NAMES, 0.0)
 
     def test_missing_step_reads_zero(self):
         timer = StepTimer(enabled=True)
@@ -68,9 +71,8 @@ class TestStepTimer:
         assert timer.total_step_seconds("absent") == 0.0
 
     def test_table_row_uses_canonical_names(self):
-        timer = StepTimer(enabled=True)
-        row = timer.as_table_row()
-        assert tuple(row) == STEP_NAMES
+        table = TimingTable.from_timer("m", StepTimer(enabled=True), 1)
+        assert tuple(table.mean_step_seconds) == STEP_NAMES
 
 
 class TestStepTimerHooks:
@@ -146,41 +148,6 @@ class TestEpochBookkeeping:
 
     def test_empty_timer_mean_epoch_is_zero(self):
         assert StepTimer(enabled=True).mean_epoch_seconds == 0.0
-
-
-class TestSnapshot:
-    def test_snapshot_flags_estimated_epochs(self):
-        timer = StepTimer(enabled=True)
-        timer.stats["a"] = StepStats(total_seconds=1.0, count=2)
-        snap = timer.snapshot()
-        assert snap["epochs"]["count"] == 0
-        assert snap["epochs"]["estimated"] is True
-        assert snap["epochs"]["mean_seconds"] == pytest.approx(0.5)
-
-    def test_snapshot_measured_epochs_not_estimated(self):
-        timer = StepTimer(enabled=True)
-        with timer.epoch():
-            with timer.step("a"):
-                pass
-        snap = timer.snapshot()
-        assert snap["epochs"]["count"] == 1
-        assert snap["epochs"]["estimated"] is False
-
-    def test_empty_snapshot(self):
-        snap = StepTimer(enabled=True).snapshot()
-        assert snap["steps"] == {}
-        assert snap["epochs"] == {
-            "count": 0, "mean_seconds": 0.0, "estimated": False
-        }
-
-    def test_snapshot_step_entries(self):
-        timer = StepTimer(enabled=True)
-        with timer.step("a"):
-            time.sleep(0.001)
-        entry = timer.snapshot()["steps"]["a"]
-        assert entry["count"] == 1
-        assert entry["total_seconds"] >= 0.001
-        assert entry["mean_seconds"] == pytest.approx(entry["total_seconds"])
 
 
 class TestStepStats:
