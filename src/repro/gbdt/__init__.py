@@ -3,7 +3,7 @@
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "binning": ("QuantileBinner", "ReservoirSampler"),
+    "binning": ("QuantileBinner", "ReservoirSampler", "StreamedFit"),
     "packing": (
         "PackedBinnedDataset", "pack_generated", "fit_extractor_encode",
         "leaf_encode_environments",

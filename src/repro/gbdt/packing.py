@@ -6,12 +6,13 @@ module keeps peak RSS roughly flat with row count by never holding raw
 rows beyond one generator cell:
 
 1. **Sample pass** — stream :meth:`LoanDataGenerator.generate_chunks`
-   through a bounded row reservoir and fit the
-   :class:`~repro.gbdt.binning.QuantileBinner` on the sample.
+   through a bounded float32 row reservoir
+   (:meth:`~repro.gbdt.binning.QuantileBinner.fit_streamed`).
 2. **Pack pass** — allocate one :class:`~repro.parallel.shared.SharedArrayPack`
    block (uint8 bins + labels + grouping codes, 1/8th the float64
-   footprint) and bin each chunk directly into it at its canonical row
-   positions.
+   footprint), bin each chunk directly into it at its canonical row
+   positions, then repair the edges the float32 sample rounded and the
+   codes that depend on them.
 
 The result is exactly the binned matrix the GBDT hot path consumes
 (:meth:`GBDTClassifier.fit_binned`), already laid out in the zero-copy
@@ -209,10 +210,11 @@ def pack_generated(
 
     Two deterministic passes over :meth:`generate_chunks` (the generator
     re-streams identically at fixed seed): the first feeds the binner's
-    row reservoir, the second bins every chunk into the shared block at
-    its canonical row positions — so ``packed.binned`` is bit-identical
-    to ``binner.transform(generator.generate().features)`` without the
-    one-shot float64 matrix ever existing.
+    float32 row reservoir, the second bins every chunk into the shared
+    block at its canonical row positions and recovers the exact edges
+    (:class:`~repro.gbdt.binning.StreamedFit`) — so ``packed.binned`` is
+    bit-identical to ``binner.transform(generator.generate().features)``
+    without the one-shot float64 matrix ever existing.
 
     Args:
         generator: Configured :class:`LoanDataGenerator`.
@@ -223,11 +225,15 @@ def pack_generated(
 
     Returns:
         An owning :class:`PackedBinnedDataset`; callers dispose it.
+
+    Raises:
+        ValueError: The second pass streamed different data; the shared
+            block is released first.
     """
     cfg = generator.config
     n, d = cfg.n_samples, generator.schema.n_features
 
-    binner = QuantileBinner(max_bins=max_bins).fit_streamed(
+    streamed = QuantileBinner(max_bins=max_bins).fit_streamed(
         (chunk.features for chunk in generator.generate_chunks(chunk_rows)),
         sample_rows=sample_rows,
         seed=binner_seed,
@@ -244,14 +250,19 @@ def pack_generated(
         },
         meta={"province_names": province_names, "max_bins": max_bins},
     )
-    views = pack.writable_arrays()
-    code_of = {name: i for i, name in enumerate(province_names)}
-    for chunk in generator.generate_chunks(chunk_rows):
-        rows = chunk.row_indices
-        binner.transform_into(chunk.features, views["binned"], rows=rows)
-        views["labels"][rows] = chunk.labels
-        views["province_codes"][rows] = code_of[chunk.province]
-        views["years"][rows] = chunk.year
-        views["halves"][rows] = chunk.half
+    try:
+        views = pack.writable_arrays()
+        code_of = {name: i for i, name in enumerate(province_names)}
+        for chunk in generator.generate_chunks(chunk_rows):
+            rows = chunk.row_indices
+            streamed.transform_into(chunk.features, views["binned"], rows)
+            views["labels"][rows] = chunk.labels
+            views["province_codes"][rows] = code_of[chunk.province]
+            views["years"][rows] = chunk.year
+            views["halves"][rows] = chunk.half
+        binner = streamed.finish(views["binned"])
+    except BaseException:
+        pack.dispose()
+        raise
     return PackedBinnedDataset(pack=pack, binner=binner,
                                province_names=province_names)

@@ -1,13 +1,14 @@
 """Unit tests for the quantile binner."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gbdt.binning import QuantileBinner
+from repro.gbdt.binning import QuantileBinner, ReservoirSampler, StreamedFit
 
 
 class TestFitTransform:
@@ -86,6 +87,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuantileBinner().fit(np.zeros(5))
 
+    def test_zero_rows_raise_like_an_empty_stream(self):
+        with pytest.raises(ValueError, match="zero rows"):
+            QuantileBinner().fit(np.empty((0, 3)))
+        with pytest.raises(ValueError, match="zero rows"):
+            QuantileBinner().fit_streamed(iter([]))
+        with pytest.raises(ValueError, match="zero rows"):
+            QuantileBinner().fit_streamed([np.empty((0, 3))])
+
 
 def _poisoned(shape, dtype, value, where):
     """Finite matrix with ``value`` at the first, middle or last cell."""
@@ -113,8 +122,11 @@ class TestNonFiniteRejected:
                 [np.zeros((5, 3), dtype=dtype), bad])
         with pytest.raises(ValueError, match="finite"):
             fitted.transform(bad)
+        streamed = QuantileBinner(max_bins=8).fit_streamed(
+            [np.arange(120, dtype=np.float64).reshape(40, 3) / 7])
         with pytest.raises(ValueError, match="finite"):
-            fitted.transform_into(bad, np.zeros((n_rows, 3), dtype=np.uint8))
+            streamed.transform_into(bad, np.zeros((n_rows, 3), dtype=np.uint8),
+                                    np.arange(n_rows))
 
     def test_empty_batch_passes(self):
         fitted = QuantileBinner(max_bins=8).fit(np.eye(3))
@@ -154,3 +166,69 @@ class TestBinningProperty:
                     assert binned[i] <= binned[j]
                 elif values[i] == values[j]:
                     assert binned[i] == binned[j]
+
+
+def _column(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "collisions":
+        # Distinct float64 values that round to a few float32 values.
+        base = rng.standard_normal(3)[rng.integers(0, 3, n)]
+        return base + rng.integers(0, 8, n) * np.spacing(base)
+    if kind == "constant":
+        return np.full(n, rng.standard_normal())
+    if kind == "near_constant":
+        return rng.standard_normal() + (rng.random(n) < rng.random()) * 1e-12
+    if kind == "integers":
+        return rng.integers(-3, 4, n).astype(np.float64)
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-45, -1e-40],
+                          size=n)
+    # Beyond float32 range: these round to ±inf.
+    return rng.choice([1e300, -1e300, 3.5e38, -3.5e38, 2.0**128, 1.0],
+                      size=n) * rng.choice([1.0, 1.0 + 2**-40], size=n)
+
+
+class TestStreamedFitExact:
+    """The two-pass streamed fit equals fit() on the sampled float64 rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["normal", "collisions", "constant",
+                                        "near_constant", "integers", "zeros",
+                                        "huge"]), min_size=1, max_size=5),
+        n=st.integers(1, 500),
+        sample_rows=st.integers(1, 300),
+        max_bins=st.sampled_from([2, 3, 64, 256]),
+        block_cells=st.sampled_from([1, 300, StreamedFit._BLOCK_CELLS]),
+    )
+    def test_edges_and_bins_match_fit_on_the_sample(self, seed, kinds, n,
+                                                    sample_rows, max_bins,
+                                                    block_cells):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([_column(kind, rng, n) for kind in kinds])
+        cuts = np.unique(rng.integers(0, n, size=rng.integers(0, 8)))
+        blocks = np.split(x, cuts)
+        sampler = ReservoirSampler(sample_rows, x.shape[1], seed=seed)
+        for block in blocks:
+            sampler.add(block)
+        _, positions = sampler.sample()
+        oracle = QuantileBinner(max_bins=max_bins).fit(x[positions])
+
+        streamed = QuantileBinner(max_bins=max_bins).fit_streamed(
+            iter(blocks), sample_rows=sample_rows, seed=seed)
+        out = np.zeros(x.shape, dtype=np.uint8)
+        row = 0
+        # Small cell budgets split each pack-pass block into column blocks.
+        with mock.patch.object(StreamedFit, "_BLOCK_CELLS", block_cells):
+            for block in blocks:
+                streamed.transform_into(block, out,
+                                        np.arange(row, row + block.shape[0]))
+                row += block.shape[0]
+        binner = streamed.finish(out)
+
+        for got, want in zip(binner.bin_edges_, oracle.bin_edges_):
+            assert got.dtype == want.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(out, oracle.transform(x))

@@ -1,5 +1,8 @@
 """Memory-bounded binning: reservoir, streamed fit, shared-memory packing."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -9,13 +12,29 @@ from repro.gbdt.packing import PackedBinnedDataset, pack_generated
 from repro.parallel.shared import SharedArrayPack
 
 
+def _stream_fit(x, chunk, max_bins, sample_rows=1_000, seed=0):
+    """Both passes of a streamed fit over ``x`` in ``chunk``-row blocks."""
+    starts = range(0, x.shape[0], chunk)
+    streamed = QuantileBinner(max_bins=max_bins).fit_streamed(
+        (x[i:i + chunk] for i in starts), sample_rows=sample_rows, seed=seed)
+    out = np.zeros(x.shape, dtype=np.uint8)
+    for i in starts:
+        streamed.transform_into(x[i:i + chunk], out,
+                                np.arange(i, min(i + chunk, x.shape[0])))
+    return streamed.finish(out), out
+
+
 class TestReservoirSampler:
     def test_under_capacity_keeps_everything_in_order(self, rng):
         sampler = ReservoirSampler(capacity=100, n_features=4)
         blocks = [rng.standard_normal((30, 4)) for _ in range(3)]
         for block in blocks:
             sampler.add(block)
-        np.testing.assert_array_equal(sampler.sample(), np.vstack(blocks))
+        values, positions = sampler.sample()
+        assert values.dtype == np.float32
+        np.testing.assert_array_equal(
+            values, np.vstack(blocks).astype(np.float32))
+        np.testing.assert_array_equal(positions, np.arange(90))
         assert sampler.n_seen == 90
 
     def test_over_capacity_is_bounded_and_drawn_from_stream(self, rng):
@@ -25,11 +44,13 @@ class TestReservoirSampler:
             block = rng.standard_normal((40, 2))
             seen.append(block)
             sampler.add(block)
-        sample = sampler.sample()
-        assert sample.shape == (50, 2)
+        values, positions = sampler.sample()
+        assert values.shape == (50, 2)
         assert sampler.n_seen == 400
-        all_rows = {tuple(row) for row in np.vstack(seen)}
-        assert all(tuple(row) in all_rows for row in sample)
+        assert np.unique(positions).size == 50
+        # Each slot holds the float32 rounding of the row it names.
+        np.testing.assert_array_equal(
+            values, np.vstack(seen)[positions].astype(np.float32))
 
     def test_deterministic_given_seed(self, rng):
         blocks = [rng.standard_normal((60, 3)) for _ in range(4)]
@@ -39,7 +60,18 @@ class TestReservoirSampler:
             for block in blocks:
                 sampler.add(block)
             samples.append(sampler.sample())
-        np.testing.assert_array_equal(samples[0], samples[1])
+        for a, b in zip(*samples):
+            np.testing.assert_array_equal(a, b)
+
+    def test_flags_columns_that_are_not_float32(self, rng):
+        sampler = ReservoirSampler(capacity=20, n_features=3, seed=1)
+        block = np.column_stack([
+            rng.integers(0, 5, 30).astype(np.float64),
+            rng.standard_normal(30),
+            np.full(30, 1e300),
+        ])
+        sampler.add(block)
+        np.testing.assert_array_equal(sampler.inexact, [False, True, True])
 
     def test_coverage_is_roughly_uniform(self):
         """Every stream position must have a fair chance of surviving."""
@@ -49,7 +81,8 @@ class TestReservoirSampler:
             sampler = ReservoirSampler(capacity=50, n_features=1, seed=seed)
             for start in range(0, 500, 100):
                 sampler.add(stream[start:start + 100])
-            hits[sampler.sample()[:, 0].astype(int)] += 1
+            values, _ = sampler.sample()
+            hits[values[:, 0].astype(int)] += 1
         # Expected 20 hits per position over 200 trials of k/n = 0.1.
         assert hits.min() > 5
         assert hits.max() < 45
@@ -59,50 +92,81 @@ class TestFitStreamed:
     def test_equals_fit_when_stream_fits_in_sample(self, rng):
         x = rng.standard_normal((400, 6))
         direct = QuantileBinner(max_bins=16).fit(x)
-        streamed = QuantileBinner(max_bins=16).fit_streamed(
-            (x[i:i + 37] for i in range(0, 400, 37)), sample_rows=1_000
-        )
-        assert len(direct.bin_edges_) == len(streamed.bin_edges_)
-        for a, b in zip(direct.bin_edges_, streamed.bin_edges_):
+        binner, out = _stream_fit(x, chunk=37, max_bins=16)
+        assert len(direct.bin_edges_) == len(binner.bin_edges_)
+        for a, b in zip(direct.bin_edges_, binner.bin_edges_):
             np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(out, direct.transform(x))
 
     def test_subsampled_edges_still_bin_consistently(self, rng):
         x = rng.standard_normal((5_000, 3))
-        streamed = QuantileBinner(max_bins=32).fit_streamed(
-            (x[i:i + 500] for i in range(0, 5_000, 500)),
-            sample_rows=1_000, seed=1,
-        )
-        binned = streamed.transform(x)
-        assert binned.dtype == np.uint8
-        assert binned.max() < 32
+        binner, out = _stream_fit(x, chunk=500, max_bins=32, seed=1)
+        np.testing.assert_array_equal(out, binner.transform(x))
+        assert out.max() < 32
         # Quantile-ish edges: all bins of a dense column are populated.
-        assert np.unique(binned[:, 0]).size > 16
+        assert np.unique(out[:, 0]).size > 16
+
+    def test_columns_of_float32_values_match_fit(self, rng):
+        x = np.column_stack([rng.integers(0, 9, 300).astype(np.float64),
+                             rng.standard_normal(300).astype(np.float32)])
+        direct = QuantileBinner(max_bins=8).fit(x)
+        binner, out = _stream_fit(x, chunk=64, max_bins=8)
+        for a, b in zip(direct.bin_edges_, binner.bin_edges_):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(out, direct.transform(x))
+
+    def test_shorter_second_pass_raises(self, rng):
+        x = rng.standard_normal((100, 2))
+        streamed = QuantileBinner(max_bins=8).fit_streamed([x])
+        out = np.zeros(x.shape, dtype=np.uint8)
+        streamed.transform_into(x[:60], out, np.arange(60))
+        with pytest.raises(ValueError, match="stream changed"):
+            streamed.finish(out)
+
+    def test_longer_second_pass_raises(self, rng):
+        x = rng.standard_normal((100, 2))
+        streamed = QuantileBinner(max_bins=8).fit_streamed([x[:60]])
+        out = np.zeros(x.shape, dtype=np.uint8)
+        with pytest.raises(ValueError, match="stream changed"):
+            streamed.transform_into(x, out, np.arange(100))
+
+    def test_changed_sampled_value_raises(self, rng):
+        x = rng.standard_normal((100, 2))
+        streamed = QuantileBinner(max_bins=2).fit_streamed([x])
+        changed = x.copy()
+        # The median cell: a sampled value inside a bracket.
+        changed[np.argsort(x[:, 0])[49], 0] += 1.0
+        out = np.zeros(x.shape, dtype=np.uint8)
+        streamed.transform_into(changed, out, np.arange(100))
+        with pytest.raises(ValueError, match="stream changed"):
+            streamed.finish(out)
 
 
 class TestTransformInto:
     def test_matches_transform(self, rng):
         x = rng.standard_normal((300, 5))
-        binner = QuantileBinner(max_bins=16).fit(x)
-        out = np.zeros((300, 5), dtype=np.uint8)
-        binner.transform_into(x, out)
+        binner, out = _stream_fit(x, chunk=300, max_bins=16)
         np.testing.assert_array_equal(out, binner.transform(x))
 
     def test_row_scatter(self, rng):
         x = rng.standard_normal((100, 4))
-        binner = QuantileBinner(max_bins=8).fit(x)
+        streamed = QuantileBinner(max_bins=8).fit_streamed([x])
         out = np.zeros((200, 4), dtype=np.uint8)
         rows = np.arange(100) * 2 + 1
-        binner.transform_into(x, out, rows=rows)
+        streamed.transform_into(x, out, rows)
+        binner = streamed.finish(out)
         np.testing.assert_array_equal(out[rows], binner.transform(x))
         assert not out[::2].any()
 
     def test_rejects_wrong_dtype_or_width(self, rng):
         x = rng.standard_normal((50, 3))
-        binner = QuantileBinner(max_bins=8).fit(x)
+        streamed = QuantileBinner(max_bins=8).fit_streamed([x])
         with pytest.raises(ValueError):
-            binner.transform_into(x, np.zeros((50, 3), dtype=np.int64))
+            streamed.transform_into(x, np.zeros((50, 3), dtype=np.int64),
+                                    np.arange(50))
         with pytest.raises(ValueError):
-            binner.transform_into(x, np.zeros((50, 2), dtype=np.uint8))
+            streamed.transform_into(x, np.zeros((50, 2), dtype=np.uint8),
+                                    np.arange(50))
 
 
 class TestNoCopyRegression:
@@ -214,6 +278,61 @@ class TestPackGenerated:
         rows = packed.rows_for_province(name)
         assert (reference.provinces[rows] == name).all()
         assert rows.size == int((reference.provinces == name).sum())
+
+    def test_stream_longer_than_the_sample_packs_exact_edges(self):
+        config = GeneratorConfig(n_samples=3_000, total_features=26,
+                                 n_spurious=4, seed=11)
+        packed = pack_generated(LoanDataGenerator(config), chunk_rows=97,
+                                max_bins=32, sample_rows=500, binner_seed=4)
+        try:
+            blocks = [chunk.features.copy() for chunk in
+                      LoanDataGenerator(config).generate_chunks(97)]
+            sampler = ReservoirSampler(500, blocks[0].shape[1], seed=4)
+            for block in blocks:
+                sampler.add(block)
+            _, positions = sampler.sample()
+            stream = np.vstack(blocks)
+            oracle = QuantileBinner(max_bins=32).fit(stream[positions])
+            for a, b in zip(packed.binner.bin_edges_, oracle.bin_edges_):
+                np.testing.assert_array_equal(a, b)
+            reference = LoanDataGenerator(config).generate()
+            np.testing.assert_array_equal(
+                packed.binned, oracle.transform(reference.features))
+        finally:
+            packed.dispose()
+
+    def test_changed_second_stream_raises_and_releases_the_block(self):
+        config = GeneratorConfig(n_samples=600, total_features=26,
+                                 n_spurious=4, seed=2)
+        stream = np.vstack([chunk.features.copy() for chunk in
+                            LoanDataGenerator(config).generate_chunks()])
+        # The stream's median of column 0: sampled (the stream fits in
+        # the sample) and the only target rank at max_bins=2.
+        target = int(np.argsort(stream[:, 0])[(len(stream) - 1) // 2])
+
+        class Drifting(LoanDataGenerator):
+            passes = 0
+
+            def generate_chunks(self, chunk_rows=None):
+                self.passes += 1
+                position = 0
+                for chunk in super().generate_chunks(chunk_rows):
+                    m = chunk.features.shape[0]
+                    if self.passes == 2 and position <= target < position + m:
+                        features = chunk.features.copy()
+                        features[target - position, 0] += 1.0
+                        chunk = dataclasses.replace(chunk, features=features)
+                    position += m
+                    yield chunk
+
+        def segments():
+            return {name for name in os.listdir("/dev/shm")
+                    if name.startswith("psm_")}
+
+        before = segments()
+        with pytest.raises(ValueError, match="stream changed"):
+            pack_generated(Drifting(config), max_bins=2)
+        assert segments() <= before
 
     def test_resident_size_is_uint8_dominated(self, packed_and_reference):
         packed, reference = packed_and_reference
