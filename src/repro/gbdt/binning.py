@@ -30,6 +30,7 @@ __all__ = ["QuantileBinner", "ReservoirSampler", "StreamedFit"]
 
 _EMPTY = "cannot fit a binner on zero rows"
 _CHANGED = "stream changed between passes"
+_NOT_FINITE = "features must be finite"
 
 
 def _target_quantiles(max_bins: int) -> np.ndarray:
@@ -367,15 +368,38 @@ class QuantileBinner:
         features = self._check_matrix(features)
         if features.shape[0] == 0:
             raise ValueError(_EMPTY)
+        return self.fit_columns(features.T)
+
+    def fit_columns(self, columns: Iterable[np.ndarray]) -> "QuantileBinner":
+        """Learn bin edges one column at a time.
+
+        The edges equal :meth:`fit` on the matrix with these columns:
+        quantiles and extremes do not depend on row order.  Only one
+        column needs to exist at a time, so a caller can gather the rows
+        it fits on column by column instead of copying the whole matrix.
+
+        Args:
+            columns: 1-D float columns of one length ``n >= 1``; all
+                values finite.
+
+        Returns:
+            self.
+        """
         quantiles = _target_quantiles(self.max_bins)
-        # method="lower" keeps candidates on observed values, so columns
-        # with few distinct values get exactly that many bins instead of
-        # interpolated pseudo-edges.
-        self.bin_edges_ = [
-            _edge_rule(np.quantile(column, quantiles, method="lower"),
-                       column.min() == column.max())
-            for column in features.T
-        ]
+        edges = []
+        for column in columns:
+            column = self._as_float(column)
+            if column.size == 0:
+                raise ValueError(_EMPTY)
+            low, high = column.min(), column.max()
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ValueError(_NOT_FINITE)
+            # method="lower" keeps candidates on observed values, so
+            # columns with few distinct values get exactly that many bins
+            # instead of interpolated pseudo-edges.
+            edges.append(_edge_rule(
+                np.quantile(column, quantiles, method="lower"), low == high))
+        self.bin_edges_ = edges
         return self
 
     def fit_streamed(
@@ -450,7 +474,7 @@ class QuantileBinner:
         return features
 
     @staticmethod
-    def _check_matrix(features: np.ndarray) -> np.ndarray:
+    def _as_float(features: np.ndarray) -> np.ndarray:
         # No forced float64 copy: float32 inputs (the reduced-precision
         # hot path) and float64 inputs pass through untouched; only
         # non-float dtypes are upcast.  searchsorted handles the
@@ -458,6 +482,11 @@ class QuantileBinner:
         features = np.asarray(features)
         if features.dtype not in (np.float32, np.float64):
             features = features.astype(np.float64)
+        return features
+
+    @classmethod
+    def _check_matrix(cls, features: np.ndarray) -> np.ndarray:
+        features = cls._as_float(features)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         # Two reductions, no (n, d) bool mask: NaN propagates through
@@ -465,5 +494,5 @@ class QuantileBinner:
         if features.size and not (
             np.isfinite(features.min()) and np.isfinite(features.max())
         ):
-            raise ValueError("features must be finite")
+            raise ValueError(_NOT_FINITE)
         return features

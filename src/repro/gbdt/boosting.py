@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,11 @@ from repro.gbdt.histogram import HistogramBuilder
 from repro.gbdt.tree import DecisionTree, TreeParams
 from repro.numerics import binary_cross_entropy, sigmoid
 
-__all__ = ["GBDTParams", "GBDTClassifier"]
+__all__ = ["GBDTParams", "GBDTClassifier", "fit_holdout"]
+
+#: Fewest pooled rows :func:`fit_holdout` draws an early-stopping holdout
+#: from.
+MIN_HOLDOUT_ROWS = 50
 
 
 @dataclass(frozen=True)
@@ -495,3 +499,84 @@ class GBDTClassifier:
     def _check_fitted(self) -> None:
         if not self.is_fitted:
             raise RuntimeError("GBDTClassifier is not fitted")
+
+
+def fit_holdout(
+    params: GBDTParams,
+    blocks: Sequence[np.ndarray],
+    labels: np.ndarray,
+    fraction: float,
+    seed,
+) -> tuple[GBDTClassifier, np.ndarray]:
+    """Fit a GBDT on pooled row blocks with an early-stopping holdout.
+
+    The raw rows are binned once, into one pooled uint8 matrix, and the
+    fit and holdout parts are gathered from it; no float copy of either
+    part is made.  The binner learns its edges from the fit rows column
+    by column (:meth:`QuantileBinner.fit_columns`).  The model equals,
+    bit for bit, :meth:`GBDTClassifier.fit` on the stacked blocks' fit
+    rows with the holdout rows as its validation set.
+
+    A holdout is drawn only when ``params.early_stopping_rounds`` is set,
+    ``0 < fraction < 1`` and at least :data:`MIN_HOLDOUT_ROWS` rows are
+    pooled.  ``order = default_rng(seed).permutation(n)`` then holds out
+    its first ``max(1, round(fraction * n))`` rows and fits on the rest,
+    in that order (seed ``0`` is :func:`repro.data.splits.validation_split`'s
+    order).  Otherwise every row is fit on, in block order.
+
+    Args:
+        params: Booster configuration.
+        blocks: ``(n_i, d)`` raw feature blocks, pooled in this order;
+            float32, float64 or mixed (pooled columns take the stacked
+            dtype, as ``np.vstack`` would).
+        labels: ``(n,)`` binary labels of the pooled rows.
+        fraction: Pooled-row share held out for early stopping.
+        seed: Entropy of the holdout permutation; anything
+            :func:`numpy.random.default_rng` accepts.
+
+    Returns:
+        ``(fitted model, pooled (n, d) uint8 bins)``.
+
+    Raises:
+        ValueError: When the holdout leaves no row to fit on, besides
+            :meth:`GBDTClassifier.fit`'s input errors.
+    """
+    blocks = [np.asarray(block) for block in blocks]
+    if len({block.shape[1:] for block in blocks}) != 1 \
+            or blocks[0].ndim != 2:
+        raise ValueError("blocks must be 2-D with one column count")
+    labels = np.asarray(labels, dtype=np.float64).ravel()
+    n = sum(block.shape[0] for block in blocks)
+    if n == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if n != labels.shape[0]:
+        raise ValueError("features and labels disagree on sample count")
+    fit_rows = valid_rows = None
+    if params.early_stopping_rounds and 0.0 < fraction < 1.0 \
+            and n >= MIN_HOLDOUT_ROWS:
+        order = np.random.default_rng(seed).permutation(n)
+        n_valid = max(1, int(round(fraction * n)))
+        if n_valid >= n:
+            raise ValueError(
+                f"holdout fraction {fraction} of {n} rows leaves no rows "
+                f"to fit on")
+        valid_rows, fit_rows = order[:n_valid], order[n_valid:]
+
+    def pooled(parts: list[np.ndarray]) -> np.ndarray:
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def fit_column(f: int) -> np.ndarray:
+        column = pooled([block[:, f] for block in blocks])
+        return column if fit_rows is None else column[fit_rows]
+
+    model = GBDTClassifier(params)
+    binner = model.binner.fit_columns(
+        fit_column(f) for f in range(blocks[0].shape[1]))
+    binned = pooled([binner.transform(block) for block in blocks])
+    if fit_rows is None:
+        model.fit_binned(binned, labels, binner)
+    else:
+        model.fit_binned(binned[fit_rows], labels[fit_rows], binner,
+                         valid_binned=binned[valid_rows],
+                         valid_labels=labels[valid_rows])
+    return model, binned

@@ -14,13 +14,17 @@ products the LR head needs, ``X θ`` and ``Xᵀ v``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.data.dataset import EnvironmentData
 from repro.gbdt.boosting import GBDTClassifier
 
-__all__ = ["LeafDesign", "LeafIndexEncoder", "encode_leaf_matrix"]
+__all__ = [
+    "LeafDesign", "LeafIndexEncoder", "encode_leaf_matrix",
+    "leaf_encode_environments",
+]
 
 
 class LeafDesign:
@@ -191,3 +195,34 @@ class LeafIndexEncoder:
             raise IndexError(f"column {column} out of range")
         tree = int(np.searchsorted(self._offsets, column, side="right")) - 1
         return tree, int(column - self._offsets[tree])
+
+
+def leaf_encode_environments(
+    model: GBDTClassifier,
+    binned: np.ndarray,
+    environments: Iterable[tuple[str, object, np.ndarray]],
+) -> list[EnvironmentData]:
+    """Leaf-encode environments that are row sets of one binned matrix.
+
+    Each environment is routed and encoded from ``binned[rows]`` alone,
+    so no design of all rows is built and then copied per environment:
+    the returned designs are the only ones that exist.  Routing is row by
+    row, so each design equals the matching rows of the design of all
+    rows.
+
+    Args:
+        model: The fitted GBDT that binned ``binned``.
+        binned: ``(n, d)`` uint8 bins (:meth:`GBDTClassifier.bin_features`).
+        environments: ``(name, rows, labels)`` per environment; ``rows``
+            is anything that indexes ``binned``'s rows (index array or
+            slice).
+
+    Returns:
+        One :class:`~repro.data.dataset.EnvironmentData` per environment,
+        in order, holding its :class:`LeafDesign` and ``labels``.
+    """
+    encoder = LeafIndexEncoder(model)
+    return [
+        EnvironmentData(name, encoder.transform_binned(binned[rows]), labels)
+        for name, rows, labels in environments
+    ]

@@ -29,43 +29,18 @@ import numpy as np
 from repro.data.dataset import EnvironmentData
 from repro.data.generator import LoanDataGenerator
 from repro.gbdt.binning import QuantileBinner
-from repro.gbdt.boosting import GBDTClassifier, GBDTParams
+from repro.gbdt.boosting import GBDTClassifier, GBDTParams, fit_holdout
+from repro.gbdt.leaf_encoder import leaf_encode_environments
 from repro.parallel.shared import PackSpec, SharedArrayPack
 
 __all__ = [
     "PackedBinnedDataset",
     "pack_generated",
     "fit_extractor_encode",
-    "leaf_encode_environments",
 ]
 
 #: Domain-separation tag of the extractor early-stopping holdout ("xenc").
 _ENCODE_SPLIT_TAG = 0x78656E63
-
-
-def leaf_encode_environments(
-    model: GBDTClassifier, environments: list[EnvironmentData]
-) -> list[EnvironmentData]:
-    """Leaf-encode raw per-province environments with a fitted GBDT.
-
-    Each environment's features are binned once and one-hot leaf-encoded
-    into the :class:`~repro.gbdt.leaf_encoder.LeafDesign` the LR heads
-    train on — the per-extractor half of a joint GBDT×head search.  Each
-    design is one ``intp`` column-id array, so packing it into a
-    :class:`~repro.parallel.shared.SharedArrayPack` and attaching from a
-    worker round-trips byte-identically.
-    """
-    from repro.gbdt.leaf_encoder import LeafIndexEncoder
-
-    encoder = LeafIndexEncoder(model)
-    return [
-        EnvironmentData(
-            env.name,
-            encoder.transform_binned(model.bin_features(env.features)),
-            env.labels,
-        )
-        for env in environments
-    ]
 
 
 def fit_extractor_encode(
@@ -89,33 +64,29 @@ def fit_extractor_encode(
         environments: Raw per-province environments, in the order they
             should come back encoded.
         holdout_fraction: Pooled-row share held out for early stopping
-            (only drawn when ``params.early_stopping_rounds > 0``).
+            (drawn as :func:`~repro.gbdt.boosting.fit_holdout` says:
+            only with ``params.early_stopping_rounds > 0`` and at least
+            50 pooled rows).
         holdout_seed: Entropy of the holdout shuffle, fed through a
             tagged ``SeedSequence`` stream.
 
     Returns:
         ``(fitted model, encoded environments, encode_seconds)`` where
         ``encode_seconds`` covers the fit plus the leaf encoding.
+
+    Raises:
+        ValueError: When the holdout leaves no row to fit on.
     """
     started = time.perf_counter()
-    features = np.vstack([np.asarray(env.features) for env in environments])
+    features = [np.asarray(env.features) for env in environments]
     labels = np.concatenate([env.labels for env in environments])
-    model = GBDTClassifier(params)
-    n = features.shape[0]
-    if params.early_stopping_rounds and 0.0 < holdout_fraction < 1.0 \
-            and n >= 50:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(holdout_seed), _ENCODE_SPLIT_TAG])
-        )
-        order = rng.permutation(n)
-        n_valid = max(1, int(round(holdout_fraction * n)))
-        valid_rows, fit_rows = order[:n_valid], order[n_valid:]
-        model.fit(features[fit_rows], labels[fit_rows],
-                  valid_features=features[valid_rows],
-                  valid_labels=labels[valid_rows])
-    else:
-        model.fit(features, labels)
-    encoded = leaf_encode_environments(model, environments)
+    seed = np.random.SeedSequence([int(holdout_seed), _ENCODE_SPLIT_TAG])
+    model, binned = fit_holdout(params, features, labels, holdout_fraction,
+                                seed)
+    bounds = np.cumsum([0] + [block.shape[0] for block in features])
+    encoded = leaf_encode_environments(model, binned, (
+        (env.name, slice(lo, hi), env.labels)
+        for env, lo, hi in zip(environments, bounds[:-1], bounds[1:])))
     return model, encoded, time.perf_counter() - started
 
 

@@ -12,9 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import EnvironmentData, LoanDataset
-from repro.data.splits import validation_split
-from repro.gbdt.boosting import GBDTClassifier, GBDTParams
-from repro.gbdt.leaf_encoder import LeafDesign, LeafIndexEncoder
+from repro.gbdt.boosting import GBDTClassifier, GBDTParams, fit_holdout
+from repro.gbdt.leaf_encoder import (
+    LeafDesign,
+    LeafIndexEncoder,
+    leaf_encode_environments,
+)
 
 __all__ = ["GBDTFeatureExtractor", "default_gbdt_params"]
 
@@ -54,29 +57,17 @@ class GBDTFeatureExtractor:
         return self.encoder_.n_output_features
 
     def fit(self, train: LoanDataset) -> "GBDTFeatureExtractor":
-        """Train the GBDT by pooled cross-entropy (Section III-C)."""
-        fit_part, valid_part = self._split(train)
-        self.model_ = GBDTClassifier(self.params)
-        self.model_.fit(
-            fit_part.features,
-            fit_part.labels,
-            valid_features=valid_part.features if valid_part else None,
-            valid_labels=valid_part.labels if valid_part else None,
-        )
+        """Train the GBDT by pooled cross-entropy (Section III-C).
+
+        Early stopping holds out ``validation_fraction`` of the rows in
+        :func:`~repro.data.splits.validation_split`'s order (seed 0); see
+        :func:`~repro.gbdt.boosting.fit_holdout`.
+        """
+        self.model_, _ = fit_holdout(self.params, [train.features],
+                                     train.labels, self.validation_fraction,
+                                     seed=0)
         self.encoder_ = LeafIndexEncoder(self.model_)
         return self
-
-    def _split(self, train: LoanDataset):
-        if (
-            self.params.early_stopping_rounds
-            and 0.0 < self.validation_fraction < 1.0
-            and train.n_samples >= 50
-        ):
-            split = validation_split(
-                train, validation_fraction=self.validation_fraction
-            )
-            return split.train, split.test
-        return train, None
 
     def transform(self, dataset: LoanDataset) -> LeafDesign:
         """Encode all rows of a dataset into the multi-hot leaf space."""
@@ -87,15 +78,16 @@ class GBDTFeatureExtractor:
 
     def encode_environments(self, dataset: LoanDataset) -> list[EnvironmentData]:
         """Per-province environments in the encoded space, sorted by name."""
-        encoded = self.transform(dataset)
-        return [
-            EnvironmentData(
-                name,
-                encoded[np.flatnonzero(dataset.provinces == name)],
-                dataset.labels[dataset.provinces == name],
-            )
-            for name in dataset.province_names()
-        ]
+        self._check_fitted()
+        names, codes = np.unique(dataset.provinces, return_inverse=True)
+        # One stable sort: each province's rows, ascending.
+        order = np.argsort(codes, kind="stable")
+        bounds = np.cumsum(np.bincount(codes, minlength=names.size))
+        binned = self.model_.bin_features(dataset.features)
+        return leaf_encode_environments(self.model_, binned, (
+            (name, rows, dataset.labels[rows])
+            for name, rows in zip(names.tolist(), np.split(order, bounds[:-1]))
+        ))
 
     def _check_fitted(self) -> None:
         if self.encoder_ is None:
