@@ -75,15 +75,9 @@ def main() -> None:
 
     # --- 3. per-province calibration audit -------------------------------
     scores = pipeline.predict_proba(split.test)
-    labels_by_env = {
-        name: split.test.labels[split.test.provinces == name]
-        for name in split.test.province_names()
-    }
-    probs_by_env = {
-        name: scores[split.test.provinces == name]
-        for name in split.test.province_names()
-    }
-    gaps = calibration_gap_by_environment(labels_by_env, probs_by_env)
+    test = split.test
+    gaps = calibration_gap_by_environment(test.by_province(test.labels),
+                                          test.by_province(scores))
     worst_province = max(gaps, key=gaps.get)
     print(
         f"calibration gaps (ECE): median "

@@ -45,8 +45,10 @@ before it runs anything.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from typing import Iterator
 
 from repro.data.dataset import LoanDataset
 from repro.data.generator import GeneratorConfig, LoanDataGenerator
@@ -337,13 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_tracer(args: argparse.Namespace, command: str, **fields) -> Tracer:
-    """Tracer for a CLI run: opens ``--trace`` and writes the manifest."""
+@contextlib.contextmanager
+def _traced(args: argparse.Namespace, command: str,
+            **fields) -> Iterator[Tracer]:
+    """Tracer for a CLI run: opens ``--trace`` and writes the manifest.
+
+    The log is closed on the way out, also when the command raises, so a
+    failed run leaves a readable log; on success the path is printed.
+    """
     if getattr(args, "trace", None) is None:
-        return NULL_TRACER
+        yield NULL_TRACER
+        return
     tracer = Tracer(path=args.trace)
     tracer.write_manifest(**run_manifest_fields(command, **fields))
-    return tracer
+    try:
+        yield tracer
+    finally:
+        tracer.close()
+    print(f"wrote run log to {args.trace}")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -363,20 +376,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     split = temporal_split(dataset)
     overrides = {} if args.epochs is None else {"n_epochs": args.epochs}
     trainer = make_trainer(args.method, seed=args.seed, **overrides)
-    tracer = _make_tracer(
-        args, "train",
-        config={"method": args.method, **overrides},
-        seed=args.seed,
-        dataset=split.train,
-        method=args.method,
-        data=args.data,
-    )
     pipeline = LoanDefaultPipeline(trainer)
-    pipeline.fit(split.train, tracer=tracer)
-    tracer.write_metrics()
-    tracer.close()
-    if args.trace:
-        print(f"wrote run log to {args.trace}")
+    with _traced(args, "train",
+                 config={"method": args.method, **overrides},
+                 seed=args.seed,
+                 dataset=split.train,
+                 method=args.method,
+                 data=args.data) as tracer:
+        pipeline.fit(split.train, tracer=tracer)
+        tracer.write_metrics()
     report = pipeline.evaluate(split.test)
     summary = report.summary()
     print(
@@ -401,15 +409,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = LoanDataset.load(args.data)
     test = temporal_split(dataset).test
     scores = scorer.predict_proba(test)
-    labels_by_env = {
-        name: test.labels[test.provinces == name]
-        for name in test.province_names()
-    }
-    scores_by_env = {
-        name: scores[test.provinces == name]
-        for name in test.province_names()
-    }
-    report = evaluate_environments(labels_by_env, scores_by_env)
+    report = evaluate_environments(test.by_province(test.labels),
+                                   test.by_province(scores))
     print(f"model: {scorer.trainer_name} (metadata: {scorer.metadata})")
     for name, env_scores in report.per_environment.items():
         print(f"  {name:14s} KS={env_scores.ks:.4f} AUC={env_scores.auc:.4f}")
@@ -426,26 +427,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     run = getattr(module, run_name)
     formatter = getattr(module, format_name)
     split = "iid" if args.id == "table6" else "temporal"
-    tracer = _make_tracer(
-        args, "experiment",
-        config={"id": args.id, "n_samples": args.n_samples, "split": split,
-                "jobs": args.jobs},
-        seed=args.data_seed,
-    )
-    context = ExperimentContext(
-        ExperimentSettings(
-            n_samples=args.n_samples,
-            data_seed=args.data_seed,
-            trainer_seeds=tuple(args.trainer_seeds),
-            split=split,
-            n_jobs=args.jobs,
-        ),
-        tracer=tracer,
-    )
-    result = run(context.dataset if input_kind == "dataset" else context)
-    tracer.close()
-    if getattr(args, "trace", None):
-        print(f"wrote run log to {args.trace}")
+    with _traced(args, "experiment",
+                 config={"id": args.id, "n_samples": args.n_samples,
+                         "split": split, "jobs": args.jobs},
+                 seed=args.data_seed) as tracer:
+        context = ExperimentContext(
+            ExperimentSettings(
+                n_samples=args.n_samples,
+                data_seed=args.data_seed,
+                trainer_seeds=tuple(args.trainer_seeds),
+                split=split,
+                n_jobs=args.jobs,
+            ),
+            tracer=tracer,
+        )
+        result = run(context.dataset if input_kind == "dataset" else context)
     print(formatter(result))
     return 0
 
@@ -558,6 +554,13 @@ def _cmd_serve_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_run(args: argparse.Namespace) -> int:
+    with _traced(args, "serve-run",
+                 config={"workers": args.workers,
+                         "batch_size": args.batch_size}) as tracer:
+        return _serve_run(args, tracer)
+
+
+def _serve_run(args: argparse.Namespace, tracer: Tracer) -> int:
     from repro.serve.degradation import DriftGuard
     from repro.serve.frontend import FrontendConfig, ScoringFrontend
 
@@ -582,7 +585,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     live = args.metrics_port is not None or args.metrics_snapshot is not None
     pipeline = registry.load("champion")
     monitors: dict = {}
-    tracer = NULL_TRACER
     if live:
         from repro.obs.live.health import HealthMonitor
         from repro.obs.live.monitors import (
@@ -594,10 +596,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         # away from it is drift by definition.
         baseline_rows = split.train.features[:5000]
         baseline_scores = pipeline.predict_proba(baseline_rows)
-        tracer = _make_tracer(
-            args, "serve-run",
-            config={"workers": args.workers, "batch_size": args.batch_size},
-        )
         monitors = {
             "score_drift": ScoreDriftMonitor(
                 baseline_scores,
@@ -649,7 +647,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         if exporter is not None:
             exporter.stop()
         frontend.stop()
-        tracer.close()
     scored = [r.score for r in results if r.ok]
     latency = snap["telemetry"]["request_latency"]
     print(f"scored {len(scored)}/{len(results)} rows across "
@@ -676,8 +673,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
               f"alerts={health['n_alerts']}")
         if args.metrics_snapshot is not None:
             print(f"wrote snapshots to {args.metrics_snapshot}")
-    if args.trace:
-        print(f"wrote run log to {args.trace}")
     return 0
 
 
@@ -727,15 +722,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.epochs is not None:
         config = dataclasses.replace(config, n_epochs=args.epochs)
-    tracer = _make_tracer(
-        args, "verify",
-        config={"smoke": bool(args.smoke), "n_epochs": config.n_epochs},
-        seed=args.seed,
-    )
-    payload = run_verification(config, tracer=tracer)
-    tracer.close()
-    if args.trace:
-        print(f"wrote run log to {args.trace}")
+    with _traced(args, "verify",
+                 config={"smoke": bool(args.smoke),
+                         "n_epochs": config.n_epochs},
+                 seed=args.seed) as tracer:
+        payload = run_verification(config, tracer=tracer)
     print(summarize_verification(payload))
     write_verify_json(args.out, payload)
     print(f"wrote {args.out}")
@@ -785,12 +776,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         joint_fields = {"joint": True, "n_extractors": args.extractors,
                        "cached": not args.no_cache,
                        "cache_bytes": args.cache_bytes}
-    tracer = _make_tracer(
-        args, "tune",
-        config={**dataclasses.asdict(config), "trainers": trainers,
-                "n_samples": n_samples, "jobs": args.jobs, **joint_fields},
-        seed=args.seed,
-    )
     context = ExperimentContext(
         ExperimentSettings(n_samples=n_samples, data_seed=args.data_seed)
     )
@@ -799,44 +784,48 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         # per-province environments, not the GBDT-encoded ones.
         raw_environments = context.split.train.environments()
     results = []
-    for name in trainers:
-        if args.joint:
-            result, stats = run_joint_asha(
-                HPSpace.joint(default_extractor_space(), default_space(name)),
-                raw_environments,
-                config,
-                n_extractors=args.extractors,
-                n_jobs=args.jobs,
-                tracer=tracer,
-                resume=resume,
-                use_cache=not args.no_cache,
-                cache_bytes=args.cache_bytes,
-            )
-            if stats is not None:
-                print(f"{name}: cache hits={stats.hits} "
-                      f"misses={stats.misses} "
-                      f"hit-rate={stats.hit_rate:.2f} "
-                      f"encode={stats.encode_seconds:.2f}s "
-                      f"saved={stats.encode_seconds_saved:.2f}s "
-                      f"published={stats.published_bytes}B "
-                      f"evictions={stats.evictions}")
-        else:
-            result = run_asha(
-                default_space(name),
-                context.train_environments,
-                config,
-                n_jobs=args.jobs,
-                tracer=tracer,
-                resume=resume,
-            )
-        best = result.best
-        value = best.objective_value(config.objective, config.blend_weight)
-        print(f"{name}: best {best.trial_id} "
-              f"{config.objective}={value:.4f} params={dict(best.params)}")
-        results.append(result)
-    tracer.close()
-    if args.trace:
-        print(f"wrote run log to {args.trace}")
+    with _traced(args, "tune",
+                 config={**dataclasses.asdict(config), "trainers": trainers,
+                         "n_samples": n_samples, "jobs": args.jobs,
+                         **joint_fields},
+                 seed=args.seed) as tracer:
+        for name in trainers:
+            if args.joint:
+                result, stats = run_joint_asha(
+                    HPSpace.joint(default_extractor_space(),
+                                  default_space(name)),
+                    raw_environments,
+                    config,
+                    n_extractors=args.extractors,
+                    n_jobs=args.jobs,
+                    tracer=tracer,
+                    resume=resume,
+                    use_cache=not args.no_cache,
+                    cache_bytes=args.cache_bytes,
+                )
+                if stats is not None:
+                    print(f"{name}: cache hits={stats.hits} "
+                          f"misses={stats.misses} "
+                          f"hit-rate={stats.hit_rate:.2f} "
+                          f"encode={stats.encode_seconds:.2f}s "
+                          f"saved={stats.encode_seconds_saved:.2f}s "
+                          f"published={stats.published_bytes}B "
+                          f"evictions={stats.evictions}")
+            else:
+                result = run_asha(
+                    default_space(name),
+                    context.train_environments,
+                    config,
+                    n_jobs=args.jobs,
+                    tracer=tracer,
+                    resume=resume,
+                )
+            best = result.best
+            value = best.objective_value(config.objective, config.blend_weight)
+            print(f"{name}: best {best.trial_id} "
+                  f"{config.objective}={value:.4f} "
+                  f"params={dict(best.params)}")
+            results.append(result)
 
     leaderboard = build_leaderboard(
         results,
@@ -940,7 +929,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_list(_: argparse.Namespace) -> int:
     print("trainers:")
     for info in trainer_names():
-        line = f"  {info.name:20s} config={info.config_class}"
+        line = f"  {info.name:20s} config={info.config_class.__name__}"
         if info.penalty_parameter:
             line += f"  penalty={info.penalty_parameter}"
         if info.aliases:

@@ -10,7 +10,30 @@ import numpy as np
 
 from repro.data.schema import CausalRole, LoanFeatureSchema
 
-__all__ = ["LoanDataset", "EnvironmentData", "group_by_environment"]
+__all__ = ["LoanDataset", "EnvironmentData", "group_by_environment",
+           "group_rows"]
+
+
+def group_rows(keys: np.ndarray) -> tuple[list, list[np.ndarray]]:
+    """Row indices of each distinct key: the one environment split.
+
+    One ``np.unique(..., return_inverse=True)`` and one stable argsort,
+    whatever the number of keys.
+
+    Args:
+        keys: 1-D key per row (province names, integer codes, ...).
+
+    Returns:
+        ``(names, rows)``: the distinct keys in ``np.unique`` order (as
+        Python scalars) and, for each, its row indices in ascending order.
+        ``len(rows) == len(names)``, also for empty ``keys``.
+    """
+    names, codes = np.unique(keys, return_inverse=True)
+    if not names.size:
+        return [], []
+    order = np.argsort(codes, kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=names.size))
+    return names.tolist(), np.split(order, bounds[:-1])
 
 
 @dataclass(frozen=True)
@@ -125,29 +148,31 @@ class LoanDataset:
         """Rows from one half-year (1 = Jan-Jun, 2 = Jul-Dec)."""
         return self.select(self.halves == half)
 
+    def province_rows(self) -> dict[str, np.ndarray]:
+        """Province -> its row indices (ascending), sorted by name."""
+        return dict(zip(*group_rows(self.provinces)))
+
+    def by_province(self, values: np.ndarray) -> dict[str, np.ndarray]:
+        """Province -> ``values[rows]`` for per-row ``values`` (scores, ...)."""
+        return {name: values[rows]
+                for name, rows in self.province_rows().items()}
+
     def environments(self) -> list[EnvironmentData]:
         """Split into per-province environments, sorted by name."""
         return [
-            EnvironmentData(name, self.features[self.provinces == name],
-                            self.labels[self.provinces == name])
-            for name in self.province_names()
+            EnvironmentData(name, self.features[rows], self.labels[rows])
+            for name, rows in self.province_rows().items()
         ]
-
-    def labels_by_environment(self) -> dict[str, np.ndarray]:
-        """Mapping province -> label vector (for metric aggregation)."""
-        return {e.name: e.labels for e in self.environments()}
 
     def province_share_by_year(self) -> dict[int, dict[str, float]]:
         """Year -> {province -> share of that year's volume} (Fig 10 data)."""
+        names = self.province_names()
         shares: dict[int, dict[str, float]] = {}
-        for year in sorted(np.unique(self.years).tolist()):
-            year_mask = self.years == year
-            total = int(year_mask.sum())
-            year_provinces = self.provinces[year_mask]
-            shares[year] = {
-                name: float(np.sum(year_provinces == name)) / total
-                for name in self.province_names()
-            }
+        for year, year_rows in zip(*group_rows(self.years)):
+            counts = {name: len(rows) for name, rows in
+                      zip(*group_rows(self.provinces[year_rows]))}
+            shares[year] = {name: counts.get(name, 0) / len(year_rows)
+                            for name in names}
         return shares
 
     def save(self, path: str | pathlib.Path) -> None:
@@ -194,9 +219,7 @@ def group_by_environment(
     features: np.ndarray, labels: np.ndarray, groups: np.ndarray
 ) -> Mapping[str, EnvironmentData]:
     """Group arbitrary (features, labels) rows by a group key array."""
-    groups = np.asarray(groups)
-    result: dict[str, EnvironmentData] = {}
-    for name in sorted(np.unique(groups).tolist()):
-        mask = groups == name
-        result[str(name)] = EnvironmentData(str(name), features[mask], labels[mask])
-    return result
+    return {
+        str(name): EnvironmentData(str(name), features[rows], labels[rows])
+        for name, rows in zip(*group_rows(np.asarray(groups)))
+    }

@@ -338,8 +338,5 @@ class ExperimentContext:
                               dataset: LoanDataset) -> dict[str, np.ndarray]:
         """Model scores grouped by province for an arbitrary dataset slice."""
         encoded = self.extractor.transform(dataset)
-        scores = result.predict_proba_grouped(encoded, dataset.provinces)
-        return {
-            name: scores[dataset.provinces == name]
-            for name in dataset.province_names()
-        }
+        return dataset.by_province(
+            result.predict_proba_grouped(encoded, dataset.provinces))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.dataset import EnvironmentData
+from repro.data.dataset import EnvironmentData, group_rows
 from repro.data.generator import LoanDataGenerator
 from repro.gbdt.binning import QuantileBinner
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams, fit_holdout
@@ -147,10 +147,13 @@ class PackedBinnedDataset:
 
     # ------------------------------------------------------------- helpers
 
-    def rows_for_province(self, name: str) -> np.ndarray:
-        """Row indices of one province (environment slicing)."""
-        code = self.province_names.index(name)
-        return np.flatnonzero(self.province_codes == code)
+    def province_rows(self) -> dict[str, np.ndarray]:
+        """Province -> its row indices (ascending), in registry order.
+
+        Provinces without rows are absent.
+        """
+        codes, rows = group_rows(self.province_codes)
+        return {self.province_names[code]: r for code, r in zip(codes, rows)}
 
     @property
     def spec(self) -> PackSpec:

@@ -167,13 +167,10 @@ def run_scale_point(
         t_encode = time.perf_counter()
 
         labels = packed.labels
-        environments = []
-        for name in packed.province_names:
-            rows = packed.rows_for_province(name)
-            if rows.size:
-                environments.append(
-                    EnvironmentData(name, design[rows], labels[rows])
-                )
+        environments = [
+            EnvironmentData(name, design[rows], labels[rows])
+            for name, rows in packed.province_rows().items()
+        ]
         trainer = ERMTrainer(BaseTrainConfig(n_epochs=config.lr_epochs))
         result = trainer.fit(environments)
         t_head = time.perf_counter()

@@ -9,8 +9,6 @@ module is shared, only the LR learning paradigm differs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.data.dataset import EnvironmentData, LoanDataset
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams, fit_holdout
 from repro.gbdt.leaf_encoder import (
@@ -79,14 +77,10 @@ class GBDTFeatureExtractor:
     def encode_environments(self, dataset: LoanDataset) -> list[EnvironmentData]:
         """Per-province environments in the encoded space, sorted by name."""
         self._check_fitted()
-        names, codes = np.unique(dataset.provinces, return_inverse=True)
-        # One stable sort: each province's rows, ascending.
-        order = np.argsort(codes, kind="stable")
-        bounds = np.cumsum(np.bincount(codes, minlength=names.size))
         binned = self.model_.bin_features(dataset.features)
         return leaf_encode_environments(self.model_, binned, (
             (name, rows, dataset.labels[rows])
-            for name, rows in zip(names.tolist(), np.split(order, bounds[:-1]))
+            for name, rows in dataset.province_rows().items()
         ))
 
     def _check_fitted(self) -> None:

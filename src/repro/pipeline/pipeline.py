@@ -149,13 +149,8 @@ class LoanDefaultPipeline:
         """Per-province KS/AUC report on a test dataset."""
         self._check_fitted()
         scores = self.predict_proba(test)
-        labels_by_env: dict[str, np.ndarray] = {}
-        scores_by_env: dict[str, np.ndarray] = {}
-        for name in test.province_names():
-            mask = test.provinces == name
-            labels_by_env[name] = test.labels[mask]
-            scores_by_env[name] = scores[mask]
-        return evaluate_environments(labels_by_env, scores_by_env)
+        return evaluate_environments(test.by_province(test.labels),
+                                     test.by_province(scores))
 
     @property
     def gbdt_(self):

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.data.dataset import EnvironmentData
+from repro.data.dataset import EnvironmentData, group_rows
 from repro.gbdt.leaf_encoder import LeafDesign
 from repro.models.logistic import LogisticModel
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -157,10 +157,8 @@ class TrainResult:
                 f"{groups.shape[0]} group labels for {features.shape[0]} rows"
             )
         scores = np.empty(features.shape[0])
-        for name in np.unique(groups):
-            mask = groups == name
-            rows = features[np.flatnonzero(mask)]
-            scores[mask] = self.predict_proba_env(str(name), rows)
+        for name, rows in zip(*group_rows(groups)):
+            scores[rows] = self.predict_proba_env(str(name), features[rows])
         return scores
 
 

@@ -4,7 +4,9 @@ Lookup is case-insensitive and alias-tolerant: ``"lightmirm"``,
 ``"meta-irm"``, ``"group_dro"`` and friends all resolve to their canonical
 Table I names, and unknown names fail with a did-you-mean suggestion.
 :func:`trainer_names` exposes per-trainer metadata (canonical name,
-aliases, penalty field, config class) for the CLI ``list`` command.
+aliases, penalty field, trainer and config classes) for the CLI ``list``
+command; it is the one table :func:`make_trainer`, :func:`penalty_parameter`
+and :func:`repro.tune.space.config_class_for` read.
 
 The registry imports every concrete trainer at module scope, so a process
 that imports it (a worker-pool parent, say) has each trainer loaded before
@@ -33,6 +35,7 @@ __all__ = [
     "available_trainers",
     "penalty_parameter",
     "resolve_trainer_name",
+    "trainer_info",
     "trainer_names",
     "TrainerInfo",
     "TrainerSpec",
@@ -50,30 +53,37 @@ class TrainerInfo:
             the canonical name need not be listed).
         penalty_parameter: Config field weighting the trainer's invariance
             penalty, or ``None`` for pure risk minimisers.
-        config_class: Name of the trainer's config dataclass.
+        trainer_class: The :class:`~repro.train.base.Trainer` subclass.
+        config_class: Its config dataclass.
     """
 
     name: str
     aliases: tuple[str, ...]
     penalty_parameter: str | None
-    config_class: str
+    trainer_class: type[Trainer]
+    config_class: type[BaseTrainConfig]
 
 
 _TRAINERS = (
-    TrainerInfo("ERM", (), None, "BaseTrainConfig"),
+    TrainerInfo("ERM", (), None, ERMTrainer, BaseTrainConfig),
     TrainerInfo(
         "ERM + fine-tuning",
         ("fine-tuning", "finetune", "erm-finetune"),
         None,
-        "FineTuneConfig",
+        FineTuneTrainer,
+        FineTuneConfig,
     ),
-    TrainerInfo("Up Sampling", ("upsample",), None, "UpSamplingConfig"),
-    TrainerInfo("Group DRO", ("dro",), None, "GroupDROConfig"),
-    TrainerInfo("V-REx", ("rex",), "variance_weight", "VRExConfig"),
-    TrainerInfo("IRMv1", ("irm",), "penalty_weight", "IRMv1Config"),
-    TrainerInfo("meta-IRM", (), "lambda_penalty", "MetaIRMConfig"),
+    TrainerInfo("Up Sampling", ("upsample",), None, UpSamplingTrainer,
+                UpSamplingConfig),
+    TrainerInfo("Group DRO", ("dro",), None, GroupDROTrainer, GroupDROConfig),
+    TrainerInfo("V-REx", ("rex",), "variance_weight", VRExTrainer,
+                VRExConfig),
+    TrainerInfo("IRMv1", ("irm",), "penalty_weight", IRMv1Trainer,
+                IRMv1Config),
+    TrainerInfo("meta-IRM", (), "lambda_penalty", MetaIRMTrainer,
+                MetaIRMConfig),
     TrainerInfo("LightMIRM", ("light-mirm",), "lambda_penalty",
-                "LightMIRMConfig"),
+                LightMIRMTrainer, LightMIRMConfig),
 )
 
 _BY_NAME = {info.name: info for info in _TRAINERS}
@@ -135,6 +145,29 @@ def resolve_trainer_name(name: str) -> str:
     )
 
 
+def _sampled_count(name: str) -> int | None:
+    """S of an exact ``"meta-IRM(S)"`` name, else ``None``.
+
+    Raises:
+        ValueError: When S is not an integer.
+    """
+    if name.startswith("meta-IRM(") and name.endswith(")"):
+        return int(name[len("meta-IRM("):-1])
+    return None
+
+
+def trainer_info(name: str) -> TrainerInfo:
+    """Registry entry of any accepted spelling (``"meta-IRM(S)"`` included).
+
+    Raises:
+        KeyError: For unknown names (with a did-you-mean suggestion).
+    """
+    canonical = resolve_trainer_name(name)
+    if _sampled_count(canonical) is not None:
+        canonical = "meta-IRM"
+    return _BY_NAME[canonical]
+
+
 def penalty_parameter(name: str) -> str | None:
     """Config field holding a trainer's invariance-penalty weight, if any.
 
@@ -150,10 +183,7 @@ def penalty_parameter(name: str) -> str | None:
     Raises:
         KeyError: For unknown trainer names.
     """
-    canonical = resolve_trainer_name(name)
-    if canonical.startswith("meta-IRM("):
-        canonical = "meta-IRM"
-    return _BY_NAME[canonical].penalty_parameter
+    return trainer_info(name).penalty_parameter
 
 
 @dataclass(frozen=True)
@@ -204,34 +234,14 @@ def make_trainer(name: str, **config_overrides) -> Trainer:
 
     Raises:
         KeyError: For unknown names (with a did-you-mean suggestion).
+        ValueError: For the exact ``"meta-IRM(S)"`` syntax with a
+            non-integer S (e.g. ``"meta-IRM(five)"``).
     """
-    if name.startswith("meta-IRM(") and name.endswith(")"):
-        # Legacy exact syntax kept on the fast path so the ValueError for a
-        # malformed count (e.g. "meta-IRM(five)") is preserved verbatim.
-        n_sampled = int(name[len("meta-IRM("):-1])
-        return MetaIRMTrainer(
-            MetaIRMConfig(n_sampled_envs=n_sampled, **config_overrides)
-        )
+    # The exact syntax is parsed first, so a malformed count raises
+    # ValueError rather than resolving to an unknown-name KeyError.
+    _sampled_count(name)
     canonical = resolve_trainer_name(name)
-    if canonical.startswith("meta-IRM(") and canonical.endswith(")"):
-        n_sampled = int(canonical[len("meta-IRM("):-1])
-        return MetaIRMTrainer(
-            MetaIRMConfig(n_sampled_envs=n_sampled, **config_overrides)
-        )
-    factories = {
-        "ERM": lambda: ERMTrainer(BaseTrainConfig(**config_overrides)),
-        "ERM + fine-tuning": lambda: FineTuneTrainer(
-            FineTuneConfig(**config_overrides)
-        ),
-        "Up Sampling": lambda: UpSamplingTrainer(
-            UpSamplingConfig(**config_overrides)
-        ),
-        "Group DRO": lambda: GroupDROTrainer(GroupDROConfig(**config_overrides)),
-        "V-REx": lambda: VRExTrainer(VRExConfig(**config_overrides)),
-        "IRMv1": lambda: IRMv1Trainer(IRMv1Config(**config_overrides)),
-        "meta-IRM": lambda: MetaIRMTrainer(MetaIRMConfig(**config_overrides)),
-        "LightMIRM": lambda: LightMIRMTrainer(
-            LightMIRMConfig(**config_overrides)
-        ),
-    }
-    return factories[canonical]()
+    n_sampled = _sampled_count(canonical)
+    sampled = {} if n_sampled is None else {"n_sampled_envs": n_sampled}
+    info = trainer_info(canonical)
+    return info.trainer_class(info.config_class(**sampled, **config_overrides))

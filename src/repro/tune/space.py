@@ -31,14 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.baselines.finetune import FineTuneConfig
-from repro.baselines.group_dro import GroupDROConfig
-from repro.baselines.irmv1 import IRMv1Config
-from repro.baselines.upsampling import UpSamplingConfig
-from repro.baselines.vrex import VRExConfig
-from repro.core.config import LightMIRMConfig, MetaIRMConfig
-from repro.train.base import BaseTrainConfig
-from repro.train.registry import resolve_trainer_name
+from repro.train.registry import trainer_info
 
 __all__ = [
     "SpaceError",
@@ -216,19 +209,7 @@ def config_class_for(trainer: str) -> type:
         KeyError: For unknown trainer names (same error surface as the
             registry).
     """
-    canonical = resolve_trainer_name(trainer)
-    if canonical.startswith("meta-IRM("):
-        canonical = "meta-IRM"
-    return {
-        "ERM": BaseTrainConfig,
-        "ERM + fine-tuning": FineTuneConfig,
-        "Up Sampling": UpSamplingConfig,
-        "Group DRO": GroupDROConfig,
-        "V-REx": VRExConfig,
-        "IRMv1": IRMv1Config,
-        "meta-IRM": MetaIRMConfig,
-        "LightMIRM": LightMIRMConfig,
-    }[canonical]
+    return trainer_info(trainer).config_class
 
 
 def component_fields(component: str) -> tuple[str, list[str]]:
@@ -445,7 +426,7 @@ _DEFAULT_SPACES: dict[str, HPSpace] = {}
 
 def register_space(trainer: str, space: HPSpace) -> None:
     """Register (or replace) the default space of a trainer."""
-    _DEFAULT_SPACES[resolve_trainer_name(trainer)] = space
+    _DEFAULT_SPACES[trainer_info(trainer).name] = space
 
 
 def default_space(trainer: str) -> HPSpace:
@@ -454,10 +435,7 @@ def default_space(trainer: str) -> HPSpace:
     Raises:
         KeyError: For unknown trainer names.
     """
-    canonical = resolve_trainer_name(trainer)
-    if canonical.startswith("meta-IRM("):
-        canonical = "meta-IRM"
-    return _DEFAULT_SPACES[canonical]
+    return _DEFAULT_SPACES[trainer_info(trainer).name]
 
 
 def default_extractor_space() -> HPSpace:

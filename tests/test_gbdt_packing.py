@@ -274,10 +274,15 @@ class TestPackGenerated:
 
     def test_rows_for_province(self, packed_and_reference):
         packed, reference = packed_and_reference
-        name = packed.province_names[0]
-        rows = packed.rows_for_province(name)
-        assert (reference.provinces[rows] == name).all()
-        assert rows.size == int((reference.provinces == name).sum())
+        by_province = packed.province_rows()
+        # Registry order; a province without rows is absent.
+        assert list(by_province) == [
+            name for name in packed.province_names
+            if (reference.provinces == name).any()
+        ]
+        for name, rows in by_province.items():
+            np.testing.assert_array_equal(
+                rows, np.flatnonzero(reference.provinces == name))
 
     def test_stream_longer_than_the_sample_packs_exact_edges(self):
         config = GeneratorConfig(n_samples=3_000, total_features=26,

@@ -13,6 +13,7 @@ from repro.obs.report import timing_tables
 from repro.obs.runlog import RunLogReader
 from repro.serve.registry import ModelRegistry
 from repro.timing import STEP_NAMES
+from repro.train.registry import make_trainer
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,36 @@ class TestTracedTrain:
             "--epochs", "2",
         ])
         assert code == 0
+        assert "wrote run log" not in capsys.readouterr().out
+
+
+class TestTraceClosedOnFailure:
+    def test_train_raising_mid_fit_leaves_closed_log(
+            self, dataset_file, tmp_path, monkeypatch, capsys):
+        import repro.cli
+        from repro.obs import load_run
+
+        def failing_trainer(*args, **kwargs):
+            trainer = make_trainer(*args, **kwargs)
+
+            def run(*_):
+                raise RuntimeError("trainer failed mid-fit")
+
+            trainer._run = run
+            return trainer
+
+        monkeypatch.setattr(repro.cli, "make_trainer", failing_trainer)
+        trace = tmp_path / "failed.jsonl"
+        # The live traceback keeps the command's frames (and any tracer
+        # they hold) alive, so only an explicit close flushes the log.
+        with pytest.raises(RuntimeError, match="mid-fit") as failure:
+            main(["train", "--method", "ERM", "--data", str(dataset_file),
+                  "--epochs", "2", "--trace", str(trace)])
+        assert failure.traceback
+        run = load_run(trace)
+        assert run.manifest["fields"]["command"] == "train"
+        (fit,) = run.spans("pipeline.fit")
+        assert fit["fields"]["trainer"] == "ERM"
         assert "wrote run log" not in capsys.readouterr().out
 
 

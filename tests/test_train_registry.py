@@ -5,11 +5,13 @@ import pytest
 from repro.baselines.erm import ERMTrainer
 from repro.core.lightmirm import LightMIRMTrainer
 from repro.core.meta_irm import MetaIRMTrainer
+from repro.train.base import BaseTrainConfig, Trainer
 from repro.train.registry import (
     available_trainers,
     make_trainer,
     penalty_parameter,
     resolve_trainer_name,
+    trainer_info,
     trainer_names,
 )
 
@@ -105,7 +107,13 @@ class TestMetadata:
 
     def test_every_info_has_config_class(self):
         for info in trainer_names():
-            assert info.config_class.endswith("Config")
+            assert issubclass(info.config_class, BaseTrainConfig)
+            assert info.config_class.__name__.endswith("Config")
+            assert issubclass(info.trainer_class, Trainer)
+            trainer = make_trainer(info.name)
+            assert type(trainer) is info.trainer_class
+            assert type(trainer.config) is info.config_class
+            assert trainer_info(info.name) is info
 
     def test_penalty_parameter_lookup(self):
         assert penalty_parameter("LightMIRM") == "lambda_penalty"

@@ -166,7 +166,11 @@ class TestDefaultSpaces:
 
     def test_config_class_for_matches_registry(self):
         for info in trainer_names():
-            assert config_class_for(info.name).__name__ == info.config_class
+            for spelling in (info.name, *info.aliases):
+                assert config_class_for(spelling) is info.config_class
+        meta_irm = config_class_for("meta-IRM(5)")
+        assert meta_irm is config_class_for("meta-IRM")
+        assert meta_irm.__name__ == "MetaIRMConfig"
 
     def test_register_space_overrides(self):
         original = default_space("ERM")
@@ -176,3 +180,13 @@ class TestDefaultSpaces:
             assert default_space("erm") is replacement
         finally:
             register_space("ERM", original)
+
+    def test_register_sampled_name_replaces_meta_irm(self):
+        original = default_space("meta-IRM")
+        try:
+            replacement = HPSpace("meta-IRM", {"l2": LogUniform(1e-6, 1e-2)})
+            register_space("meta-IRM(5)", replacement)
+            assert default_space("meta-IRM(5)") is replacement
+            assert default_space("meta-IRM") is replacement
+        finally:
+            register_space("meta-IRM", original)
