@@ -384,7 +384,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                  method=args.method,
                  data=args.data) as tracer:
         pipeline.fit(split.train, tracer=tracer)
-        tracer.write_metrics()
     report = pipeline.evaluate(split.test)
     summary = report.summary()
     print(
@@ -653,8 +652,8 @@ def _serve_run(args: argparse.Namespace, tracer: Tracer) -> int:
           f"{args.workers} workers "
           f"(mean p={sum(scored) / max(len(scored), 1):.4f}, "
           f"generation {snap['generation']})")
-    print(f"latency         p50 {latency['p50_s'] * 1e3:.3f} ms   "
-          f"p99 {latency['p99_s'] * 1e3:.3f} ms")
+    print(f"latency         p50 {latency['p50'] * 1e3:.3f} ms   "
+          f"p99 {latency['p99'] * 1e3:.3f} ms")
     print(f"admission       admitted={snap['telemetry']['admitted']} "
           f"shed={snap['telemetry']['shed']} "
           f"errors={snap['telemetry']['errors']}")

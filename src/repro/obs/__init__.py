@@ -1,4 +1,4 @@
-"""Unified observability layer: tracing, run logs, metrics, live telemetry.
+"""Unified observability layer: tracing, run logs, histograms, live telemetry.
 
 Four pieces, all zero-dependency (stdlib + numpy) and disabled-by-default:
 
@@ -7,8 +7,8 @@ Four pieces, all zero-dependency (stdlib + numpy) and disabled-by-default:
   every training loop at near-zero cost.
 * :mod:`repro.obs.runlog` — the documented JSONL schema, writer/reader
   and run manifest (config, seed, git describe, dataset fingerprint).
-* :mod:`repro.obs.metrics` — counters/gauges/histograms shared with the
-  serving telemetry.
+* :mod:`repro.obs.metrics` — :class:`Histogram`, the one metric
+  primitive: every serving latency, local or merged across workers.
 * :mod:`repro.obs.live` — the live telemetry plane for the serving
   stack: shared-memory metrics slabs, cross-process aggregation, online
   quality monitors, health alerts and Prometheus/JSON exposition.
@@ -22,7 +22,7 @@ serving.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "metrics": ("Histogram", "LATENCY_BUCKETS"),
     "report": (
         "format_diff", "format_report", "format_summary", "health_lines",
         "load_run", "timing_tables",

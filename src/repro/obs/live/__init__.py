@@ -2,10 +2,11 @@
 
 ``repro.obs`` (PR 4) is post-hoc — logs read after the run.  This
 subpackage is the *live* half for the multi-worker serving stack:
-per-worker shared-memory metrics slabs with seqlock torn-free parent
-reads (:mod:`~repro.obs.live.slab`), online quality monitors
-(:mod:`~repro.obs.live.monitors`), a declarative health state machine
-emitting schema-v2 alerts (:mod:`~repro.obs.live.health`), and
+a shared-memory metrics slab with one fixed row per worker (four
+counters, busy seconds, batch-latency buckets + exact sum) and seqlock
+torn-free parent reads (:mod:`~repro.obs.live.slab`), online quality
+monitors (:mod:`~repro.obs.live.monitors`), a declarative health state
+machine emitting ``alert`` events (:mod:`~repro.obs.live.health`), and
 stdlib-only Prometheus/JSON exposition plus the ``repro obs top``
 terminal view (:mod:`~repro.obs.live.export`,
 :mod:`~repro.obs.live.top`).
@@ -19,10 +20,7 @@ shapes and alert schema.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "slab": (
-        "SlabLayout", "MetricsSlab", "SlabWriter", "MetricsAggregator",
-        "SERVING_SLAB_LAYOUT", "telemetry_to_row",
-    ),
+    "slab": ("MetricsSlab", "SlabWriter", "MetricsAggregator"),
     "monitors": (
         "ScoreDriftMonitor", "CalibrationMonitor", "SLOTracker", "SLOConfig",
     ),

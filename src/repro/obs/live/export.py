@@ -51,7 +51,7 @@ def _line(out: list[str], name: str, value, labels: dict | None = None) -> None:
 
 
 def _render_histogram(out: list[str], name: str, snap: dict) -> None:
-    """One PR 4 histogram snapshot as a Prometheus histogram triplet."""
+    """One :class:`Histogram` snapshot as a Prometheus histogram triplet."""
     buckets = snap.get("buckets", {})
     cumulative = 0
     for key, count in buckets.items():
@@ -63,9 +63,7 @@ def _render_histogram(out: list[str], name: str, snap: dict) -> None:
     cumulative += int(buckets.get("overflow", 0))
     _line(out, f"{name}_bucket", cumulative, {"le": "+Inf"})
     _line(out, f"{name}_count", int(snap.get("count", cumulative)))
-    total = snap.get("total", snap.get("mean_s", snap.get("mean", 0.0))
-            * snap.get("count", 0))
-    _line(out, f"{name}_sum", float(total))
+    _line(out, f"{name}_sum", float(snap.get("sum", 0.0)))
 
 
 def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:

@@ -1,17 +1,15 @@
 """Per-worker shared-memory metrics slabs + the parent-side aggregator.
 
-The multi-worker front-end keeps each worker's :class:`~repro.serve.telemetry.ServingTelemetry`
-inside that worker's process; the run's only live view used to be "wait
-for the process to exit and read a file".  A :class:`MetricsSlab` makes
-the numbers observable *while serving*: the parent allocates one
-fixed-layout shared-memory block (one slab row per worker, laid out by a
-declarative :class:`SlabLayout`), each worker attaches writable and
-publishes its counters/gauges/histogram buckets after every batch, and a
+The multi-worker front-end keeps each worker's
+:class:`~repro.serve.telemetry.ServingTelemetry` inside that worker's
+process.  A :class:`MetricsSlab` makes the numbers observable *while
+serving*: the parent allocates one shared-memory block with one fixed row
+per worker — the four :data:`COUNTERS`, ``busy_seconds``, and the batch
+latency's bucket counts plus exact sum — each worker attaches writable
+and publishes its telemetry into its row after every batch, and a
 parent-side :class:`MetricsAggregator` reads every row torn-free and
-merges them into exactly the snapshot dicts the rest of the
-observability layer already speaks (:class:`~repro.obs.metrics.Histogram`
-snapshot semantics, byte-compatible with the PR 4 schema — see the
-equivalence tests).
+merges them into one :class:`~repro.obs.metrics.Histogram` snapshot, the
+same key set every other latency view renders.
 
 Torn reads are prevented by a *seqlock* generation word per row: the
 writer bumps it to an odd value before touching the row and to the next
@@ -32,107 +30,33 @@ model handoffs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import LATENCY_BUCKETS, Histogram
 from repro.parallel.shared import PackSpec, SharedArrayPack
 
-__all__ = [
-    "SlabLayout",
-    "MetricsSlab",
-    "SlabWriter",
-    "MetricsAggregator",
-    "SERVING_SLAB_LAYOUT",
-    "telemetry_to_row",
-]
+__all__ = ["COUNTERS", "MetricsSlab", "SlabWriter", "MetricsAggregator"]
 
 #: How many seqlock retries a reader attempts before reporting a tear.
 _MAX_READ_RETRIES = 64
 
-
-@dataclass(frozen=True)
-class SlabLayout:
-    """Declarative fixed layout of one metrics slab row.
-
-    Every worker writes the *same* named quantities at the same offsets,
-    which is what lets the parent merge rows with plain vectorised sums.
-
-    Attributes:
-        counters: Monotonic int64 counter names, in storage order.
-        gauges: Float64 last-value gauge names, in storage order.
-        histograms: ``(name, bucket_bounds)`` pairs; each contributes a
-            ``len(bounds) + 1`` int64 bucket-count vector (last bucket =
-            +Inf overflow) and one float64 exact-sum cell per row.
-    """
-
-    counters: tuple[str, ...] = ()
-    gauges: tuple[str, ...] = ()
-    histograms: tuple[tuple[str, tuple[float, ...]], ...] = ()
-
-    def __post_init__(self) -> None:
-        names = (list(self.counters) + list(self.gauges)
-                 + [name for name, _ in self.histograms])
-        if len(names) != len(set(names)):
-            raise ValueError("slab metric names must be unique")
-        if not names:
-            raise ValueError("a slab layout needs at least one metric")
-
-    def to_meta(self) -> dict:
-        """JSON-compatible encoding carried inside the PackSpec meta."""
-        return {
-            "counters": list(self.counters),
-            "gauges": list(self.gauges),
-            "histograms": [
-                [name, [float(b) for b in bounds]]
-                for name, bounds in self.histograms
-            ],
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "SlabLayout":
-        """Rebuild the layout a spec's meta describes (worker side)."""
-        return cls(
-            counters=tuple(meta["counters"]),
-            gauges=tuple(meta["gauges"]),
-            histograms=tuple(
-                (name, tuple(bounds)) for name, bounds in meta["histograms"]
-            ),
-        )
+#: The row's int64 counters, in storage order.  ``fallbacks`` flattens
+#: the worker's per-reason dict to its total (reasons stay worker-local).
+COUNTERS = ("rows_scored", "batches", "requests", "fallbacks")
 
 
-#: The serving layout: one row mirrors one worker's ServingTelemetry.
-#: ``fallbacks`` flattens the per-reason dict to its total (reasons stay
-#: worker-local detail); the latency buckets match
-#: :data:`repro.serve.telemetry.DEFAULT_BUCKETS` so merged histograms are
-#: byte-compatible with single-process ``LatencyHistogram`` snapshots.
-SERVING_SLAB_LAYOUT = SlabLayout(
-    counters=("rows_scored", "batches", "requests", "fallbacks"),
-    gauges=("busy_seconds",),
-    histograms=(
-        ("batch_latency",
-         (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1,
-          1.0, 3.0, 10.0)),
-    ),
-)
+def _empty_row() -> dict:
+    """A zero row in :meth:`MetricsSlab.read_worker`'s sample shape."""
+    return {"counters": dict.fromkeys(COUNTERS, 0), "busy_seconds": 0.0,
+            "batch_latency": Histogram()}
 
 
-def telemetry_to_row(telemetry) -> tuple[np.ndarray, np.ndarray,
-                                         list[tuple[np.ndarray, float]]]:
-    """Flatten one :class:`ServingTelemetry` into SERVING_SLAB_LAYOUT arrays.
-
-    Returns ``(counters, gauges, [(bucket_counts, total), ...])`` in the
-    layout's storage order, ready for :meth:`SlabWriter.publish`.
-    """
-    counters = np.array(
-        [telemetry.rows_scored, telemetry.batches, telemetry.requests,
-         sum(telemetry.fallbacks.values())],
-        dtype=np.int64,
-    )
-    gauges = np.array([telemetry.busy_seconds], dtype=np.float64)
-    hist = telemetry.batch_latency
-    return counters, gauges, [(hist.counts, hist.total)]
+def _add(into: dict, sample: dict) -> None:
+    """Fold one row sample into a running total, in place."""
+    for name in COUNTERS:
+        into["counters"][name] += sample["counters"][name]
+    into["busy_seconds"] += sample["busy_seconds"]
+    into["batch_latency"].counts += sample["batch_latency"].counts
+    into["batch_latency"].total += sample["batch_latency"].total
 
 
 class MetricsSlab:
@@ -140,7 +64,7 @@ class MetricsSlab:
 
     Parent::
 
-        slab = MetricsSlab.allocate(SERVING_SLAB_LAYOUT, n_workers=4)
+        slab = MetricsSlab.allocate(n_workers=4)
         spawn_workers(slab.spec)           # only the spec is pickled
         sample = slab.read_worker(0)       # torn-free dict or None
         slab.dispose()
@@ -148,15 +72,13 @@ class MetricsSlab:
     Worker::
 
         writer = MetricsSlab.attach(spec).writer(worker_id)
-        writer.publish(counters, gauges, histograms)
+        writer.publish(telemetry)          # one ServingTelemetry
     """
 
-    def __init__(self, pack: SharedArrayPack, layout: SlabLayout,
-                 n_workers: int):
+    def __init__(self, pack: SharedArrayPack):
         self._pack = pack
-        self.layout = layout
-        self.n_workers = n_workers
         self._arrays = pack.writable_arrays()
+        self.n_workers = len(self._arrays["gen"])
 
     @property
     def spec(self) -> PackSpec:
@@ -164,40 +86,23 @@ class MetricsSlab:
         return self._pack.spec
 
     @classmethod
-    def _layouts(cls, layout: SlabLayout,
-                 n_workers: int) -> dict[str, tuple[tuple[int, ...], str]]:
-        layouts: dict[str, tuple[tuple[int, ...], str]] = {
-            "gen": ((n_workers,), "<i8"),
-            "heartbeat_unix": ((n_workers,), "<f8"),
-            "counters": ((n_workers, len(layout.counters)), "<i8"),
-            "gauges": ((n_workers, max(len(layout.gauges), 1)), "<f8"),
-        }
-        for name, bounds in layout.histograms:
-            layouts[f"hist/{name}/counts"] = (
-                (n_workers, len(bounds) + 1), "<i8"
-            )
-            layouts[f"hist/{name}/total"] = ((n_workers,), "<f8")
-        return layouts
-
-    @classmethod
-    def allocate(cls, layout: SlabLayout, n_workers: int) -> "MetricsSlab":
+    def allocate(cls, n_workers: int) -> "MetricsSlab":
         """Parent side: one zero-initialised slab row per worker."""
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        pack = SharedArrayPack.allocate(
-            cls._layouts(layout, n_workers),
-            meta={"slab_layout": layout.to_meta(),
-                  "n_workers": int(n_workers)},
-        )
-        return cls(pack, layout, n_workers)
+        return cls(SharedArrayPack.allocate({
+            "gen": ((n_workers,), "<i8"),
+            "heartbeat_unix": ((n_workers,), "<f8"),
+            "counters": ((n_workers, len(COUNTERS)), "<i8"),
+            "busy_seconds": ((n_workers,), "<f8"),
+            "latency_counts": ((n_workers, len(LATENCY_BUCKETS) + 1), "<i8"),
+            "latency_sum": ((n_workers,), "<f8"),
+        }))
 
     @classmethod
     def attach(cls, spec: PackSpec) -> "MetricsSlab":
         """Worker side: writable views of the parent's block."""
-        meta = spec.metadata()
-        layout = SlabLayout.from_meta(meta["slab_layout"])
-        pack = SharedArrayPack.attach(spec, writable=True)
-        return cls(pack, layout, int(meta["n_workers"]))
+        return cls(SharedArrayPack.attach(spec, writable=True))
 
     def writer(self, worker_id: int) -> "SlabWriter":
         """The single-writer handle for one slab row."""
@@ -212,14 +117,17 @@ class MetricsSlab:
                     allow_torn: bool = False) -> dict | None:
         """One worker's row as a dict, seqlock-validated.
 
+        The sample holds ``counters`` (name → int), ``busy_seconds``,
+        ``batch_latency`` (a :class:`Histogram`), ``heartbeat_unix`` and
+        the seqlock ``generation`` it was read at.
+
         Returns None for a row that has never been written, or — after
         bounded retries — one that is being written *right now* (the next
         poll will get it).  ``allow_torn=True`` accepts the last state
         regardless, which is correct once the writer process is known
         dead (a death mid-write leaves the generation odd forever).
         """
-        arrays = self._arrays
-        gen = arrays["gen"]
+        gen = self._arrays["gen"]
         for _ in range(_MAX_READ_RETRIES):
             g1 = int(gen[worker_id])
             if g1 == 0:
@@ -239,29 +147,21 @@ class MetricsSlab:
 
     def _copy_row(self, worker_id: int) -> dict:
         arrays = self._arrays
-        sample: dict = {
+        latency = Histogram()
+        latency.counts[:] = arrays["latency_counts"][worker_id]
+        latency.total = float(arrays["latency_sum"][worker_id])
+        return {
             "heartbeat_unix": float(arrays["heartbeat_unix"][worker_id]),
-            "counters": {
-                name: int(value) for name, value in zip(
-                    self.layout.counters,
-                    np.array(arrays["counters"][worker_id]),
-                )
-            },
-            "gauges": {
-                name: float(value) for name, value in zip(
-                    self.layout.gauges,
-                    np.array(arrays["gauges"][worker_id]),
-                )
-            },
-            "histograms": {},
+            "counters": dict(zip(COUNTERS,
+                                 arrays["counters"][worker_id].tolist())),
+            "busy_seconds": float(arrays["busy_seconds"][worker_id]),
+            "batch_latency": latency,
         }
-        for name, bounds in self.layout.histograms:
-            sample["histograms"][name] = {
-                "bounds": bounds,
-                "counts": np.array(arrays[f"hist/{name}/counts"][worker_id]),
-                "total": float(arrays[f"hist/{name}/total"][worker_id]),
-            }
-        return sample
+
+    def clear_row(self, worker_id: int) -> None:
+        """Zero one row, generation included (it reads as never written)."""
+        for array in self._arrays.values():
+            array[worker_id] = 0
 
     # ------------------------------------------------------------- cleanup
 
@@ -278,55 +178,42 @@ class SlabWriter:
     """The one writer of one slab row (lives inside the worker process)."""
 
     def __init__(self, slab: MetricsSlab, worker_id: int):
-        self._slab = slab
         self.worker_id = worker_id
         arrays = slab._arrays
         self._gen = arrays["gen"]
         self._heartbeat = arrays["heartbeat_unix"]
         self._counters = arrays["counters"]
-        self._gauges = arrays["gauges"]
-        self._hists = [
-            (arrays[f"hist/{name}/counts"], arrays[f"hist/{name}/total"])
-            for name, _ in slab.layout.histograms
-        ]
+        self._busy = arrays["busy_seconds"]
+        self._latency_counts = arrays["latency_counts"]
+        self._latency_sum = arrays["latency_sum"]
         self._n_published = 0
 
     @property
     def n_published(self) -> int:
         return self._n_published
 
-    def publish(
-        self,
-        counters: np.ndarray,
-        gauges: np.ndarray | None = None,
-        histograms: list[tuple[np.ndarray, float]] | None = None,
-    ) -> None:
-        """Overwrite this row with absolute values, seqlock-bracketed.
+    def publish(self, telemetry) -> None:
+        """Overwrite this row from one :class:`ServingTelemetry`.
 
         Values are *absolute* (the worker's lifetime totals), not deltas
         — so a missed publish is self-healing and the parent needs no
         per-row bookkeeping beyond "absorb the final row when a worker
-        dies".
+        dies".  The write is seqlock-bracketed.
         """
+        counters = (telemetry.rows_scored, telemetry.batches,
+                    telemetry.requests, sum(telemetry.fallbacks.values()))
+        latency = telemetry.batch_latency
         w = self.worker_id
         self._gen[w] += 1          # odd: row is being written
         try:
             self._counters[w, :] = counters
-            if gauges is not None and len(gauges):
-                self._gauges[w, :len(gauges)] = gauges
-            for (counts, totals), payload in zip(self._hists,
-                                                 histograms or ()):
-                counts[w, :] = payload[0]
-                totals[w] = float(payload[1])
+            self._busy[w] = telemetry.busy_seconds
+            self._latency_counts[w, :] = latency.counts
+            self._latency_sum[w] = latency.total
             self._heartbeat[w] = time.time()
         finally:
             self._gen[w] += 1      # even: row is consistent again
         self._n_published += 1
-
-    def publish_telemetry(self, telemetry) -> None:
-        """Publish one :class:`ServingTelemetry` (SERVING_SLAB_LAYOUT rows)."""
-        counters, gauges, hists = telemetry_to_row(telemetry)
-        self.publish(counters, gauges, hists)
 
     def heartbeat(self) -> None:
         """Touch the liveness clock without republishing metrics."""
@@ -338,41 +225,14 @@ class SlabWriter:
             self._gen[w] += 1
 
 
-@dataclass
-class _RetiredTotals:
-    """Final rows of dead workers, folded into every later aggregate."""
-
-    counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    hist_counts: dict[str, np.ndarray] = field(default_factory=dict)
-    hist_totals: dict[str, float] = field(default_factory=dict)
-
-    def absorb(self, layout: SlabLayout, sample: dict) -> None:
-        for name in layout.counters:
-            self.counters[name] = (self.counters.get(name, 0)
-                                   + sample["counters"][name])
-        for name in layout.gauges:
-            self.gauges[name] = (self.gauges.get(name, 0.0)
-                                 + sample["gauges"][name])
-        for name, _ in layout.histograms:
-            hist = sample["histograms"][name]
-            if name in self.hist_counts:
-                self.hist_counts[name] = self.hist_counts[name] + hist["counts"]
-            else:
-                self.hist_counts[name] = np.array(hist["counts"])
-            self.hist_totals[name] = (self.hist_totals.get(name, 0.0)
-                                      + hist["total"])
-
-
 class MetricsAggregator:
-    """Parent-side merge of every slab row into PR 4 snapshot dicts.
+    """Parent-side merge of every slab row into one snapshot dict.
 
-    The merged payload has exactly the shape a
-    :class:`~repro.obs.metrics.MetricsRegistry` snapshot gives one
-    process — counters summed, histograms rebuilt as a real
-    :class:`Histogram` (summed bucket counts + exact summed totals) and
-    rendered through its own ``snapshot()``, so percentile/mean/bucket
-    semantics are shared by construction, not re-implemented.
+    Counters and busy seconds are summed; the batch latency is rebuilt as
+    a real :class:`Histogram` (summed bucket counts + exact summed
+    totals) and rendered through its own ``snapshot()``, so
+    percentile/mean/bucket semantics are shared by construction, not
+    re-implemented.
 
     Args:
         slab: The slab to aggregate (parent's allocated handle).
@@ -383,7 +243,7 @@ class MetricsAggregator:
     def __init__(self, slab: MetricsSlab, liveness_timeout_s: float = 5.0):
         self.slab = slab
         self.liveness_timeout_s = liveness_timeout_s
-        self._retired = _RetiredTotals()
+        self._retired = _empty_row()
         self._last_good: dict[int, dict] = {}
 
     # ------------------------------------------------------------- samples
@@ -410,53 +270,30 @@ class MetricsAggregator:
         if sample is None:
             sample = self._last_good.get(worker_id)
         if sample is not None:
-            self._retired.absorb(self.slab.layout, sample)
+            _add(self._retired, sample)
         self._last_good.pop(worker_id, None)
-        arrays = self.slab._arrays
-        arrays["gen"][worker_id] = 0
-        arrays["counters"][worker_id, :] = 0
-        arrays["gauges"][worker_id, :] = 0.0
-        arrays["heartbeat_unix"][worker_id] = 0.0
-        for name, _ in self.slab.layout.histograms:
-            arrays[f"hist/{name}/counts"][worker_id, :] = 0
-            arrays[f"hist/{name}/total"][worker_id] = 0.0
+        self.slab.clear_row(worker_id)
 
     # ----------------------------------------------------------- aggregate
 
     def aggregate(self) -> dict:
-        """Merged snapshot: counters/gauges summed, histograms rebuilt.
+        """Merged snapshot: counters and busy seconds summed, latency rebuilt.
 
-        Returns ``{"counters": {...}, "gauges": {...}, "histograms":
-        {name: Histogram.snapshot()}, "workers_reporting": n}`` —
-        the ``metrics`` record shape of the PR 4 run-log schema plus the
-        reporting count.
+        Returns ``{"counters": {...}, "gauges": {"busy_seconds": s},
+        "histograms": {"batch_latency": Histogram.snapshot()},
+        "workers_reporting": n}``.
         """
-        layout = self.slab.layout
         samples = self.read_all()
-        counters = {name: self._retired.counters.get(name, 0)
-                    for name in layout.counters}
-        gauges = {name: self._retired.gauges.get(name, 0.0)
-                  for name in layout.gauges}
+        merged = _empty_row()
+        _add(merged, self._retired)
         for sample in samples.values():
-            for name in layout.counters:
-                counters[name] += sample["counters"][name]
-            for name in layout.gauges:
-                gauges[name] += sample["gauges"][name]
-        histograms: dict[str, dict] = {}
-        for name, bounds in layout.histograms:
-            merged = Histogram(bounds)
-            if name in self._retired.hist_counts:
-                merged.counts += self._retired.hist_counts[name]
-                merged.total += self._retired.hist_totals[name]
-            for sample in samples.values():
-                hist = sample["histograms"][name]
-                merged.counts += hist["counts"]
-                merged.total += hist["total"]
-            histograms[name] = merged.snapshot()
+            _add(merged, sample)
         return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
+            "counters": merged["counters"],
+            "gauges": {"busy_seconds": merged["busy_seconds"]},
+            "histograms": {
+                "batch_latency": merged["batch_latency"].snapshot(),
+            },
             "workers_reporting": len(samples),
         }
 

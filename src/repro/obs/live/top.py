@@ -90,8 +90,8 @@ def render_top(snapshot: dict, width: int = 72) -> str:
         f"rows {rows:>10}    batches {counters.get('batches', 0):>8}"
     )
     lines.append(
-        f"request p50 {_ms(latency.get('p50_s')):>9}    "
-        f"p99 {_ms(latency.get('p99_s')):>9}    "
+        f"request p50 {_ms(latency.get('p50')):>9}    "
+        f"p99 {_ms(latency.get('p99')):>9}    "
         f"batch p99 {_ms(batch.get('p99')):>9}"
     )
     lines.append(

@@ -1,12 +1,12 @@
-"""Shared metric primitives: counters, gauges and bucket histograms.
+"""The one metric primitive: a fixed-bucket histogram.
 
-One implementation serves every instrumentation surface in the repo:
-:class:`~repro.serve.telemetry.LatencyHistogram` is a thin subclass of
-:class:`Histogram` (latency buckets + the ``docs/serving.md`` snapshot
-naming), and :class:`MetricsRegistry` is the named-metric container the
-tracer dumps into a run log.  Everything here is plain Python + numpy,
-cheap enough to update on hot paths, and renders to JSON-compatible
-``snapshot()`` dicts.
+Every latency the serving stack reports — per-batch and per-request
+scoring times inside a worker, the front-end's admission→resolution
+times and the cross-worker merge of the batch times — is a
+:class:`Histogram` over :data:`LATENCY_BUCKETS`, and every view of one
+renders through :meth:`Histogram.snapshot`, so ``/metrics``, ``repro obs
+top``, the serving CLI and the benchmark read one key set.  Plain Python
++ numpy, cheap enough to update on hot paths.
 """
 
 from __future__ import annotations
@@ -15,34 +15,12 @@ import bisect
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Histogram", "LATENCY_BUCKETS"]
 
-
-class Counter:
-    """Monotonically increasing integer count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        """Add ``n`` (must be non-negative) to the count."""
-        if n < 0:
-            raise ValueError("counters only go up; use a Gauge instead")
-        self.value += n
-
-
-class Gauge:
-    """Last-written value of some instantaneous quantity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
+#: Default bucket upper bounds, seconds (log-spaced 10µs → 10s).
+LATENCY_BUCKETS = (
+    1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0
+)
 
 
 class Histogram:
@@ -53,13 +31,14 @@ class Histogram:
     are inclusive), values above the last bound land in a +Inf overflow
     bucket, and values below the first bound land in bucket 0.  Count and
     sum are exact; percentiles are conservative upper bounds (the true
-    value is at most the returned bucket bound).
+    value is at most the returned bucket bound).  Observations are
+    durations, so negative ones are rejected.
 
     Args:
         buckets: Increasing upper bounds of the finite buckets.
     """
 
-    def __init__(self, buckets: tuple[float, ...]):
+    def __init__(self, buckets: tuple[float, ...] = LATENCY_BUCKETS):
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ValueError("buckets must be non-empty and increasing")
@@ -76,6 +55,8 @@ class Histogram:
         """Record one observation."""
         if not np.isfinite(value):
             raise ValueError(f"refusing to record non-finite value {value}")
+        if value < 0:
+            raise ValueError(f"refusing to record negative value {value}")
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.total += value
 
@@ -101,6 +82,14 @@ class Histogram:
         bucket = int(np.searchsorted(cumulative, rank))
         return self.bounds[min(bucket, len(self.bounds) - 1)]
 
+    def count_above(self, bound: float) -> int:
+        """Observations in buckets whose upper bound exceeds ``bound``.
+
+        The +Inf overflow bucket always counts.  A bucket straddling
+        ``bound`` counts whole, so this over- rather than under-reports.
+        """
+        return int(self.counts[bisect.bisect_right(self.bounds, bound):].sum())
+
     def bucket_counts(self) -> dict[str, int]:
         """JSON-compatible per-bucket counts keyed ``le_<bound>``."""
         return {
@@ -112,75 +101,10 @@ class Histogram:
         """JSON-compatible histogram state."""
         return {
             "count": self.count,
+            "sum": self.total,
             "mean": self.mean,
             "p50": self.percentile(50),
             "p95": self.percentile(95),
             "p99": self.percentile(99),
             "buckets": self.bucket_counts(),
-        }
-
-
-#: Default buckets for unit-scale quantities (losses, norms, fractions).
-DEFAULT_VALUE_BUCKETS = (
-    1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0, 30.0,
-    100.0,
-)
-
-
-class MetricsRegistry:
-    """Named counters/gauges/histograms with one JSON snapshot.
-
-    Metrics are created on first access (``registry.counter("x").inc()``)
-    so instrumentation sites never need set-up code.  A metric name maps
-    to exactly one kind; re-requesting it as a different kind raises.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def _check_unique(self, name: str, own: dict) -> None:
-        for kind, table in (
-            ("counter", self._counters),
-            ("gauge", self._gauges),
-            ("histogram", self._histograms),
-        ):
-            if table is not own and name in table:
-                raise ValueError(f"metric {name!r} already exists as a {kind}")
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the named counter."""
-        metric = self._counters.get(name)
-        if metric is None:
-            self._check_unique(name, self._counters)
-            metric = self._counters[name] = Counter()
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the named gauge."""
-        metric = self._gauges.get(name)
-        if metric is None:
-            self._check_unique(name, self._gauges)
-            metric = self._gauges[name] = Gauge()
-        return metric
-
-    def histogram(
-        self, name: str, buckets: tuple[float, ...] = DEFAULT_VALUE_BUCKETS
-    ) -> Histogram:
-        """Get or create the named histogram (buckets fixed on creation)."""
-        metric = self._histograms.get(name)
-        if metric is None:
-            self._check_unique(name, self._histograms)
-            metric = self._histograms[name] = Histogram(buckets)
-        return metric
-
-    def snapshot(self) -> dict:
-        """JSON-compatible state of every registered metric."""
-        return {
-            "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
-            "histograms": {
-                k: h.snapshot() for k, h in sorted(self._histograms.items())
-            },
         }

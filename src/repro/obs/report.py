@@ -460,12 +460,6 @@ def format_report(run: RunLog, max_curve_rows: int = 20) -> str:
     layer_table = _format_layers(run)
     if layer_table is not None:
         sections.append(layer_table)
-    snapshots = run.metrics_snapshots()
-    if snapshots:
-        counters = snapshots[-1]["fields"].get("counters", {})
-        if counters:
-            rendered = "  ".join(f"{k}={v}" for k, v in counters.items())
-            sections.append(f"counters: {rendered}")
     cache = tune_cache_lines(run)
     if cache:
         sections.append("\n".join(cache))

@@ -2,7 +2,7 @@
 
 A *run log* is a JSON-Lines file: one JSON object per line, each with a
 ``kind`` discriminator.  The schema (version :data:`SCHEMA_VERSION`) has
-four record kinds:
+three record kinds:
 
 ``manifest``
     First record of every log.  ``schema`` (int), ``run_id`` (str),
@@ -15,9 +15,6 @@ four record kinds:
 ``event``
     One point event.  ``name``, ``t_s`` (seconds since tracer start),
     ``span`` (enclosing span id or null) and ``fields``.
-``metrics``
-    A :class:`~repro.obs.metrics.MetricsRegistry` snapshot: ``t_s`` and
-    ``fields`` (the snapshot payload).
 
 ``docs/observability.md`` documents the schema with examples;
 :func:`validate_record` is the single source of truth for required keys
@@ -62,7 +59,9 @@ __all__ = [
 #: v2 (additive over v1): well-known ``alert`` / ``health_transition``
 #: event names gain required-field validation (see
 #: :data:`_REQUIRED_EVENT_FIELDS`); every v1 log remains valid under v2.
-SCHEMA_VERSION = 2
+#: v3: the ``metrics`` record kind is gone (it only ever held an empty
+#: registry snapshot); a log holding one fails as an unknown kind.
+SCHEMA_VERSION = 3
 
 #: Well-known serving-lifecycle names: a drift recovery runs inside one
 #: ``LIFECYCLE_SPAN`` span and emits one ``LIFECYCLE_STAGE_EVENT`` per
@@ -110,7 +109,6 @@ _REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
     "manifest": ("schema", "run_id", "created_unix", "fields"),
     "span": ("name", "id", "parent", "start_s", "dur_s", "fields"),
     "event": ("name", "t_s", "span", "fields"),
-    "metrics": ("t_s", "fields"),
 }
 
 #: Schema v2: required ``fields`` keys for well-known event names.
@@ -272,10 +270,6 @@ class RunLog:
             r for r in self.records
             if r["kind"] == "span" and (name is None or r["name"] == name)
         ]
-
-    def metrics_snapshots(self) -> list[dict]:
-        """All metrics records, in file order."""
-        return [r for r in self.records if r["kind"] == "metrics"]
 
     def curve(self, event_name: str, field: str) -> list[tuple[int, float]]:
         """(epoch, value) pairs of one numeric field over epoch-like events.

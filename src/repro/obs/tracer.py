@@ -1,4 +1,4 @@
-"""Hierarchical run tracing: spans, point events and metric dumps.
+"""Hierarchical run tracing: spans and point events.
 
 :class:`Tracer` is the write side of the observability layer.  Code under
 instrumentation opens *spans* (timed, nestable regions) and emits *events*
@@ -19,7 +19,6 @@ import pathlib
 import time
 from contextlib import contextmanager
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import (
     SCHEMA_VERSION,
     RunLogWriter,
@@ -59,7 +58,7 @@ class _BufferSink:
 
 
 class Tracer:
-    """Produces a structured run log of spans, events and metrics.
+    """Produces a structured run log of spans and events.
 
     Usage::
 
@@ -94,7 +93,6 @@ class Tracer:
         self._span_stack: list[int] = []
         self._start = 0.0
         self.start_unix = 0.0
-        self.metrics = MetricsRegistry()
         if not self.enabled:
             return
         if sink is None:
@@ -208,17 +206,6 @@ class Tracer:
             "fields": fields,
         })
 
-    def write_metrics(self, registry: MetricsRegistry | None = None) -> None:
-        """Dump a metrics registry snapshot (defaults to :attr:`metrics`)."""
-        if not self.enabled:
-            return
-        registry = registry if registry is not None else self.metrics
-        self._write({
-            "kind": "metrics",
-            "t_s": self._now(),
-            "fields": registry.snapshot(),
-        })
-
     def merge_child_records(
         self,
         records: list[dict],
@@ -283,8 +270,6 @@ class Tracer:
                 merged["span"] = (
                     id_map.get(span, current) if span is not None else current
                 )
-            elif kind == "metrics":
-                merged["t_s"] = float(record["t_s"]) + offset
             self._write(merged)
 
     # ------------------------------------------------------------- bridges

@@ -42,7 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "FrontendConfig", "FrontendResult", "FrontendTicket",
         "ScoringFrontend",
     ),
-    "telemetry": ("FrontendTelemetry", "LatencyHistogram", "ServingTelemetry"),
+    "telemetry": ("FrontendTelemetry", "ServingTelemetry"),
     "lifecycle": ("LifecycleController", "PromotionGates", "RetrainConfig"),
     "batching": ("MicroBatcher", "Ticket"),
     "shm_publish": ("ModelPublisher", "PublishedModel"),

@@ -52,11 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.live.slab import (
-    SERVING_SLAB_LAYOUT,
-    MetricsAggregator,
-    MetricsSlab,
-)
+from repro.obs.live.slab import MetricsAggregator, MetricsSlab
 from repro.parallel.engine import default_start_method
 from repro.parallel.shared import PackSpec
 from repro.persist.artifacts import ScoringModel
@@ -254,7 +250,7 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
         load(generation, spec)
     response_q.put(("ready", worker_id, os.getpid()))
     if slab_writer is not None:
-        slab_writer.publish_telemetry(telemetry)  # row live before traffic
+        slab_writer.publish(telemetry)  # row live before traffic
 
     paused = False
     running = True
@@ -307,12 +303,12 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
                 break
         response_q.put(("results", worker_id, _resolve_batch(services, batch)))
         if slab_writer is not None:
-            slab_writer.publish_telemetry(telemetry)
+            slab_writer.publish(telemetry)
 
     for pack in packs.values():
         pack.close()
     if slab is not None:
-        slab_writer.publish_telemetry(telemetry)  # final absolute totals
+        slab_writer.publish(telemetry)  # final absolute totals
         slab.close()
 
 
@@ -433,9 +429,7 @@ class ScoringFrontend:
         self._publisher.publish(self._initial_model,
                                 version=self._initial_version)
         if self.config.live_metrics:
-            self._slab = MetricsSlab.allocate(
-                SERVING_SLAB_LAYOUT, n_workers=self.config.n_workers
-            )
+            self._slab = MetricsSlab.allocate(self.config.n_workers)
             self._aggregator = MetricsAggregator(
                 self._slab,
                 liveness_timeout_s=self.config.liveness_timeout_s,
@@ -806,19 +800,13 @@ class ScoringFrontend:
         except Exception:  # noqa: BLE001 - observability is best-effort
             pass
 
-    @staticmethod
-    def _slow_resolutions(latency_snapshot: dict, bound_s: float) -> int:
-        """Resolutions slower than the bound, from histogram buckets."""
-        slow = 0
-        for key, count in latency_snapshot["buckets"].items():
-            if key == "overflow" or float(key.removeprefix("le_")) > bound_s:
-                slow += int(count)
-        return slow
-
     def _feed_slo(self, now: float) -> None:
         if self.slo_tracker is None:
             return
         sample = self.telemetry.snapshot()
+        # This thread is request_latency's only writer: no lock needed.
+        sample["slow"] = self.telemetry.request_latency.count_above(
+            self.config.slo_latency_bound_s)
         previous = self._last_frontend_sample
         self._last_frontend_sample = sample
         if previous is None:
@@ -830,10 +818,7 @@ class ScoringFrontend:
             self.slo_tracker.observe("admission", good=admitted, bad=shed,
                                      now=now)
         if "latency" in configured:
-            bound = self.config.slo_latency_bound_s
-            slow = (self._slow_resolutions(sample["request_latency"], bound)
-                    - self._slow_resolutions(previous["request_latency"],
-                                             bound))
+            slow = sample["slow"] - previous["slow"]
             resolved = (sample["request_latency"]["count"]
                         - previous["request_latency"]["count"])
             self.slo_tracker.observe("latency", good=resolved - slow,

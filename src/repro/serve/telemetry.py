@@ -6,10 +6,9 @@ current drift level.  Everything here is cheap enough to update on every
 request and renders to one JSON-compatible ``snapshot()`` — the schema
 ``docs/serving.md`` documents and ``repro serve-score`` prints.
 
-The bucket machinery lives in :class:`repro.obs.metrics.Histogram` (the
-shared implementation behind the whole observability layer);
-:class:`LatencyHistogram` pins the latency bucket layout and keeps the
-``docs/serving.md`` snapshot schema byte-compatible.
+Latencies are :class:`repro.obs.metrics.Histogram` objects over the
+default :data:`~repro.obs.metrics.LATENCY_BUCKETS`, so every latency view
+shares one snapshot key set.
 """
 
 from __future__ import annotations
@@ -18,54 +17,7 @@ import threading
 
 from repro.obs.metrics import Histogram
 
-__all__ = ["FrontendTelemetry", "LatencyHistogram", "ServingTelemetry"]
-
-#: Default latency bucket upper bounds, seconds (log-spaced 10µs → 10s).
-DEFAULT_BUCKETS = (
-    1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0
-)
-
-
-class LatencyHistogram(Histogram):
-    """Fixed-bucket latency histogram with exact count/sum and percentiles.
-
-    A :class:`~repro.obs.metrics.Histogram` specialised for latencies:
-    default log-spaced seconds buckets, negative observations rejected,
-    and the historical ``*_s``-suffixed snapshot keys preserved.
-
-    Args:
-        buckets: Increasing upper bounds in seconds; observations above the
-            last bound land in a +Inf overflow bucket.
-    """
-
-    def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS):
-        super().__init__(buckets)
-
-    def observe(self, seconds: float) -> None:
-        """Record one latency observation."""
-        if seconds < 0:
-            raise ValueError("latency cannot be negative")
-        super().observe(seconds)
-
-    @property
-    def total_seconds(self) -> float:
-        """Exact sum of all observations (alias of :attr:`total`)."""
-        return self.total
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.mean
-
-    def snapshot(self) -> dict:
-        """JSON-compatible histogram state (docs/serving.md schema)."""
-        return {
-            "count": self.count,
-            "mean_s": self.mean_seconds,
-            "p50_s": self.percentile(50),
-            "p95_s": self.percentile(95),
-            "p99_s": self.percentile(99),
-            "buckets": self.bucket_counts(),
-        }
+__all__ = ["FrontendTelemetry", "ServingTelemetry"]
 
 
 class ServingTelemetry:
@@ -77,8 +29,8 @@ class ServingTelemetry:
     """
 
     def __init__(self) -> None:
-        self.batch_latency = LatencyHistogram()
-        self.request_latency = LatencyHistogram()
+        self.batch_latency = Histogram()
+        self.request_latency = Histogram()
         self.rows_scored = 0
         self.batches = 0
         self.requests = 0
@@ -132,7 +84,7 @@ class ServingTelemetry:
             f"rows scored     {snap['rows_scored']}",
             f"batches         {snap['batches']}",
             f"throughput      {snap['throughput_rows_per_s']:.0f} rows/s",
-            f"batch p95       {snap['batch_latency']['p95_s'] * 1e3:.3g} ms",
+            f"batch p95       {snap['batch_latency']['p95'] * 1e3:.3g} ms",
         ]
         if snap["fallbacks"]:
             reasons = ", ".join(f"{k}={v}" for k, v in
@@ -165,7 +117,7 @@ class FrontendTelemetry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.request_latency = LatencyHistogram()
+        self.request_latency = Histogram()
         self.admitted = 0
         self.shed = 0
         self.refused = 0

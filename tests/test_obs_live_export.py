@@ -6,6 +6,7 @@ terminal renderer are pure functions tested directly.
 """
 
 import json
+import random
 import urllib.request
 
 import pytest
@@ -15,7 +16,9 @@ from repro.obs.live.export import (
     SnapshotFileWriter,
     render_prometheus,
 )
+from repro.obs.live.slab import MetricsAggregator, MetricsSlab
 from repro.obs.live.top import fetch_snapshot, read_snapshot_file, render_top
+from repro.serve.telemetry import FrontendTelemetry, ServingTelemetry
 
 
 def sample_snapshot(state="healthy"):
@@ -28,8 +31,8 @@ def sample_snapshot(state="healthy"):
             "admitted": 100, "shed": 5, "refused": 0, "errors": 1,
             "resolved": 99, "requeued": 0, "worker_deaths": 0,
             "request_latency": {
-                "count": 99, "mean_s": 0.002, "p50_s": 0.001,
-                "p95_s": 0.01, "p99_s": 0.01,
+                "count": 99, "sum": 0.198, "mean": 0.002, "p50": 0.001,
+                "p95": 0.01, "p99": 0.01,
                 "buckets": {"le_0.001": 50, "le_0.01": 49, "overflow": 0},
             },
         },
@@ -38,8 +41,8 @@ def sample_snapshot(state="healthy"):
             "gauges": {"busy_seconds": 0.5},
             "histograms": {
                 "batch_latency": {
-                    "count": 10, "mean": 0.005, "p50": 0.003,
-                    "p95": 0.01, "p99": 0.01, "total": 0.05,
+                    "count": 10, "sum": 0.05, "mean": 0.005, "p50": 0.003,
+                    "p95": 0.01, "p99": 0.01,
                     "buckets": {"le_0.003": 5, "le_0.01": 5, "overflow": 0},
                 },
             },
@@ -198,6 +201,12 @@ class TestTopRendering:
         assert "Gansu" in text
         assert "burn admission" in text
 
+    def test_request_and_batch_latency_read_the_shared_keys(self):
+        text = render_top(sample_snapshot())
+        assert "request p50    1.00ms" in text
+        assert "p99   10.00ms" in text
+        assert "batch p99   10.00ms" in text
+
     def test_renders_without_live_sections(self):
         # serve-run without monitors still renders the frontend block.
         text = render_top({"unix": 0.0, "generation": 0, "pending": 0,
@@ -217,3 +226,62 @@ class TestTopRendering:
             fh.write(json.dumps({"generation": 2}) + "\n")
             fh.write('{"generation": 3, "trunc')   # torn final line
         assert read_snapshot_file(path)["generation"] == 2
+
+
+def _prometheus_histogram(text: str, name: str) -> tuple[list, int, float]:
+    """(bucket lines as (le, value), _count, _sum) of one histogram."""
+    buckets, count, total = [], None, None
+    for line in text.splitlines():
+        metric, value = line.rsplit(" ", 1)
+        if metric.startswith(f"{name}_bucket{{"):
+            buckets.append((metric.split('"')[1], int(value)))
+        elif metric == f"{name}_count":
+            count = int(value)
+        elif metric == f"{name}_sum":
+            total = float(value)
+    return buckets, count, total
+
+
+class TestExactPrometheusSum:
+    """``_sum`` is the exact observed total, not ``mean * count``."""
+
+    @staticmethod
+    def _check(text: str, name: str, exact: float) -> None:
+        buckets, count, total = _prometheus_histogram(text, name)
+        assert total == exact                 # bit for bit
+        assert buckets[-1][0] == "+Inf"
+        assert count == buckets[-1][1]
+        values = [value for _, value in buckets]
+        assert values == sorted(values)      # cumulative
+
+    def test_frontend_request_latency_sum_is_exact(self):
+        for seed in range(200):
+            random.seed(seed)
+            telemetry = FrontendTelemetry()
+            exact = 0.0
+            for _ in range(random.randint(1, 500)):
+                seconds = random.uniform(1e-5, 0.5)
+                telemetry.record_request(seconds)
+                exact += seconds
+            text = render_prometheus({"frontend": telemetry.snapshot()})
+            self._check(text, "repro_frontend_request_latency", exact)
+
+    def test_merged_worker_batch_latency_sum_is_exact(self):
+        slab = MetricsSlab.allocate(n_workers=2)
+        try:
+            aggregator = MetricsAggregator(slab)
+            random.seed(7)
+            exact = 0.0
+            for worker_id in range(2):
+                telemetry = ServingTelemetry()
+                total = 0.0
+                for _ in range(333):
+                    seconds = random.uniform(1e-5, 0.5)
+                    telemetry.record_batch(1, seconds)
+                    total += seconds
+                slab.writer(worker_id).publish(telemetry)
+                exact += total
+            text = render_prometheus({"workers": aggregator.aggregate()})
+        finally:
+            slab.dispose()
+        self._check(text, "repro_worker_batch_latency", exact)

@@ -1,45 +1,11 @@
-"""Unit tests for the shared metric primitives (repro.obs.metrics)."""
+"""Unit tests for the one metric primitive (repro.obs.metrics)."""
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    DEFAULT_VALUE_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-
-
-class TestCounter:
-    def test_starts_at_zero_and_increments(self):
-        counter = Counter()
-        assert counter.value == 0
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_rejects_negative_increment(self):
-        with pytest.raises(ValueError, match="counters only go up"):
-            Counter().inc(-1)
-
-    def test_zero_increment_allowed(self):
-        counter = Counter()
-        counter.inc(0)
-        assert counter.value == 0
-
-
-class TestGauge:
-    def test_set_overwrites_and_casts_to_float(self):
-        gauge = Gauge()
-        assert gauge.value == 0.0
-        gauge.set(3)
-        assert gauge.value == 3.0
-        assert isinstance(gauge.value, float)
-        gauge.set(-1.5)
-        assert gauge.value == -1.5
+from repro.obs.metrics import LATENCY_BUCKETS, Histogram
 
 
 class TestHistogram:
@@ -107,46 +73,65 @@ class TestHistogram:
         hist = Histogram((1.0, 2.0))
         hist.observe(0.5)
         snap = hist.snapshot()
-        assert set(snap) == {"count", "mean", "p50", "p95", "p99", "buckets"}
+        assert set(snap) == {"count", "sum", "mean", "p50", "p95", "p99",
+                             "buckets"}
         assert snap["count"] == 1
+        assert snap["sum"] == 0.5
         assert len(snap["buckets"]) == 3  # two finite buckets + overflow
 
     def test_default_value_buckets_are_increasing(self):
-        assert list(DEFAULT_VALUE_BUCKETS) == sorted(DEFAULT_VALUE_BUCKETS)
-        Histogram(DEFAULT_VALUE_BUCKETS)  # must construct
+        # The latency buckets are the default (and only) layout.
+        assert list(LATENCY_BUCKETS) == sorted(set(LATENCY_BUCKETS))
+        assert Histogram().bounds == LATENCY_BUCKETS
+
+    def test_rejects_negative(self):
+        hist = Histogram()
+        with pytest.raises(ValueError, match="negative"):
+            hist.observe(-1e-9)
+        hist.observe(0.0)
+        assert hist.count == 1
+
+    def test_snapshot_sum_is_the_exact_running_total(self):
+        hist = Histogram()
+        exact = 0.0
+        for value in (0.1, 0.2, 0.3, 1e-5, 7.0):
+            hist.observe(value)
+            exact += value
+        snap = hist.snapshot()
+        assert snap["sum"] == exact
+        assert snap["mean"] == exact / 5
 
 
-class TestMetricsRegistry:
-    def test_get_or_create_returns_same_instance(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.gauge("y") is registry.gauge("y")
-        assert registry.histogram("z") is registry.histogram("z")
+class TestCountAbove:
+    """``count_above(bound)``: observations in buckets whose upper bound
+    exceeds ``bound``, the +Inf overflow included."""
 
-    def test_cross_kind_name_collision_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("shared")
-        with pytest.raises(ValueError, match="already exists as a counter"):
-            registry.gauge("shared")
-        with pytest.raises(ValueError, match="already exists as a counter"):
-            registry.histogram("shared")
-        registry.gauge("g")
-        with pytest.raises(ValueError, match="already exists as a gauge"):
-            registry.counter("g")
+    @staticmethod
+    def _by_bucket_keys(hist, bound):
+        # The bucket-key reading count_above replaces: parse le_<bound>.
+        return sum(
+            count for key, count in hist.bucket_counts().items()
+            if key == "overflow" or float(key.removeprefix("le_")) > bound
+        )
 
-    def test_snapshot_structure_and_sorting(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc(2)
-        registry.counter("a").inc()
-        registry.gauge("level").set(0.5)
-        registry.histogram("lat").observe(0.01)
-        snap = registry.snapshot()
-        assert list(snap["counters"]) == ["a", "b"]
-        assert snap["counters"] == {"a": 1, "b": 2}
-        assert snap["gauges"] == {"level": 0.5}
-        assert snap["histograms"]["lat"]["count"] == 1
+    def test_edges_between_and_overflow(self):
+        hist = Histogram((1.0, 2.0, 4.0))
+        for value in (0.5, 1.0, 1.5, 2.0, 3.0, 9.0):
+            hist.observe(value)
+        assert hist.count_above(0.0) == 6
+        assert hist.count_above(1.0) == 4    # on an edge: that bucket is fast
+        assert hist.count_above(1.5) == 4    # straddling bucket counts whole
+        assert hist.count_above(2.0) == 2
+        assert hist.count_above(4.0) == 1    # the last edge: overflow only
+        assert hist.count_above(100.0) == 1  # past it: overflow still counts
 
-    def test_empty_snapshot(self):
-        assert MetricsRegistry().snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
+    def test_matches_the_bucket_key_reading(self):
+        rng = np.random.default_rng(3)
+        bounds = [0.0, 5e-6, *LATENCY_BUCKETS, 0.05, 0.2, 2.0, 50.0]
+        for _ in range(300):
+            hist = Histogram()
+            for value in 10 ** rng.uniform(-6, 1.5, size=rng.integers(0, 40)):
+                hist.observe(float(value))
+            for bound in bounds:
+                assert (hist.count_above(bound)
+                        == self._by_bucket_keys(hist, bound))

@@ -30,18 +30,17 @@ class TestTracerBuffer:
         tracer.write_manifest(command="test", seed=1)
         with tracer.span("outer", trainer="ERM"):
             tracer.event("tick", value=1.5)
-        tracer.metrics.counter("n").inc(3)
-        tracer.write_metrics()
+        tracer.event("done", n=3)
         kinds = [r["kind"] for r in tracer.records]
-        assert kinds == ["manifest", "event", "span", "metrics"]
-        manifest, event, span, metrics = tracer.records
+        assert kinds == ["manifest", "event", "span", "event"]
+        manifest, event, span, done = tracer.records
         assert manifest["schema"] == SCHEMA_VERSION
         assert manifest["run_id"] == tracer.run_id
         assert manifest["fields"] == {"command": "test", "seed": 1}
         assert event["fields"] == {"value": 1.5}
         assert span["fields"] == {"trainer": "ERM"}
         assert span["dur_s"] >= 0
-        assert metrics["fields"]["counters"] == {"n": 3}
+        assert done["fields"] == {"n": 3}
 
     def test_span_nesting_assigns_parents(self):
         tracer = Tracer()
@@ -89,7 +88,7 @@ class TestTracerBuffer:
         tracer.write_manifest(command="t")
         with tracer.span("s"):
             tracer.event("e")
-        tracer.write_metrics()
+        tracer.event("after")
         for record in tracer.records:
             validate_record(record)
 
@@ -104,7 +103,6 @@ class TestTracerDisabled:
         tracer.write_manifest(command="t")
         tracer.event("e")
         tracer.record_span("s", 0.1)
-        tracer.write_metrics()
         with tracer.span("region") as span_id:
             assert span_id is None
 
@@ -205,6 +203,12 @@ class TestValidateRecord:
         with pytest.raises(SchemaError, match="unknown record kind"):
             validate_record({"kind": "trace", "fields": {}})
 
+    def test_rejects_metrics_record(self):
+        # Schema v3 has no metrics kind: a v2 metrics line names it.
+        with pytest.raises(SchemaError,
+                           match="unknown record kind 'metrics'"):
+            validate_record({"kind": "metrics", "t_s": 0.0, "fields": {}})
+
     def test_rejects_missing_keys(self):
         with pytest.raises(SchemaError, match="missing keys"):
             validate_record({"kind": "event", "name": "e", "fields": {}})
@@ -234,7 +238,8 @@ class TestRunLogReaderWriter:
 
     def test_reader_flags_invalid_json_with_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind":"metrics","t_s":0,"fields":{}}\nnot json\n')
+        path.write_text('{"kind":"event","name":"e","t_s":0,"span":null,"fields":{}}\n'
+                        'not json\n')
         with pytest.raises(SchemaError, match="line 2: invalid JSON"):
             RunLogReader.read(path)
 
@@ -246,7 +251,7 @@ class TestRunLogReaderWriter:
 
     def test_reader_skips_blank_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        path.write_text('\n{"kind":"metrics","t_s":0,"fields":{}}\n\n')
+        path.write_text('\n{"kind":"event","name":"e","t_s":0,"span":null,"fields":{}}\n\n')
         assert len(RunLogReader.read(path)) == 1
 
 
@@ -273,7 +278,6 @@ class TestRunLogQueries:
         assert len(run.events("epoch")) == 2
         assert len(run.spans("fit")) == 1
         assert run.spans("missing") == []
-        assert run.metrics_snapshots() == []
 
     def test_curve_skips_incomplete_events(self):
         run = self._log()
@@ -374,6 +378,6 @@ class TestJsonCompatibility:
         tracer.write_manifest(command="t", seed=0)
         with tracer.span("fit", trainer="ERM"):
             tracer.event("epoch", epoch=0, objective=1.0)
-        tracer.write_metrics()
+        tracer.event("done")
         for record in tracer.records:
             json.dumps(record)

@@ -5,35 +5,33 @@ import bisect
 import numpy as np
 import pytest
 
-from repro.obs.metrics import Histogram
-from repro.serve.telemetry import (
-    DEFAULT_BUCKETS,
-    LatencyHistogram,
-    ServingTelemetry,
-)
+from repro.obs.metrics import LATENCY_BUCKETS, Histogram
+from repro.serve.telemetry import ServingTelemetry
 
 
 class TestLatencyHistogram:
+    """The latency histogram: :class:`Histogram` on its default buckets."""
+
     def test_observations_land_in_correct_buckets(self):
-        hist = LatencyHistogram(buckets=(0.001, 0.01, 0.1))
+        hist = Histogram(buckets=(0.001, 0.01, 0.1))
         for value in (0.0005, 0.005, 0.005, 0.05, 5.0):
             hist.observe(value)
         assert list(hist.counts) == [1, 2, 1, 1]   # last = overflow
         assert hist.count == 5
 
     def test_boundary_value_goes_to_lower_bucket(self):
-        hist = LatencyHistogram(buckets=(0.001, 0.01))
+        hist = Histogram(buckets=(0.001, 0.01))
         hist.observe(0.001)   # le_0.001 is inclusive
         assert hist.counts[0] == 1
 
     def test_mean_is_exact(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         hist.observe(0.1)
         hist.observe(0.3)
-        assert hist.mean_seconds == pytest.approx(0.2)
+        assert hist.mean == pytest.approx(0.2)
 
     def test_percentile_is_conservative_upper_bound(self):
-        hist = LatencyHistogram(buckets=(0.001, 0.01, 0.1))
+        hist = Histogram(buckets=(0.001, 0.01, 0.1))
         for _ in range(99):
             hist.observe(0.0005)
         hist.observe(0.05)
@@ -41,45 +39,45 @@ class TestLatencyHistogram:
         assert hist.percentile(100) == 0.1
 
     def test_percentile_empty_is_zero(self):
-        assert LatencyHistogram().percentile(95) == 0.0
+        assert Histogram().percentile(95) == 0.0
 
     def test_percentile_validates_q(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for q in (0, -1, 101):
             with pytest.raises(ValueError):
                 hist.percentile(q)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
-            LatencyHistogram().observe(-1e-9)
+            Histogram().observe(-1e-9)
 
     def test_non_increasing_buckets_rejected(self):
         with pytest.raises(ValueError):
-            LatencyHistogram(buckets=(0.1, 0.1))
+            Histogram(buckets=(0.1, 0.1))
         with pytest.raises(ValueError):
-            LatencyHistogram(buckets=())
+            Histogram(buckets=())
 
     def test_snapshot_schema(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         hist.observe(0.002)
         snap = hist.snapshot()
         assert snap["count"] == 1
-        assert set(snap) == {"count", "mean_s", "p50_s", "p95_s", "p99_s",
+        assert set(snap) == {"count", "sum", "mean", "p50", "p95", "p99",
                              "buckets"}
-        assert len(snap["buckets"]) == len(DEFAULT_BUCKETS) + 1
+        assert len(snap["buckets"]) == len(LATENCY_BUCKETS) + 1
         assert sum(snap["buckets"].values()) == 1
 
 
 class _ReferenceLatencyHistogram:
-    """The pre-refactor standalone implementation, kept as the oracle.
+    """The original standalone latency histogram, kept as the oracle.
 
-    :class:`LatencyHistogram` is now a subclass of the shared
-    :class:`repro.obs.metrics.Histogram`; this reference pins the exact
-    bucketing, mean and percentile semantics (and the snapshot schema)
-    the serving docs promise, independent of the shared code path.
+    Serving latencies are plain :class:`repro.obs.metrics.Histogram`
+    objects; this reference pins the exact bucketing, sum, mean and
+    percentile semantics (and the snapshot schema) the serving docs
+    promise, independent of the shared code path.
     """
 
-    def __init__(self, buckets=DEFAULT_BUCKETS):
+    def __init__(self, buckets=LATENCY_BUCKETS):
         self.bounds = tuple(float(b) for b in buckets)
         self.counts = np.zeros(len(self.bounds) + 1, dtype=np.int64)
         self.total_seconds = 0.0
@@ -105,10 +103,11 @@ class _ReferenceLatencyHistogram:
         n = self.count
         return {
             "count": n,
-            "mean_s": self.total_seconds / n if n else 0.0,
-            "p50_s": self.percentile(50),
-            "p95_s": self.percentile(95),
-            "p99_s": self.percentile(99),
+            "sum": self.total_seconds,
+            "mean": self.total_seconds / n if n else 0.0,
+            "p50": self.percentile(50),
+            "p95": self.percentile(95),
+            "p99": self.percentile(99),
             "buckets": {
                 f"le_{bound:g}": int(c)
                 for bound, c in zip(self.bounds, self.counts)
@@ -117,11 +116,8 @@ class _ReferenceLatencyHistogram:
 
 
 class TestSharedHistogramEquivalence:
-    """LatencyHistogram == the seed implementation, observation for
-    observation, on the shared-Histogram code path."""
-
-    def test_is_a_shared_histogram(self):
-        assert issubclass(LatencyHistogram, Histogram)
+    """Histogram == the seed implementation, observation for
+    observation."""
 
     def test_snapshot_byte_compatible_on_random_stream(self):
         rng = np.random.default_rng(42)
@@ -129,24 +125,22 @@ class TestSharedHistogramEquivalence:
         # and overflow values.
         stream = np.concatenate([
             10 ** rng.uniform(-6, 1.5, size=500),
-            np.array(DEFAULT_BUCKETS),
+            np.array(LATENCY_BUCKETS),
             np.array([0.0, 15.0, 100.0]),
         ])
-        ours = LatencyHistogram()
+        ours = Histogram()
         reference = _ReferenceLatencyHistogram()
         for seconds in stream:
             ours.observe(float(seconds))
             reference.observe(float(seconds))
         assert ours.snapshot() == reference.snapshot()
         assert ours.count == reference.count
-        assert ours.total_seconds == pytest.approx(
-            reference.total_seconds
-        )
+        assert ours.total == reference.total_seconds
         assert list(ours.counts) == list(reference.counts)
 
     def test_snapshot_byte_compatible_on_custom_buckets(self):
         buckets = (0.001, 0.01, 0.1, 1.0)
-        ours = LatencyHistogram(buckets=buckets)
+        ours = Histogram(buckets=buckets)
         reference = _ReferenceLatencyHistogram(buckets=buckets)
         for seconds in (0.0005, 0.001, 0.0011, 0.5, 2.0):
             ours.observe(seconds)
@@ -154,13 +148,8 @@ class TestSharedHistogramEquivalence:
         assert ours.snapshot() == reference.snapshot()
 
     def test_empty_snapshots_match(self):
-        assert (LatencyHistogram().snapshot()
+        assert (Histogram().snapshot()
                 == _ReferenceLatencyHistogram().snapshot())
-
-    def test_total_seconds_alias_tracks_shared_total(self):
-        hist = LatencyHistogram()
-        hist.observe(0.25)
-        assert hist.total_seconds == hist.total == 0.25
 
 
 class TestServingTelemetry:
