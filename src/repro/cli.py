@@ -738,29 +738,27 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     from repro.train.registry import resolve_trainer_name
     from repro.tune.asha import ASHAConfig, run_asha, run_joint_asha
-    from repro.tune.buffer import load_trial_records
     from repro.tune.leaderboard import build_leaderboard, write_leaderboard
+    from repro.tune.search import load_trial_records
     from repro.tune.space import (
         HPSpace, default_extractor_space, default_space,
     )
 
     if args.smoke:
         trainers = ["ERM", "LightMIRM"]
-        config = ASHAConfig(
-            n_trials=4, eta=2, min_epochs=4, max_epochs=8,
-            objective=args.objective, blend_weight=args.blend_weight,
-            validation_fraction=args.validation_fraction, seed=args.seed,
-        )
+        schedule = dict(n_trials=4, eta=2, min_epochs=4, max_epochs=8)
         n_samples = 3_000
     else:
         trainers = list(args.trainers)
-        config = ASHAConfig(
-            n_trials=args.trials, eta=args.eta,
-            min_epochs=args.min_epochs, max_epochs=args.max_epochs,
-            objective=args.objective, blend_weight=args.blend_weight,
-            validation_fraction=args.validation_fraction, seed=args.seed,
-        )
+        schedule = dict(n_trials=args.trials, eta=args.eta,
+                        min_epochs=args.min_epochs,
+                        max_epochs=args.max_epochs)
         n_samples = args.n_samples
+    config = ASHAConfig(
+        **schedule,
+        objective=args.objective, blend_weight=args.blend_weight,
+        validation_fraction=args.validation_fraction, seed=args.seed,
+    )
     # Resolve (and validate) names up front so a typo fails before any
     # data is generated.
     trainers = [resolve_trainer_name(name) for name in trainers]

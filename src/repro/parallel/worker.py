@@ -286,8 +286,8 @@ def run_trial_task(task: TrialTask) -> TrialOutcome:
 
 def _encode_for_task(
     extractor_params: dict,
-    validation_fraction: float | None,
-    split_seed: int | None,
+    validation_fraction: float,
+    split_seed: int,
 ) -> tuple[list[EnvironmentData], list[EnvironmentData], float]:
     """Fit + leaf-encode the extractor on the shared raw environments.
 
@@ -299,12 +299,12 @@ def _encode_for_task(
     the cached and uncached paths bit-identical.
     """
     params = default_gbdt_params().replace_flat(extractor_params)
-    seed = 0 if split_seed is None else int(split_seed)
     _, encoded, encode_seconds = fit_extractor_encode(
-        params, worker_environments("raw"), holdout_seed=seed
+        params, worker_environments("raw"), holdout_seed=split_seed
     )
-    fraction = 0.25 if validation_fraction is None else validation_fraction
-    fit_envs, valid_envs = split_environments(encoded, fraction, seed=seed)
+    fit_envs, valid_envs = split_environments(
+        encoded, validation_fraction, seed=split_seed
+    )
     return fit_envs, valid_envs, encode_seconds
 
 

@@ -68,19 +68,6 @@ class TuneBenchConfig:
         return cls(n_samples=2_500, n_trials=4, max_epochs=4)
 
 
-def _ranked_projection(result) -> list[dict]:
-    """A search's deterministic ranking: trials minus wall-clock fields.
-
-    Mirrors :func:`repro.tune.leaderboard.ranked_trials` without building
-    a full leaderboard payload (no machine/git stamps to diff around).
-    """
-    return [
-        {k: v for k, v in trial.to_json().items()
-         if k not in ("train_seconds", "search_cost")}
-        for trial in result.ranked()
-    ]
-
-
 def run_tune_benchmark(config: TuneBenchConfig | None = None) -> dict:
     """Run the cached-vs-uncached comparison; returns its results dict.
 
@@ -90,6 +77,7 @@ def run_tune_benchmark(config: TuneBenchConfig | None = None) -> dict:
         the ``bit_identical`` flag CI gates on.
     """
     from repro.tune.asha import ASHAConfig, run_joint_asha
+    from repro.tune.leaderboard import ranked_trials
     from repro.tune.space import (
         HPSpace, default_extractor_space, default_space,
     )
@@ -126,8 +114,8 @@ def run_tune_benchmark(config: TuneBenchConfig | None = None) -> dict:
     )
     cached_wall = time.perf_counter() - start
 
-    identical = (_ranked_projection(cached_result)
-                 == _ranked_projection(uncached_result))
+    identical = (ranked_trials([cached_result])
+                 == ranked_trials([uncached_result]))
     evaluations = sum(len(r.evaluated) for r in cached_result.rungs)
     # Total encode work an uncached run performs, estimated from the
     # cache's own accounting: what it spent encoding each distinct

@@ -6,7 +6,7 @@ Table I names, and unknown names fail with a did-you-mean suggestion.
 :func:`trainer_names` exposes per-trainer metadata (canonical name,
 aliases, penalty field, trainer and config classes) for the CLI ``list``
 command; it is the one table :func:`make_trainer`, :func:`penalty_parameter`
-and :func:`repro.tune.space.config_class_for` read.
+and the field validation of :class:`repro.tune.space.HPSpace` read.
 
 The registry imports every concrete trainer at module scope, so a process
 that imports it (a worker-pool parent, say) has each trainer loaded before

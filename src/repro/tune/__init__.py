@@ -23,8 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "space": (
         "SpaceError", "ParamSpec", "Uniform", "LogUniform", "Choice",
         "IntRange", "HPSpace", "JointHPSpace", "EXTRACTOR_COMPONENT",
-        "component_fields", "default_space", "default_extractor_space",
-        "register_space",
+        "default_space", "default_extractor_space",
     ),
     "asha": (
         "ASHAConfig", "run_asha", "run_joint_asha", "run_grid", "rung_budgets",
@@ -36,9 +35,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "search": (
         "SUPPORTED_OBJECTIVES", "TrialResult", "RungSummary", "SearchResult",
-        "split_environments",
+        "load_trial_records", "split_environments",
     ),
-    "buffer": ("ResultBuffer", "TrialRecord", "load_trial_records"),
     "leaderboard": (
         "LEADERBOARD_FORMAT", "LeaderboardError", "DirtyTreeWarning",
         "build_leaderboard", "validate_leaderboard", "ranked_trials",

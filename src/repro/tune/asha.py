@@ -18,23 +18,23 @@ Reproducibility rules, inherited from the experiment runner:
 * Trials ship to workers as :class:`~repro.parallel.worker.TrialTask`
   recipes over one shared-memory pack; results come back in submission
   order.
-* Every completed (trial, rung) lands in a
-  :class:`~repro.tune.buffer.ResultBuffer` and — when traced — the run
-  log, which is the search's durable state: pass the reloaded records
-  back as ``resume`` and matching evaluations replay instead of
-  retraining.
+* Every completed (trial, rung) is one
+  :class:`~repro.tune.search.TrialResult`, emitted — when traced — to
+  the run log, which is the search's durable state: pass the reloaded
+  records back as ``resume`` and evaluations of the same work on the
+  same data replay instead of retraining.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.data.dataset import EnvironmentData
-from repro.obs.runlog import TUNE_RUNG_EVENT, TUNE_SPAN
+from repro.obs.runlog import TUNE_RUNG_EVENT, TUNE_SPAN, TUNE_TRIAL_EVENT
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.engine import ParallelEngine
 from repro.parallel.shared import (
@@ -49,8 +49,11 @@ from repro.parallel.worker import (
     run_trial_task,
 )
 from repro.train.registry import TrainerSpec, resolve_trainer_name
-from repro.tune.buffer import ResultBuffer, TrialRecord
-from repro.tune.extractor_cache import CacheStats, ExtractorEncodingCache
+from repro.tune.extractor_cache import (
+    CacheStats,
+    ExtractorEncodingCache,
+    environments_fingerprint,
+)
 from repro.tune.search import (
     RungSummary,
     SearchResult,
@@ -78,6 +81,9 @@ _TUNE_TAG = 0x74756E65
 #: Extra tag of the extractor-configuration stream ("extr"), so the
 #: joint search's extractor sampling never aliases its head sampling.
 _EXTRACTOR_TAG = 0x65787472
+
+#: ``(trainer, trial id, rung) -> record`` of a previous run's log.
+Resume = Mapping[tuple[str, str, int], TrialResult]
 
 
 @dataclass(frozen=True)
@@ -165,30 +171,40 @@ class Trial:
     seed: int
 
 
+def _stream_root(seed: int, trainer: str,
+                 *tags: int) -> np.random.SeedSequence:
+    """``SeedSequence([seed, "tune", *tags, crc32(trainer)])``."""
+    return np.random.SeedSequence(
+        [int(seed), _TUNE_TAG, *tags, zlib.crc32(trainer.encode("utf-8"))]
+    )
+
+
+def _trial_streams(
+    seed: int, trainer: str, n_trials: int,
+) -> Iterator[tuple[np.random.SeedSequence, int]]:
+    """Each trial index's (parameter-sampling stream, training seed).
+
+    The root stream is tagged so tuning never shares a stream with data
+    generation or the experiment fan-out, and trainer-salted so a
+    multi-trainer search explores independently per trainer.  Both
+    halves depend only on ``(seed, trainer, trial index)``, never on
+    scheduling.
+    """
+    for child in _stream_root(seed, trainer).spawn(n_trials):
+        param_stream, train_stream = child.spawn(2)
+        yield param_stream, int(train_stream.generate_state(1)[0])
+
+
 def sample_trials(space: HPSpace, n_trials: int, seed: int,
                   trainer: str) -> list[Trial]:
-    """Sample the rung-0 trial population from per-trial seed streams.
-
-    The root stream is ``SeedSequence([seed, "tune", crc32(trainer)])``
-    — tagged so tuning never shares a stream with data generation or the
-    experiment fan-out, and trainer-salted so a multi-trainer search
-    explores independently per trainer.  Each trial's child splits into
-    a parameter-sampling stream and a training seed; both depend only on
-    ``(seed, trainer, trial index)``, never on scheduling.
-    """
-    root = np.random.SeedSequence(
-        [int(seed), _TUNE_TAG, zlib.crc32(trainer.encode("utf-8"))]
-    )
-    trials = []
-    for index, child in enumerate(root.spawn(n_trials)):
-        param_stream, train_stream = child.spawn(2)
-        params = space.sample(np.random.default_rng(param_stream))
-        trials.append(Trial(
-            trial_id=f"t{index:03d}",
-            params=params,
-            seed=int(train_stream.generate_state(1)[0]),
-        ))
-    return trials
+    """Sample the rung-0 trial population from per-trial seed streams."""
+    return [
+        Trial(trial_id=f"t{index:03d}",
+              params=space.sample(np.random.default_rng(param_stream)),
+              seed=train_seed)
+        for index, (param_stream, train_seed)
+        in enumerate(_trial_streams(seed, trainer, n_trials))
+    ]
 
 
 def sample_joint_trials(space: JointHPSpace, n_trials: int,
@@ -202,58 +218,63 @@ def sample_joint_trials(space: JointHPSpace, n_trials: int,
     tagged stream and assigned round-robin — trial ``i`` gets
     configuration ``i % n_extractors`` — so the trials-per-distinct-
     extractor ratio (the cache's amortisation factor) is an explicit
-    search knob.  Head halves are sampled exactly as
-    :func:`sample_trials` samples them (same root, same per-trial
-    streams), and everything remains a pure function of ``(seed,
-    trainer, index)``.
+    search knob.  Head halves are exactly :func:`sample_trials`'s, and
+    everything remains a pure function of ``(seed, trainer, index)``.
     """
     if n_extractors < 1:
         raise ValueError("n_extractors must be >= 1")
-    trainer_salt = zlib.crc32(trainer.encode("utf-8"))
-    extractor_root = np.random.SeedSequence(
-        [int(seed), _TUNE_TAG, _EXTRACTOR_TAG, trainer_salt]
-    )
     configs = [
         space.extractor.sample(np.random.default_rng(child))
-        for child in extractor_root.spawn(n_extractors)
+        for child in _stream_root(seed, trainer, _EXTRACTOR_TAG)
+        .spawn(n_extractors)
     ]
-    head_root = np.random.SeedSequence([int(seed), _TUNE_TAG, trainer_salt])
-    trials = []
-    for index, child in enumerate(head_root.spawn(n_trials)):
-        param_stream, train_stream = child.spawn(2)
-        params = space.head.sample(np.random.default_rng(param_stream))
-        params["extractor"] = dict(configs[index % n_extractors])
-        trials.append(Trial(
-            trial_id=f"t{index:03d}",
-            params=params,
-            seed=int(train_stream.generate_state(1)[0]),
-        ))
-    return trials
+    return [
+        Trial(trial_id=trial.trial_id,
+              params={**trial.params,
+                      "extractor": dict(configs[index % n_extractors])},
+              seed=trial.seed)
+        for index, trial
+        in enumerate(sample_trials(space.head, n_trials, seed, trainer))
+    ]
 
 
 # ---------------------------------------------------------------- rung core
 
+#: Scores one rung's pending trials: ``(rung, budget, trials) ->``
+#: one outcome per trial, in order.
+Evaluate = Callable[[int, "int | None", list[Trial]], list[TrialOutcome]]
+
+
+def _data_key(environments: Sequence[EnvironmentData],
+              validation_fraction: float) -> dict:
+    """What a search's scores depend on besides its trials."""
+    return {
+        "environments": environments_fingerprint(environments),
+        "validation_fraction": float(validation_fraction),
+    }
+
 
 def _reusable(
-    resume: Mapping[tuple[str | None, str, int], TrialRecord] | None,
+    resume: Resume | None,
     trainer: str,
     trial: Trial,
     rung: int,
     budget: int | None,
-) -> TrialRecord | None:
-    """A previous run's record for this exact (trial, rung), if it still
-    describes the same work: same trainer, params, seed and budget.  A
-    search re-run with different knobs regenerates different trials, so
-    stale records simply stop matching instead of poisoning the resume."""
-    if resume is None:
-        return None
-    record = resume.get((trainer, trial.trial_id, rung))
-    if record is None:
-        return None
+    data: dict,
+) -> TrialResult | None:
+    """A previous run's record for this exact (trial, rung), if it
+    describes the same work on the same data: same trainer, params, seed
+    and budget, and the same ``data`` key.  Trial sampling ignores the
+    data, so without that key a resume over other environments or
+    another validation fraction would replay scores computed elsewhere;
+    records from logs that predate the key carry none and retrain."""
+    record = (resume or {}).get((trainer, trial.trial_id, rung))
     if (
-        record.params == trial.params
+        record is not None
+        and record.params == trial.params
         and record.seed == trial.seed
         and record.budget == budget
+        and record.data == data
     ):
         return record
     return None
@@ -264,128 +285,139 @@ def _evaluate_rung(
     trials: Sequence[Trial],
     rung: int,
     budget: int | None,
-    evaluate: Callable[[list[Trial]], list[TrialOutcome]],
-    buffer: ResultBuffer,
-    resume: Mapping[tuple[str | None, str, int], TrialRecord] | None,
+    data: dict,
+    evaluate: Evaluate,
+    resume: Resume | None,
+    tracer: Tracer,
 ) -> dict[str, TrialResult]:
     """Score every trial at one rung, replaying resumable records.
 
-    Cache hits skip training entirely; misses go through ``evaluate``
-    (the engine fan-out) as one batch.  Every result — replayed or fresh — is re-recorded into ``buffer`` in
-    trial order, so the current run log is self-contained.
+    Replays skip training entirely; the rest go through ``evaluate``
+    (the engine fan-out) as one batch.  Every result — replayed or
+    fresh — is emitted as a ``tune_trial`` event in trial order, so the
+    current run log is itself a complete resume source.
     """
-    reports: dict[str, tuple] = {}
+    results: dict[str, TrialResult] = {}
     pending: list[Trial] = []
     for trial in trials:
-        record = _reusable(resume, trainer, trial, rung, budget)
+        record = _reusable(resume, trainer, trial, rung, budget, data)
         if record is not None:
-            reports[trial.trial_id] = (record.fairness_report(),
-                                       record.train_seconds,
-                                       record.encode_seconds,
-                                       record.encode_cached)
+            results[trial.trial_id] = record
         else:
             pending.append(trial)
-    for trial, outcome in zip(pending, evaluate(pending) if pending else []):
-        reports[trial.trial_id] = (outcome.report, outcome.train_seconds,
-                                   outcome.encode_seconds,
-                                   outcome.encode_cached)
-    results: dict[str, TrialResult] = {}
-    for trial in trials:
-        report, train_seconds, encode_seconds, encode_cached = \
-            reports[trial.trial_id]
-        buffer.add(TrialRecord.from_report(
+    for trial, outcome in zip(
+        pending, evaluate(rung, budget, pending) if pending else []
+    ):
+        results[trial.trial_id] = TrialResult(
             trainer=trainer,
             trial_id=trial.trial_id,
             rung=rung,
             budget=budget,
-            params=trial.params,
-            seed=trial.seed,
-            train_seconds=train_seconds,
-            report=report,
-            encode_seconds=encode_seconds,
-            encode_cached=encode_cached,
-        ))
-        results[trial.trial_id] = TrialResult(
             params=dict(trial.params),
-            report=report,
-            train_seconds=train_seconds,
-            trial_id=trial.trial_id,
             seed=trial.seed,
-            rung=rung,
-            budget=budget,
-            encode_seconds=encode_seconds,
-            encode_cached=encode_cached,
+            report=outcome.report,
+            data=data,
+            train_seconds=outcome.train_seconds,
+            encode_seconds=outcome.encode_seconds,
+            encode_cached=outcome.encode_cached,
         )
-    return results
+    ordered = {t.trial_id: results[t.trial_id] for t in trials}
+    for result in ordered.values():
+        tracer.event(TUNE_TRIAL_EVENT, **result.to_fields())
+    return ordered
 
 
-def _drive_rungs(
+def _trial_task(trainer: str, trial: Trial, rung: int, budget: int | None,
+                **extractor) -> TrialTask:
+    """The engine task of one trial at one rung.
+
+    The head recipe gets the trial's params minus a joint trial's
+    ``"extractor"`` half, which travels in ``extractor`` (a cached pack
+    or inline-encode fields) instead.
+    """
+    head = {k: v for k, v in trial.params.items() if k != "extractor"}
+    if budget is not None:
+        head["n_epochs"] = budget
+    return TrialTask(trial_id=trial.trial_id, rung=rung, budget=budget,
+                     spec=TrainerSpec.of(trainer, **head), seed=trial.seed,
+                     **extractor)
+
+
+def _run_schedule(
     trainer: str,
     trials: list[Trial],
     budgets: Sequence[int | None],
-    evaluate_factory: Callable[[int, int | None],
-                               Callable[[list[Trial]], list[TrialOutcome]]],
-    buffer: ResultBuffer,
-    resume: Mapping[tuple[str | None, str, int], TrialRecord] | None,
+    pack: SharedArrayPack,
+    evaluate: Evaluate,
     *,
+    data: dict,
     objective: str,
     blend_weight: float,
     eta: int | None,
     tracer: Tracer,
-) -> tuple[dict[str, TrialResult], list[RungSummary]]:
-    """The budget-ladder loop: evaluate, summarise, promote, repeat.
+    resume: Resume | None,
+    **span_fields,
+) -> SearchResult:
+    """Drive a trial population through a budget ladder; disposes ``pack``.
 
-    Shared by the head-only and joint schedulers, which differ only in
-    how a rung's pending trials become engine tasks — that part arrives
-    as ``evaluate_factory(rung, budget)``.
+    The one driver of every search: evaluate a rung, summarise it,
+    promote the top ``1/eta``, repeat.  ASHA runs several budgets; the
+    grid runs one with no promotions (``eta=None``).  How a rung's
+    pending trials become engine tasks is the caller's ``evaluate``.
     """
     best_results: dict[str, TrialResult] = {}
     rungs: list[RungSummary] = []
     survivors = list(trials)
-    for rung, budget in enumerate(budgets):
-        results = _evaluate_rung(
-            trainer, survivors, rung, budget,
-            evaluate_factory(rung, budget), buffer, resume,
-        )
-        best_results.update(results)
-        last_rung = rung + 1 == len(budgets)
-        if eta is None or last_rung:
-            promoted: list[str] = []
-        else:
-            scores = {
-                tid: r.objective_value(objective, blend_weight)
-                for tid, r in results.items()
-            }
-            promoted = select_promotions(scores, eta)
-        evaluated = tuple(t.trial_id for t in survivors)
-        rungs.append(RungSummary(
-            rung=rung, budget=budget,
-            evaluated=evaluated, promoted=tuple(promoted),
-        ))
-        tracer.event(
-            TUNE_RUNG_EVENT,
+    try:
+        with tracer.span(
+            TUNE_SPAN,
             trainer=trainer,
-            rung=rung,
-            budget=budget,
-            evaluated=list(evaluated),
-            promoted=list(promoted),
-        )
-        if eta is None or last_rung:
-            break
-        keep = set(promoted)
-        survivors = [t for t in survivors if t.trial_id in keep]
-    return best_results, rungs
+            n_trials=len(trials),
+            budgets=list(budgets),
+            eta=eta,
+            objective=objective,
+            blend_weight=blend_weight,
+            **span_fields,
+        ):
+            for rung, budget in enumerate(budgets):
+                results = _evaluate_rung(trainer, survivors, rung, budget,
+                                         data, evaluate, resume, tracer)
+                best_results.update(results)
+                last_rung = eta is None or rung + 1 == len(budgets)
+                promoted = [] if last_rung else select_promotions(
+                    {tid: r.objective_value(objective, blend_weight)
+                     for tid, r in results.items()},
+                    eta,
+                )
+                evaluated = tuple(t.trial_id for t in survivors)
+                rungs.append(RungSummary(
+                    rung=rung, budget=budget,
+                    evaluated=evaluated, promoted=tuple(promoted),
+                ))
+                tracer.event(
+                    TUNE_RUNG_EVENT,
+                    trainer=trainer,
+                    rung=rung,
+                    budget=budget,
+                    evaluated=list(evaluated),
+                    promoted=list(promoted),
+                )
+                if last_rung:
+                    break
+                keep = set(promoted)
+                survivors = [t for t in survivors if t.trial_id in keep]
+    finally:
+        pack.dispose()
+    return SearchResult(
+        trials=tuple(best_results[t.trial_id] for t in trials),
+        objective=objective,
+        blend_weight=blend_weight,
+        rungs=tuple(rungs),
+        trainer=trainer,
+    )
 
 
-def _trial_spec(trainer: str, params: Mapping[str, object],
-                budget: int | None) -> TrainerSpec:
-    """The head trainer recipe of one trial at one budget."""
-    if budget is None:
-        return TrainerSpec.of(trainer, **params)
-    return TrainerSpec.of(trainer, n_epochs=budget, **params)
-
-
-def _run_schedule(
+def _run_head_search(
     trainer: str,
     trials: list[Trial],
     budgets: Sequence[int | None],
@@ -398,68 +430,34 @@ def _run_schedule(
     eta: int | None,
     n_jobs: int,
     tracer: Tracer,
-    resume: Mapping[tuple[str | None, str, int], TrialRecord] | None,
+    resume: Resume | None,
 ) -> SearchResult:
-    """Drive a trial population through a budget ladder over the engine.
-
-    Shared by ASHA (several budgets, promotions between them) and the
-    engine-driven grid (one budget, no promotions — ``eta=None``).
-    """
+    """ASHA and grid over already-encoded environments: one split, one
+    shared pack every rung's trials attach."""
+    engine = ParallelEngine(n_jobs=n_jobs)
+    data = _data_key(environments, validation_fraction)
     fit_envs, valid_envs = split_environments(
         environments, validation_fraction, seed=seed
     )
     # Validation doubles as the workers' "test" prefix: trials are scored
     # on held-out rows, never on the true test environments.
     pack = pack_train_test(fit_envs, valid_envs)
-    engine = ParallelEngine(n_jobs=n_jobs)
-    buffer = ResultBuffer(tracer)
-    try:
-        with tracer.span(
-            TUNE_SPAN,
-            trainer=trainer,
-            n_trials=len(trials),
-            budgets=list(budgets),
-            eta=eta,
-            objective=objective,
-            blend_weight=blend_weight,
-            seed=seed,
-            n_jobs=n_jobs,
-        ):
-            def evaluate_factory(rung: int, budget: int | None):
-                def evaluate(pending: list[Trial]) -> list[TrialOutcome]:
-                    tasks = [
-                        TrialTask(
-                            trial_id=t.trial_id,
-                            rung=rung,
-                            budget=budget,
-                            spec=_trial_spec(trainer, t.params, budget),
-                            seed=t.seed,
-                        )
-                        for t in pending
-                    ]
-                    return engine.map(
-                        run_trial_task,
-                        tasks,
-                        initializer=init_experiment_worker,
-                        initargs=(pack.spec,),
-                    )
-                return evaluate
 
-            best_results, rungs = _drive_rungs(
-                trainer, trials, budgets, evaluate_factory, buffer, resume,
-                objective=objective, blend_weight=blend_weight, eta=eta,
-                tracer=tracer,
-            )
-    finally:
-        pack.dispose()
-    result = SearchResult(
-        trials=tuple(best_results[t.trial_id] for t in trials),
-        objective=objective,
-        blend_weight=blend_weight,
-        rungs=tuple(rungs),
-        trainer=trainer,
+    def evaluate(rung: int, budget: int | None,
+                 pending: list[Trial]) -> list[TrialOutcome]:
+        return engine.map(
+            run_trial_task,
+            [_trial_task(trainer, t, rung, budget) for t in pending],
+            initializer=init_experiment_worker,
+            initargs=(pack.spec,),
+        )
+
+    return _run_schedule(
+        trainer, trials, budgets, pack, evaluate,
+        data=data,
+        objective=objective, blend_weight=blend_weight, eta=eta,
+        tracer=tracer, resume=resume, seed=seed, n_jobs=n_jobs,
     )
-    return replace(result, best=result.ranked()[0])
 
 
 # -------------------------------------------------------------- entry points
@@ -472,7 +470,7 @@ def run_asha(
     *,
     n_jobs: int = 1,
     tracer: Tracer = NULL_TRACER,
-    resume: Mapping[tuple[str | None, str, int], TrialRecord] | None = None,
+    resume: Resume | None = None,
 ) -> SearchResult:
     """Successive-halving search over a trainer-bound space.
 
@@ -486,10 +484,10 @@ def run_asha(
         tracer: Run tracer; the search runs inside one ``tune_search``
             span with per-trial ``tune_trial`` and per-rung ``tune_rung``
             events, making the log the search's durable state.
-        resume: ``(trainer, trial_id, rung) -> TrialRecord`` from a previous
-            run's log (:func:`~repro.tune.buffer.load_trial_records`);
-            records matching regenerated trials replay instead of
-            retraining.
+        resume: ``(trainer, trial_id, rung) -> TrialResult`` from a
+            previous run's log
+            (:func:`~repro.tune.search.load_trial_records`); records of
+            the same work on the same data replay instead of retraining.
 
     Returns:
         A :class:`SearchResult` whose ``best`` reached the deepest rung
@@ -497,10 +495,9 @@ def run_asha(
     """
     config = config or ASHAConfig()
     trainer = resolve_trainer_name(space.trainer)
-    trials = sample_trials(space, config.n_trials, config.seed, trainer)
-    return _run_schedule(
+    return _run_head_search(
         trainer,
-        trials,
+        sample_trials(space, config.n_trials, config.seed, trainer),
         rung_budgets(config),
         environments,
         objective=config.objective,
@@ -522,7 +519,7 @@ def run_joint_asha(
     n_extractors: int = 3,
     n_jobs: int = 1,
     tracer: Tracer = NULL_TRACER,
-    resume: Mapping[tuple[str | None, str, int], TrialRecord] | None = None,
+    resume: Resume | None = None,
     use_cache: bool = True,
     cache_bytes: int | None = None,
 ) -> tuple[SearchResult, CacheStats | None]:
@@ -573,10 +570,8 @@ def run_joint_asha(
     trials = sample_joint_trials(
         space, config.n_trials, n_extractors, config.seed, trainer
     )
-    arrays, meta = environments_to_arrays(list(environments), "raw")
-    raw_pack = SharedArrayPack.pack(arrays, meta)
     engine = ParallelEngine(n_jobs=n_jobs)
-    buffer = ResultBuffer(tracer)
+    data = _data_key(environments, config.validation_fraction)
     cache = (
         ExtractorEncodingCache(
             environments,
@@ -588,100 +583,61 @@ def run_joint_asha(
         if use_cache
         else None
     )
+
+    def evaluate(rung: int, budget: int | None,
+                 pending: list[Trial]) -> list[TrialOutcome]:
+        if cache is None:
+            # Every trial fits + leaf-encodes its extractor inline.
+            tasks = [
+                _trial_task(trainer, t, rung, budget,
+                            extractor_params=dict(t.params["extractor"]),
+                            validation_fraction=config.validation_fraction,
+                            split_seed=config.seed)
+                for t in pending
+            ]
+            return engine.map(run_trial_task, tasks,
+                              initializer=init_experiment_worker,
+                              initargs=(raw_pack.spec,))
+        fps = [cache.fingerprint(t.params["extractor"]) for t in pending]
+        packs = cache.prepare(
+            fps,
+            {fp: t.params["extractor"] for fp, t in zip(fps, pending)},
+            engine,
+            raw_pack.spec,
+        )
+        try:
+            return engine.map(
+                run_trial_task,
+                [_trial_task(trainer, t, rung, budget, pack=packs[fp])
+                 for fp, t in zip(fps, pending)],
+                initializer=init_experiment_worker,
+                initargs=(raw_pack.spec,),
+            )
+        finally:
+            cache.release(list(packs))
+
     try:
-        with tracer.span(
-            TUNE_SPAN,
-            trainer=trainer,
-            n_trials=len(trials),
-            budgets=rung_budgets(config),
-            eta=config.eta,
+        raw_pack = SharedArrayPack.pack(
+            *environments_to_arrays(list(environments), "raw")
+        )
+        result = _run_schedule(
+            trainer, trials, rung_budgets(config), raw_pack, evaluate,
+            data=data,
             objective=config.objective,
             blend_weight=config.blend_weight,
+            eta=config.eta,
+            tracer=tracer,
+            resume=resume,
             seed=config.seed,
             n_jobs=n_jobs,
             joint=True,
             n_extractors=n_extractors,
             cached=use_cache,
             cache_bytes=cache_bytes,
-        ):
-            def evaluate_factory(rung: int, budget: int | None):
-                def evaluate(pending: list[Trial]) -> list[TrialOutcome]:
-                    extractor_of = {
-                        t.trial_id: dict(t.params["extractor"])
-                        for t in pending
-                    }
-                    head_of = {
-                        t.trial_id: {k: v for k, v in t.params.items()
-                                     if k != "extractor"}
-                        for t in pending
-                    }
-                    specs_by_fp: dict = {}
-                    fps: dict[str, str] = {}
-                    if cache is not None:
-                        fps = {
-                            tid: cache.fingerprint(params)
-                            for tid, params in extractor_of.items()
-                        }
-                        specs_by_fp = cache.prepare(
-                            [fps[t.trial_id] for t in pending],
-                            {fps[tid]: extractor_of[tid] for tid in fps},
-                            engine,
-                            raw_pack.spec,
-                        )
-                    try:
-                        tasks = []
-                        for t in pending:
-                            spec = _trial_spec(
-                                trainer, head_of[t.trial_id], budget
-                            )
-                            if cache is not None:
-                                task = TrialTask(
-                                    trial_id=t.trial_id, rung=rung,
-                                    budget=budget, spec=spec, seed=t.seed,
-                                    pack=specs_by_fp[fps[t.trial_id]],
-                                )
-                            else:
-                                task = TrialTask(
-                                    trial_id=t.trial_id, rung=rung,
-                                    budget=budget, spec=spec, seed=t.seed,
-                                    extractor_params=extractor_of[t.trial_id],
-                                    validation_fraction=(
-                                        config.validation_fraction
-                                    ),
-                                    split_seed=config.seed,
-                                )
-                            tasks.append(task)
-                        return engine.map(
-                            run_trial_task,
-                            tasks,
-                            initializer=init_experiment_worker,
-                            initargs=(raw_pack.spec,),
-                        )
-                    finally:
-                        if cache is not None:
-                            cache.release(list(specs_by_fp))
-                return evaluate
-
-            best_results, rungs = _drive_rungs(
-                trainer, trials, rung_budgets(config), evaluate_factory,
-                buffer, resume,
-                objective=config.objective,
-                blend_weight=config.blend_weight,
-                eta=config.eta,
-                tracer=tracer,
-            )
+        )
     finally:
-        raw_pack.dispose()
         if cache is not None:
             cache.dispose()
-    result = SearchResult(
-        trials=tuple(best_results[t.trial_id] for t in trials),
-        objective=config.objective,
-        blend_weight=config.blend_weight,
-        rungs=tuple(rungs),
-        trainer=trainer,
-    )
-    result = replace(result, best=result.ranked()[0])
     return result, (cache.stats if cache is not None else None)
 
 
@@ -696,15 +652,15 @@ def run_grid(
     n_epochs: int | None = None,
     n_jobs: int = 1,
     tracer: Tracer = NULL_TRACER,
-    resume: Mapping[tuple[str | None, str, int], TrialRecord] | None = None,
+    resume: Resume | None = None,
 ) -> SearchResult:
     """Exhaustive engine-driven search over an enumerable bound space.
 
     The degenerate single-rung schedule: every grid point is one trial,
     nothing is promoted.  Trials still get independent training seeds
     from the tagged per-trial streams, results still flow through the
-    buffer/run-log machinery, and ``n_jobs``/``resume`` work exactly as
-    in :func:`run_asha`.
+    run-log machinery, and ``n_jobs``/``resume`` work exactly as in
+    :func:`run_asha`.
 
     Args:
         n_epochs: Epoch budget of every trial (``None`` keeps each
@@ -713,20 +669,13 @@ def run_grid(
     """
     check_objective(objective, blend_weight)
     trainer = resolve_trainer_name(space.trainer)
-    root = np.random.SeedSequence(
-        [int(seed), _TUNE_TAG, zlib.crc32(trainer.encode("utf-8"))]
-    )
     points = space.grid_points()
     trials = [
-        Trial(
-            trial_id=f"g{index:03d}",
-            params=dict(params),
-            seed=int(child.spawn(2)[1].generate_state(1)[0]),
-        )
-        for (index, params), child in zip(enumerate(points),
-                                          root.spawn(len(points)))
+        Trial(trial_id=f"g{index:03d}", params=params, seed=train_seed)
+        for index, (params, (_, train_seed))
+        in enumerate(zip(points, _trial_streams(seed, trainer, len(points))))
     ]
-    return _run_schedule(
+    return _run_head_search(
         trainer,
         trials,
         [n_epochs],

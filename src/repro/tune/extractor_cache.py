@@ -36,6 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.data.dataset import EnvironmentData
+from repro.gbdt.leaf_encoder import LeafDesign
 from repro.obs.runlog import TUNE_CACHE_EVENT, TUNE_ENCODE_SPAN
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.engine import ParallelEngine
@@ -67,15 +68,20 @@ def environments_fingerprint(
 ) -> str:
     """Stable content fingerprint of an environment list.
 
-    Hashes names, shapes and raw bytes of the dense feature and label
-    arrays, so byte-identical data shares a fingerprint across runs
+    Hashes names, shapes and raw bytes of the feature and label arrays
+    (a :class:`~repro.gbdt.leaf_encoder.LeafDesign` by its column ids
+    and width), so byte-identical data shares a fingerprint across runs
     regardless of how it was loaded.  Truncated to 16 hex chars —
     change detection, not collision resistance.
     """
     digest = hashlib.sha256()
     for env in environments:
         digest.update(env.name.encode("utf-8"))
-        _hash_array(digest, np.asarray(env.features))
+        features = env.features
+        if isinstance(features, LeafDesign):
+            digest.update(f"leaf design of {features.n_columns}".encode())
+            features = features.columns
+        _hash_array(digest, np.asarray(features))
         _hash_array(digest, np.asarray(env.labels))
     return digest.hexdigest()[:16]
 

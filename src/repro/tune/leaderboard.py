@@ -80,11 +80,11 @@ def build_leaderboard(
 ) -> dict:
     """Aggregate per-trainer search results into one leaderboard payload.
 
-    The global ranking uses the same key as
-    :meth:`SearchResult.ranked` — deepest rung reached, then objective
-    value, then (trainer, trial id) as a deterministic tiebreak — so
-    cross-trainer comparisons only ever favour trials that survived to
-    comparable budgets.
+    The global ranking uses :meth:`SearchResult.ranked`'s key
+    (:meth:`~repro.tune.search.TrialResult.rank_key`) — deepest rung
+    reached, then objective value, then (trainer, trial id) as a
+    deterministic tiebreak — so cross-trainer comparisons only ever
+    favour trials that survived to comparable budgets.
 
     Args:
         results: One :class:`SearchResult` per searched trainer; all are
@@ -104,38 +104,18 @@ def build_leaderboard(
         from repro.perfbench.payload import machine_info
 
         machine = machine_info()
-    objective = results[0].objective
-    blend_weight = results[0].blend_weight
-    entries = []
-    for result in results:
-        for trial in result.trials:
-            entries.append((
-                result.trainer,
-                trial,
-                trial.objective_value(result.objective, result.blend_weight),
-            ))
-    entries.sort(key=lambda e: (-e[1].rung, -e[2], str(e[0]), e[1].trial_id))
-    leaderboard = [
-        {
-            "rank": rank,
-            "trainer": trainer,
-            "objective_value": value,
-            **trial.to_json(),
-        }
-        for rank, (trainer, trial, value) in enumerate(entries, start=1)
-    ]
     return {
         "format": LEADERBOARD_FORMAT,
         "kind": "tune_leaderboard",
         "created_unix": time.time(),
-        "objective": objective,
-        "blend_weight": blend_weight,
+        "objective": results[0].objective,
+        "blend_weight": results[0].blend_weight,
         "seed": int(seed),
         "search_config": dict(search_config or {}),
         "machine": dict(machine),
         "git": git_describe(),
         "searches": [result.to_json() for result in results],
-        "leaderboard": leaderboard,
+        "leaderboard": _ranked_entries(results),
     }
 
 
@@ -189,7 +169,26 @@ def validate_leaderboard(payload: object) -> dict:
     return payload
 
 
-def ranked_trials(payload: dict) -> list[dict]:
+def _ranked_entries(results: Sequence[SearchResult]) -> list[dict]:
+    """The global leaderboard entries of every trial, best first."""
+    pairs = sorted(
+        ((trial, result) for result in results for trial in result.trials),
+        key=lambda pair: pair[0].rank_key(pair[1].objective,
+                                          pair[1].blend_weight),
+    )
+    return [
+        {
+            "rank": rank,
+            "trainer": trial.trainer,
+            "objective_value": trial.objective_value(result.objective,
+                                                     result.blend_weight),
+            **trial.to_json(),
+        }
+        for rank, (trial, result) in enumerate(pairs, start=1)
+    ]
+
+
+def ranked_trials(source: dict | Sequence[SearchResult]) -> list[dict]:
     """The deterministic projection of a leaderboard: its global ranking
     minus wall-clock fields.
 
@@ -198,11 +197,17 @@ def ranked_trials(payload: dict) -> list[dict]:
     cached or uncached joint encoding, with or without a resume — agree
     exactly on this list, while ``train_seconds`` / ``search_cost`` /
     ``created_unix`` / ``machine`` may differ.
+
+    Args:
+        source: A leaderboard payload, or the search results one would
+            be built from (no machine or git stamp needed).
     """
+    entries = (source["leaderboard"] if isinstance(source, dict)
+               else _ranked_entries(source))
     return [
         {k: v for k, v in entry.items()
          if k not in ("train_seconds", "search_cost")}
-        for entry in payload["leaderboard"]
+        for entry in entries
     ]
 
 

@@ -17,9 +17,9 @@ Two consumption modes:
   descriptors (``Choice``/``IntRange``); this is what
   :func:`~repro.tune.asha.run_grid` turns into single-rung trials.
 
-Default spaces for all 8 registered trainers live here too, registered
-alongside the trainer registry's canonical names — ``default_space`` is
-how ``repro tune`` knows what to search without any user configuration.
+Default spaces for all 8 registered trainers live here too, keyed by
+the trainer registry's canonical names — ``default_space`` is how
+``repro tune`` knows what to search without any user configuration.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ __all__ = [
     "EXTRACTOR_COMPONENT",
     "default_space",
     "default_extractor_space",
-    "register_space",
-    "config_class_for",
-    "component_fields",
 ]
 
 #: Fields a space may never search: ``seed`` belongs to the per-trial
@@ -202,42 +199,6 @@ class IntRange(ParamSpec):
         return {"kind": "intrange", "low": self.low, "high": self.high}
 
 
-def config_class_for(trainer: str) -> type:
-    """The config dataclass of a registered trainer, by any accepted name.
-
-    Raises:
-        KeyError: For unknown trainer names (same error surface as the
-            registry).
-    """
-    return trainer_info(trainer).config_class
-
-
-def component_fields(component: str) -> tuple[str, list[str]]:
-    """Searchable fields of the component that *owns* a space's params.
-
-    Validation is routed through the owning component rather than assuming
-    every space targets an LR-head trainer: ``EXTRACTOR_COMPONENT``
-    resolves to the flattened GBDT surface
-    (:meth:`~repro.gbdt.boosting.GBDTParams.flat_fields` — booster plus
-    tree-growth knobs), anything else through the trainer registry to the
-    head's config dataclass.
-
-    Returns:
-        ``(owner description, sorted valid field names)`` with reserved
-        fields already removed.
-    """
-    if component == EXTRACTOR_COMPONENT:
-        from repro.gbdt.boosting import GBDTParams
-
-        valid = [f for f in GBDTParams.flat_fields()
-                 if f not in RESERVED_FIELDS]
-        return "GBDTParams (extractor)", sorted(valid)
-    config_cls = config_class_for(component)
-    valid = [f.name for f in dataclass_fields(config_cls)
-             if f.name not in RESERVED_FIELDS]
-    return config_cls.__name__, sorted(valid)
-
-
 def _unknown_field_error(unknown: Sequence[str], owner: str,
                          component: str, valid: Sequence[str]) -> SpaceError:
     """Unknown-field failure with did-you-mean suggestions per field."""
@@ -294,7 +255,15 @@ class HPSpace:
                     "per-trial SeedSequence stream and n_epochs is the "
                     "scheduler's budget axis"
                 )
-        owner, valid = component_fields(self.trainer)
+        if self.is_extractor:
+            from repro.gbdt.boosting import GBDTParams
+
+            owner, fields = "GBDTParams (extractor)", GBDTParams.flat_fields()
+        else:
+            config_cls = trainer_info(self.trainer).config_class
+            owner = config_cls.__name__
+            fields = [f.name for f in dataclass_fields(config_cls)]
+        valid = sorted(f for f in fields if f not in RESERVED_FIELDS)
         unknown = sorted(set(self.params) - set(valid))
         if unknown:
             raise _unknown_field_error(unknown, owner, self.trainer, valid)
@@ -371,11 +340,11 @@ class HPSpace:
 class JointHPSpace:
     """A GBDT extractor space paired with an LR-head trainer space.
 
-    The two halves are validated by their owning components (see
-    :func:`component_fields`): the ``extractor`` half against the
-    flattened GBDT parameter surface, the ``head`` half against the
-    trainer's config dataclass.  A joint trial's configuration is the
-    head half's fields plus one ``"extractor"`` sub-dict — the scheduler
+    The two halves are validated by their owning components: the
+    ``extractor`` half against the flattened GBDT parameter surface, the
+    ``head`` half against the trainer's config dataclass.  A joint
+    trial's configuration is the head half's fields plus one
+    ``"extractor"`` sub-dict — the scheduler
     groups trials sharing an extractor configuration so the expensive
     fit + leaf-encode runs once per distinct configuration
     (:mod:`repro.tune.extractor_cache`).
@@ -421,16 +390,58 @@ class JointHPSpace:
 # — wide enough for the search to matter, narrow enough that smoke-sized
 # budgets stay numerically stable.
 
-_DEFAULT_SPACES: dict[str, HPSpace] = {}
+_SHARED = {
+    "learning_rate": LogUniform(0.5, 4.0),
+    "l2": LogUniform(1e-5, 1e-1),
+}
 
+#: The meta-learners use far smaller outer steps than plain GD.
+_META_SHARED = {
+    "l2": LogUniform(1e-5, 1e-1),
+    "inner_lr": LogUniform(0.02, 0.5),
+    "lambda_penalty": LogUniform(0.3, 10.0),
+}
 
-def register_space(trainer: str, space: HPSpace) -> None:
-    """Register (or replace) the default space of a trainer."""
-    _DEFAULT_SPACES[trainer_info(trainer).name] = space
+_DEFAULT_SPACES: dict[str, HPSpace] = {
+    "ERM": HPSpace("ERM", _SHARED),
+    "ERM + fine-tuning": HPSpace("ERM + fine-tuning", {
+        **_SHARED,
+        "finetune_epochs": IntRange(5, 30),
+        "finetune_lr": LogUniform(0.05, 1.0),
+    }),
+    "Up Sampling": HPSpace("Up Sampling", {
+        **_SHARED,
+        "power": Uniform(0.0, 1.0),
+        "positive_weight": LogUniform(0.5, 4.0),
+    }),
+    "Group DRO": HPSpace("Group DRO", {
+        **_SHARED,
+        "group_lr": LogUniform(0.1, 4.0),
+    }),
+    "V-REx": HPSpace("V-REx", {
+        **_SHARED,
+        "variance_weight": LogUniform(0.1, 10.0),
+    }),
+    "IRMv1": HPSpace("IRMv1", {
+        "learning_rate": LogUniform(0.1, 1.0),
+        "l2": LogUniform(1e-5, 1e-1),
+        "penalty_weight": LogUniform(1.0, 50.0),
+    }),
+    "meta-IRM": HPSpace("meta-IRM", {
+        "learning_rate": LogUniform(0.005, 0.1),
+        **_META_SHARED,
+    }),
+    "LightMIRM": HPSpace("LightMIRM", {
+        "learning_rate": LogUniform(0.05, 1.0),
+        **_META_SHARED,
+        "queue_length": IntRange(1, 9),
+        "gamma": Uniform(0.5, 1.0),
+    }),
+}
 
 
 def default_space(trainer: str) -> HPSpace:
-    """The registered default space of a trainer, by any accepted name.
+    """The default space of a trainer, by any accepted name.
 
     Raises:
         KeyError: For unknown trainer names.
@@ -451,56 +462,3 @@ def default_extractor_space() -> HPSpace:
         "max_bins": Choice((32, 64, 128)),
         "max_leaves": IntRange(15, 63),
     })
-
-
-def _register_defaults() -> None:
-    common = {
-        "learning_rate": LogUniform(0.5, 4.0),
-        "l2": LogUniform(1e-5, 1e-1),
-    }
-    meta_common = {
-        # The meta-learners use far smaller outer steps than plain GD.
-        "l2": LogUniform(1e-5, 1e-1),
-        "inner_lr": LogUniform(0.02, 0.5),
-        "lambda_penalty": LogUniform(0.3, 10.0),
-    }
-    for name, space in {
-        "ERM": HPSpace("ERM", dict(common)),
-        "ERM + fine-tuning": HPSpace("ERM + fine-tuning", {
-            **common,
-            "finetune_epochs": IntRange(5, 30),
-            "finetune_lr": LogUniform(0.05, 1.0),
-        }),
-        "Up Sampling": HPSpace("Up Sampling", {
-            **common,
-            "power": Uniform(0.0, 1.0),
-            "positive_weight": LogUniform(0.5, 4.0),
-        }),
-        "Group DRO": HPSpace("Group DRO", {
-            **common,
-            "group_lr": LogUniform(0.1, 4.0),
-        }),
-        "V-REx": HPSpace("V-REx", {
-            **common,
-            "variance_weight": LogUniform(0.1, 10.0),
-        }),
-        "IRMv1": HPSpace("IRMv1", {
-            "learning_rate": LogUniform(0.1, 1.0),
-            "l2": LogUniform(1e-5, 1e-1),
-            "penalty_weight": LogUniform(1.0, 50.0),
-        }),
-        "meta-IRM": HPSpace("meta-IRM", {
-            "learning_rate": LogUniform(0.005, 0.1),
-            **meta_common,
-        }),
-        "LightMIRM": HPSpace("LightMIRM", {
-            "learning_rate": LogUniform(0.05, 1.0),
-            **meta_common,
-            "queue_length": IntRange(1, 9),
-            "gamma": Uniform(0.5, 1.0),
-        }),
-    }.items():
-        _DEFAULT_SPACES[name] = space
-
-
-_register_defaults()

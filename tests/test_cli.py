@@ -198,3 +198,7 @@ class TestTune:
         assert code == 0
         resumed = json.loads(out2.read_text())
         assert ranked_trials(resumed) == ranked_trials(payload)
+        # ... by replaying, not retraining: the fit times are the logged
+        # ones (the encoded environments fingerprint alike across runs).
+        assert [e["train_seconds"] for e in resumed["leaderboard"]] == \
+            [e["train_seconds"] for e in payload["leaderboard"]]

@@ -1,5 +1,8 @@
 """Unit tests for the ASHA scheduler: promotions, determinism, resume."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.obs.runlog import (
@@ -15,6 +18,7 @@ from repro.tune import (
     SpaceError,
     default_space,
     load_trial_records,
+    ranked_trials,
     run_asha,
     run_grid,
     rung_budgets,
@@ -27,12 +31,8 @@ SMALL = ASHAConfig(n_trials=4, eta=2, min_epochs=4, max_epochs=8, seed=3)
 
 
 def search_payload(result):
-    """A SearchResult's deterministic projection (no wall-clock fields)."""
-    payload = result.to_json()
-    for trial in payload["trials"]:
-        trial.pop("train_seconds")
-        trial.pop("search_cost")
-    return payload
+    """A SearchResult's deterministic projection plus its rung history."""
+    return ranked_trials([result]), result.rungs
 
 
 class TestRungBudgets:
@@ -232,6 +232,55 @@ class TestRunLogAndResume:
         resumed = run_asha(default_space("ERM"), tiny_envs, other,
                            resume=records)
         assert search_payload(resumed) == search_payload(fresh)
+
+    def test_resume_after_changed_fraction_equals_fresh_run(
+            self, tiny_envs, tmp_path):
+        first_log = tmp_path / "first.jsonl"
+        self.run_traced(tiny_envs, first_log)
+        records = load_trial_records(first_log)
+        # Same seed, same trials — but scored on another split, so no
+        # record of the 0.25 run may stand in for a 0.5 evaluation.
+        other = dataclasses.replace(SMALL, validation_fraction=0.5)
+        fresh = run_asha(default_space("ERM"), tiny_envs, other)
+        resumed = run_asha(default_space("ERM"), tiny_envs, other,
+                           resume=records)
+        assert search_payload(resumed) == search_payload(fresh)
+        assert search_payload(fresh) != search_payload(
+            self.run_traced(tiny_envs, tmp_path / "again.jsonl"))
+
+    def test_resume_after_changed_data_retrains(self, tiny_envs, tmp_path):
+        first_log = tmp_path / "first.jsonl"
+        first = self.run_traced(tiny_envs, first_log)
+        records = load_trial_records(first_log)
+        shifted = [dataclasses.replace(env, features=env.features + 1e-3)
+                   for env in tiny_envs]
+        resumed = run_asha(default_space("ERM"), shifted, SMALL,
+                           resume=records)
+        first_times = {t.trial_id: t.train_seconds for t in first.trials}
+        assert all(t.train_seconds != first_times[t.trial_id]
+                   for t in resumed.trials)
+
+    def test_record_without_data_key_retrains(self, tmp_path):
+        from tests.test_tune_cache_golden import (
+            SMALL as GOLDEN_SMALL,
+            synthetic_environments,
+        )
+        from tests.test_tune_golden import LEGACY_TRIAL_LINE
+
+        path = tmp_path / "old.jsonl"
+        path.write_text(LEGACY_TRIAL_LINE + "\n", encoding="utf-8")
+        records = load_trial_records(path)
+        legacy = records[("LightMIRM", "t003", 1)]
+        assert legacy.data is None
+        resumed = run_asha(default_space("LightMIRM"),
+                           synthetic_environments(np.float64),
+                           GOLDEN_SMALL, resume=records)
+        t003 = next(t for t in resumed.trials if t.trial_id == "t003")
+        # Same trial, seed and budget: only the missing data key keeps
+        # the record from replaying.
+        assert (t003.params, t003.seed, t003.rung) == \
+            (legacy.params, legacy.seed, legacy.rung)
+        assert t003.train_seconds != legacy.train_seconds
 
     def test_resumed_log_is_self_contained(self, tiny_envs, tmp_path):
         first_log = tmp_path / "first.jsonl"

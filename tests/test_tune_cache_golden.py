@@ -23,6 +23,7 @@ from repro.tune import (
     ASHAConfig,
     HPSpace,
     default_space,
+    ranked_trials,
     run_joint_asha,
     split_environments,
 )
@@ -105,14 +106,6 @@ def joint_space():
 SMALL = ASHAConfig(n_trials=4, eta=2, min_epochs=4, max_epochs=8, seed=3)
 
 
-def projection(result):
-    return [
-        {k: v for k, v in trial.to_json().items()
-         if k not in ("train_seconds", "search_cost")}
-        for trial in result.ranked()
-    ]
-
-
 class TestEvictionUnderPressure:
     def test_eviction_re_encode_keeps_leaderboard_bit_identical(self):
         environments = synthetic_environments(np.float64)
@@ -127,7 +120,7 @@ class TestEvictionUnderPressure:
             cache_bytes=1,
         )
         assert squeezed_stats.evictions > 0
-        assert projection(squeezed) == projection(baseline)
+        assert ranked_trials([squeezed]) == ranked_trials([baseline])
 
     def test_uncached_matches_cached(self):
         environments = synthetic_environments(np.float64)
@@ -140,4 +133,4 @@ class TestEvictionUnderPressure:
         )
         assert no_stats is None
         assert stats.hits > 0
-        assert projection(cached) == projection(uncached)
+        assert ranked_trials([cached]) == ranked_trials([uncached])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import EnvironmentData
+from repro.gbdt.leaf_encoder import LeafDesign
 from repro.tune import (
     ASHAConfig,
     HPSpace,
@@ -12,7 +13,9 @@ from repro.tune import (
     SpaceError,
     default_extractor_space,
     default_space,
+    environments_fingerprint,
     extractor_fingerprint,
+    ranked_trials,
     run_joint_asha,
     sample_joint_trials,
 )
@@ -38,14 +41,6 @@ def small_joint_space():
 
 
 SMALL = ASHAConfig(n_trials=4, eta=2, min_epochs=4, max_epochs=8, seed=3)
-
-
-def projection(result):
-    return [
-        {k: v for k, v in trial.to_json().items()
-         if k not in ("train_seconds", "search_cost")}
-        for trial in result.ranked()
-    ]
 
 
 class TestJointSpaceValidation:
@@ -124,6 +119,19 @@ class TestFingerprints:
         assert extractor_fingerprint({"n_trees": 8}, "deadbeef", 1, 0.25) \
             != base
 
+    def test_equal_leaf_designs_share_a_fingerprint(self):
+        columns = np.array([[0, 1, 0], [2, 3, 3]])
+        labels = np.array([0, 1, 1])
+
+        def fingerprint(design):
+            return environments_fingerprint(
+                [EnvironmentData("zhejiang", design, labels)])
+
+        base = fingerprint(LeafDesign(columns, 4))
+        assert fingerprint(LeafDesign(columns.copy(), 4)) == base
+        assert fingerprint(LeafDesign(columns, 5)) != base
+        assert fingerprint(LeafDesign(columns[::-1], 4)) != base
+
 
 class TestRunJointASHA:
     def test_bit_identical_across_jobs(self, tiny_envs):
@@ -133,7 +141,7 @@ class TestRunJointASHA:
         fanned, fanned_stats = run_joint_asha(
             small_joint_space(), tiny_envs, SMALL, n_extractors=2, n_jobs=4,
         )
-        assert projection(serial) == projection(fanned)
+        assert ranked_trials([serial]) == ranked_trials([fanned])
         assert serial_stats.hits == fanned_stats.hits
         assert serial_stats.misses == fanned_stats.misses
 
@@ -183,7 +191,7 @@ class TestRunJointASHA:
         )
         # Every trial replays from the log: nothing is re-encoded.
         assert stats.lookups == 0
-        assert projection(resumed) == projection(first)
+        assert ranked_trials([resumed]) == ranked_trials([first])
 
     def test_rejects_plain_space(self, tiny_envs):
         with pytest.raises(TypeError, match="JointHPSpace"):

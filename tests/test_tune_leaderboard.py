@@ -1,17 +1,18 @@
-"""Unit tests for trial records, the result buffer and the leaderboard."""
+"""Unit tests for trial results in the run log and for the leaderboard."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.metrics.fairness import EnvironmentScores, FairnessReport
 from repro.obs.runlog import TUNE_TRIAL_EVENT, RunLogReader
 from repro.obs.tracer import Tracer
 from repro.tune import (
     ASHAConfig,
     DirtyTreeWarning,
     LeaderboardError,
-    ResultBuffer,
-    TrialRecord,
+    TrialResult,
     build_leaderboard,
     default_space,
     load_trial_records,
@@ -26,89 +27,74 @@ SMALL = ASHAConfig(n_trials=3, eta=3, min_epochs=3, max_epochs=3, seed=1)
 
 @pytest.fixture
 def record():
-    return TrialRecord(
+    return TrialResult(
         trainer="ERM",
         trial_id="t001",
         rung=1,
         budget=8,
         params={"learning_rate": 0.30000000000000004, "l2": 1e-4},
         seed=12345,
+        report=FairnessReport(
+            per_environment={
+                "zhejiang": EnvironmentScores(
+                    "zhejiang", ks=0.1 + 0.2, auc=2.0 / 3.0,
+                    n_samples=90, n_positive=11),
+                "shandong": EnvironmentScores(
+                    "shandong", ks=0.5, auc=0.75,
+                    n_samples=30, n_positive=4),
+            },
+            skipped=("gansu",),
+        ),
+        data={"environments": "0123456789abcdef",
+              "validation_fraction": 0.25},
         train_seconds=0.25,
-        per_environment={
-            "zhejiang": {"ks": 0.1 + 0.2, "auc": 2.0 / 3.0,
-                         "n_samples": 90, "n_positive": 11},
-            "shandong": {"ks": 0.5, "auc": 0.75,
-                         "n_samples": 30, "n_positive": 4},
-        },
-        skipped=("gansu",),
+        encode_seconds=0.0,
+        encode_cached=None,
     )
 
 
-class TestTrialRecord:
+def write_log(path, record):
+    tracer = Tracer(path=path)
+    tracer.write_manifest(command="load-test")
+    tracer.event(TUNE_TRIAL_EVENT, **record.to_fields())
+    tracer.close()
+
+
+class TestTrialResult:
     def test_fields_round_trip(self, record):
-        assert TrialRecord.from_fields(record.to_fields()) == record
+        assert TrialResult.from_fields(record.to_fields()) == record
 
     def test_json_round_trip_is_exact(self, record):
         # Floats like 0.1 + 0.2 must survive the repr-JSON encoding
         # exactly — this is what makes resume bit-identical.
         encoded = json.dumps(record.to_fields())
-        assert TrialRecord.from_fields(json.loads(encoded)) == record
+        assert TrialResult.from_fields(json.loads(encoded)) == record
 
     def test_fairness_report_rebuild(self, record):
-        report = record.fairness_report()
+        encoded = json.dumps(record.to_fields())
+        report = TrialResult.from_fields(json.loads(encoded)).report
         assert report.per_environment["zhejiang"].ks == 0.1 + 0.2
         assert report.per_environment["shandong"].n_positive == 4
         assert report.skipped == ("gansu",)
-        rebuilt = TrialRecord.from_report(
-            trainer=record.trainer,
-            trial_id=record.trial_id,
-            rung=record.rung,
-            budget=record.budget,
-            params=record.params,
-            seed=record.seed,
-            train_seconds=record.train_seconds,
-            report=report,
-        )
-        assert rebuilt == record
+        assert report == record.report
 
-
-class TestResultBuffer:
-    def test_add_get_and_dedup(self, record):
-        buffer = ResultBuffer()
-        buffer.add(record)
-        buffer.add(record)  # replays are ignored, first write wins
-        assert len(buffer) == 1
-        assert buffer.get("ERM", "t001", 1) is record
-        assert buffer.get("ERM", "t001", 0) is None
-        assert buffer.get("IRMv1", "t001", 1) is None
-        assert buffer.records() == [record]
-
-    def test_emits_trial_events(self, record, tmp_path):
+    def test_event_is_a_valid_run_log_record(self, record, tmp_path):
         path = tmp_path / "log.jsonl"
-        tracer = Tracer(path=path)
-        tracer.write_manifest(command="buffer-test")
-        ResultBuffer(tracer).add(record)
-        tracer.close()
+        write_log(path, record)
         events = RunLogReader.read(path).events(TUNE_TRIAL_EVENT)
         assert len(events) == 1
-        assert TrialRecord.from_fields(events[0]["fields"]) == record
+        assert TrialResult.from_fields(events[0]["fields"]) == record
 
 
-class TestLoadTrialRecords:
-    def write_log(self, path, record):
-        tracer = Tracer(path=path)
-        tracer.write_manifest(command="load-test")
-        ResultBuffer(tracer).add(record)
-        tracer.close()
-
+class TestTrialLog:
     def test_round_trip(self, record, tmp_path):
         path = tmp_path / "log.jsonl"
-        self.write_log(path, record)
+        write_log(path, record)
         assert load_trial_records(path) == {("ERM", "t001", 1): record}
 
     def test_tolerates_torn_tail_and_junk(self, record, tmp_path):
         path = tmp_path / "log.jsonl"
-        self.write_log(path, record)
+        write_log(path, record)
         with path.open("a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
             handle.write('{"kind": "event", "name": "other", "fields": {}}\n')
@@ -117,9 +103,7 @@ class TestLoadTrialRecords:
 
     def test_last_complete_record_wins(self, record, tmp_path):
         path = tmp_path / "log.jsonl"
-        self.write_log(path, record)
-        import dataclasses
-
+        write_log(path, record)
         later = dataclasses.replace(record, train_seconds=9.0)
         with path.open("a", encoding="utf-8") as handle:
             line = {"ts": 0.0, "kind": "event", "name": TUNE_TRIAL_EVENT,

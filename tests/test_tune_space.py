@@ -12,9 +12,7 @@ from repro.tune import (
     SpaceError,
     Uniform,
     default_space,
-    register_space,
 )
-from repro.tune.space import config_class_for
 
 ALL_TRAINERS = [info.name for info in trainer_names()]
 
@@ -163,30 +161,3 @@ class TestDefaultSpaces:
     def test_alias_resolution(self):
         assert default_space("lightmirm").trainer == "LightMIRM"
         assert default_space("meta-IRM(5)").trainer == "meta-IRM"
-
-    def test_config_class_for_matches_registry(self):
-        for info in trainer_names():
-            for spelling in (info.name, *info.aliases):
-                assert config_class_for(spelling) is info.config_class
-        meta_irm = config_class_for("meta-IRM(5)")
-        assert meta_irm is config_class_for("meta-IRM")
-        assert meta_irm.__name__ == "MetaIRMConfig"
-
-    def test_register_space_overrides(self):
-        original = default_space("ERM")
-        try:
-            replacement = HPSpace("ERM", {"l2": LogUniform(1e-6, 1e-2)})
-            register_space("ERM", replacement)
-            assert default_space("erm") is replacement
-        finally:
-            register_space("ERM", original)
-
-    def test_register_sampled_name_replaces_meta_irm(self):
-        original = default_space("meta-IRM")
-        try:
-            replacement = HPSpace("meta-IRM", {"l2": LogUniform(1e-6, 1e-2)})
-            register_space("meta-IRM(5)", replacement)
-            assert default_space("meta-IRM(5)") is replacement
-            assert default_space("meta-IRM") is replacement
-        finally:
-            register_space("meta-IRM", original)
