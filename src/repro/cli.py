@@ -125,37 +125,33 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("champion", "challenger"),
                           help="slot for promote/rollback")
 
+    # The arguments both serving commands take.
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--registry", required=True,
+                         help="registry directory")
+    serving.add_argument("--data", required=True, help="dataset .npz path")
+    serving.add_argument("--limit", type=int,
+                         help="score only the first N test rows")
+    serving.add_argument("--drift-threshold", type=float,
+                         help="enable the PSI drift guard at this threshold")
+
     serve = sub.add_parser(
-        "serve-score",
-        help="score a dataset through the micro-batched scoring service",
+        "serve-score", parents=[serving],
+        help="score a dataset through the scoring service in batches",
     )
-    serve.add_argument("--registry", required=True, help="registry directory")
-    serve.add_argument("--data", required=True, help="dataset .npz path")
     serve.add_argument("--batch-size", type=int, default=256)
-    serve.add_argument("--limit", type=int,
-                       help="score only the first N test rows")
-    serve.add_argument("--drift-threshold", type=float,
-                       help="enable the PSI drift guard at this threshold")
 
     serve_run = sub.add_parser(
-        "serve-run",
+        "serve-run", parents=[serving],
         help="score a dataset through the multi-worker shared-memory "
              "front-end",
     )
-    serve_run.add_argument("--registry", required=True,
-                           help="registry directory")
-    serve_run.add_argument("--data", required=True, help="dataset .npz path")
     serve_run.add_argument("--workers", type=int, default=2,
                            help="scoring worker processes (default: 2)")
     serve_run.add_argument("--batch-size", type=int, default=64,
                            help="per-worker micro-batch size")
     serve_run.add_argument("--max-queue", type=int, default=1024,
                            help="admission bound before requests shed")
-    serve_run.add_argument("--limit", type=int,
-                           help="score only the first N test rows")
-    serve_run.add_argument("--drift-threshold", type=float,
-                           help="enable the PSI drift guard at this "
-                                "threshold")
     serve_run.add_argument("--repeat", type=int, default=1,
                            help="score the row stream N times (soak runs)")
     serve_run.add_argument("--metrics-port", type=int, metavar="PORT",
@@ -514,10 +510,22 @@ def _cmd_registry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_score(args: argparse.Namespace) -> int:
+def _drift_guard(args: argparse.Namespace, split):
+    """The ``--drift-threshold`` guard over the train rows, or None."""
+    if args.drift_threshold is None:
+        return None
+    from repro.monitor.streaming import StreamingPSI
     from repro.serve.degradation import DriftGuard
-    from repro.serve.service import ScoringService, ServiceConfig
 
+    return DriftGuard(StreamingPSI.from_dataset(split.train),
+                      psi_threshold=args.drift_threshold)
+
+
+def _cmd_serve_score(args: argparse.Namespace) -> int:
+    from repro.serve.service import ScoringService
+
+    if args.batch_size < 1:
+        raise ValueError("--batch-size must be >= 1")
     registry = ModelRegistry(args.registry)
     dataset = LoanDataset.load(args.data)
     split = temporal_split(dataset)
@@ -525,22 +533,12 @@ def _cmd_serve_score(args: argparse.Namespace) -> int:
     if args.limit is not None:
         rows = rows[: args.limit]
 
-    guard = None
-    if args.drift_threshold is not None:
-        from repro.monitor.streaming import StreamingPSI
-
-        guard = DriftGuard(
-            StreamingPSI.from_dataset(split.train),
-            psi_threshold=args.drift_threshold,
-        )
-    service = ScoringService.from_registry(
-        registry,
-        config=ServiceConfig(max_batch_size=args.batch_size),
-        drift_guard=guard,
-    )
-    tickets = [service.submit(row) for row in rows]
-    service.flush()
-    scores = [t.score for t in tickets]
+    guard = _drift_guard(args, split)
+    service = ScoringService.from_registry(registry, drift_guard=guard)
+    scores: list[float] = []
+    for start in range(0, len(rows), args.batch_size):
+        scores += service.score_batch(
+            rows[start:start + args.batch_size]).tolist()
     print(f"scored {len(scores)} rows "
           f"(mean p={sum(scores) / len(scores):.4f}, "
           f"serving slot: {service.snapshot()['serving']})")
@@ -560,7 +558,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
 
 
 def _serve_run(args: argparse.Namespace, tracer: Tracer) -> int:
-    from repro.serve.degradation import DriftGuard
     from repro.serve.frontend import FrontendConfig, ScoringFrontend
 
     registry = ModelRegistry(args.registry)
@@ -572,14 +569,7 @@ def _serve_run(args: argparse.Namespace, tracer: Tracer) -> int:
         rows = rows[: args.limit]
         provinces = provinces[: args.limit]
 
-    guard = None
-    if args.drift_threshold is not None:
-        from repro.monitor.streaming import StreamingPSI
-
-        guard = DriftGuard(
-            StreamingPSI.from_dataset(split.train),
-            psi_threshold=args.drift_threshold,
-        )
+    guard = _drift_guard(args, split)
 
     live = args.metrics_port is not None or args.metrics_snapshot is not None
     pipeline = registry.load("champion")
@@ -763,10 +753,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     # data is generated.
     trainers = [resolve_trainer_name(name) for name in trainers]
 
-    resume = None
-    if args.resume:
-        resume = load_trial_records(args.resume)
-        print(f"resuming: {len(resume)} trial records from {args.resume}")
+    resume = load_trial_records(args.resume) if args.resume else None
 
     joint_fields = {}
     if args.joint:
@@ -823,6 +810,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                   f"{config.objective}={value:.4f} "
                   f"params={dict(best.params)}")
             results.append(result)
+    if resume is not None:
+        # Count what was replayed, not what was loaded: records whose
+        # work or data no longer match retrain.
+        evaluations = sum(len(r.evaluated) for s in results for r in s.rungs)
+        print(f"replayed {sum(s.replayed for s in results)} of "
+              f"{evaluations} evaluations from {args.resume}")
 
     leaderboard = build_leaderboard(
         results,

@@ -4,7 +4,7 @@ The multi-worker front-end keeps each worker's
 :class:`~repro.serve.telemetry.ServingTelemetry` inside that worker's
 process.  A :class:`MetricsSlab` makes the numbers observable *while
 serving*: the parent allocates one shared-memory block with one fixed row
-per worker — the four :data:`COUNTERS`, ``busy_seconds``, and the batch
+per worker — the two :data:`COUNTERS`, ``busy_seconds``, and the batch
 latency's bucket counts plus exact sum — each worker attaches writable
 and publishes its telemetry into its row after every batch, and a
 parent-side :class:`MetricsAggregator` reads every row torn-free and
@@ -39,9 +39,8 @@ __all__ = ["COUNTERS", "MetricsSlab", "SlabWriter", "MetricsAggregator"]
 #: How many seqlock retries a reader attempts before reporting a tear.
 _MAX_READ_RETRIES = 64
 
-#: The row's int64 counters, in storage order.  ``fallbacks`` flattens
-#: the worker's per-reason dict to its total (reasons stay worker-local).
-COUNTERS = ("rows_scored", "batches", "requests", "fallbacks")
+#: The row's int64 counters, in storage order.
+COUNTERS = ("rows_scored", "batches")
 
 
 def _empty_row() -> dict:
@@ -200,8 +199,7 @@ class SlabWriter:
         per-row bookkeeping beyond "absorb the final row when a worker
         dies".  The write is seqlock-bracketed.
         """
-        counters = (telemetry.rows_scored, telemetry.batches,
-                    telemetry.requests, sum(telemetry.fallbacks.values()))
+        counters = (telemetry.rows_scored, telemetry.batches)
         latency = telemetry.batch_latency
         w = self.worker_id
         self._gen[w] += 1          # odd: row is being written

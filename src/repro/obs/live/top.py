@@ -100,10 +100,7 @@ def render_top(snapshot: dict, width: int = 72) -> str:
         f"refused {frontend.get('refused', 0):>6}    "
         f"errors {frontend.get('errors', 0):>5}"
     )
-    lines.append(
-        f"fallbacks {counters.get('fallbacks', 0):>6}    "
-        f"pending {snapshot.get('pending', 0):>6}"
-    )
+    lines.append(f"pending {snapshot.get('pending', 0):>6}")
     lines.append(rule)
 
     liveness = snapshot.get("liveness", {})

@@ -7,15 +7,14 @@ artifacts :mod:`repro.persist` writes into an operated service:
 * :mod:`~repro.serve.registry` — versioned model storage with
   champion/challenger slots and atomic promote/rollback (the canonical
   save/load surface, including bare artifact files).
-* :mod:`~repro.serve.batching` — micro-batching queue coalescing requests
-  into one vectorized call (bit-identical scores; ``bench/`` reports the
-  per-row cost at batch 1 and batch N).
 * :mod:`~repro.serve.degradation` — streaming-PSI drift guard and
   challenger-failure fallback rules.
 * :mod:`~repro.serve.telemetry` — latency histograms, throughput,
   fallback counters (service- and front-end-level).
 * :mod:`~repro.serve.service` — :class:`ScoringService`, the
-  single-process composition.
+  single-process composition: one vectorized call per batch
+  (bit-identical scores; ``bench/`` reports the per-row cost at batch 1
+  and batch N).
 * :mod:`~repro.serve.shm_publish` — shared-memory model publishing with
   generation counters (one physical copy, N zero-copy workers).
 * :mod:`~repro.serve.frontend` — :class:`ScoringFrontend`, the
@@ -44,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "telemetry": ("FrontendTelemetry", "ServingTelemetry"),
     "lifecycle": ("LifecycleController", "PromotionGates", "RetrainConfig"),
-    "batching": ("MicroBatcher", "Ticket"),
     "shm_publish": ("ModelPublisher", "PublishedModel"),
-    "service": ("ScoringService", "ServiceConfig"),
+    "service": ("ScoringService",),
 })

@@ -3,10 +3,11 @@
 :class:`ScoringFrontend` is the request layer in front of N scoring
 *worker processes*.  The parent publishes model artifacts once into shared
 memory (:mod:`repro.serve.shm_publish`) and workers attach zero-copy
-views, each running its own :class:`~repro.serve.service.ScoringService`
-(micro-batcher included) over the shared arrays.  The parent side is
-asyncio-friendly — :meth:`ScoringFrontend.score` awaits a result — but
-every primitive is also callable synchronously through
+views.  Each worker drains up to ``max_batch_size`` queued requests and
+scores them in one call to its own
+:class:`~repro.serve.service.ScoringService` over the shared arrays.  The
+parent side is asyncio-friendly — :meth:`ScoringFrontend.score` awaits a
+result — but every primitive is also callable synchronously through
 :class:`FrontendTicket`, so benches, the CLI and tests need no event loop.
 
 Operating contract:
@@ -24,7 +25,7 @@ Operating contract:
   worker's in-flight requests to surviving workers (or resolves them with
   an error naming the dead worker when none survive) and respawns the
   worker.  A poison row (non-finite values, wrong width) fails *only its
-  own request* — the rest of the micro-batch is rescored row-by-row.
+  own request* — the rest of the drained batch is rescored row-by-row.
 * **Bit-identity.**  Scores are exactly single-process
   ``ScoringService.predict_proba`` for every worker count: batching and
   fan-out change when/where a score is computed, never its value.
@@ -57,7 +58,7 @@ from repro.parallel.engine import default_start_method
 from repro.parallel.shared import PackSpec
 from repro.persist.artifacts import ScoringModel
 from repro.serve.degradation import DriftGuard
-from repro.serve.service import ScoringService, ServiceConfig
+from repro.serve.service import ScoringService
 from repro.serve.shm_publish import ModelPublisher, attach_model
 from repro.serve.telemetry import FrontendTelemetry, ServingTelemetry
 
@@ -76,6 +77,12 @@ OK = "ok"
 OVERLOADED = "overloaded"
 ERROR = "error"
 
+#: Worker block time waiting for the first request of a batch (also the
+#: cadence of control-message polling).
+_POLL_TIMEOUT_S = 0.02
+#: Parent-side wait for worker startup handshakes.
+_READY_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -83,14 +90,12 @@ class FrontendConfig:
 
     Attributes:
         n_workers: Scoring worker process count.
-        max_batch_size: Per-worker micro-batch auto-flush threshold.
+        max_batch_size: Most requests a worker drains into one scoring
+            call.
         max_queue: Admission bound — outstanding (admitted, unresolved)
             requests; the ``max_queue + 1``-th submit sheds.
-        poll_timeout_s: Worker block time waiting for the first request of
-            a batch (also the cadence of control-message polling).
         start_method: Worker start method; ``None`` picks the platform
             default (``fork`` where available).
-        ready_timeout_s: Parent-side wait for worker startup handshakes.
         live_metrics: Allocate the shared-memory metrics slab and have
             each worker publish its service telemetry after every batch
             (plus heartbeats while idle).  Off by default — the disabled
@@ -100,20 +105,15 @@ class FrontendConfig:
         slo_latency_bound_s: Request latency above this bound counts
             against the latency SLO (from histogram bucket deltas, so
             the bound is effectively rounded up to a bucket edge).
-        liveness_timeout_s: Slab heartbeat age beyond which a worker is
-            reported stale.
     """
 
     n_workers: int = 2
     max_batch_size: int = 64
     max_queue: int = 1024
-    poll_timeout_s: float = 0.02
     start_method: str | None = None
-    ready_timeout_s: float = 30.0
     live_metrics: bool = False
     live_poll_interval_s: float = 0.25
     slo_latency_bound_s: float = 0.3
-    liveness_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -194,10 +194,10 @@ def _resolve_batch(services: dict, batch: list) -> list[tuple]:
                 )
             continue
         try:
-            tickets = [service.submit(row) for _, row in members]
-            service.flush()
-            for (req_id, _), ticket in zip(members, tickets):
-                responses[req_id] = (req_id, OK, ticket.score, generation)
+            rows = np.stack([row for _, row in members])
+            scores = service.score_batch(rows)
+            for (req_id, _), score in zip(members, scores.tolist()):
+                responses[req_id] = (req_id, OK, score, generation)
         except Exception:
             # Poison isolation: rescore row-by-row so the blast radius is
             # exactly the failing request(s).
@@ -215,8 +215,7 @@ def _resolve_batch(services: dict, batch: list) -> list[tuple]:
 
 
 def _worker_main(worker_id: int, request_q, response_q, control_q,
-                 initial: list[tuple[int, PackSpec]],
-                 max_batch_size: int, poll_timeout_s: float,
+                 initial: list[tuple[int, PackSpec]], max_batch_size: int,
                  slab_spec: PackSpec | None = None) -> None:
     """One scoring worker: attach shared models, batch, score, respond.
 
@@ -241,10 +240,7 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
             return
         model, pack = attach_model(spec)
         packs[generation] = pack
-        services[generation] = ScoringService(
-            model, config=ServiceConfig(max_batch_size=max_batch_size),
-            telemetry=telemetry,
-        )
+        services[generation] = ScoringService(model, telemetry=telemetry)
 
     for generation, spec in initial:
         load(generation, spec)
@@ -272,10 +268,10 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
         if not running:
             break
         if paused:
-            time.sleep(poll_timeout_s)
+            time.sleep(_POLL_TIMEOUT_S)
             continue
         try:
-            first = request_q.get(timeout=poll_timeout_s)
+            first = request_q.get(timeout=_POLL_TIMEOUT_S)
         except queue_mod.Empty:
             if slab_writer is not None:
                 slab_writer.heartbeat()
@@ -430,10 +426,7 @@ class ScoringFrontend:
                                 version=self._initial_version)
         if self.config.live_metrics:
             self._slab = MetricsSlab.allocate(self.config.n_workers)
-            self._aggregator = MetricsAggregator(
-                self._slab,
-                liveness_timeout_s=self.config.liveness_timeout_s,
-            )
+            self._aggregator = MetricsAggregator(self._slab)
         self._response_q = self._context.Queue()
         for worker_id in range(self.config.n_workers):
             self._workers.append(self._spawn(worker_id))
@@ -455,7 +448,6 @@ class ScoringFrontend:
             target=_worker_main,
             args=(worker_id, request_q, self._response_q, control_q,
                   initial, self.config.max_batch_size,
-                  self.config.poll_timeout_s,
                   self._slab.spec if self._slab is not None else None),
             daemon=True,
         )
@@ -463,7 +455,7 @@ class ScoringFrontend:
         return _WorkerHandle(worker_id, process, request_q, control_q)
 
     def _await_ready(self) -> None:
-        deadline = time.monotonic() + self.config.ready_timeout_s
+        deadline = time.monotonic() + _READY_TIMEOUT_S
         pending = {w.worker_id for w in self._workers if not w.ready}
         while pending and time.monotonic() < deadline:
             try:
@@ -479,7 +471,7 @@ class ScoringFrontend:
             self.stop()
             raise RuntimeError(
                 f"workers {sorted(pending)} failed to start within "
-                f"{self.config.ready_timeout_s}s"
+                f"{_READY_TIMEOUT_S}s"
             )
 
     def stop(self) -> None:

@@ -1,50 +1,29 @@
-"""The scoring service: registry-backed, micro-batched, degradation-aware.
+"""The scoring service: registry-backed, degradation-aware.
 
 :class:`ScoringService` is the request-serving composition of the pieces in
 this package: it loads champion/challenger :class:`ScoringModel` artifacts
-(usually from a :class:`~repro.serve.registry.ModelRegistry`), coalesces
-single-row requests through a :class:`~repro.serve.batching.MicroBatcher`
-into one vectorized scoring call, and degrades gracefully — challenger exceptions and drift-guard trips fall back to the
-champion, every fallback counted in
-:class:`~repro.serve.telemetry.ServingTelemetry`.
+(usually from a :class:`~repro.serve.registry.ModelRegistry`), scores a
+batch of rows in one vectorized call, and degrades gracefully — challenger
+exceptions and drift-guard trips fall back to the champion, every fallback
+counted in :class:`~repro.serve.telemetry.ServingTelemetry`.
 
 Every path produces scores bit-identical to
-``ScoringModel.predict_proba`` on the same rows: batching and fallback
+``ScoringModel.predict_proba`` on the same rows: batch size and fallback
 never change a number, only when/how it is computed.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.persist.artifacts import ScoringModel
-from repro.serve.batching import MicroBatcher, Ticket
 from repro.serve.degradation import DriftGuard
 from repro.serve.registry import CHALLENGER, CHAMPION, ModelRegistry
 from repro.serve.telemetry import ServingTelemetry
 
-__all__ = ["ServiceConfig", "ScoringService"]
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Operating knobs of one :class:`ScoringService`.
-
-    Attributes:
-        max_batch_size: Micro-batch auto-flush threshold.
-        use_challenger: Route traffic to the challenger when one is
-            loaded (falling back to the champion on failure/drift).
-    """
-
-    max_batch_size: int = 256
-    use_challenger: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
+__all__ = ["ScoringService"]
 
 
 class ScoringService:
@@ -52,18 +31,14 @@ class ScoringService:
 
     Usage::
 
-        service = ScoringService.from_registry(registry,
-                                               config=ServiceConfig())
-        tickets = [service.submit(row) for row in rows]
-        service.flush()
-        scores = [t.score for t in tickets]
+        service = ScoringService.from_registry(registry)
+        scores = service.score_batch(rows)
         print(service.telemetry.summary())
 
     Args:
         champion: The known-good scorer; always loaded.
-        challenger: Optional candidate scorer; used when configured, with
+        challenger: Optional candidate scorer; serves when loaded, with
             champion fallback on any failure or drift-guard trip.
-        config: Operating knobs (batching, routing).
         drift_guard: Optional :class:`DriftGuard`; when supplied, every
             scored batch is accumulated and a tripped guard pins scoring
             to the champion.
@@ -74,31 +49,24 @@ class ScoringService:
         self,
         champion: ScoringModel,
         challenger: ScoringModel | None = None,
-        config: ServiceConfig | None = None,
         drift_guard: DriftGuard | None = None,
         telemetry: ServingTelemetry | None = None,
     ):
         self.champion = champion
         self.challenger = challenger
-        self.config = config or ServiceConfig()
         self.drift_guard = drift_guard
         self.telemetry = telemetry or ServingTelemetry()
-        self._batcher = MicroBatcher(
-            self.score_batch, max_batch_size=self.config.max_batch_size
-        )
 
     @classmethod
     def from_registry(
         cls,
         registry: ModelRegistry,
-        config: ServiceConfig | None = None,
         drift_guard: DriftGuard | None = None,
     ) -> "ScoringService":
         """Load the champion (and challenger, if its slot is filled).
 
         Args:
             registry: Registry whose champion slot must be filled.
-            config: Operating knobs.
             drift_guard: Optional drift guard.
         """
         slots = registry.slots()
@@ -107,7 +75,6 @@ class ScoringService:
         return cls(
             champion=registry.load(CHAMPION),
             challenger=challenger,
-            config=config,
             drift_guard=drift_guard,
         )
 
@@ -117,8 +84,8 @@ class ScoringService:
         """Score a batch of raw feature rows through the full service path.
 
         Drift-guard accumulation, challenger routing with champion
-        fallback and telemetry all happen here; the micro-batcher and the
-        single-row path both land in this method.
+        fallback and telemetry all happen here; this is the one request
+        path.
 
         Args:
             rows: ``(n, d)`` raw feature matrix.
@@ -134,7 +101,7 @@ class ScoringService:
 
         slot = CHAMPION
         model = self.champion
-        if (self.challenger is not None and self.config.use_challenger):
+        if self.challenger is not None:
             slot, model = CHALLENGER, self.challenger
 
         if self.drift_guard is not None:
@@ -155,38 +122,13 @@ class ScoringService:
         self.telemetry.record_batch(rows.shape[0], time.perf_counter() - start)
         return scores
 
-    # -------------------------------------------------------- request path
-
-    def submit(self, row: np.ndarray) -> Ticket:
-        """Queue one request; it scores at the next (auto-)flush."""
-        return self._batcher.submit(row)
-
-    def flush(self) -> int:
-        """Score every queued request now; returns the number scored."""
-        return self._batcher.flush()
-
-    @property
-    def pending(self) -> int:
-        """Requests queued behind the micro-batcher."""
-        return self._batcher.pending
-
-    def score_row(self, row: np.ndarray) -> float:
-        """Score one row synchronously (bypasses the queue, same math)."""
-        row = np.asarray(row, dtype=np.float64)
-        if row.ndim != 1:
-            raise ValueError(f"expected a 1-D feature row, got {row.shape}")
-        start = time.perf_counter()
-        score = float(self.score_batch(row[None, :])[0])
-        self.telemetry.record_request(time.perf_counter() - start)
-        return score
-
     # ----------------------------------------------------------- reporting
 
     def snapshot(self) -> dict:
         """Full JSON-compatible service state (telemetry + guard)."""
         payload = {
             "serving": CHALLENGER if (
-                self.challenger is not None and self.config.use_challenger
+                self.challenger is not None
                 and not (self.drift_guard is not None
                          and self.drift_guard.tripped)
             ) else CHAMPION,

@@ -1,8 +1,8 @@
 """Serving telemetry: latency histograms, throughput and event counters.
 
-A scoring service is operated by its numbers: request/row counts, batch
-sizes, per-batch latency distribution, fallbacks by reason and the
-current drift level.  Everything here is cheap enough to update on every
+A scoring service is operated by its numbers: row and batch counts,
+per-batch latency distribution, fallbacks by reason and the current
+drift level.  Everything here is cheap enough to update on every
 request and renders to one JSON-compatible ``snapshot()`` — the schema
 ``docs/serving.md`` documents and ``repro serve-score`` prints.
 
@@ -25,15 +25,12 @@ class ServingTelemetry:
 
     Attributes:
         batch_latency: Histogram over per-batch scoring wall times.
-        request_latency: Histogram over per-request (single-row) wall times.
     """
 
     def __init__(self) -> None:
         self.batch_latency = Histogram()
-        self.request_latency = Histogram()
         self.rows_scored = 0
         self.batches = 0
-        self.requests = 0
         self.fallbacks: dict[str, int] = {}
         self._busy_seconds = 0.0
 
@@ -43,11 +40,6 @@ class ServingTelemetry:
         self.batches += 1
         self._busy_seconds += seconds
         self.batch_latency.observe(seconds)
-
-    def record_request(self, seconds: float) -> None:
-        """Account one single-row request."""
-        self.requests += 1
-        self.request_latency.observe(seconds)
 
     def record_fallback(self, reason: str) -> None:
         """Count one champion fallback by reason."""
@@ -70,11 +62,9 @@ class ServingTelemetry:
         return {
             "rows_scored": self.rows_scored,
             "batches": self.batches,
-            "requests": self.requests,
             "throughput_rows_per_s": self.throughput_rows_per_s,
             "fallbacks": dict(self.fallbacks),
             "batch_latency": self.batch_latency.snapshot(),
-            "request_latency": self.request_latency.snapshot(),
         }
 
     def summary(self) -> str:

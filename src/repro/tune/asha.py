@@ -289,13 +289,14 @@ def _evaluate_rung(
     evaluate: Evaluate,
     resume: Resume | None,
     tracer: Tracer,
-) -> dict[str, TrialResult]:
+) -> tuple[dict[str, TrialResult], int]:
     """Score every trial at one rung, replaying resumable records.
 
     Replays skip training entirely; the rest go through ``evaluate``
     (the engine fan-out) as one batch.  Every result — replayed or
     fresh — is emitted as a ``tune_trial`` event in trial order, so the
-    current run log is itself a complete resume source.
+    current run log is itself a complete resume source.  Returns the
+    results in trial order and how many of them were replayed.
     """
     results: dict[str, TrialResult] = {}
     pending: list[Trial] = []
@@ -324,7 +325,7 @@ def _evaluate_rung(
     ordered = {t.trial_id: results[t.trial_id] for t in trials}
     for result in ordered.values():
         tracer.event(TUNE_TRIAL_EVENT, **result.to_fields())
-    return ordered
+    return ordered, len(trials) - len(pending)
 
 
 def _trial_task(trainer: str, trial: Trial, rung: int, budget: int | None,
@@ -367,6 +368,7 @@ def _run_schedule(
     """
     best_results: dict[str, TrialResult] = {}
     rungs: list[RungSummary] = []
+    replayed = 0
     survivors = list(trials)
     try:
         with tracer.span(
@@ -380,8 +382,10 @@ def _run_schedule(
             **span_fields,
         ):
             for rung, budget in enumerate(budgets):
-                results = _evaluate_rung(trainer, survivors, rung, budget,
-                                         data, evaluate, resume, tracer)
+                results, n_replayed = _evaluate_rung(
+                    trainer, survivors, rung, budget, data, evaluate,
+                    resume, tracer)
+                replayed += n_replayed
                 best_results.update(results)
                 last_rung = eta is None or rung + 1 == len(budgets)
                 promoted = [] if last_rung else select_promotions(
@@ -414,6 +418,7 @@ def _run_schedule(
         blend_weight=blend_weight,
         rungs=tuple(rungs),
         trainer=trainer,
+        replayed=replayed,
     )
 
 

@@ -273,6 +273,8 @@ class SearchResult:
 
     Shared by the grid and ASHA paths; the grid case is simply the
     degenerate single-rung schedule with an empty promotion history.
+    ``replayed`` counts the rung evaluations taken from a resume log
+    instead of retrained (of ``sum(len(r.evaluated) for r in rungs)``).
     """
 
     trials: tuple[TrialResult, ...]
@@ -280,6 +282,7 @@ class SearchResult:
     blend_weight: float
     rungs: tuple[RungSummary, ...]
     trainer: str
+    replayed: int = 0
 
     def ranked(self) -> list[TrialResult]:
         """Trials sorted best-first (:meth:`TrialResult.rank_key`)."""

@@ -202,3 +202,24 @@ class TestTune:
         # ones (the encoded environments fingerprint alike across runs).
         assert [e["train_seconds"] for e in resumed["leaderboard"]] == \
             [e["train_seconds"] for e in payload["leaderboard"]]
+
+    def test_resume_reports_replayed_evaluations(self, tmp_path, capsys):
+        trace = tmp_path / "tune.jsonl"
+        argv = [
+            "tune", "--trainers", "ERM", "--trials", "2", "--eta", "2",
+            "--min-epochs", "2", "--max-epochs", "4",
+            "--n-samples", "3000", "--seed", "1",
+            "--out", str(tmp_path / "lb.json"),
+        ]
+        assert main(argv + ["--trace", str(trace)]) == 0
+        capsys.readouterr()
+        # Two trials at rung 0, the promoted one at rung 1: 3 evaluations.
+        assert main(argv + ["--resume", str(trace)]) == 0
+        assert f"replayed 3 of 3 evaluations from {trace}" in \
+            capsys.readouterr().out
+        # The log's scores were computed on a 0.25 validation split, so
+        # none of them describe a 0.5 split: everything retrains.
+        assert main(argv + ["--validation-fraction", "0.5",
+                            "--resume", str(trace)]) == 0
+        assert f"replayed 0 of 3 evaluations from {trace}" in \
+            capsys.readouterr().out

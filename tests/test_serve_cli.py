@@ -79,6 +79,23 @@ class TestServeScore:
         assert "serving slot: challenger" in out
         assert "throughput" in out
 
+    def test_batches_are_consecutive_chunks(self, registry_root,
+                                            dataset_file, capsys):
+        from repro.data.dataset import LoanDataset
+        from repro.data.splits import temporal_split
+        from repro.serve.registry import CHALLENGER, ModelRegistry
+
+        assert main(["serve-score", "--registry", str(registry_root),
+                     "--data", str(dataset_file), "--limit", "200",
+                     "--batch-size", "64"]) == 0
+        out = capsys.readouterr().out
+        # 200 rows in chunks of 64: three full batches and the remainder.
+        assert "batches         4\n" in out
+        rows = temporal_split(LoanDataset.load(dataset_file)).test.features
+        challenger = ModelRegistry(registry_root).load(CHALLENGER)
+        scores = challenger.predict_proba(rows[:200]).tolist()
+        assert f"mean p={sum(scores) / len(scores):.4f}," in out
+
     def test_drift_guard_flag(self, registry_root, dataset_file, capsys):
         assert main(["serve-score", "--registry", str(registry_root),
                      "--data", str(dataset_file), "--limit", "200",

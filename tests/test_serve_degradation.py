@@ -14,7 +14,7 @@ import pytest
 from repro.monitor.streaming import StreamingPSI
 from repro.serve.degradation import DriftGuard
 from repro.serve.frontend import FrontendConfig, ScoringFrontend
-from repro.serve.service import ScoringService, ServiceConfig
+from repro.serve.service import ScoringService
 
 
 def make_guard(threshold=0.25, min_rows=50, n_features=4, seed=0):
@@ -107,7 +107,6 @@ class TestFallbackOrdering:
         return ScoringService(
             ConstantModel(0.25),
             challenger=challenger,
-            config=ServiceConfig(use_challenger=True),
             drift_guard=guard,
         )
 

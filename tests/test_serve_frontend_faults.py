@@ -13,14 +13,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.frontend import (
+    _POLL_TIMEOUT_S,
     ERROR,
     OK,
     OVERLOADED,
     FrontendConfig,
     ScoringFrontend,
+    _resolve_batch,
 )
+from repro.serve.service import ScoringService
 
 
 def _start(model, **overrides) -> ScoringFrontend:
@@ -31,7 +36,7 @@ def _start(model, **overrides) -> ScoringFrontend:
 
 def _settle(frontend: ScoringFrontend) -> None:
     """Give the paused workers time to drain their control queues."""
-    time.sleep(10 * frontend.config.poll_timeout_s)
+    time.sleep(10 * _POLL_TIMEOUT_S)
 
 
 class TestWorkerDeath:
@@ -81,6 +86,58 @@ class TestWorkerDeath:
             scoring_model.predict_proba(rows),
         )
         assert frontend.telemetry.worker_deaths >= 1
+
+
+#: One drained request: (generation, pool row index, poison value or
+#: None, poisoned column).  Generation 2 is never loaded.
+_REQUEST = st.tuples(
+    st.sampled_from([0, 1, 2]),
+    st.integers(0, 299),
+    st.sampled_from([None, None, None, np.nan, np.inf, -np.inf]),
+    st.integers(0, 39),
+)
+
+
+class TestResolveBatch:
+    """The worker's drained batch, resolved in process on real services."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(requests=st.lists(_REQUEST, min_size=1, max_size=40))
+    def test_scores_poison_and_order(self, requests, scoring_model,
+                                     scoring_model_alt, request_rows):
+        models = {0: scoring_model, 1: scoring_model_alt}
+        services = {g: ScoringService(m) for g, m in models.items()}
+        batch = []
+        for i, (generation, index, poison, column) in enumerate(requests):
+            row = request_rows[index].copy()
+            if poison is not None:
+                row[column % row.shape[0]] = poison
+            batch.append((1000 + 7 * i, row, generation))
+
+        responses = _resolve_batch(services, batch)
+
+        assert [r[0] for r in responses] == [req_id for req_id, _, __ in batch]
+        groups: dict[int, list[bool]] = {}
+        for (req_id, row, generation), response in zip(batch, responses):
+            _, status, value, got_generation = response
+            assert got_generation == generation
+            clean = bool(np.isfinite(row).all())
+            groups.setdefault(generation, []).append(clean)
+            if generation not in models:
+                assert status == ERROR and "not loaded" in value
+            elif not clean:
+                assert status == ERROR and "finite" in value
+            else:
+                assert status == OK
+                assert value == models[generation].predict_proba(
+                    row[None])[0]
+        for generation, service in services.items():
+            cleans = groups.get(generation, [])
+            # One scoring call per clean group; a poisoned group rescores
+            # its clean rows one by one.
+            expected = (0 if not cleans else 1 if all(cleans)
+                        else sum(cleans))
+            assert service.telemetry.batches == expected
 
 
 class TestPoisonRequest:

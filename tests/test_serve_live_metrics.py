@@ -4,8 +4,8 @@ The front-end's ``latency`` objective counts slow resolutions from the
 ``request_latency`` histogram's buckets, so a resolution is "slow" when
 its bucket's upper bound exceeds ``slo_latency_bound_s`` (the +Inf
 overflow bucket included).  Every serving histogram view — per-worker
-batch and request latency, the front-end's request latency and the
-merged cross-worker batch latency — speaks the one
+batch latency, the front-end's request latency and the merged
+cross-worker batch latency — speaks the one
 :class:`~repro.obs.metrics.Histogram` snapshot key set.
 """
 
@@ -69,7 +69,6 @@ class TestOneKeySet:
                                                     request_rows):
         serving = ServingTelemetry()
         serving.record_batch(4, 0.002)
-        serving.record_request(0.001)
         frontend_telemetry = FrontendTelemetry()
         frontend_telemetry.record_request(0.003)
 
@@ -85,7 +84,6 @@ class TestOneKeySet:
 
         views = [
             serving.snapshot()["batch_latency"],
-            serving.snapshot()["request_latency"],
             frontend_telemetry.snapshot()["request_latency"],
             snap["telemetry"]["request_latency"],
             merged,

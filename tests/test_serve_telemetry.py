@@ -175,14 +175,12 @@ class TestServingTelemetry:
     def test_snapshot_schema(self):
         telemetry = ServingTelemetry()
         telemetry.record_batch(10, 0.01)
-        telemetry.record_request(0.001)
         snap = telemetry.snapshot()
         assert set(snap) == {
-            "rows_scored", "batches", "requests", "throughput_rows_per_s",
-            "fallbacks", "batch_latency", "request_latency",
+            "rows_scored", "batches", "throughput_rows_per_s",
+            "fallbacks", "batch_latency",
         }
         assert snap["batch_latency"]["count"] == 1
-        assert snap["request_latency"]["count"] == 1
 
     def test_summary_mentions_headline_numbers(self):
         telemetry = ServingTelemetry()
