@@ -13,41 +13,31 @@ import pathlib
 
 import pytest
 
-from repro.data.provinces import extended_registry
 from repro.experiments.runner import ExperimentContext, ExperimentSettings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+def _context(platform: str) -> ExperimentContext:
+    return ExperimentContext(ExperimentSettings(platform=platform))
+
+
 @pytest.fixture(scope="session")
 def main_context():
     """The standard 12-province, 40k-record temporal-split context."""
-    return ExperimentContext(
-        ExperimentSettings(n_samples=40_000, data_seed=7,
-                           trainer_seeds=(0, 1, 2))
-    )
+    return _context("temporal")
 
 
 @pytest.fixture(scope="session")
 def iid_context():
     """Same platform, random split (Table VI)."""
-    return ExperimentContext(
-        ExperimentSettings(n_samples=40_000, data_seed=7,
-                           trainer_seeds=(0, 1, 2), split="iid")
-    )
+    return _context("iid")
 
 
 @pytest.fixture(scope="session")
 def extended_context():
     """26-province context for Table II / Table III (paper-scale M)."""
-    return ExperimentContext(
-        ExperimentSettings(
-            n_samples=50_000,
-            data_seed=7,
-            trainer_seeds=(0,),
-            generator_overrides={"registry": extended_registry()},
-        )
-    )
+    return _context("extended")
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,7 @@ from repro.experiments.fig4_vehicle_mix import (
 
 def test_fig4_vehicle_type_distribution(benchmark, main_context, results_dir):
     mixes = benchmark.pedantic(
-        lambda: run_fig4(main_context.dataset,
-                         years=(2016, 2017, 2018, 2019, 2020)),
-        rounds=1,
-        iterations=1,
+        lambda: run_fig4(main_context.dataset), rounds=1, iterations=1
     )
     rendered = format_fig4(mixes)
     save_and_print(results_dir, "fig4_vehicle_mix", rendered)

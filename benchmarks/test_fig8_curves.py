@@ -10,9 +10,7 @@ from repro.experiments.table2_sampling import (
 
 def test_fig6_fig8_training_curves(benchmark, extended_context, results_dir):
     curves = benchmark.pedantic(
-        lambda: run_training_curves(extended_context, every=10, n_epochs=120),
-        rounds=1,
-        iterations=1,
+        lambda: run_training_curves(extended_context), rounds=1, iterations=1
     )
     rendered = format_curves(curves)
     save_and_print(results_dir, "fig6_fig8_curves", rendered)

@@ -14,7 +14,7 @@ Usage (after ``pip install -e .``)::
         --workers 4 --metrics-port 9100 --trace serve.jsonl
     python -m repro obs top --url http://127.0.0.1:9100
     python -m repro experiment table1
-    python -m repro experiment table1 --jobs 4
+    python -m repro experiment table1 table2 fig4 --jobs 4
     python -m repro bench --jobs 2 4 8 --out BENCH_parallel.json
     python -m repro scale-bench --out BENCH_scale.json
     python -m repro scale-bench --smoke --save-model scale_model.json
@@ -26,8 +26,9 @@ Usage (after ``pip install -e .``)::
     python -m repro obs report run.jsonl
     python -m repro list
 
-``experiment`` runs one of the paper's tables/figures at a configurable
-scale and prints the same rows/series the paper reports.  ``--trace PATH``
+``experiment`` runs the paper's tables/figures named on its command line,
+each on its platform (``repro.experiments.runner.EXPERIMENTS``), and
+prints the same rows/series the paper reports.  ``--trace PATH``
 (on ``train``, ``verify``, ``serve-run``, ``tune`` and ``experiment``)
 records a structured JSONL run log; ``repro obs report|summary|diff``
 renders it offline (see ``docs/observability.md``).
@@ -53,7 +54,11 @@ from typing import Iterator
 from repro.data.dataset import LoanDataset
 from repro.data.generator import GeneratorConfig, LoanDataGenerator
 from repro.data.splits import temporal_split
-from repro.experiments.runner import ExperimentContext, ExperimentSettings
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    ExperimentContext,
+    ExperimentSettings,
+)
 from repro.metrics.fairness import evaluate_environments
 from repro.obs.runlog import run_manifest_fields
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -62,23 +67,6 @@ from repro.serve.registry import ModelRegistry
 from repro.train.registry import make_trainer, trainer_names
 
 __all__ = ["main", "build_parser"]
-
-#: Experiment id -> (runner, formatter) import paths, resolved lazily.
-EXPERIMENTS = {
-    "fig1": ("fig1_province_map", "run_fig1", "format_fig1", "context"),
-    "fig4": ("fig4_vehicle_mix", "run_fig4", "format_fig4", "dataset"),
-    "fig5": ("fig5_online", "run_fig5", "format_fig5", "context"),
-    "table1": ("table1_main", "run_table1", "format_table1", "context"),
-    "table2": ("table2_sampling", "run_table2", "format_table2", "context"),
-    "table3": ("table3_timing", "run_table3", "format_table3", "context"),
-    "fig9": ("fig9_mrq_length", "run_fig9", "format_fig9", "context"),
-    "table4": ("table4_gamma", "run_table4", "format_table4", "context"),
-    "fig10": ("fig10_guangdong_share", "run_fig10", "format_fig10", "dataset"),
-    "table5": ("table5_guangdong", "run_table5", "format_table5", "context"),
-    "fig11": ("fig11_hubei", "run_fig11", "format_fig11", "context"),
-    "table6": ("table6_iid", "run_table6", "format_table6", "context"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
@@ -169,13 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
                                 "alerts and transitions land here)")
 
     experiment = sub.add_parser(
-        "experiment", help="regenerate one paper table/figure"
+        "experiment", help="regenerate paper tables/figures, in order"
     )
-    experiment.add_argument("id", choices=sorted(EXPERIMENTS))
-    experiment.add_argument("--n-samples", type=int, default=40_000)
+    experiment.add_argument("ids", nargs="+", metavar="id",
+                            choices=list(EXPERIMENTS),
+                            help="experiment ids (see `repro list`)")
+    experiment.add_argument("--n-samples", type=int,
+                            help="platform size (default: each "
+                                 "platform's own)")
     experiment.add_argument("--data-seed", type=int, default=7)
     experiment.add_argument("--trainer-seeds", type=int, nargs="+",
-                            default=[0, 1, 2])
+                            help="trainer seeds (default: each "
+                                 "platform's own)")
     experiment.add_argument("--jobs", type=int, default=1,
                             help="worker processes for the trainer fan-out "
                                  "(results are bit-identical to --jobs 1)")
@@ -415,29 +408,30 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import importlib
-
-    module_name, run_name, format_name, input_kind = EXPERIMENTS[args.id]
-    module = importlib.import_module(f"repro.experiments.{module_name}")
-    run = getattr(module, run_name)
-    formatter = getattr(module, format_name)
-    split = "iid" if args.id == "table6" else "temporal"
+    seeds = None if args.trainer_seeds is None else tuple(args.trainer_seeds)
+    contexts: dict[str, ExperimentContext] = {}
     with _traced(args, "experiment",
-                 config={"id": args.id, "n_samples": args.n_samples,
-                         "split": split, "jobs": args.jobs},
+                 config={"ids": args.ids, "n_samples": args.n_samples,
+                         "trainer_seeds": args.trainer_seeds,
+                         "jobs": args.jobs},
                  seed=args.data_seed) as tracer:
-        context = ExperimentContext(
-            ExperimentSettings(
-                n_samples=args.n_samples,
-                data_seed=args.data_seed,
-                trainer_seeds=tuple(args.trainer_seeds),
-                split=split,
-                n_jobs=args.jobs,
-            ),
-            tracer=tracer,
-        )
-        result = run(context.dataset if input_kind == "dataset" else context)
-    print(formatter(result))
+        for index, key in enumerate(args.ids):
+            experiment = EXPERIMENTS[key]
+            context = contexts.get(experiment.platform)
+            if context is None:
+                context = contexts[experiment.platform] = ExperimentContext(
+                    ExperimentSettings(
+                        n_samples=args.n_samples,
+                        data_seed=args.data_seed,
+                        trainer_seeds=seeds,
+                        platform=experiment.platform,
+                        n_jobs=args.jobs,
+                    ),
+                    tracer=tracer,
+                )
+            if index:
+                print()
+            print(experiment.render(context), flush=True)
     return 0
 
 
@@ -927,8 +921,9 @@ def _cmd_list(_: argparse.Namespace) -> int:
         print(line)
     print('  meta-IRM(S)  # sampled variant, e.g. "meta-IRM(5)"')
     print("experiments:")
-    for key in sorted(EXPERIMENTS):
-        print(f"  {key}")
+    for key, experiment in EXPERIMENTS.items():
+        print(f"  {key:7s} {experiment.platform:9s} "
+              f"{experiment.module}.{experiment.run}")
     return 0
 
 

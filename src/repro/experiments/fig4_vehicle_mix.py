@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import LoanDataset
+from repro.data.provinces import YEARS
 from repro.data.schema import VEHICLE_TYPES
 from repro.eval.reports import format_table
 
@@ -17,14 +18,15 @@ __all__ = ["run_fig4", "format_fig4", "mix_shift_l1"]
 
 
 def run_fig4(
-    dataset: LoanDataset, years: tuple[int, ...] = (2016, 2020)
+    dataset: LoanDataset, years: tuple[int, ...] = YEARS
 ) -> dict[int, dict[str, float]]:
     """Observed vehicle-type shares per requested year.
 
     Args:
         dataset: Full multi-year dataset.
-        years: Years to tabulate (the paper shows 2016 and 2020, eliding
-            the in-between years "for space").
+        years: Years to tabulate; every platform year by default (the
+            paper shows 2016 and 2020, eliding the in-between years "for
+            space").
 
     Returns:
         Year -> {vehicle type -> share of that year's records}.

@@ -5,18 +5,29 @@ data, make the temporal (or i.i.d.) split, fit the shared GBDT feature
 extractor once, and train/evaluate LR heads against the encoded
 environments.  :class:`ExperimentContext` caches those stages so a benchmark
 that regenerates several paper artefacts does the expensive work once.
+
+:data:`EXPERIMENTS` is the one table of paper artefacts: each id names its
+module, run and format functions and the :data:`PLATFORMS` entry it runs
+on.  ``repro experiment`` reads it; ``benchmarks/`` and the examples
+build their contexts on the same platforms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import importlib
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.data.dataset import EnvironmentData, LoanDataset
 from repro.data.generator import GeneratorConfig, LoanDataGenerator
+from repro.data.provinces import (
+    ProvinceRegistry,
+    default_registry,
+    extended_registry,
+)
 from repro.data.splits import TrainTestSplit, iid_split, temporal_split
 from repro.metrics.fairness import FairnessReport, evaluate_environments
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -28,9 +39,13 @@ from repro.train.base import EpochCallback, Trainer, TrainResult
 from repro.train.registry import TrainerSpec
 
 __all__ = [
+    "Platform",
+    "PLATFORMS",
     "ExperimentSettings",
     "ExperimentContext",
     "MethodScores",
+    "Experiment",
+    "EXPERIMENTS",
     "evaluate_result_on",
 ]
 
@@ -57,36 +72,71 @@ def evaluate_result_on(
 
 
 @dataclass(frozen=True)
+class Platform:
+    """A synthetic platform experiments run on, with its default sizes.
+
+    Attributes:
+        split: "temporal" (the paper's main protocol) or "iid" (Table VI).
+        registry: Builds the province registry the generator draws from.
+        n_samples: Default synthetic platform size.
+        trainer_seeds: Default trainer seeds.
+    """
+
+    split: str
+    registry: Callable[[], ProvinceRegistry]
+    n_samples: int
+    trainer_seeds: tuple[int, ...]
+
+
+#: The platforms every paper artefact runs on, sized as the tracked
+#: ``benchmarks/results/`` were made.  ``extended`` has the 26 provinces
+#: of Table II/III's M, where the paper's S in {20, 10, 5} applies.
+PLATFORMS = {
+    "temporal": Platform("temporal", default_registry, 40_000, (0, 1, 2)),
+    "iid": Platform("iid", default_registry, 40_000, (0, 1, 2)),
+    "extended": Platform("temporal", extended_registry, 50_000, (0,)),
+}
+
+
+@dataclass(frozen=True)
 class ExperimentSettings:
     """Knobs shared by all experiments.
 
     Attributes:
-        n_samples: Synthetic platform size.  The 40k default keeps the whole
-            benchmark suite in minutes while preserving every qualitative
-            shape; raise toward ``GeneratorConfig.paper_scale()`` to match
-            the paper's data volume.
+        n_samples: Synthetic platform size; ``None`` takes the platform's
+            (40k on ``temporal``, which keeps the whole benchmark suite in
+            minutes while preserving every qualitative shape; raise toward
+            ``GeneratorConfig.paper_scale()`` to match the paper's data
+            volume).
         data_seed: Seed of the synthetic platform.
         trainer_seeds: Training is repeated for each seed and metrics are
-            averaged, absorbing sampling noise in the stochastic trainers.
-        split: "temporal" (paper's main protocol) or "iid" (Table VI).
-        generator_overrides: Extra :class:`GeneratorConfig` fields, e.g.
-            ``{"registry": extended_registry()}`` for Table II/III.
+            averaged, absorbing sampling noise in the stochastic trainers;
+            ``None`` takes the platform's.
+        platform: A :data:`PLATFORMS` key: its split, its provinces and
+            the defaults of ``n_samples`` and ``trainer_seeds``.
         n_jobs: Worker processes for the trainer×seed fan-out.  ``1``
             (default) runs serially; any value produces bit-identical
             :class:`MethodScores`, because seeds attach to tasks rather
             than workers.
     """
 
-    n_samples: int = 40_000
+    n_samples: int | None = None
     data_seed: int = 7
-    trainer_seeds: tuple[int, ...] = (0, 1, 2)
-    split: str = "temporal"
-    generator_overrides: dict = field(default_factory=dict)
+    trainer_seeds: tuple[int, ...] | None = None
+    platform: str = "temporal"
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.split not in ("temporal", "iid"):
-            raise ValueError("split must be 'temporal' or 'iid'")
+        if self.platform not in PLATFORMS:
+            raise ValueError(
+                f"platform must be one of {sorted(PLATFORMS)}, "
+                f"got {self.platform!r}"
+            )
+        defaults = PLATFORMS[self.platform]
+        if self.n_samples is None:
+            object.__setattr__(self, "n_samples", defaults.n_samples)
+        if self.trainer_seeds is None:
+            object.__setattr__(self, "trainer_seeds", defaults.trainer_seeds)
         if not self.trainer_seeds:
             raise ValueError("need at least one trainer seed")
         if self.n_jobs < 1:
@@ -153,12 +203,15 @@ class ExperimentContext:
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     @cached_property
+    def platform(self) -> Platform:
+        return PLATFORMS[self.settings.platform]
+
+    @cached_property
     def generator_config(self) -> GeneratorConfig:
-        return replace(
-            GeneratorConfig(
-                n_samples=self.settings.n_samples, seed=self.settings.data_seed
-            ),
-            **self.settings.generator_overrides,
+        return GeneratorConfig(
+            n_samples=self.settings.n_samples,
+            seed=self.settings.data_seed,
+            registry=self.platform.registry(),
         )
 
     @cached_property
@@ -167,7 +220,7 @@ class ExperimentContext:
 
     @cached_property
     def split(self) -> TrainTestSplit:
-        if self.settings.split == "temporal":
+        if self.platform.split == "temporal":
             return temporal_split(self.dataset)
         return iid_split(self.dataset, seed=self.settings.data_seed)
 
@@ -340,3 +393,60 @@ class ExperimentContext:
         encoded = self.extractor.transform(dataset)
         return dataset.by_province(
             result.predict_proba_grouped(encoded, dataset.provinces))
+
+
+class Experiment(NamedTuple):
+    """One paper artefact: the code that makes it and its platform.
+
+    Attributes:
+        module: Module under :mod:`repro.experiments`, imported on use.
+        run: The module's run function.
+        format: The module's formatter of what ``run`` returns.
+        takes: "context" (``run`` takes the :class:`ExperimentContext`) or
+            "dataset" (its generated :class:`LoanDataset`).
+        platform: The :data:`PLATFORMS` key it runs on.
+    """
+
+    module: str
+    run: str
+    format: str
+    takes: str
+    platform: str
+
+    def render(self, context: ExperimentContext) -> str:
+        """Run the artefact on ``context`` and return its formatted text."""
+        module = importlib.import_module(f"repro.experiments.{self.module}")
+        source = context.dataset if self.takes == "dataset" else context
+        return getattr(module, self.format)(getattr(module, self.run)(source))
+
+
+#: Experiment id -> artefact, in the paper's order.  Modules are named,
+#: not imported, so reading the table loads no artefact module.
+EXPERIMENTS = {
+    "fig1": Experiment("fig1_province_map", "run_fig1", "format_fig1",
+                       "context", "temporal"),
+    "fig4": Experiment("fig4_vehicle_mix", "run_fig4", "format_fig4",
+                       "dataset", "temporal"),
+    "fig5": Experiment("fig5_online", "run_fig5", "format_fig5",
+                       "context", "temporal"),
+    "table1": Experiment("table1_main", "run_table1", "format_table1",
+                         "context", "temporal"),
+    "table2": Experiment("table2_sampling", "run_table2", "format_table2",
+                         "context", "extended"),
+    "table3": Experiment("table3_timing", "run_table3", "format_table3",
+                         "context", "extended"),
+    "fig8": Experiment("table2_sampling", "run_training_curves",
+                       "format_curves", "context", "extended"),
+    "fig9": Experiment("fig9_mrq_length", "run_fig9", "format_fig9",
+                       "context", "temporal"),
+    "table4": Experiment("table4_gamma", "run_table4", "format_table4",
+                         "context", "temporal"),
+    "fig10": Experiment("fig10_guangdong_share", "run_fig10", "format_fig10",
+                        "dataset", "temporal"),
+    "table5": Experiment("table5_guangdong", "run_table5", "format_table5",
+                         "context", "temporal"),
+    "fig11": Experiment("fig11_hubei", "run_fig11", "format_fig11",
+                        "context", "temporal"),
+    "table6": Experiment("table6_iid", "run_table6", "format_table6",
+                         "context", "iid"),
+}

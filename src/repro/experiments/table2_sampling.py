@@ -87,7 +87,7 @@ class TrainingCurve:
 
 def run_training_curves(
     context: ExperimentContext,
-    every: int = 5,
+    every: int = 10,
     n_epochs: int = CURVE_EPOCHS,
 ) -> list[TrainingCurve]:
     """Track test KS per epoch for every variant (Fig 6 / Fig 8 series).

@@ -25,9 +25,10 @@ def run_table6(context: ExperimentContext) -> list[MethodScores]:
     """Seed-averaged Table VI rows on an i.i.d. split context.
 
     Args:
-        context: Must be built with ``ExperimentSettings(split="iid")``.
+        context: Must be built on an i.i.d.-split platform
+            (``ExperimentSettings(platform="iid")``).
     """
-    if context.settings.split != "iid":
+    if context.platform.split != "iid":
         raise ValueError("Table VI requires an i.i.d.-split context")
     small_s = sampling_levels(len(context.train_environments))[-1]
     specs = [(name, TrainerSpec.of(name)) for name in BASELINES]

@@ -42,6 +42,10 @@ _MAX_READ_RETRIES = 64
 #: The row's int64 counters, in storage order.
 COUNTERS = ("rows_scored", "batches")
 
+#: Heartbeat age in seconds beyond which :meth:`MetricsAggregator.liveness`
+#: reports a worker stale.
+_LIVENESS_TIMEOUT_S = 5.0
+
 
 def _empty_row() -> dict:
     """A zero row in :meth:`MetricsSlab.read_worker`'s sample shape."""
@@ -234,13 +238,10 @@ class MetricsAggregator:
 
     Args:
         slab: The slab to aggregate (parent's allocated handle).
-        liveness_timeout_s: Heartbeat age beyond which a worker is
-            reported stale in :meth:`liveness`.
     """
 
-    def __init__(self, slab: MetricsSlab, liveness_timeout_s: float = 5.0):
+    def __init__(self, slab: MetricsSlab):
         self.slab = slab
-        self.liveness_timeout_s = liveness_timeout_s
         self._retired = _empty_row()
         self._last_good: dict[int, dict] = {}
 
@@ -310,6 +311,6 @@ class MetricsAggregator:
             report[str(worker_id)] = {
                 "reporting": True,
                 "age_s": age,
-                "stale": age > self.liveness_timeout_s,
+                "stale": age > _LIVENESS_TIMEOUT_S,
             }
         return report

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
 from repro.data.dataset import LoanDataset
+from repro.experiments.runner import EXPERIMENTS
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,10 @@ class TestParser:
         parser = build_parser()
         for key in EXPERIMENTS:
             args = parser.parse_args(["experiment", key])
-            assert args.id == key
+            assert args.ids == [key]
+        args = parser.parse_args(["experiment", *EXPERIMENTS])
+        assert args.ids == list(EXPERIMENTS)
+        assert args.n_samples is None and args.trainer_seeds is None
 
     def test_scale_bench_args(self):
         args = build_parser().parse_args([
@@ -126,7 +130,8 @@ class TestExperimentAndList:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "LightMIRM" in out
-        assert "table1" in out
+        for key, experiment in EXPERIMENTS.items():
+            assert f"{key:7s} {experiment.platform:9s} " in out
 
     def test_fig10_experiment_runs(self, capsys):
         code = main([
@@ -144,6 +149,36 @@ class TestExperimentAndList:
         ])
         assert code == 0
         assert "Fig 4" in capsys.readouterr().out
+
+    def test_several_ids_print_in_order_from_one_dataset(self, capsys,
+                                                         monkeypatch):
+        from repro.data.generator import LoanDataGenerator
+
+        calls = []
+        generate = LoanDataGenerator.generate
+        monkeypatch.setattr(
+            LoanDataGenerator, "generate",
+            lambda self, *a, **k: calls.append(1) or generate(self, *a, **k),
+        )
+        assert main(["experiment", "fig4", "fig10",
+                     "--n-samples", "4000"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Fig 4: ")
+        assert "\n\nFig 10: " in out
+        assert out.index("Fig 4") < out.index("Fig 10")
+        assert len(calls) == 1
+
+    def test_table2_runs_on_the_extended_platform(self, capsys):
+        code = main([
+            "experiment", "table2", "--n-samples", "3000",
+            "--trainer-seeds", "0",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines()
+                if line.startswith("meta-IRM")]
+        assert rows == ["meta-IRM", "meta-IRM(20)", "meta-IRM(10)",
+                        "meta-IRM(5)"]
 
 
 class TestTune:

@@ -52,7 +52,7 @@ def tiny_context():
 def tiny_iid_context():
     return ExperimentContext(
         ExperimentSettings(n_samples=5_000, data_seed=1, trainer_seeds=(0,),
-                           split="iid")
+                           platform="iid")
     )
 
 
@@ -65,8 +65,8 @@ class TestRunnerPlumbing:
         assert len(tiny_context.test_environments) == 12
 
     def test_invalid_split_name(self):
-        with pytest.raises(ValueError):
-            ExperimentSettings(split="bootstrap")
+        with pytest.raises(ValueError, match="platform must be one of"):
+            ExperimentSettings(platform="bootstrap")
 
     def test_score_method_structure(self, tiny_context):
         from repro.train.registry import make_trainer
@@ -77,6 +77,50 @@ class TestRunnerPlumbing:
         row = scores.as_row()
         assert set(row) == {"method", "mKS", "wKS", "mAUC", "wAUC"}
         assert 0 <= row["wKS"] <= row["mKS"] <= 1
+
+
+class TestExperimentTable:
+    def test_platforms(self):
+        from repro.experiments.runner import EXPERIMENTS
+
+        on = {key: e.platform for key, e in EXPERIMENTS.items()}
+        assert on.pop("table6") == "iid"
+        assert [on.pop(key) for key in ("table2", "table3", "fig8")] == [
+            "extended"] * 3
+        assert set(on.values()) == {"temporal"}
+
+    def test_settings_take_platform_defaults_unless_given(self):
+        extended = ExperimentSettings(platform="extended")
+        assert (extended.n_samples, extended.trainer_seeds) == (50_000, (0,))
+        assert ExperimentSettings() == ExperimentSettings(
+            n_samples=40_000, trainer_seeds=(0, 1, 2), platform="temporal")
+        given = ExperimentSettings(platform="extended", n_samples=3_000,
+                                   trainer_seeds=(4, 5))
+        assert (given.n_samples, given.trainer_seeds) == (3_000, (4, 5))
+        context = ExperimentContext(given)
+        assert len(context.generator_config.registry.names) == 26
+
+    def test_reading_the_table_imports_no_artefact_module(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.experiments\n"
+            "assert len(repro.experiments.EXPERIMENTS) == 13\n"
+            "print(' '.join(m for m in sys.modules\n"
+            "               if m.startswith('repro.experiments')))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        ).stdout.split()
+        assert sorted(loaded) == ["repro.experiments",
+                                  "repro.experiments.runner"]
 
 
 class TestFig1:
@@ -91,6 +135,7 @@ class TestFig1:
 class TestFig4:
     def test_runs_and_formats(self, tiny_context):
         mixes = run_fig4(tiny_context.dataset)
+        assert tuple(mixes) == (2016, 2017, 2018, 2019, 2020)
         for year_mix in mixes.values():
             assert sum(year_mix.values()) == pytest.approx(1.0)
         assert "Fig 4" in format_fig4(mixes)

@@ -172,7 +172,7 @@ class TestAggregator:
         assert agg.aggregate()["counters"]["rows_scored"] == 40
 
     def test_liveness_reports_unwritten_and_stale_rows(self, slab):
-        agg = MetricsAggregator(slab, liveness_timeout_s=5.0)
+        agg = MetricsAggregator(slab)
         slab.writer(0).publish(_telemetry(rows=1, batches=1))
         slab.writer(1).publish(_telemetry(rows=1, batches=1))
         slab._arrays["heartbeat_unix"][1] -= 60.0   # old heartbeat

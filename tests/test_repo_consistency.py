@@ -35,18 +35,21 @@ class TestExperimentIndex:
         assert not missing, f"experiment modules without benchmarks: {missing}"
 
     def test_cli_experiments_resolve(self):
-        """Every CLI experiment id points at real module attributes."""
+        """Every experiment id points at real module attributes and a
+        platform."""
         import importlib
 
-        from repro.cli import EXPERIMENTS
+        from repro.experiments.runner import EXPERIMENTS, PLATFORMS
 
-        for key, (module_name, run_name, format_name, kind) in EXPERIMENTS.items():
+        assert len(EXPERIMENTS) == 13
+        for key, experiment in EXPERIMENTS.items():
             module = importlib.import_module(
-                f"repro.experiments.{module_name}"
+                f"repro.experiments.{experiment.module}"
             )
-            assert hasattr(module, run_name), (key, run_name)
-            assert hasattr(module, format_name), (key, format_name)
-            assert kind in ("context", "dataset")
+            assert callable(getattr(module, experiment.run)), key
+            assert callable(getattr(module, experiment.format)), key
+            assert experiment.takes in ("context", "dataset"), key
+            assert experiment.platform in PLATFORMS, key
 
 
 class TestExamples:
