@@ -640,6 +640,7 @@ def _serve_run(args: argparse.Namespace, tracer: Tracer) -> int:
           f"p99 {latency['p99'] * 1e3:.3f} ms")
     print(f"admission       admitted={snap['telemetry']['admitted']} "
           f"shed={snap['telemetry']['shed']} "
+          f"refused={snap['telemetry']['refused']} "
           f"errors={snap['telemetry']['errors']}")
     if guard is not None:
         state = guard.snapshot()

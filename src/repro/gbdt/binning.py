@@ -26,11 +26,12 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.numerics import check_finite
+
 __all__ = ["QuantileBinner", "ReservoirSampler", "StreamedFit"]
 
 _EMPTY = "cannot fit a binner on zero rows"
 _CHANGED = "stream changed between passes"
-_NOT_FINITE = "features must be finite"
 
 
 def _target_quantiles(max_bins: int) -> np.ndarray:
@@ -391,9 +392,7 @@ class QuantileBinner:
             column = self._as_float(column)
             if column.size == 0:
                 raise ValueError(_EMPTY)
-            low, high = column.min(), column.max()
-            if not (np.isfinite(low) and np.isfinite(high)):
-                raise ValueError(_NOT_FINITE)
+            low, high = check_finite(column)
             # method="lower" keeps candidates on observed values, so
             # columns with few distinct values get exactly that many bins
             # instead of interpolated pseudo-edges.
@@ -489,10 +488,5 @@ class QuantileBinner:
         features = cls._as_float(features)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        # Two reductions, no (n, d) bool mask: NaN propagates through
-        # both, and +inf/-inf surface in max/min respectively.
-        if features.size and not (
-            np.isfinite(features.min()) and np.isfinite(features.max())
-        ):
-            raise ValueError(_NOT_FINITE)
+        check_finite(features)
         return features

@@ -3,14 +3,17 @@
 The logistic function and the binary cross-entropy appear in three places
 (the GBDT boosting objective, the LR head, and the synthetic label model);
 this module is the single implementation all of them import, so the exact
-clipping/branching behaviour cannot drift between components.
+clipping/branching behaviour cannot drift between components; the same
+holds for the raw-feature finiteness test, :func:`check_finite`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["sigmoid", "binary_cross_entropy"]
+__all__ = ["sigmoid", "binary_cross_entropy", "check_finite"]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -43,3 +46,17 @@ def binary_cross_entropy(labels: np.ndarray, probabilities: np.ndarray) -> float
             + (1.0 - labels) * np.log(1.0 - probabilities)
         )
     )
+
+
+def check_finite(values: np.ndarray) -> tuple | None:
+    """Raise ``ValueError`` unless every value is finite; else ``(min, max)``.
+
+    NaN propagates through min and max and ±inf surfaces in one, so no
+    mask of ``values``' shape is built.  Empty input passes (``None``).
+    """
+    if not values.size:
+        return None
+    low, high = values.min(), values.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError("features must be finite")
+    return low, high

@@ -9,6 +9,8 @@ module is shared, only the LR learning paradigm differs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data.dataset import EnvironmentData, LoanDataset
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams, fit_holdout
 from repro.gbdt.leaf_encoder import (
@@ -61,11 +63,17 @@ class GBDTFeatureExtractor:
         :func:`~repro.data.splits.validation_split`'s order (seed 0); see
         :func:`~repro.gbdt.boosting.fit_holdout`.
         """
-        self.model_, _ = fit_holdout(self.params, [train.features],
-                                     train.labels, self.validation_fraction,
-                                     seed=0)
-        self.encoder_ = LeafIndexEncoder(self.model_)
+        self.fit_and_bin(train)
         return self
+
+    def fit_and_bin(self, train: LoanDataset) -> np.ndarray:
+        """:meth:`fit`, returning ``model_.bin_features(train.features)``
+        (the fit's own binning pass; no second one)."""
+        self.model_, binned = fit_holdout(
+            self.params, [train.features], train.labels,
+            self.validation_fraction, seed=0)
+        self.encoder_ = LeafIndexEncoder(self.model_)
+        return binned
 
     def transform(self, dataset: LoanDataset) -> LeafDesign:
         """Encode all rows of a dataset into the multi-hot leaf space."""
@@ -74,10 +82,13 @@ class GBDTFeatureExtractor:
         binned = self.model_.bin_features(dataset.features)
         return self.encoder_.transform_binned(binned)
 
-    def encode_environments(self, dataset: LoanDataset) -> list[EnvironmentData]:
-        """Per-province environments in the encoded space, sorted by name."""
+    def encode_environments(self, dataset: LoanDataset,
+                            binned=None) -> list[EnvironmentData]:
+        """Per-province environments in the encoded space, sorted by name
+        (``binned``: ``dataset``'s bins from :meth:`fit_and_bin`, if any)."""
         self._check_fitted()
-        binned = self.model_.bin_features(dataset.features)
+        if binned is None:
+            binned = self.model_.bin_features(dataset.features)
         return leaf_encode_environments(self.model_, binned, (
             (name, rows, dataset.labels[rows])
             for name, rows in dataset.province_rows().items()

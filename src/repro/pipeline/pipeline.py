@@ -103,9 +103,10 @@ class LoanDefaultPipeline:
         # is mirrored into the log (the trainer re-attaches harmlessly).
         tracer.attach_timer(timer)
         with tracer.span("pipeline.fit", trainer=self.trainer.name):
+            binned = None  # the fit's train bins, when it happens here
             if not self.extractor.is_fitted:
                 start = time.perf_counter()
-                self.extractor.fit(train)
+                binned = self.extractor.fit_and_bin(train)
                 tracer.record_span(
                     "gbdt.boosting.fit", time.perf_counter() - start,
                     rows=train.n_samples, trees=self.gbdt_.n_trees_fitted,
@@ -113,7 +114,9 @@ class LoanDefaultPipeline:
             with tracer.span("pipeline.encode_environments",
                              rows=train.n_samples):
                 with timer.step("transforming_format"):
-                    environments = self.extractor.encode_environments(train)
+                    environments = self.extractor.encode_environments(
+                        train, binned)
+            del binned  # not held while the head trains
             self.result_ = self.trainer.fit(
                 environments, callback=callback, timer=timer, tracer=tracer
             )

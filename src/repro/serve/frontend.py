@@ -5,10 +5,10 @@
 memory (:mod:`repro.serve.shm_publish`) and workers attach zero-copy
 views.  Each worker drains up to ``max_batch_size`` queued requests and
 scores them in one call to its own
-:class:`~repro.serve.service.ScoringService` over the shared arrays.  The
-parent side is asyncio-friendly — :meth:`ScoringFrontend.score` awaits a
-result — but every primitive is also callable synchronously through
-:class:`FrontendTicket`, so benches, the CLI and tests need no event loop.
+:class:`~repro.serve.service.ScoringService` over the shared arrays.  A
+:class:`FrontendTicket` resolves for sync callers (``result``) and
+asyncio ones (``await ticket.wait()``), so benches, the CLI and tests
+need no event loop.
 
 Operating contract:
 
@@ -24,8 +24,9 @@ Operating contract:
 * **Fault isolation.**  A worker death mid-batch re-dispatches that
   worker's in-flight requests to surviving workers (or resolves them with
   an error naming the dead worker when none survive) and respawns the
-  worker.  A poison row (non-finite values, wrong width) fails *only its
-  own request* — the rest of the drained batch is rescored row-by-row.
+  worker.  A poison row (not a finite ``(n_features,)`` vector) is
+  refused in :meth:`ScoringFrontend.submit`, before the drift guard or a
+  worker sees it: it fails *only its own request*, at once.
 * **Bit-identity.**  Scores are exactly single-process
   ``ScoringService.predict_proba`` for every worker count: batching and
   fan-out change when/where a score is computed, never its value.
@@ -44,7 +45,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import multiprocessing
-import os
 import queue as queue_mod
 import threading
 import time
@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.numerics import check_finite
 from repro.obs.live.slab import MetricsAggregator, MetricsSlab
 from repro.parallel.engine import default_start_method
 from repro.parallel.shared import PackSpec
@@ -82,6 +83,11 @@ ERROR = "error"
 _POLL_TIMEOUT_S = 0.02
 #: Parent-side wait for worker startup handshakes.
 _READY_TIMEOUT_S = 30.0
+#: Collector cadence for the SLO feed and health evaluation.
+_LIVE_POLL_INTERVAL_S = 0.25
+#: Slower resolutions count against the ``latency`` SLO (rounded up to a
+#: latency bucket edge).
+_SLO_LATENCY_BOUND_S = 0.3
 
 
 @dataclass(frozen=True)
@@ -98,13 +104,8 @@ class FrontendConfig:
             default (``fork`` where available).
         live_metrics: Allocate the shared-memory metrics slab and have
             each worker publish its service telemetry after every batch
-            (plus heartbeats while idle).  Off by default — the disabled
-            path is byte-for-byte the PR 7 behaviour.
-        live_poll_interval_s: Parent collector cadence for aggregating
-            slabs, feeding the SLO tracker and evaluating health.
-        slo_latency_bound_s: Request latency above this bound counts
-            against the latency SLO (from histogram bucket deltas, so
-            the bound is effectively rounded up to a bucket edge).
+            (plus heartbeats while idle).  Off by default; the disabled
+            path allocates no slab and publishes nothing.
     """
 
     n_workers: int = 2
@@ -112,8 +113,6 @@ class FrontendConfig:
     max_queue: int = 1024
     start_method: str | None = None
     live_metrics: bool = False
-    live_poll_interval_s: float = 0.25
-    slo_latency_bound_s: float = 0.3
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -122,8 +121,6 @@ class FrontendConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.live_poll_interval_s <= 0:
-            raise ValueError("live_poll_interval_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -174,10 +171,11 @@ class FrontendTicket:
 
 
 def _resolve_batch(services: dict, batch: list) -> list[tuple]:
-    """Score one drained batch, grouped by generation, poison-isolated.
+    """Score one drained batch with one call per generation group.
 
-    Returns response tuples ``(req_id, status, value, generation)`` in
-    the same order requests were drained.
+    A call that raises fails its whole group (admission has refused
+    malformed rows).  Returns response tuples ``(req_id, status, value,
+    generation)`` in the same order requests were drained.
     """
     responses: dict[int, tuple] = {}
     by_generation: dict[int, list[tuple[int, np.ndarray]]] = {}
@@ -186,31 +184,19 @@ def _resolve_batch(services: dict, batch: list) -> list[tuple]:
     for generation, members in by_generation.items():
         service = services.get(generation)
         if service is None:
-            for req_id, _ in members:
-                responses[req_id] = (
-                    req_id, ERROR,
-                    f"generation {generation} is not loaded in this worker",
-                    generation,
-                )
-            continue
-        try:
-            rows = np.stack([row for _, row in members])
-            scores = service.score_batch(rows)
-            for (req_id, _), score in zip(members, scores.tolist()):
-                responses[req_id] = (req_id, OK, score, generation)
-        except Exception:
-            # Poison isolation: rescore row-by-row so the blast radius is
-            # exactly the failing request(s).
-            for req_id, row in members:
-                try:
-                    score = float(service.score_batch(row[None, :])[0])
-                    responses[req_id] = (req_id, OK, score, generation)
-                except Exception as exc:  # noqa: BLE001 - shipped as context
-                    responses[req_id] = (
-                        req_id, ERROR,
-                        f"request {req_id} failed scoring: {exc!r}",
-                        generation,
-                    )
+            status = ERROR
+            values = [f"generation {generation} is not loaded in this "
+                      f"worker"] * len(members)
+        else:
+            try:
+                values = service.score_batch(
+                    np.stack([row for _, row in members])).tolist()
+                status = OK
+            except Exception as exc:  # noqa: BLE001 - shipped as context
+                status = ERROR
+                values = [f"scoring failed: {exc!r}"] * len(members)
+        for (req_id, _), value in zip(members, values):
+            responses[req_id] = (req_id, status, value, generation)
     return [responses[req_id] for req_id, _, __ in batch]
 
 
@@ -244,7 +230,7 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
 
     for generation, spec in initial:
         load(generation, spec)
-    response_q.put(("ready", worker_id, os.getpid()))
+    response_q.put(("ready", worker_id))
     if slab_writer is not None:
         slab_writer.publish(telemetry)  # row live before traffic
 
@@ -319,7 +305,6 @@ class _WorkerHandle:
         self.process = process
         self.request_q = request_q
         self.control_q = control_q
-        self.ready = False
 
     @property
     def alive(self) -> bool:
@@ -337,10 +322,7 @@ class ScoringFrontend:
         results = [t.result(timeout=30) for t in tickets]
         frontend.stop()
 
-    Usage (asyncio)::
-
-        async with contextlib.aclosing(...)  # or try/finally frontend.stop()
-            result = await frontend.score(row)
+    Asyncio callers ``await frontend.submit(row).wait()``.
 
     Args:
         model: The initial champion scorer (published as generation 0).
@@ -356,8 +338,8 @@ class ScoringFrontend:
         slo_tracker: Optional :class:`~repro.obs.live.SLOTracker`; the
             collector feeds objectives named ``"admission"`` (bad =
             sheds) and ``"latency"`` (bad = resolutions slower than
-            ``config.slo_latency_bound_s``) from telemetry deltas each
-            live tick, when those objectives are configured.
+            ``_SLO_LATENCY_BOUND_S``) from telemetry deltas each live
+            tick, when those objectives are configured.
         health_monitor: Optional :class:`~repro.obs.live.HealthMonitor`
             evaluated each live tick with the signals described in
             ``docs/serving.md`` (score_psi, feature_psi, mean_shift,
@@ -456,7 +438,7 @@ class ScoringFrontend:
 
     def _await_ready(self) -> None:
         deadline = time.monotonic() + _READY_TIMEOUT_S
-        pending = {w.worker_id for w in self._workers if not w.ready}
+        pending = {w.worker_id for w in self._workers}
         while pending and time.monotonic() < deadline:
             try:
                 message = self._response_q.get(timeout=0.1)
@@ -464,9 +446,6 @@ class ScoringFrontend:
                 continue
             if message[0] == "ready":
                 pending.discard(message[1])
-                for worker in self._workers:
-                    if worker.worker_id == message[1]:
-                        worker.ready = True
         if pending:
             self.stop()
             raise RuntimeError(
@@ -546,8 +525,10 @@ class ScoringFrontend:
 
         Returns:
             A ticket.  Refusals — queue overflow (:data:`OVERLOADED`) and
-            malformed rows — come back already resolved; nothing is
-            silently dropped.
+            malformed rows (not a finite ``(n_features,)`` vector,
+            :data:`ERROR`) — come back already resolved; nothing is
+            silently dropped.  A malformed row never reaches the drift
+            guard or a worker.
         """
         if not self._started or self._stopping:
             raise RuntimeError("frontend is not running")
@@ -562,6 +543,7 @@ class ScoringFrontend:
                     f"expected a ({self._n_features},) feature row, "
                     f"got shape {row.shape}"
                 )
+            check_finite(row)
         except Exception as exc:  # noqa: BLE001 - refusal with context
             self.telemetry.record_refused()
             future.set_result(
@@ -621,15 +603,6 @@ class ScoringFrontend:
         worker.request_q.put(
             (request_id, entry["row"], entry["generation"])
         )
-
-    async def score(self, row: np.ndarray) -> FrontendResult:
-        """Asyncio request path: admit and await the result."""
-        return await self.submit(row).wait()
-
-    async def score_many(self, rows: np.ndarray) -> list[FrontendResult]:
-        """Admit a stream of rows and await all results (asyncio)."""
-        tickets = [self.submit(row) for row in rows]
-        return list(await asyncio.gather(*(t.wait() for t in tickets)))
 
     def score_stream(self, rows: np.ndarray,
                      timeout: float | None = 60.0,
@@ -705,10 +678,6 @@ class ScoringFrontend:
             if message[0] == "results":
                 for req_id, status, value, generation in message[2]:
                     self._resolve(req_id, status, value, generation)
-            elif message[0] == "ready":
-                for worker in self._workers:
-                    if worker.worker_id == message[1]:
-                        worker.ready = True
             self._live_tick()
 
     def _resolve(self, request_id: int, status: str, value,
@@ -783,7 +752,7 @@ class ScoringFrontend:
         if self.slo_tracker is None and self.health_monitor is None:
             return
         now = time.monotonic()
-        if now - self._last_tick < self.config.live_poll_interval_s:
+        if now - self._last_tick < _LIVE_POLL_INTERVAL_S:
             return
         self._last_tick = now
         try:
@@ -798,7 +767,7 @@ class ScoringFrontend:
         sample = self.telemetry.snapshot()
         # This thread is request_latency's only writer: no lock needed.
         sample["slow"] = self.telemetry.request_latency.count_above(
-            self.config.slo_latency_bound_s)
+            _SLO_LATENCY_BOUND_S)
         previous = self._last_frontend_sample
         self._last_frontend_sample = sample
         if previous is None:

@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from repro.numerics import check_finite
 from repro.persist.artifacts import ScoringModel
 from repro.serve.degradation import DriftGuard
 from repro.serve.registry import CHALLENGER, CHAMPION, ModelRegistry
@@ -85,7 +86,8 @@ class ScoringService:
 
         Drift-guard accumulation, challenger routing with champion
         fallback and telemetry all happen here; this is the one request
-        path.
+        path.  A batch that is not 2-D or holds a NaN or ±inf raises
+        ``ValueError`` before the drift guard observes it.
 
         Args:
             rows: ``(n, d)`` raw feature matrix.
@@ -97,6 +99,7 @@ class ScoringService:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError(f"expected an (n, d) matrix, got {rows.shape}")
+        check_finite(rows)
         start = time.perf_counter()
 
         slot = CHAMPION

@@ -178,6 +178,48 @@ class TestExtractorMatchesFloatCopies:
                 reference_extractor(params, small_split.train, fraction))
 
 
+class TestPipelineBinsTrainRowsOnce:
+    """A pipeline fitting its own extractor encodes from the fit's bins."""
+
+    def test_one_binning_pass_and_the_same_theta(self, small_split,
+                                                 monkeypatch):
+        from repro.core.config import LightMIRMConfig
+        from repro.core.lightmirm import LightMIRMTrainer
+        from repro.pipeline.pipeline import LoanDefaultPipeline
+
+        def trainer():
+            return LightMIRMTrainer(LightMIRMConfig(n_epochs=3))
+
+        params = PARAMS["early_stopping"]
+        train = small_split.train
+        prefit = GBDTFeatureExtractor(params).fit(train)
+        want = LoanDefaultPipeline(trainer(), extractor=prefit).fit(train)
+
+        transformed = []
+        original = QuantileBinner.transform
+
+        def spy(self, features):
+            transformed.append(features.shape[0])
+            return original(self, features)
+
+        monkeypatch.setattr(QuantileBinner, "transform", spy)
+        got = LoanDefaultPipeline(trainer(), gbdt_params=params).fit(train)
+        assert transformed == [train.n_samples]
+        assert_same_model(got.gbdt_, want.gbdt_)
+        assert_same_array(got.result_.theta, want.result_.theta)
+
+    def test_fit_and_bin_returns_the_bins_of_the_train_rows(self,
+                                                            small_split):
+        train = small_split.train
+        extractor = GBDTFeatureExtractor(PARAMS["early_stopping"])
+        binned = extractor.fit_and_bin(train)
+        assert_same_array(binned,
+                          extractor.model_.bin_features(train.features))
+        assert_same_environments(
+            extractor.encode_environments(train, binned),
+            extractor.encode_environments(train))
+
+
 class TestTunerMatchesFloatCopies:
     @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
     @pytest.mark.parametrize("dtypes", [

@@ -114,7 +114,7 @@ class TestServeRun:
         assert "scored 200/200 rows" in out
         assert "across 2 workers" in out
         assert "p99" in out
-        assert "admitted=200" in out
+        assert "admitted=200 shed=0 refused=0 errors=0" in out
 
     def test_drift_guard_reported(self, registry_root, dataset_file,
                                   capsys):

@@ -147,6 +147,27 @@ class TestFallbackOrdering:
         assert service.telemetry.fallbacks == {"drift_guard": 1}
 
 
+class TestRefusedBatchLeavesTheGuard:
+    """A batch the service refuses is never counted by the drift guard."""
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_guard_state_unchanged_after_a_refused_batch(self, poison):
+        guard = make_guard(min_rows=50)
+        service = ScoringService(ConstantModel(0.25), drift_guard=guard)
+        service.score_batch(steady_rows(300))
+        seen, psi = guard.stream.n_rows_seen, guard.stream.max_psi()
+        # searchsorted puts NaN and +inf in the top PSI cell and -inf in
+        # the bottom one: counting these rows would lift max PSI from
+        # 0.048 to 0.158 (NaN, +inf) or 0.217 (-inf).
+        rows = steady_rows(60, seed=3)
+        rows[:, 2] = poison
+        with pytest.raises(ValueError, match="finite"):
+            service.score_batch(rows)
+        assert guard.stream.n_rows_seen == seen
+        assert guard.stream.max_psi() == psi
+        assert service.telemetry.batches == 1
+
+
 class TestGuardHealthInterplay:
     """The front-end reports guard PSI as a health signal, gated on warm-up."""
 

@@ -2,11 +2,13 @@
 
 Every failure mode a production scorer must survive, injected
 deterministically: a worker killed mid-batch (in-flight requests requeue
-or error *with context*, never hang), a poison request inside a
-micro-batch (blast radius is exactly that request), and queue overflow
-(backpressure sheds with an explicit Overloaded result, never silently).
+or error *with context*, never hang), a poison request among clean ones
+(refused at admission, so its blast radius is exactly that request), and
+queue overflow (backpressure sheds with an explicit Overloaded result,
+never silently).
 """
 
+import asyncio
 import os
 import signal
 import time
@@ -16,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.monitor.streaming import StreamingPSI
+from repro.serve.degradation import DriftGuard
 from repro.serve.frontend import (
     _POLL_TIMEOUT_S,
     ERROR,
@@ -88,14 +92,9 @@ class TestWorkerDeath:
         assert frontend.telemetry.worker_deaths >= 1
 
 
-#: One drained request: (generation, pool row index, poison value or
-#: None, poisoned column).  Generation 2 is never loaded.
-_REQUEST = st.tuples(
-    st.sampled_from([0, 1, 2]),
-    st.integers(0, 299),
-    st.sampled_from([None, None, None, np.nan, np.inf, -np.inf]),
-    st.integers(0, 39),
-)
+#: One drained request: (generation, pool row index).  Generation 2 is
+#: never loaded.
+_REQUEST = st.tuples(st.sampled_from([0, 1, 2]), st.integers(0, 299))
 
 
 class TestResolveBatch:
@@ -103,41 +102,142 @@ class TestResolveBatch:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(requests=st.lists(_REQUEST, min_size=1, max_size=40))
-    def test_scores_poison_and_order(self, requests, scoring_model,
-                                     scoring_model_alt, request_rows):
+    def test_generations_order_and_one_call_per_group(
+            self, requests, scoring_model, scoring_model_alt, request_rows):
         models = {0: scoring_model, 1: scoring_model_alt}
         services = {g: ScoringService(m) for g, m in models.items()}
-        batch = []
-        for i, (generation, index, poison, column) in enumerate(requests):
-            row = request_rows[index].copy()
-            if poison is not None:
-                row[column % row.shape[0]] = poison
-            batch.append((1000 + 7 * i, row, generation))
+        batch = [(1000 + 7 * i, request_rows[index], generation)
+                 for i, (generation, index) in enumerate(requests)]
 
         responses = _resolve_batch(services, batch)
 
         assert [r[0] for r in responses] == [req_id for req_id, _, __ in batch]
-        groups: dict[int, list[bool]] = {}
         for (req_id, row, generation), response in zip(batch, responses):
             _, status, value, got_generation = response
             assert got_generation == generation
-            clean = bool(np.isfinite(row).all())
-            groups.setdefault(generation, []).append(clean)
             if generation not in models:
                 assert status == ERROR and "not loaded" in value
-            elif not clean:
-                assert status == ERROR and "finite" in value
             else:
                 assert status == OK
                 assert value == models[generation].predict_proba(
                     row[None])[0]
+        drained = {generation for _, __, generation in batch}
         for generation, service in services.items():
-            cleans = groups.get(generation, [])
-            # One scoring call per clean group; a poisoned group rescores
-            # its clean rows one by one.
-            expected = (0 if not cleans else 1 if all(cleans)
-                        else sum(cleans))
-            assert service.telemetry.batches == expected
+            assert service.telemetry.batches == int(generation in drained)
+
+    def test_a_raising_call_fails_its_whole_group_as_one(
+            self, scoring_model, scoring_model_alt, request_rows):
+        # A NaN row that bypasses admission makes its group's one
+        # score_batch call raise; the other group scores untouched.
+        poison = request_rows[2].copy()
+        poison[5] = np.nan
+        services = {0: ScoringService(scoring_model),
+                    1: ScoringService(scoring_model_alt)}
+        calls = {0: 0, 1: 0}
+        for generation, service in services.items():
+            def counted(rows, _score=service.score_batch, _g=generation):
+                calls[_g] += 1
+                return _score(rows)
+            service.score_batch = counted
+        batch = [(10, request_rows[0], 0), (11, request_rows[1], 1),
+                 (12, poison, 0), (13, request_rows[3], 1),
+                 (14, request_rows[4], 0)]
+
+        responses = _resolve_batch(services, batch)
+
+        assert calls == {0: 1, 1: 1}
+        assert [r[0] for r in responses] == [10, 11, 12, 13, 14]
+        for req_id, status, value, generation in responses:
+            if generation == 0:
+                assert status == ERROR
+                assert value.startswith("scoring failed:")
+                assert "finite" in value
+            else:
+                assert status == OK
+        assert [r[2] for r in responses if r[3] == 1] == list(
+            scoring_model_alt.predict_proba(request_rows[[1, 3]]))
+
+
+#: One submitted row: (kind, pool row index, column).  A non-finite kind
+#: writes that value into the column; "short"/"long" change the width.
+_NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+_SUBMISSION = st.tuples(
+    st.sampled_from(["clean", "clean", "clean", "nan", "inf", "-inf",
+                     "short", "long"]),
+    st.integers(0, 299),
+    st.integers(0, 1000),
+)
+
+
+def _submitted_row(pool_row: np.ndarray, kind: str,
+                   column: int) -> np.ndarray:
+    width = pool_row.shape[0]
+    if kind == "short":
+        return pool_row[:column % width]
+    if kind == "long":
+        return np.concatenate([pool_row, pool_row[:1 + column % 3]])
+    row = pool_row.copy()
+    if kind in _NON_FINITE:
+        row[column % width] = _NON_FINITE[kind]
+    return row
+
+
+class TestAdmission:
+    """Input is checked once, in ``submit``: no malformed row gets past."""
+
+    def test_malformed_rows_are_refused_at_once(self, scoring_model,
+                                                request_rows):
+        guard = DriftGuard(StreamingPSI.from_baseline(request_rows,
+                                                      n_bins=10))
+        frontend = ScoringFrontend(
+            scoring_model,
+            FrontendConfig(n_workers=1, max_batch_size=64,
+                           max_queue=100_000),
+            drift_guard=guard,
+        ).start()
+        clean_tickets: list = []
+        clean_rows: list[int] = []
+        try:
+            frontend.pause_workers()
+            _settle(frontend)
+
+            @settings(max_examples=40, deadline=None, derandomize=True)
+            @given(submissions=st.lists(_SUBMISSION, min_size=1,
+                                        max_size=30))
+            def admit(submissions):
+                for kind, index, column in submissions:
+                    row = _submitted_row(request_rows[index], kind, column)
+                    refused = frontend.telemetry.refused
+                    ticket = frontend.submit(row)
+                    if kind == "clean":
+                        # The paused worker holds every admitted row.
+                        assert not ticket.done
+                        clean_tickets.append(ticket)
+                        clean_rows.append(index)
+                        continue
+                    assert ticket.done
+                    result = ticket.result(timeout=0)
+                    assert result.status == ERROR
+                    assert result.context.startswith("malformed request:")
+                    assert ("finite" if kind in _NON_FINITE
+                            else "feature row") in result.context
+                    assert frontend.telemetry.refused == refused + 1
+                    assert guard.stream.n_rows_seen == len(clean_rows)
+
+            admit()
+            frontend.resume_workers()
+            results = [t.result(timeout=60) for t in clean_tickets]
+        finally:
+            frontend.stop()
+
+        assert [r.status for r in results] == [OK] * len(clean_rows)
+        np.testing.assert_array_equal(
+            np.array([r.score for r in results]),
+            scoring_model.predict_proba(request_rows[clean_rows]),
+        )
+        snap = frontend.telemetry.snapshot()
+        assert snap["admitted"] == len(clean_rows)
+        assert snap["errors"] == 0
 
 
 class TestPoisonRequest:
@@ -226,14 +326,16 @@ class TestBackpressure:
 
 
 class TestAsyncioSurface:
-    def test_score_many_resolves_through_the_event_loop(self, scoring_model,
-                                                        request_rows):
-        import asyncio
+    def test_tickets_resolve_through_the_event_loop(self, scoring_model,
+                                                    request_rows):
+        async def score_all(rows):
+            tickets = [frontend.submit(row) for row in rows]
+            return await asyncio.gather(*(t.wait() for t in tickets))
 
         rows = request_rows[:32]
         frontend = _start(scoring_model, n_workers=2)
         try:
-            results = asyncio.run(frontend.score_many(rows))
+            results = asyncio.run(score_all(rows))
         finally:
             frontend.stop()
         assert all(r.ok for r in results)

@@ -2,7 +2,7 @@
 
 The front-end's ``latency`` objective counts slow resolutions from the
 ``request_latency`` histogram's buckets, so a resolution is "slow" when
-its bucket's upper bound exceeds ``slo_latency_bound_s`` (the +Inf
+its bucket's upper bound exceeds ``_SLO_LATENCY_BOUND_S`` (the +Inf
 overflow bucket included).  Every serving histogram view — per-worker
 batch latency, the front-end's request latency and the merged
 cross-worker batch latency — speaks the one
@@ -16,6 +16,7 @@ import pytest
 
 from repro.obs.live import SLOConfig, SLOTracker
 from repro.obs.metrics import LATENCY_BUCKETS
+from repro.serve import frontend as frontend_module
 from repro.serve.frontend import FrontendConfig, ScoringFrontend
 from repro.serve.telemetry import FrontendTelemetry, ServingTelemetry
 
@@ -43,12 +44,10 @@ class TestLatencySLOFeed:
         (20.0, 2),    # past the last edge: the overflow still is
     ])
     def test_bad_count_is_resolutions_in_slower_buckets(
-            self, scoring_model, bound, expected_bad):
+            self, scoring_model, bound, expected_bad, monkeypatch):
+        monkeypatch.setattr(frontend_module, "_SLO_LATENCY_BOUND_S", bound)
         tracker = SLOTracker([SLOConfig("latency", error_budget=0.05)])
-        frontend = ScoringFrontend(
-            scoring_model, FrontendConfig(slo_latency_bound_s=bound),
-            slo_tracker=tracker,
-        )
+        frontend = ScoringFrontend(scoring_model, slo_tracker=tracker)
         latency = frontend.telemetry.request_latency
         for seconds in (5.0, 5.0, 0.5):   # before the baseline: not fed
             latency.observe(seconds)

@@ -30,14 +30,20 @@ from repro.obs.runlog import (
     RunLogReader,
 )
 from repro.obs.tracer import Tracer
+from repro.serve import frontend as frontend_module
 from repro.serve.degradation import DriftGuard
 from repro.serve.frontend import FrontendConfig, ScoringFrontend
 
 
+@pytest.fixture(autouse=True)
+def _fast_live_ticks(monkeypatch):
+    """Tick the collector's live plane every 10 ms instead of 250 ms."""
+    monkeypatch.setattr(frontend_module, "_LIVE_POLL_INTERVAL_S", 0.01)
+
+
 def _start_live(model, n_workers=4, **kwargs):
     config = FrontendConfig(n_workers=n_workers, max_batch_size=16,
-                            live_metrics=True,
-                            live_poll_interval_s=0.01)
+                            live_metrics=True)
     return ScoringFrontend(model, config, **kwargs).start()
 
 
