@@ -225,12 +225,22 @@ class ExperimentContext:
         return iid_split(self.dataset, seed=self.settings.data_seed)
 
     @cached_property
-    def extractor(self) -> GBDTFeatureExtractor:
-        return GBDTFeatureExtractor().fit(self.split.train)
+    def _fitted(self) -> tuple[GBDTFeatureExtractor, list[EnvironmentData]]:
+        """The extractor fitted on the train rows, and the train
+        environments encoded from the fit's own bins: one binning pass,
+        and the bins are dropped when the encode is done."""
+        extractor = GBDTFeatureExtractor()
+        binned = extractor.fit_and_bin(self.split.train)
+        return extractor, extractor.encode_environments(self.split.train,
+                                                        binned)
 
-    @cached_property
+    @property
+    def extractor(self) -> GBDTFeatureExtractor:
+        return self._fitted[0]
+
+    @property
     def train_environments(self) -> list[EnvironmentData]:
-        return self.extractor.encode_environments(self.split.train)
+        return self._fitted[1]
 
     @cached_property
     def test_environments(self) -> list[EnvironmentData]:
@@ -390,9 +400,8 @@ class ExperimentContext:
     def scores_by_environment(self, result: TrainResult,
                               dataset: LoanDataset) -> dict[str, np.ndarray]:
         """Model scores grouped by province for an arbitrary dataset slice."""
-        encoded = self.extractor.transform(dataset)
         return dataset.by_province(
-            result.predict_proba_grouped(encoded, dataset.provinces))
+            self.extractor.predict_proba(dataset, result))
 
 
 class Experiment(NamedTuple):

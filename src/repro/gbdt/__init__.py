@@ -1,4 +1,5 @@
-"""From-scratch histogram GBDT (LightGBM substitute) and leaf encoder."""
+"""From-scratch histogram GBDT (LightGBM substitute), leaf encoder and
+the compiled GBDT+LR scorer."""
 
 from repro._lazy import lazy_exports
 
@@ -15,4 +16,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "tree": ("DecisionTree", "SplitInfo", "TreeParams"),
     "forest": ("Forest",),
+    "scorer": ("CompiledScorer",),
 })

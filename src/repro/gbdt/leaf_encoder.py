@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.data.dataset import EnvironmentData
 from repro.gbdt.boosting import GBDTClassifier
+from repro.numerics import tree_order_sum
 
 __all__ = [
     "LeafDesign", "LeafIndexEncoder", "encode_leaf_matrix",
@@ -79,11 +80,7 @@ class LeafDesign:
 
     def __matmul__(self, theta: np.ndarray) -> np.ndarray:
         """``X θ`` as a 1-D array, adding each row's terms in tree order."""
-        gathered = np.asarray(theta).take(self.columns)
-        if gathered.shape[1] == 1:
-            # One row would reduce pairwise; accumulate stays sequential.
-            return np.add.accumulate(gathered, axis=0)[-1]
-        return np.add.reduce(gathered, axis=0)
+        return tree_order_sum(np.asarray(theta).take(self.columns))
 
     @staticmethod
     def vstack(blocks: Sequence[LeafDesign]) -> LeafDesign:

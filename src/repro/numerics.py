@@ -4,7 +4,10 @@ The logistic function and the binary cross-entropy appear in three places
 (the GBDT boosting objective, the LR head, and the synthetic label model);
 this module is the single implementation all of them import, so the exact
 clipping/branching behaviour cannot drift between components; the same
-holds for the raw-feature finiteness test, :func:`check_finite`.
+holds for the raw-feature finiteness test, :func:`check_finite`, and for
+the order the GBDT+LR logit adds its trees' terms in,
+:func:`tree_order_sum` (the leaf design's ``X θ`` and the compiled
+scorer).
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import math
 
 import numpy as np
 
-__all__ = ["sigmoid", "binary_cross_entropy", "check_finite"]
+__all__ = [
+    "sigmoid", "binary_cross_entropy", "check_finite", "tree_order_sum",
+]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -60,3 +65,14 @@ def check_finite(values: np.ndarray) -> tuple | None:
     if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("features must be finite")
     return low, high
+
+
+def tree_order_sum(gathered: np.ndarray) -> np.ndarray:
+    """Column sums of a C-contiguous ``(n_trees, n)`` array, in tree order.
+
+    ``np.add.reduce(axis=0)`` adds row after row; over a single column
+    it would reduce pairwise instead, so one row accumulates.
+    """
+    if gathered.shape[1] == 1:
+        return np.add.accumulate(gathered, axis=0)[-1]
+    return np.add.reduce(gathered, axis=0)

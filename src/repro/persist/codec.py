@@ -12,18 +12,27 @@ In a JSON payload each array is a typed raw-byte record
 restored models predict *bit-identically* to the originals, and decoding
 is a copy rather than a parse.  Growth-time state (node lists, split
 gains, histograms) is not stored.
+
+Restoring splits from saving: :func:`forest_from_arrays` validates and
+returns the forest and the bin edges, all a serving process scores with,
+without importing the GBDT's training classes; only the functions that
+build or read a :class:`~repro.gbdt.boosting.GBDTClassifier` or a
+:class:`~repro.gbdt.binning.QuantileBinner` import them, when called.
 """
 
 from __future__ import annotations
 
 import base64
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.gbdt.binning import QuantileBinner
-from repro.gbdt.boosting import GBDTClassifier, GBDTParams
 from repro.gbdt.forest import Forest
 from repro.parallel.shared import ragged_from_arrays, ragged_to_arrays
+
+if TYPE_CHECKING:
+    from repro.gbdt.binning import QuantileBinner
+    from repro.gbdt.boosting import GBDTClassifier
 
 __all__ = [
     "encode_array",
@@ -34,6 +43,8 @@ __all__ = [
     "gbdt_from_arrays",
     "gbdt_to_dict",
     "gbdt_from_dict",
+    "gbdt_arrays_from_dict",
+    "forest_from_arrays",
 ]
 
 _FORMAT_VERSION = 2
@@ -83,16 +94,15 @@ def _binner_arrays(binner: QuantileBinner) -> dict[str, np.ndarray]:
     return ragged_to_arrays(binner.bin_edges_, "binner", np.float64)
 
 
-def _binner_from_arrays(arrays: dict[str, np.ndarray],
-                        max_bins: int) -> QuantileBinner:
+def _edge_arrays(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """The binner's validated edge data and per-column offsets."""
     data, offsets = arrays["binner/data"], arrays["binner/offsets"]
     if data.dtype != np.float64 or offsets.dtype != np.int64 \
             or offsets.size < 2 or offsets[0] != 0 \
             or offsets[-1] != data.size or np.any(offsets[1:] < offsets[:-1]):
         raise ValueError("binner edges and offsets do not match")
-    binner = QuantileBinner(max_bins=max_bins)
-    binner.bin_edges_ = ragged_from_arrays(arrays, "binner")
-    return binner
+    return data, offsets
 
 
 def binner_to_dict(binner: QuantileBinner) -> dict:
@@ -106,9 +116,14 @@ def binner_to_dict(binner: QuantileBinner) -> dict:
 
 def binner_from_dict(payload: dict) -> QuantileBinner:
     """Restore a quantile binner."""
+    from repro.gbdt.binning import QuantileBinner
+
     check_version(payload)
-    return _binner_from_arrays(_decode_arrays(payload["arrays"]),
-                               payload["max_bins"])
+    arrays = _decode_arrays(payload["arrays"])
+    _edge_arrays(arrays)
+    binner = QuantileBinner(max_bins=payload["max_bins"])
+    binner.bin_edges_ = ragged_from_arrays(arrays, "binner")
+    return binner
 
 
 def gbdt_to_arrays(model: GBDTClassifier) -> tuple[dict[str, np.ndarray], dict]:
@@ -131,29 +146,47 @@ def gbdt_to_arrays(model: GBDTClassifier) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def gbdt_from_arrays(arrays: dict[str, np.ndarray],
-                     meta: dict) -> GBDTClassifier:
-    """Restore an ensemble over the given arrays (no copies).
+def forest_from_arrays(
+    arrays: dict[str, np.ndarray], meta: dict
+) -> tuple[Forest, np.ndarray, np.ndarray]:
+    """The validated forest, bin edge data and per-column edge offsets of
+    :func:`gbdt_to_arrays`' output (no copies), without building the
+    GBDT's training classes.
 
     Raises:
         ValueError: If the arrays do not form a valid forest over the
             binner's columns, or the leaf values are not in the dtype the
             parameters name.
     """
-    params = GBDTParams.from_canonical(meta["params"])
-    model = GBDTClassifier(params)
-    model.binner = _binner_from_arrays(arrays, params.max_bins)
-    model.base_score_ = float(meta["base_score"])
-    model.forest_ = Forest(
+    edge_data, edge_offsets = _edge_arrays(arrays)
+    forest = Forest(
         **{field: arrays[key] for key, field in _FOREST_ARRAYS.items()},
         depth=meta["depth"],
-        n_columns=len(model.binner.bin_edges_),
+        n_columns=edge_offsets.size - 1,
     )
-    if model.forest_.value.dtype != np.dtype(params.dtype):
-        raise ValueError(
-            f"leaf values are {model.forest_.value.dtype}, "
-            f"parameters say {params.dtype}"
-        )
+    dtype = meta["params"]["dtype"]
+    if forest.value.dtype != np.dtype(dtype):
+        raise ValueError(f"leaf values are {forest.value.dtype}, "
+                         f"parameters say {dtype}")
+    return forest, edge_data, edge_offsets
+
+
+def gbdt_from_arrays(arrays: dict[str, np.ndarray],
+                     meta: dict) -> GBDTClassifier:
+    """Restore an ensemble over the given arrays (no copies).
+
+    Raises:
+        ValueError: As :func:`forest_from_arrays`.
+    """
+    from repro.gbdt.binning import QuantileBinner
+    from repro.gbdt.boosting import GBDTClassifier, GBDTParams
+
+    params = GBDTParams.from_canonical(meta["params"])
+    model = GBDTClassifier(params)
+    model.forest_ = forest_from_arrays(arrays, meta)[0]
+    model.binner = QuantileBinner(max_bins=params.max_bins)
+    model.binner.bin_edges_ = ragged_from_arrays(arrays, "binner")
+    model.base_score_ = float(meta["base_score"])
     return model
 
 
@@ -164,10 +197,17 @@ def gbdt_to_dict(model: GBDTClassifier) -> dict:
             "arrays": _encode_arrays(arrays)}
 
 
+def gbdt_arrays_from_dict(payload: dict) -> tuple[dict[str, np.ndarray],
+                                                  dict]:
+    """:func:`gbdt_to_dict`'s payload as :func:`gbdt_to_arrays`' output."""
+    check_version(payload)
+    meta = {key: payload[key] for key in ("params", "base_score", "depth")}
+    return _decode_arrays(payload["arrays"]), meta
+
+
 def gbdt_from_dict(payload: dict) -> GBDTClassifier:
     """Restore a boosted ensemble (prediction and leaf encoding work)."""
-    check_version(payload)
-    return gbdt_from_arrays(_decode_arrays(payload["arrays"]), payload)
+    return gbdt_from_arrays(*gbdt_arrays_from_dict(payload))
 
 
 def check_version(payload: dict) -> None:

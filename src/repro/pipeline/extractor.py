@@ -9,15 +9,21 @@ module is shared, only the LR learning paradigm differs.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.data.dataset import EnvironmentData, LoanDataset
+from repro.data.dataset import EnvironmentData, LoanDataset, group_rows
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams, fit_holdout
 from repro.gbdt.leaf_encoder import (
     LeafDesign,
     LeafIndexEncoder,
     leaf_encode_environments,
 )
+from repro.gbdt.scorer import CompiledScorer
+
+if TYPE_CHECKING:
+    from repro.train.base import TrainResult
 
 __all__ = ["GBDTFeatureExtractor", "default_gbdt_params"]
 
@@ -81,6 +87,33 @@ class GBDTFeatureExtractor:
         # Bin once, then route + encode from the shared binned matrix.
         binned = self.model_.bin_features(dataset.features)
         return self.encoder_.transform_binned(binned)
+
+    def predict_proba(self, dataset: LoanDataset,
+                      result: TrainResult) -> np.ndarray:
+        """Default probabilities of a trained head over a dataset's rows.
+
+        One :class:`~repro.gbdt.scorer.CompiledScorer` scores the raw rows,
+        bit for bit as encoding them and taking the head's product would.
+        A per-environment result (the fine-tuning baseline) scores each
+        province's rows with its
+        :meth:`~repro.train.base.TrainResult.theta_for_environment`.
+
+        Args:
+            dataset: Rows to score.
+            result: A head trained on this extractor's encoding.
+        """
+        self._check_fitted()
+        edges = self.model_.binner.bin_edges_
+        scorer = CompiledScorer(self.model_.forest_, np.concatenate(edges),
+                                np.cumsum([0] + [len(e) for e in edges]),
+                                result.theta)
+        if not result.is_per_environment:
+            return scorer.predict_proba(dataset.features)
+        scores = np.empty(dataset.n_samples)
+        for name, rows in zip(*group_rows(np.asarray(dataset.provinces))):
+            head = scorer.with_theta(result.theta_for_environment(str(name)))
+            scores[rows] = head.predict_proba(dataset.features[rows])
+        return scores
 
     def encode_environments(self, dataset: LoanDataset,
                             binned=None) -> list[EnvironmentData]:

@@ -139,14 +139,13 @@ class LoanDefaultPipeline:
     def predict_proba(self, dataset: LoanDataset) -> np.ndarray:
         """Default probabilities for every row, in dataset order.
 
-        For per-environment results (the fine-tuning baseline), rows from
-        provinces seen at training time are scored with that province's
-        fine-tuned parameters — routed through the unified
-        :meth:`~repro.train.base.TrainResult.predict_proba_grouped` surface.
+        Scored through one compiled scorer; per-environment results (the
+        fine-tuning baseline) score each province with its own parameters
+        (:meth:`GBDTFeatureExtractor.predict_proba
+        <repro.pipeline.extractor.GBDTFeatureExtractor.predict_proba>`).
         """
         self._check_fitted()
-        encoded = self.extractor.transform(dataset)
-        return self.result_.predict_proba_grouped(encoded, dataset.provinces)
+        return self.extractor.predict_proba(dataset, self.result_)
 
     def evaluate(self, test: LoanDataset) -> FairnessReport:
         """Per-province KS/AUC report on a test dataset."""

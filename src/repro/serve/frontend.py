@@ -373,7 +373,7 @@ class ScoringFrontend:
         self._publisher = ModelPublisher()
         self._initial_model = model
         self._initial_version = version
-        self._n_features = len(model.encoder.model.binner.bin_edges_)
+        self._n_features = model.scorer.n_features
         self._context = multiprocessing.get_context(
             self.config.start_method or default_start_method()
         )

@@ -34,6 +34,7 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 try:  # flock is POSIX-only; degrade to in-process atomicity elsewhere
     import fcntl
@@ -45,7 +46,9 @@ from repro.persist.artifacts import (
     pipeline_to_payload,
     scoring_model_from_payload,
 )
-from repro.pipeline.pipeline import LoanDefaultPipeline
+
+if TYPE_CHECKING:
+    from repro.pipeline.pipeline import LoanDefaultPipeline
 
 __all__ = ["ModelRegistry", "ModelVersion", "CHAMPION", "CHALLENGER"]
 

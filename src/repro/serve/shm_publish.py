@@ -9,7 +9,8 @@ the artifact codec stores) and the LR-head weights — into one
 :class:`~repro.parallel.shared.PackSpec`.  Workers
 attach read-only views and rebuild a :class:`~repro.persist.artifacts.ScoringModel`
 whose ``predict_proba`` is **bit-identical** to the original: the arrays
-are copied verbatim into the block once and never transformed.
+are copied verbatim into the block once and never transformed, and the
+worker compiles its scorer from them without importing training code.
 
 Model *versioning* is handled by :class:`ModelPublisher`: each ``publish``
 allocates a fresh pack under a monotonically increasing generation
@@ -23,11 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gbdt.leaf_encoder import LeafIndexEncoder
-from repro.models.logistic import LogisticModel
 from repro.parallel.shared import PackSpec, SharedArrayPack
 from repro.persist.artifacts import ScoringModel
-from repro.persist.codec import gbdt_from_arrays, gbdt_to_arrays
 
 __all__ = [
     "scoring_model_to_arrays",
@@ -55,14 +53,14 @@ def scoring_model_to_arrays(
         codec stores) plus ``theta``, and the small JSON-like table
         :func:`scoring_model_from_arrays` needs to reassemble them.
     """
-    arrays, gbdt_meta = gbdt_to_arrays(model.encoder.model)
+    arrays = dict(model.gbdt_arrays)
     arrays["theta"] = np.asarray(model.theta)
     meta = {
         "shm_model_format": SHM_MODEL_FORMAT,
         "trainer_name": model.trainer_name,
         "metadata": dict(model.metadata),
-        "l2": float(model.model.l2),
-        "gbdt": gbdt_meta,
+        "l2": model.l2,
+        "gbdt": dict(model.gbdt_meta),
     }
     return arrays, meta
 
@@ -72,9 +70,10 @@ def scoring_model_from_arrays(
 ) -> ScoringModel:
     """Rebuild a bit-identical :class:`ScoringModel` from pack views.
 
-    The heavy state (forest arrays, bin edges, theta) stays zero-copy:
-    every array the returned model scores with is a view into the shared
-    block, so N attached workers share one physical copy.
+    The stored state (forest arrays, bin edges, theta) stays zero-copy:
+    the returned model holds views into the shared block, so N attached
+    workers share one physical copy.  Each worker's compiled scorer adds
+    its own few node-sized arrays.
 
     Args:
         arrays: Views from :meth:`SharedArrayPack.arrays` (or the raw
@@ -86,11 +85,13 @@ def scoring_model_from_arrays(
             f"unsupported shared-model format "
             f"{meta.get('shm_model_format')!r}"
         )
-    theta = arrays["theta"]
+    gbdt_arrays = {key: array for key, array in arrays.items()
+                   if key != "theta"}
     return ScoringModel(
-        encoder=LeafIndexEncoder(gbdt_from_arrays(arrays, meta["gbdt"])),
-        model=LogisticModel(theta.size, l2=meta["l2"]),
-        theta=theta,
+        gbdt_arrays=gbdt_arrays,
+        gbdt_meta=meta["gbdt"],
+        theta=arrays["theta"],
+        l2=meta["l2"],
         trainer_name=meta["trainer_name"],
         metadata=dict(meta["metadata"]),
     )

@@ -64,6 +64,33 @@ class TestRunnerPlumbing:
         assert len(tiny_context.train_environments) == 12
         assert len(tiny_context.test_environments) == 12
 
+    def test_train_rows_are_binned_once(self, monkeypatch):
+        from repro.gbdt.binning import QuantileBinner
+
+        passes = []
+        transform = QuantileBinner.transform
+
+        def spy(binner, features):
+            passes.append(np.shape(features)[0])
+            return transform(binner, features)
+
+        monkeypatch.setattr(QuantileBinner, "transform", spy)
+        context = ExperimentContext(
+            ExperimentSettings(n_samples=8_000, data_seed=1,
+                               trainer_seeds=(0,)))
+        environments = context.train_environments
+        assert context.extractor.is_fitted
+        assert passes == [context.split.train.n_samples]
+
+        # The designs equal a second, separate binning of the train rows.
+        monkeypatch.undo()
+        again = context.extractor.encode_environments(context.split.train)
+        for ours, theirs in zip(environments, again, strict=True):
+            assert ours.name == theirs.name
+            np.testing.assert_array_equal(ours.features.columns,
+                                          theirs.features.columns)
+            np.testing.assert_array_equal(ours.labels, theirs.labels)
+
     def test_invalid_split_name(self):
         with pytest.raises(ValueError, match="platform must be one of"):
             ExperimentSettings(platform="bootstrap")

@@ -178,6 +178,42 @@ def test_forked_frontend_worker_imports_nothing(tmp_path, fitted_pipeline,
     assert child_imports == []
 
 
+#: Training code: a process that loads and serves a model imports none
+#: of it.
+TRAINING = ("repro.train", "repro.pipeline", "repro.metrics", "repro.timing",
+            "repro.gbdt.boosting", "repro.gbdt.histogram", "repro.gbdt.tree",
+            "repro.gbdt.binning")
+
+
+def test_serving_process_imports_no_training_code(tmp_path, fitted_pipeline,
+                                                  small_split):
+    """A fresh process loads the champion, scores rows and serves one
+    through a 1-worker frontend without importing any training module."""
+    from repro.serve.registry import ModelRegistry
+
+    registry_root = tmp_path / "registry"
+    ModelRegistry(registry_root).save(fitted_pipeline, slot="champion")
+    rows_path = tmp_path / "rows.npy"
+    np.save(rows_path, small_split.test.features[:64])
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro.serve.frontend import FrontendConfig, ScoringFrontend\n"
+        "from repro.serve.registry import ModelRegistry\n"
+        "model = ModelRegistry(sys.argv[1]).load('champion')\n"
+        "rows = np.load(sys.argv[2])\n"
+        "scores = model.predict_proba(rows)\n"
+        "with ScoringFrontend(model, FrontendConfig(n_workers=1)) as frontend:\n"
+        "    result = frontend.submit(rows[0]).result(timeout=60)\n"
+        "assert result.ok and result.score == scores[0], result\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))\n"
+    )
+    loaded = _run(script, str(registry_root), str(rows_path)).split()
+    assert "repro.gbdt.scorer" in loaded
+    assert [m for m in loaded
+            if any(m == t or m.startswith(t + ".") for t in TRAINING)] == []
+
+
 def test_forked_pool_worker_imports_nothing(tmp_path):
     """Two forked experiment workers fit and score trainers of every
     family without importing a ``repro`` module.  (NumPy imports its own

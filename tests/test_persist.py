@@ -1,6 +1,7 @@
 """Round-trip tests for model persistence."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -217,3 +218,23 @@ class TestUntrustedArtifacts:
                                  lambda v: v.astype(np.float32))
         with pytest.raises(ValueError, match="parameters say float64"):
             gbdt_from_dict(payload)
+
+
+class TestStoredArtifact:
+    """``tests/data/artifact_v2.json`` was saved (a float64 LightMIRM model,
+    8 trees, colsample 0.7) before serving scored through the compiled
+    scorer, with the scores of 16 rows; the format has not changed since,
+    so the file must load and score bit for bit, compiled and layered."""
+
+    DATA = pathlib.Path(__file__).parent / "data"
+
+    def test_loads_and_scores_bit_identically(self):
+        stored = np.load(self.DATA / "artifact_v2_scores.npz")
+        rows, scores = stored["rows"], stored["scores"]
+        model = ModelRegistry.load_file(self.DATA / "artifact_v2.json")
+        assert model.trainer_name == "LightMIRM"
+        np.testing.assert_array_equal(model.predict_proba(rows), scores)
+        np.testing.assert_array_equal(
+            model.model.predict_proba(model.theta,
+                                      model.encoder.transform(rows)),
+            scores)

@@ -48,20 +48,20 @@ class TestCodecRoundTrip:
         finally:
             pack.dispose()
 
-    def test_unfitted_model_is_rejected(self, scoring_model):
-        import copy
-
+    def test_unfitted_model_is_rejected(self):
         from repro.gbdt.boosting import GBDTClassifier, GBDTParams
+        from repro.persist.codec import gbdt_to_arrays
 
-        import dataclasses
-
-        # The encoder constructor already rejects unfitted GBDTs, so
-        # regress the fitted state after the fact to hit the codec guard.
-        encoder = copy.copy(scoring_model.encoder)
-        encoder.model = GBDTClassifier(GBDTParams())
-        broken = dataclasses.replace(scoring_model, encoder=encoder)
+        # A ScoringModel holds a fitted model's arrays, never an unfitted
+        # GBDT; the codec that extracts those arrays refuses one.
         with pytest.raises(ValueError, match="unfitted"):
-            scoring_model_to_arrays(broken)
+            gbdt_to_arrays(GBDTClassifier(GBDTParams()))
+
+    def test_attach_validates_the_forest(self, scoring_model):
+        arrays, meta = scoring_model_to_arrays(scoring_model)
+        arrays["forest/leaf"] = arrays["forest/leaf"][:-1]
+        with pytest.raises(ValueError, match="leaf ids"):
+            scoring_model_from_arrays(arrays, meta)
 
 
 class TestPublisherGenerations:
