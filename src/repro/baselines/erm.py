@@ -13,13 +13,7 @@ import numpy as np
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
 from repro.timing import StepTimer
-from repro.train.base import (
-    BaseTrainConfig,
-    EpochCallback,
-    Trainer,
-    TrainingHistory,
-    stack_environments,
-)
+from repro.train.base import BaseTrainConfig, Trainer, stack_environments
 
 __all__ = ["ERMTrainer"]
 
@@ -32,39 +26,24 @@ class ERMTrainer(Trainer):
     def __init__(self, config: BaseTrainConfig | None = None):
         super().__init__(config or BaseTrainConfig())
 
-    def _run(
-        self,
-        environments: list[EnvironmentData],
-        model: LogisticModel,
-        theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
-        timer: StepTimer,
-    ) -> np.ndarray:
-        cfg = self.config
-        with timer.step("loading_data"):
-            if cfg.batch_size is None:
-                features, labels = stack_environments(environments)
+    def _begin_fit(self, environments: list[EnvironmentData]) -> None:
+        # Full-batch epochs all see the same pooled data: stack it once.
+        self._pooled = (stack_environments(environments)
+                        if self.config.batch_size is None else None)
 
-        for epoch in range(cfg.n_epochs):
-            timer.begin_epoch()
-            if cfg.batch_size is not None:
-                features, labels = stack_environments(
-                    self._epoch_environments(environments)
-                )
-            with timer.step("inner_optimization"):
-                loss, grad = model.loss_and_gradient(theta, features, labels)
-            with timer.step("backward_propagation"):
-                theta = self._optimizer.step(theta, grad)
-            timer.end_epoch()
-            env_losses = {
-                env.name: model.loss(theta, env.features, env.labels)
-                for env in environments
-            }
-            extra = (
-                {"grad_norm": float(np.linalg.norm(grad))}
-                if self._tracer.enabled else {}
-            )
-            self._record(history, loss, env_losses, epoch, theta, callback,
-                         **extra)
-        return theta
+    def _step(self, model: LogisticModel, theta: np.ndarray,
+              environments: list[EnvironmentData], timer: StepTimer):
+        features, labels = self._pooled or stack_environments(environments)
+        env_losses = {
+            env.name: model.loss(theta, env.features, env.labels)
+            for env in environments
+        }
+        with timer.step("inner_optimization"):
+            loss, grad = model.loss_and_gradient(theta, features, labels)
+        with timer.step("backward_propagation"):
+            theta = self._optimizer.step(theta, grad)
+        extra = (
+            {"grad_norm": float(np.linalg.norm(grad))}
+            if self._tracer.enabled else {}
+        )
+        return theta, loss, env_losses, extra

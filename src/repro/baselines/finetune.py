@@ -15,17 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.erm import ERMTrainer
-from repro.data.dataset import EnvironmentData
-from repro.models.logistic import LogisticModel
 from repro.obs.tracer import Tracer
 from repro.timing import StepTimer
-from repro.train.base import (
-    BaseTrainConfig,
-    EpochCallback,
-    Trainer,
-    TrainingHistory,
-    TrainResult,
-)
+from repro.train.base import BaseTrainConfig, EpochCallback, TrainResult
 
 __all__ = ["FineTuneConfig", "FineTunedTrainResult", "FineTuneTrainer"]
 
@@ -57,7 +49,7 @@ class FineTunedTrainResult(TrainResult):
     """Train result carrying one parameter vector per seen environment.
 
     Satisfies the unified :class:`~repro.train.base.TrainResult` surface:
-    downstream scoring goes through ``predict_proba_grouped`` /
+    downstream scoring goes through :meth:`theta_for_environment` /
     ``predict_proba_env`` with no type inspection.
     """
 
@@ -75,7 +67,7 @@ class FineTunedTrainResult(TrainResult):
         return self.theta
 
 
-class FineTuneTrainer(Trainer):
+class FineTuneTrainer(ERMTrainer):
     """Pooled ERM followed by per-environment fine-tuning."""
 
     name = "ERM + fine-tuning"
@@ -92,14 +84,11 @@ class FineTuneTrainer(Trainer):
         timer: StepTimer | None = None,
         tracer: Tracer | None = None,
     ) -> FineTunedTrainResult:
-        # The base phase runs under this trainer's name so that a traced
-        # run attributes its epochs/steps to "ERM + fine-tuning", not ERM.
-        base_trainer = ERMTrainer(self.config)
-        base_trainer.name = self.name
-        base = base_trainer.fit(environments, callback=callback,
-                                timer=timer, tracer=tracer)
+        environments = list(environments)
+        base = super().fit(environments, callback=callback, timer=timer,
+                           tracer=tracer)
         cfg = self.config
-        tracer = base_trainer._tracer
+        tracer = self._tracer
         env_thetas: dict[str, np.ndarray] = {}
         with tracer.span("finetune", trainer=self.name):
             for env in environments:
@@ -125,14 +114,3 @@ class FineTuneTrainer(Trainer):
             timer=base.timer,
             env_thetas=env_thetas,
         )
-
-    def _run(
-        self,
-        environments: list[EnvironmentData],
-        model: LogisticModel,
-        theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
-        timer: StepTimer,
-    ) -> np.ndarray:  # pragma: no cover - fit() is overridden
-        raise NotImplementedError("FineTuneTrainer overrides fit() directly")

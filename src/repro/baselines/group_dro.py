@@ -17,12 +17,7 @@ import numpy as np
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
 from repro.timing import StepTimer
-from repro.train.base import (
-    BaseTrainConfig,
-    EpochCallback,
-    Trainer,
-    TrainingHistory,
-)
+from repro.train.base import BaseTrainConfig, Trainer
 
 __all__ = ["GroupDROConfig", "GroupDROTrainer"]
 
@@ -53,57 +48,38 @@ class GroupDROTrainer(Trainer):
         config = config or GroupDROConfig()
         super().__init__(config)
         self.config: GroupDROConfig = config
-        #: Final group weights after fit(), index-aligned with environments.
+        #: Group weights q, index-aligned with environments; updated every
+        #: epoch, so after fit() they are the final ones.
         self.group_weights_: np.ndarray | None = None
 
-    def _run(
-        self,
-        environments: list[EnvironmentData],
-        model: LogisticModel,
-        theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
-        timer: StepTimer,
-    ) -> np.ndarray:
-        cfg = self.config
-        n_envs = len(environments)
-        q = np.full(n_envs, 1.0 / n_envs)
+    def _begin_fit(self, environments: list[EnvironmentData]) -> None:
+        self.group_weights_ = np.full(len(environments),
+                                      1.0 / len(environments))
 
-        for epoch in range(cfg.n_epochs):
-            timer.begin_epoch()
-            epoch_envs = self._epoch_environments(environments)
-            losses = np.zeros(n_envs)
-            grads: list[np.ndarray] = []
-            env_losses: dict[str, float] = {}
-            with timer.step("inner_optimization"):
-                for e, env in enumerate(epoch_envs):
-                    loss_e, grad_e = model.loss_and_gradient(
-                        theta, env.features, env.labels
-                    )
-                    losses[e] = loss_e
-                    grads.append(grad_e)
-                    env_losses[env.name] = loss_e
-            with timer.step("backward_propagation"):
-                # Exponentiated-gradient ascent on q (shift for stability).
-                q = q * np.exp(cfg.group_lr * (losses - losses.max()))
-                q = q / q.sum()
-                grad = np.zeros_like(theta)
-                for e in range(n_envs):
-                    grad += q[e] * grads[e]
-                theta = self._optimizer.step(theta, grad)
-            timer.end_epoch()
-            objective = float(q @ losses)
-            extra = {}
-            if self._tracer.enabled:
-                extra = {
-                    "grad_norm": float(np.linalg.norm(grad)),
-                    "group_weights": {
-                        env.name: float(q[e])
-                        for e, env in enumerate(environments)
-                    },
-                    "worst_group_loss": float(losses.max()),
-                }
-            self._record(history, objective, env_losses, epoch, theta,
-                         callback, **extra)
+    def _step(self, model: LogisticModel, theta: np.ndarray,
+              environments: list[EnvironmentData], timer: StepTimer):
+        with timer.step("inner_optimization"):
+            losses, grads = self._environment_losses(model, theta,
+                                                     environments)
+        with timer.step("backward_propagation"):
+            # Exponentiated-gradient ascent on q (shift for stability).
+            q = self.group_weights_ * np.exp(
+                self.config.group_lr * (losses - losses.max())
+            )
+            q = q / q.sum()
+            grad = self._weighted_sum(q, grads)
+            theta = self._optimizer.step(theta, grad)
         self.group_weights_ = q
-        return theta
+        extra = {}
+        if self._tracer.enabled:
+            extra = {
+                "grad_norm": float(np.linalg.norm(grad)),
+                "group_weights": {
+                    env.name: float(q[e])
+                    for e, env in enumerate(environments)
+                },
+                "worst_group_loss": float(losses.max()),
+            }
+        env_losses = dict(zip([env.name for env in environments],
+                              losses.tolist()))
+        return theta, float(q @ losses), env_losses, extra

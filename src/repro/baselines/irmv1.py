@@ -26,12 +26,7 @@ import numpy as np
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
 from repro.timing import StepTimer
-from repro.train.base import (
-    BaseTrainConfig,
-    EpochCallback,
-    Trainer,
-    TrainingHistory,
-)
+from repro.train.base import BaseTrainConfig, Trainer
 
 __all__ = ["IRMv1Config", "IRMv1Trainer", "dummy_gradient_and_penalty_grad"]
 
@@ -91,47 +86,31 @@ class IRMv1Trainer(Trainer):
         super().__init__(config)
         self.config: IRMv1Config = config
 
-    def _run(
-        self,
-        environments: list[EnvironmentData],
-        model: LogisticModel,
-        theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
-        timer: StepTimer,
-    ) -> np.ndarray:
-        cfg = self.config
-        for epoch in range(cfg.n_epochs):
-            timer.begin_epoch()
-            epoch_envs = self._epoch_environments(environments)
-            objective = 0.0
-            penalty = 0.0
-            grad = np.zeros_like(theta)
-            env_losses: dict[str, float] = {}
-            with timer.step("inner_optimization"):
-                for env in epoch_envs:
-                    loss_e, grad_e = model.loss_and_gradient(
-                        theta, env.features, env.labels
-                    )
-                    dummy, penalty_grad = dummy_gradient_and_penalty_grad(
-                        model, theta, env
-                    )
-                    env_losses[env.name] = loss_e
-                    penalty += cfg.penalty_weight * dummy**2
-                    objective += loss_e + cfg.penalty_weight * dummy**2
-                    grad += grad_e + cfg.penalty_weight * penalty_grad
-            with timer.step("backward_propagation"):
-                theta = self._optimizer.step(theta, grad / len(environments))
-            timer.end_epoch()
-            extra = (
-                {
-                    "penalty": float(penalty),
-                    "grad_norm": float(
-                        np.linalg.norm(grad / len(environments))
-                    ),
-                }
-                if self._tracer.enabled else {}
-            )
-            self._record(history, objective, env_losses, epoch, theta,
-                         callback, **extra)
-        return theta
+    def _step(self, model: LogisticModel, theta: np.ndarray,
+              environments: list[EnvironmentData], timer: StepTimer):
+        weight = self.config.penalty_weight
+        objective = 0.0
+        penalty = 0.0
+        grad = np.zeros_like(theta)
+        env_losses: dict[str, float] = {}
+        with timer.step("inner_optimization"):
+            for env in environments:
+                loss_e, grad_e = model.loss_and_gradient(
+                    theta, env.features, env.labels
+                )
+                dummy, penalty_grad = dummy_gradient_and_penalty_grad(
+                    model, theta, env
+                )
+                env_losses[env.name] = loss_e
+                penalty += weight * dummy**2
+                objective += loss_e + weight * dummy**2
+                grad += grad_e + weight * penalty_grad
+        with timer.step("backward_propagation"):
+            grad = grad / len(environments)
+            theta = self._optimizer.step(theta, grad)
+        extra = (
+            {"penalty": float(penalty),
+             "grad_norm": float(np.linalg.norm(grad))}
+            if self._tracer.enabled else {}
+        )
+        return theta, objective, env_losses, extra

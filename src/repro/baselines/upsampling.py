@@ -17,12 +17,7 @@ import numpy as np
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
 from repro.timing import StepTimer
-from repro.train.base import (
-    BaseTrainConfig,
-    EpochCallback,
-    Trainer,
-    TrainingHistory,
-)
+from repro.train.base import BaseTrainConfig, Trainer
 
 __all__ = ["UpSamplingConfig", "UpSamplingTrainer"]
 
@@ -61,44 +56,32 @@ class UpSamplingTrainer(Trainer):
         super().__init__(config)
         self.config: UpSamplingConfig = config
 
-    def _run(
-        self,
-        environments: list[EnvironmentData],
-        model: LogisticModel,
-        theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
-        timer: StepTimer,
-    ) -> np.ndarray:
-        cfg = self.config
-        sizes = np.array([env.n_samples for env in environments], dtype=np.float64)
-        env_weights = sizes**cfg.power
-        env_weights /= env_weights.sum()
+    def _begin_fit(self, environments: list[EnvironmentData]) -> None:
+        sizes = np.array([env.n_samples for env in environments],
+                         dtype=np.float64)
+        self._env_weights = sizes**self.config.power
+        self._env_weights /= self._env_weights.sum()
 
-        for epoch in range(cfg.n_epochs):
-            timer.begin_epoch()
-            epoch_envs = self._epoch_environments(environments)
-            objective = 0.0
-            grad = np.zeros_like(theta)
-            env_losses: dict[str, float] = {}
-            with timer.step("inner_optimization"):
-                for weight, env in zip(env_weights, epoch_envs):
-                    loss_e, grad_e = self._weighted_loss_and_gradient(
-                        model, theta, env
-                    )
-                    env_losses[env.name] = loss_e
-                    objective += weight * loss_e
-                    grad += weight * grad_e
-            with timer.step("backward_propagation"):
-                theta = self._optimizer.step(theta, grad)
-            timer.end_epoch()
-            extra = (
-                {"grad_norm": float(np.linalg.norm(grad))}
-                if self._tracer.enabled else {}
-            )
-            self._record(history, objective, env_losses, epoch, theta,
-                         callback, **extra)
-        return theta
+    def _step(self, model: LogisticModel, theta: np.ndarray,
+              environments: list[EnvironmentData], timer: StepTimer):
+        objective = 0.0
+        grad = np.zeros_like(theta)
+        env_losses: dict[str, float] = {}
+        with timer.step("inner_optimization"):
+            for weight, env in zip(self._env_weights, environments):
+                loss_e, grad_e = self._weighted_loss_and_gradient(
+                    model, theta, env
+                )
+                env_losses[env.name] = loss_e
+                objective += weight * loss_e
+                grad += weight * grad_e
+        with timer.step("backward_propagation"):
+            theta = self._optimizer.step(theta, grad)
+        extra = (
+            {"grad_norm": float(np.linalg.norm(grad))}
+            if self._tracer.enabled else {}
+        )
+        return theta, objective, env_losses, extra
 
     def _weighted_loss_and_gradient(
         self, model: LogisticModel, theta: np.ndarray, env: EnvironmentData

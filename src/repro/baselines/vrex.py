@@ -18,12 +18,7 @@ import numpy as np
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
 from repro.timing import StepTimer
-from repro.train.base import (
-    BaseTrainConfig,
-    EpochCallback,
-    Trainer,
-    TrainingHistory,
-)
+from repro.train.base import BaseTrainConfig, Trainer
 
 __all__ = ["VRExConfig", "VRExTrainer"]
 
@@ -54,51 +49,29 @@ class VRExTrainer(Trainer):
         super().__init__(config)
         self.config: VRExConfig = config
 
-    def _run(
-        self,
-        environments: list[EnvironmentData],
-        model: LogisticModel,
-        theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
-        timer: StepTimer,
-    ) -> np.ndarray:
+    def _step(self, model: LogisticModel, theta: np.ndarray,
+              environments: list[EnvironmentData], timer: StepTimer):
         cfg = self.config
         n_envs = len(environments)
-
-        for epoch in range(cfg.n_epochs):
-            timer.begin_epoch()
-            epoch_envs = self._epoch_environments(environments)
-            losses = np.zeros(n_envs)
-            grads: list[np.ndarray] = []
-            env_losses: dict[str, float] = {}
-            with timer.step("inner_optimization"):
-                for e, env in enumerate(epoch_envs):
-                    loss_e, grad_e = model.loss_and_gradient(
-                        theta, env.features, env.labels
-                    )
-                    losses[e] = loss_e
-                    grads.append(grad_e)
-                    env_losses[env.name] = loss_e
-            with timer.step("backward_propagation"):
-                mean_loss = losses.mean()
-                # d/dθ [mean + λ_v Var] = Σ_e [1/M + 2λ_v (L_e - mean)/M] ∇L_e
-                coeffs = (
-                    1.0 / n_envs
-                    + 2.0 * cfg.variance_weight * (losses - mean_loss) / n_envs
-                )
-                grad = np.zeros_like(theta)
-                for e in range(n_envs):
-                    grad += coeffs[e] * grads[e]
-                theta = self._optimizer.step(theta, grad)
-            timer.end_epoch()
-            objective = float(mean_loss + cfg.variance_weight * losses.var())
-            extra = {}
-            if self._tracer.enabled:
-                extra = {
-                    "penalty": float(cfg.variance_weight * losses.var()),
-                    "grad_norm": float(np.linalg.norm(grad)),
-                }
-            self._record(history, objective, env_losses, epoch, theta,
-                         callback, **extra)
-        return theta
+        with timer.step("inner_optimization"):
+            losses, grads = self._environment_losses(model, theta,
+                                                     environments)
+        with timer.step("backward_propagation"):
+            mean_loss = losses.mean()
+            # d/dθ [mean + λ_v Var] = Σ_e [1/M + 2λ_v (L_e - mean)/M] ∇L_e
+            coeffs = (
+                1.0 / n_envs
+                + 2.0 * cfg.variance_weight * (losses - mean_loss) / n_envs
+            )
+            grad = self._weighted_sum(coeffs, grads)
+            theta = self._optimizer.step(theta, grad)
+        penalty = cfg.variance_weight * losses.var()
+        extra = {}
+        if self._tracer.enabled:
+            extra = {
+                "penalty": float(penalty),
+                "grad_norm": float(np.linalg.norm(grad)),
+            }
+        env_losses = dict(zip([env.name for env in environments],
+                              losses.tolist()))
+        return theta, float(mean_loss + penalty), env_losses, extra

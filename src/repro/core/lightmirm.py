@@ -1,6 +1,7 @@
 """LightMIRM (Algorithm 2): linear-time meta-IRM.
 
-The paper's contribution.  Per outer iteration and per environment m:
+The paper's contribution, and Algorithm 1 with one change: the meta-loss.
+Per outer iteration and per environment m:
 
 1. Inner step as in meta-IRM: ``θ̄_m = θ − α ∇R^m(θ)``.
 2. **Environment sampling** — draw ONE other environment ``s_m ≠ m`` and
@@ -12,6 +13,9 @@ The paper's contribution.  Per outer iteration and per environment m:
    queue entry depends on the current parameters, the backward pass costs a
    single gradient + HVP per environment ("only the last element in the
    queue has gradients") — O(4M) total vs meta-IRM's O(2M²).
+
+Steps 1 and 4 are :class:`~repro.core.meta_grad.MetaTrainer`'s; this
+module supplies steps 2 and 3.
 """
 
 from __future__ import annotations
@@ -19,17 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import LightMIRMConfig
-from repro.core.meta_grad import backprop_through_inner_step, sigma_and_weights
+from repro.core.meta_grad import MetaTrainer
 from repro.core.mrq import MetaLossReplayQueue
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
-from repro.timing import StepTimer
-from repro.train.base import EpochCallback, Trainer, TrainingHistory
 
 __all__ = ["LightMIRMTrainer"]
 
 
-class LightMIRMTrainer(Trainer):
+class LightMIRMTrainer(MetaTrainer):
     """Trainer implementing Algorithm 2."""
 
     name = "LightMIRM"
@@ -41,104 +43,50 @@ class LightMIRMTrainer(Trainer):
         #: Exposed after fit() for inspection/tests: one queue per env.
         self.queues_: list[MetaLossReplayQueue] | None = None
 
-    def _run(
-        self,
-        environments: list[EnvironmentData],
-        model: LogisticModel,
-        theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
-        timer: StepTimer,
-    ) -> np.ndarray:
+    def _begin_fit(self, environments: list[EnvironmentData]) -> None:
+        super()._begin_fit(environments)
         cfg = self.config
-        n_envs = len(environments)
-        rng = np.random.default_rng(cfg.seed)
         # Algorithm 2 line 1: initialise every H_m with zeros.
-        queues = [
+        self.queues_ = [
             MetaLossReplayQueue(cfg.queue_length, cfg.gamma)
-            for _ in range(n_envs)
+            for _ in environments
         ]
-        self.queues_ = queues
+        # This epoch's s_m per m, for the traced epoch event.
+        self._sampled = [0] * len(environments)
 
-        trace = self._tracer.enabled
-        for epoch in range(cfg.n_epochs):
-            timer.begin_epoch()
-            with timer.step("loading_data"):
-                env_order = list(range(n_envs))
-                epoch_envs = self._epoch_environments(environments)
-            with timer.step("transforming_format"):
-                pass  # format transform happens once in the pipeline
+    def _meta_loss(
+        self,
+        model: LogisticModel,
+        m: int,
+        theta_bar: np.ndarray,
+        environments: list[EnvironmentData],
+    ) -> tuple[float, np.ndarray]:
+        """One sampled environment's risk at ``θ̄_m``, replayed by the MRQ.
 
-            env_losses: dict[str, float] = {}
-            meta_losses = np.zeros(n_envs)
-            sampled_grads_at_adapted: list[np.ndarray] = []
-            adapted_unused: list[np.ndarray] = []
-            sampled_names: list[str] = []
+        The gradient is the newest entry's alone: its decay weight is
+        ``γ^{L-L} = 1`` and the replayed history is constant.
+        """
+        s_m = self._sample_other(m, len(environments), self._rng)
+        self._sampled[m] = s_m
+        sampled = environments[s_m]
+        loss_s, grad_s = model.loss_and_gradient(
+            theta_bar, sampled.features, sampled.labels
+        )
+        queue = self.queues_[m]
+        queue.push(loss_s)
+        return queue.decayed_sum(), grad_s
 
-            for m in env_order:
-                env = epoch_envs[m]
-                with timer.step("inner_optimization"):
-                    loss_m, grad_m = model.loss_and_gradient(
-                        theta, env.features, env.labels
-                    )
-                    theta_bar = theta - cfg.inner_lr * grad_m
-                env_losses[env.name] = loss_m
-                adapted_unused.append(theta_bar)
-
-                with timer.step("calculating_meta_losses"):
-                    s_m = self._sample_other(m, n_envs, rng)
-                    sampled = epoch_envs[s_m]
-                    loss_s, grad_s = model.loss_and_gradient(
-                        theta_bar, sampled.features, sampled.labels
-                    )
-                    queues[m].push(loss_s)
-                    meta_losses[m] = queues[m].decayed_sum()
-                    sampled_grads_at_adapted.append(grad_s)
-                if trace:
-                    sampled_names.append(environments[s_m].name)
-
-            with timer.step("backward_propagation"):
-                sigma, weights = sigma_and_weights(
-                    meta_losses, cfg.lambda_penalty
-                )
-                outer_grad = np.zeros_like(theta)
-                for m in env_order:
-                    # d R_meta / dθ: the newest queue entry has decay weight
-                    # γ^{L-L} = 1; the replayed history is constant.
-                    chained = backprop_through_inner_step(
-                        model,
-                        theta,
-                        epoch_envs[m],
-                        sampled_grads_at_adapted[m],
-                        cfg.inner_lr,
-                        first_order=cfg.first_order,
-                    )
-                    outer_grad += weights[m] * chained
-                theta = self._optimizer.step(theta, outer_grad)
-            timer.end_epoch()
-
-            objective = float(meta_losses.sum() + cfg.lambda_penalty * sigma)
-            extra = {}
-            if trace:
-                extra = {
-                    "penalty": float(cfg.lambda_penalty * sigma),
-                    "meta_loss_total": float(meta_losses.sum()),
-                    "meta_losses": {
-                        environments[m].name: float(meta_losses[m])
-                        for m in env_order
-                    },
-                    "sampled_envs": sampled_names,
-                    "mrq_occupancy": float(
-                        sum(q.occupancy for q in queues) / n_envs
-                    ),
-                    "mrq_decay_mass": float(
-                        sum(q.decay_mass() for q in queues) / n_envs
-                    ),
-                    "grad_norm": float(np.linalg.norm(outer_grad)),
-                }
-            self._record(history, objective, env_losses, epoch, theta,
-                         callback, **extra)
-        return theta
+    def _trace_fields(self, environments: list[EnvironmentData]) -> dict:
+        queues = self.queues_
+        return {
+            "sampled_envs": [environments[s].name for s in self._sampled],
+            "mrq_occupancy": float(
+                sum(q.occupancy for q in queues) / len(queues)
+            ),
+            "mrq_decay_mass": float(
+                sum(q.decay_mass() for q in queues) / len(queues)
+            ),
+        }
 
     @staticmethod
     def _sample_other(m: int, n_envs: int, rng: np.random.Generator) -> int:

@@ -1,4 +1,4 @@
-"""The MAML chain rule and σ-penalty gradient shared by Algorithms 1 and 2.
+"""Algorithm 1's outer iteration, shared by meta-IRM and LightMIRM.
 
 Both meta-IRM and LightMIRM perform the outer update
 
@@ -17,14 +17,22 @@ which we evaluate with one Hessian-vector product on the inner environment
 
 so the total outer gradient is a weighted sum of per-environment chain-rule
 gradients with weights ``1 + λ · ∂σ/∂R_m``.
+
+:class:`MetaTrainer` runs that step.  Algorithm 2 (LightMIRM) is Algorithm 1
+(meta-IRM) with one change, the meta-loss ``R_meta(θ̄_m)``, which each
+subclass supplies as :meth:`MetaTrainer._meta_loss`.
 """
 
 from __future__ import annotations
+
+import abc
 
 import numpy as np
 
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
+from repro.timing import StepTimer
+from repro.train.base import Trainer
 
 __all__ = [
     "backprop_through_inner_step",
@@ -95,3 +103,77 @@ def sigma_and_weights(
         return sigma, np.ones(n)
     dsigma = (meta_losses - meta_losses.mean()) / (n * sigma)
     return sigma, 1.0 + lambda_penalty * dsigma
+
+
+class MetaTrainer(Trainer):
+    """One outer iteration of Eq. 6; subclasses supply the meta-loss.
+
+    Per environment m: the inner step ``θ̄_m = θ − α ∇R^m(θ)``, then the
+    meta-loss ``R_meta(θ̄_m)`` and its gradient at ``θ̄_m``; then one
+    σ-weighted chain-rule pass back to ``θ`` and the outer update.  The
+    config must carry ``inner_lr``, ``lambda_penalty`` and ``first_order``.
+    """
+
+    def _begin_fit(self, environments: list[EnvironmentData]) -> None:
+        # The meta-loss's environment draws (mini-batches draw elsewhere).
+        self._rng = np.random.default_rng(self.config.seed)
+
+    @abc.abstractmethod
+    def _meta_loss(
+        self,
+        model: LogisticModel,
+        m: int,
+        theta_bar: np.ndarray,
+        environments: list[EnvironmentData],
+    ) -> tuple[float, np.ndarray]:
+        """``R_meta(θ̄_m)`` and its gradient with respect to ``θ̄_m``."""
+
+    def _trace_fields(self, environments: list[EnvironmentData]) -> dict:
+        """Method-specific fields of a traced epoch event (default none)."""
+        return {}
+
+    def _step(self, model: LogisticModel, theta: np.ndarray,
+              environments: list[EnvironmentData], timer: StepTimer):
+        cfg = self.config
+        env_losses: dict[str, float] = {}
+        meta_losses = np.zeros(len(environments))
+        meta_grads: list[np.ndarray] = []
+        for m, env in enumerate(environments):
+            with timer.step("inner_optimization"):
+                loss_m, grad_m = model.loss_and_gradient(
+                    theta, env.features, env.labels
+                )
+                theta_bar = theta - cfg.inner_lr * grad_m
+            env_losses[env.name] = loss_m
+            with timer.step("calculating_meta_losses"):
+                meta_losses[m], meta_grad = self._meta_loss(
+                    model, m, theta_bar, environments
+                )
+            meta_grads.append(meta_grad)
+
+        with timer.step("backward_propagation"):
+            sigma, weights = sigma_and_weights(meta_losses,
+                                               cfg.lambda_penalty)
+            outer_grad = np.zeros_like(theta)
+            for m, env in enumerate(environments):
+                outer_grad += weights[m] * backprop_through_inner_step(
+                    model, theta, env, meta_grads[m], cfg.inner_lr,
+                    first_order=cfg.first_order,
+                )
+            theta = self._optimizer.step(theta, outer_grad)
+
+        penalty = cfg.lambda_penalty * sigma
+        objective = float(meta_losses.sum() + penalty)
+        extra = {}
+        if self._tracer.enabled:
+            extra = {
+                "penalty": float(penalty),
+                "meta_loss_total": float(meta_losses.sum()),
+                "meta_losses": {
+                    env.name: float(meta_losses[m])
+                    for m, env in enumerate(environments)
+                },
+                **self._trace_fields(environments),
+                "grad_norm": float(np.linalg.norm(outer_grad)),
+            }
+        return theta, objective, env_losses, extra

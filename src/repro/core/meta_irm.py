@@ -10,6 +10,9 @@ Each outer iteration:
 3. **Outer update**: ``θ ← θ − β ∇_θ(Σ_m R_meta(θ̄_m) + λ σ)`` with σ the
    std-dev of the meta-losses, differentiated exactly through the inner
    step via Hessian-vector products.
+
+Steps 1 and 3 are :class:`~repro.core.meta_grad.MetaTrainer`'s; this
+module supplies step 2.
 """
 
 from __future__ import annotations
@@ -17,16 +20,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import MetaIRMConfig
-from repro.core.meta_grad import backprop_through_inner_step, sigma_and_weights
+from repro.core.meta_grad import MetaTrainer
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
-from repro.timing import StepTimer
-from repro.train.base import EpochCallback, Trainer, TrainingHistory
 
 __all__ = ["MetaIRMTrainer"]
 
 
-class MetaIRMTrainer(Trainer):
+class MetaIRMTrainer(MetaTrainer):
     """Trainer implementing Algorithm 1 (complete or sampled meta-IRM)."""
 
     def __init__(self, config: MetaIRMConfig | None = None):
@@ -38,105 +39,35 @@ class MetaIRMTrainer(Trainer):
         else:
             self.name = f"meta-IRM({config.n_sampled_envs})"
 
-    def _run(
+    def _meta_loss(
         self,
-        environments: list[EnvironmentData],
         model: LogisticModel,
-        theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
-        timer: StepTimer,
-    ) -> np.ndarray:
-        cfg = self.config
-        n_envs = len(environments)
-        rng = np.random.default_rng(cfg.seed)
+        m: int,
+        theta_bar: np.ndarray,
+        environments: list[EnvironmentData],
+    ) -> tuple[float, np.ndarray]:
+        """The other environments' summed risk at ``θ̄_m``."""
+        others = self._meta_environments(m, len(environments))
+        meta_loss = 0.0
+        meta_grad = np.zeros_like(theta_bar)
+        for m_prime in others:
+            other = environments[m_prime]
+            loss_mp, grad_mp = model.loss_and_gradient(
+                theta_bar, other.features, other.labels
+            )
+            meta_loss += loss_mp
+            meta_grad += grad_mp
+        # Sampled variants estimate the full (M-1)-environment sum from S
+        # draws; the (M-1)/S factor keeps the estimator unbiased so that S
+        # controls only the variance of the meta-loss, not the step size.
+        scale = (len(environments) - 1) / len(others)
+        return scale * meta_loss, scale * meta_grad
 
-        for epoch in range(cfg.n_epochs):
-            timer.begin_epoch()
-            with timer.step("loading_data"):
-                env_order = list(range(n_envs))
-                epoch_envs = self._epoch_environments(environments)
-            with timer.step("transforming_format"):
-                pass  # format transform happens once in the pipeline
-
-            inner_grads: list[np.ndarray] = []
-            adapted: list[np.ndarray] = []
-            env_losses: dict[str, float] = {}
-            meta_losses = np.zeros(n_envs)
-            # Gradient of each meta-loss w.r.t. the adapted parameters.
-            meta_grads_at_adapted: list[np.ndarray] = []
-
-            for m in env_order:
-                env = epoch_envs[m]
-                with timer.step("inner_optimization"):
-                    loss_m, grad_m = model.loss_and_gradient(
-                        theta, env.features, env.labels
-                    )
-                    theta_bar = theta - cfg.inner_lr * grad_m
-                env_losses[env.name] = loss_m
-                inner_grads.append(grad_m)
-                adapted.append(theta_bar)
-
-                with timer.step("calculating_meta_losses"):
-                    others = self._meta_environments(m, n_envs, rng)
-                    meta_loss = 0.0
-                    meta_grad = np.zeros_like(theta)
-                    for m_prime in others:
-                        other = epoch_envs[m_prime]
-                        loss_mp, grad_mp = model.loss_and_gradient(
-                            theta_bar, other.features, other.labels
-                        )
-                        meta_loss += loss_mp
-                        meta_grad += grad_mp
-                    # Sampled variants estimate the full (M-1)-environment
-                    # sum from S draws; the (M-1)/S factor keeps the
-                    # estimator unbiased so that S controls only the
-                    # variance of the meta-loss, not the step size.
-                    scale = (n_envs - 1) / len(others)
-                    meta_losses[m] = scale * meta_loss
-                    meta_grads_at_adapted.append(scale * meta_grad)
-
-            with timer.step("backward_propagation"):
-                sigma, weights = sigma_and_weights(
-                    meta_losses, cfg.lambda_penalty
-                )
-                outer_grad = np.zeros_like(theta)
-                for m in env_order:
-                    chained = backprop_through_inner_step(
-                        model,
-                        theta,
-                        epoch_envs[m],
-                        meta_grads_at_adapted[m],
-                        cfg.inner_lr,
-                        first_order=cfg.first_order,
-                    )
-                    outer_grad += weights[m] * chained
-                theta = self._optimizer.step(theta, outer_grad)
-            timer.end_epoch()
-
-            objective = float(meta_losses.sum() + cfg.lambda_penalty * sigma)
-            extra = {}
-            if self._tracer.enabled:
-                extra = {
-                    "penalty": float(cfg.lambda_penalty * sigma),
-                    "meta_loss_total": float(meta_losses.sum()),
-                    "meta_losses": {
-                        environments[m].name: float(meta_losses[m])
-                        for m in env_order
-                    },
-                    "grad_norm": float(np.linalg.norm(outer_grad)),
-                }
-            self._record(history, objective, env_losses, epoch, theta,
-                         callback, **extra)
-        return theta
-
-    def _meta_environments(
-        self, m: int, n_envs: int, rng: np.random.Generator
-    ) -> list[int]:
+    def _meta_environments(self, m: int, n_envs: int) -> list[int]:
         """Environments entering ``R_meta(θ̄_m)``: all others, or a sample."""
         others = [i for i in range(n_envs) if i != m]
         s = self.config.n_sampled_envs
         if s is None or s >= len(others):
             return others
-        chosen = rng.choice(len(others), size=s, replace=False)
+        chosen = self._rng.choice(len(others), size=s, replace=False)
         return [others[i] for i in chosen]

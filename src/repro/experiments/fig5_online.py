@@ -29,9 +29,9 @@ def run_fig5(
         make_trainer(method, seed=context.settings.trainer_seeds[0])
     )
     test = context.split.test
-    scores = result.predict_proba(context.extractor.transform(test))
     return replay_online_test(
-        test.labels, scores, operating_threshold=operating_threshold
+        test.labels, context.extractor.predict_proba(test, result),
+        operating_threshold=operating_threshold,
     )
 
 

@@ -3,9 +3,11 @@
 All methods in the paper's comparison (ERM, fine-tuning, up-sampling,
 GroupDRO, V-REx, meta-IRM, LightMIRM) train the same LR head over the same
 per-environment data; they differ only in how the parameter update is
-computed.  The :class:`Trainer` ABC fixes the shared protocol: consume a
-list of environments, run ``n_epochs`` full-batch outer iterations, record a
-:class:`TrainingHistory`, and return a :class:`TrainResult`.
+computed.  :meth:`Trainer.fit` owns the one epoch loop: each epoch it draws
+the epoch's environments (``loading_data``), calls the method's
+:meth:`Trainer._step`, closes the epoch and records it in a
+:class:`TrainingHistory`.  A method supplies that update step and, when it
+keeps state across epochs, a :meth:`Trainer._begin_fit` hook.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.data.dataset import EnvironmentData, group_rows
+from repro.data.dataset import EnvironmentData
 from repro.gbdt.leaf_encoder import LeafDesign
 from repro.models.logistic import LogisticModel
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -91,11 +93,6 @@ class TrainingHistory:
     def n_epochs(self) -> int:
         return len(self.objective)
 
-    def final_objective(self) -> float:
-        if not self.objective:
-            raise RuntimeError("no epochs recorded")
-        return self.objective[-1]
-
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -106,8 +103,9 @@ class TrainResult:
     class (or a subclass) and downstream code scores through the methods
     below without type inspection.  Subclasses that carry per-environment
     parameters override :attr:`is_per_environment` and
-    :meth:`theta_for_environment`; the grouped scoring path then routes
-    each row through its environment's parameters automatically.
+    :meth:`theta_for_environment`, which the extractor's scoring path
+    (:meth:`repro.pipeline.extractor.GBDTFeatureExtractor.predict_proba`)
+    uses to score each province's rows with its own parameters.
     """
 
     trainer_name: str
@@ -134,32 +132,6 @@ class TrainResult:
         """Score rows known to come from one environment."""
         return self.model.predict_proba(self.theta_for_environment(name),
                                         features)
-
-    def predict_proba_grouped(self, features, groups: np.ndarray) -> np.ndarray:
-        """Score rows grouped by environment, in input order.
-
-        For plain results this is a single vectorized call; for
-        per-environment results each group is scored with its own
-        parameters.  ``groups`` must have one entry per feature row.
-
-        Args:
-            features: Dense or leaf design matrix, one row per sample.
-            groups: Environment name per row (e.g. province labels).
-
-        Returns:
-            Probability per row, aligned with the input order.
-        """
-        if not self.is_per_environment:
-            return self.predict_proba(features)
-        groups = np.asarray(groups)
-        if groups.shape[0] != features.shape[0]:
-            raise ValueError(
-                f"{groups.shape[0]} group labels for {features.shape[0]} rows"
-            )
-        scores = np.empty(features.shape[0])
-        for name, rows in zip(*group_rows(groups)):
-            scores[rows] = self.predict_proba_env(str(name), features[rows])
-        return scores
 
 
 class Trainer(abc.ABC):
@@ -229,9 +201,18 @@ class Trainer(abc.ABC):
             n_epochs=self.config.n_epochs,
             seed=self.config.seed,
         ):
-            theta = self._run(
-                environments, model, theta, history, callback, timer
-            )
+            with timer.step("loading_data"):
+                self._begin_fit(environments)
+            for epoch in range(self.config.n_epochs):
+                timer.begin_epoch()
+                with timer.step("loading_data"):
+                    epoch_envs = self._epoch_environments(environments)
+                theta, objective, env_losses, extra = self._step(
+                    model, theta, epoch_envs, timer
+                )
+                timer.end_epoch()
+                self._record(history, epoch, theta, objective, env_losses,
+                             callback, extra)
         return TrainResult(
             trainer_name=self.name,
             theta=theta,
@@ -240,17 +221,26 @@ class Trainer(abc.ABC):
             timer=timer,
         )
 
+    def _begin_fit(self, environments: list[EnvironmentData]) -> None:
+        """Set up the method's per-fit state (default: none)."""
+
     @abc.abstractmethod
-    def _run(
+    def _step(
         self,
-        environments: list[EnvironmentData],
         model: LogisticModel,
         theta: np.ndarray,
-        history: TrainingHistory,
-        callback: EpochCallback | None,
+        environments: list[EnvironmentData],
         timer: StepTimer,
-    ) -> np.ndarray:
-        """Algorithm-specific training loop; returns final parameters."""
+    ) -> tuple[np.ndarray, float, dict[str, float], dict]:
+        """One epoch's parameter update on this epoch's environments.
+
+        Returns:
+            ``(theta, objective, env_losses, extra)``: the updated
+            parameters; the objective and each environment's loss, both
+            at the parameters the step started from; and the trace-only
+            fields of the epoch event, computed only when
+            ``self._tracer.enabled`` (else ``{}``).
+        """
 
     def _epoch_environments(
         self, environments: list[EnvironmentData]
@@ -280,20 +270,19 @@ class Trainer(abc.ABC):
     def _record(
         self,
         history: TrainingHistory,
-        objective: float,
-        env_losses: dict[str, float],
         epoch: int,
         theta: np.ndarray,
+        objective: float,
+        env_losses: dict[str, float],
         callback: EpochCallback | None,
-        **extra,
+        extra: dict,
     ) -> None:
         """Append one epoch's records, fire the callback, trace the epoch.
 
         With a live tracer, one ``epoch`` event is emitted carrying the
-        objective, per-environment losses and any algorithm-specific
+        objective, per-environment losses and the step's trace-only
         ``extra`` fields (IRM penalty, gradient norm, MRQ state, sampled
-        environments, ...).  Trainers should compute expensive extras only
-        when ``self._tracer.enabled``.
+        environments, ...).
         """
         history.objective.append(objective)
         history.env_losses.append(env_losses)
@@ -313,6 +302,30 @@ class Trainer(abc.ABC):
                 fields["tracked"] = float(tracked)
             fields.update(extra)
             self._tracer.event("epoch", **fields)
+
+    @staticmethod
+    def _environment_losses(
+        model: LogisticModel,
+        theta: np.ndarray,
+        environments: list[EnvironmentData],
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each environment's loss and gradient at ``theta``, in order."""
+        losses = np.zeros(len(environments))
+        grads = []
+        for e, env in enumerate(environments):
+            losses[e], grad = model.loss_and_gradient(
+                theta, env.features, env.labels
+            )
+            grads.append(grad)
+        return losses, grads
+
+    @staticmethod
+    def _weighted_sum(weights, grads: list[np.ndarray]) -> np.ndarray:
+        """``Σ_e weights[e] · grads[e]``, added in environment order."""
+        total = np.zeros_like(grads[0])
+        for weight, grad in zip(weights, grads):
+            total += weight * grad
+        return total
 
 
 def stack_environments(

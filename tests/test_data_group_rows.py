@@ -131,8 +131,8 @@ class TestDatasetConsumers:
 
 
 class TestScoringConsumers:
-    def test_predict_proba_grouped_finetuned(self, train_envs,
-                                             fitted_extractor, small_split):
+    def test_extractor_scores_finetuned_per_province(
+            self, train_envs, fitted_extractor, small_split):
         result = FineTuneTrainer(FineTuneConfig(n_epochs=3)).fit(train_envs)
         assert result.is_per_environment
         test = small_split.test
@@ -142,7 +142,7 @@ class TestScoringConsumers:
             mask = test.provinces == name
             expected[mask] = result.predict_proba_env(
                 str(name), design[np.flatnonzero(mask)])
-        got = result.predict_proba_grouped(design, test.provinces)
+        got = fitted_extractor.predict_proba(test, result)
         np.testing.assert_array_equal(got, expected)
 
     def test_pipeline_evaluate(self, fitted_pipeline, small_split):

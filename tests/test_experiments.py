@@ -178,6 +178,31 @@ class TestFig5:
         assert 0 <= replay.companion_bad_debt_rate <= 1
         assert "bad-debt" in format_fig5(replay)
 
+    def test_fine_tuning_scores_each_province_with_its_own_theta(
+            self, tiny_context, monkeypatch):
+        import repro.experiments.fig5_online as fig5
+
+        fitted, replayed = [], []
+        fit_trainer = tiny_context.fit_trainer
+        monkeypatch.setattr(
+            tiny_context, "fit_trainer",
+            lambda trainer: fitted.append(fit_trainer(trainer)) or fitted[-1])
+        monkeypatch.setattr(
+            fig5, "replay_online_test",
+            lambda labels, scores, **kw: replayed.append(scores))
+        run_fig5(tiny_context, method="ERM + fine-tuning")
+        (result,), (scores,) = fitted, replayed
+        test = tiny_context.split.test
+        design = tiny_context.extractor.transform(test)
+        expected = np.empty(test.n_samples)
+        for name in test.province_names():
+            rows = np.flatnonzero(test.provinces == name)
+            expected[rows] = result.model.predict_proba(
+                result.theta_for_environment(name), design[rows])
+        np.testing.assert_array_equal(scores, expected)
+        assert not np.array_equal(
+            scores, result.model.predict_proba(result.theta, design))
+
 
 class TestTable1:
     def test_two_method_subset(self, tiny_context):

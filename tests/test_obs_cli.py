@@ -111,10 +111,10 @@ class TestTraceClosedOnFailure:
         def failing_trainer(*args, **kwargs):
             trainer = make_trainer(*args, **kwargs)
 
-            def run(*_):
+            def step(*_):
                 raise RuntimeError("trainer failed mid-fit")
 
-            trainer._run = run
+            trainer._step = step
             return trainer
 
         monkeypatch.setattr(repro.cli, "make_trainer", failing_trainer)

@@ -126,7 +126,7 @@ class TestTimerAndLogAgree:
     ``==``, not approximately.
     """
 
-    @pytest.mark.parametrize("name", ["LightMIRM", "meta-IRM"])
+    @pytest.mark.parametrize("name", available_trainers())
     def test_trainer_fit(self, name, tiny_envs):
         timer, tracer = StepTimer(), Tracer()
         make_trainer(name, n_epochs=4, seed=0).fit(

@@ -1,7 +1,7 @@
 """Tests for the unified TrainResult scoring surface.
 
 Every trainer's result — pooled or per-environment — must expose the same
-four scoring methods, so downstream code (pipeline, runner, persistence)
+scoring methods, so downstream code (pipeline, runner, persistence)
 never needs isinstance checks.
 """
 
@@ -39,12 +39,6 @@ class TestEveryTrainerSatisfiesSurface:
             assert theta.shape == result.theta.shape, name
             scores = result.predict_proba_env("A", x)
             assert scores.shape == (x.shape[0],), name
-            groups = np.repeat(
-                [e.name for e in surface_envs],
-                [e.n_samples for e in surface_envs],
-            )
-            grouped = result.predict_proba_grouped(x, groups)
-            assert grouped.shape == (x.shape[0],), name
 
 
 class TestPooledResult:
@@ -53,18 +47,6 @@ class TestPooledResult:
         assert result.is_per_environment is False
         np.testing.assert_array_equal(result.theta_for_environment("A"),
                                       result.theta)
-
-    def test_grouped_equals_plain_predict(self, surface_envs):
-        result = ERMTrainer(BaseTrainConfig(n_epochs=2)).fit(surface_envs)
-        x, _ = stack_environments(surface_envs)
-        groups = np.repeat(
-            [e.name for e in surface_envs],
-            [e.n_samples for e in surface_envs],
-        )
-        np.testing.assert_array_equal(
-            result.predict_proba_grouped(x, groups),
-            result.predict_proba(x),
-        )
 
 
 class TestPerEnvironmentResult:
@@ -91,19 +73,3 @@ class TestPerEnvironmentResult:
             finetuned.predict_proba_env("Z", x),
             finetuned.model.predict_proba(finetuned.theta, x),
         )
-
-    def test_grouped_scores_in_input_order(self, finetuned, surface_envs):
-        # Interleave rows from all three environments.
-        x = np.vstack([e.features[:4] for e in surface_envs])
-        groups = np.repeat([e.name for e in surface_envs], 4)
-        order = np.arange(x.shape[0])
-        np.random.default_rng(0).shuffle(order)
-        shuffled = finetuned.predict_proba_grouped(x[order], groups[order])
-        straight = finetuned.predict_proba_grouped(x, groups)
-        np.testing.assert_array_equal(shuffled, straight[order])
-
-    def test_grouped_validates_lengths(self, finetuned, surface_envs):
-        with pytest.raises(ValueError):
-            finetuned.predict_proba_grouped(
-                surface_envs[0].features, np.array(["A", "B"])
-            )
