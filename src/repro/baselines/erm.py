@@ -13,7 +13,7 @@ import numpy as np
 from repro.data.dataset import EnvironmentData
 from repro.models.logistic import LogisticModel
 from repro.timing import StepTimer
-from repro.train.base import BaseTrainConfig, Trainer, stack_environments
+from repro.train.base import Trainer, stack_environments
 
 __all__ = ["ERMTrainer"]
 
@@ -22,9 +22,6 @@ class ERMTrainer(Trainer):
     """Pooled-loss gradient descent (the paper's ERM baseline)."""
 
     name = "ERM"
-
-    def __init__(self, config: BaseTrainConfig | None = None):
-        super().__init__(config or BaseTrainConfig())
 
     def _begin_fit(self, environments: list[EnvironmentData]) -> None:
         # Full-batch epochs all see the same pooled data: stack it once.

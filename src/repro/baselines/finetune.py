@@ -71,11 +71,8 @@ class FineTuneTrainer(ERMTrainer):
     """Pooled ERM followed by per-environment fine-tuning."""
 
     name = "ERM + fine-tuning"
-
-    def __init__(self, config: FineTuneConfig | None = None):
-        config = config or FineTuneConfig()
-        super().__init__(config)
-        self.config: FineTuneConfig = config
+    config_class = FineTuneConfig
+    config: FineTuneConfig
 
     def fit(
         self,

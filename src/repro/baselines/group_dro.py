@@ -43,14 +43,11 @@ class GroupDROTrainer(Trainer):
     """Worst-group risk minimisation via exponentiated group weights."""
 
     name = "Group DRO"
-
-    def __init__(self, config: GroupDROConfig | None = None):
-        config = config or GroupDROConfig()
-        super().__init__(config)
-        self.config: GroupDROConfig = config
-        #: Group weights q, index-aligned with environments; updated every
-        #: epoch, so after fit() they are the final ones.
-        self.group_weights_: np.ndarray | None = None
+    config_class = GroupDROConfig
+    config: GroupDROConfig
+    #: Group weights q, index-aligned with environments; updated every
+    #: epoch, so after fit() they are the final ones.
+    group_weights_: np.ndarray | None = None
 
     def _begin_fit(self, environments: list[EnvironmentData]) -> None:
         self.group_weights_ = np.full(len(environments),

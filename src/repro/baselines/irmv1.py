@@ -80,11 +80,8 @@ class IRMv1Trainer(Trainer):
     """Penalty-based IRM on the LR head (for contrast with meta-IRM)."""
 
     name = "IRMv1"
-
-    def __init__(self, config: IRMv1Config | None = None):
-        config = config or IRMv1Config()
-        super().__init__(config)
-        self.config: IRMv1Config = config
+    config_class = IRMv1Config
+    config: IRMv1Config
 
     def _step(self, model: LogisticModel, theta: np.ndarray,
               environments: list[EnvironmentData], timer: StepTimer):

@@ -50,11 +50,8 @@ class UpSamplingTrainer(Trainer):
     """Environment-rebalanced (and optionally class-rebalanced) ERM."""
 
     name = "Up Sampling"
-
-    def __init__(self, config: UpSamplingConfig | None = None):
-        config = config or UpSamplingConfig()
-        super().__init__(config)
-        self.config: UpSamplingConfig = config
+    config_class = UpSamplingConfig
+    config: UpSamplingConfig
 
     def _begin_fit(self, environments: list[EnvironmentData]) -> None:
         sizes = np.array([env.n_samples for env in environments],

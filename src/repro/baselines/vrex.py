@@ -43,11 +43,8 @@ class VRExTrainer(Trainer):
     """Mean-plus-variance-of-risks minimisation."""
 
     name = "V-REx"
-
-    def __init__(self, config: VRExConfig | None = None):
-        config = config or VRExConfig()
-        super().__init__(config)
-        self.config: VRExConfig = config
+    config_class = VRExConfig
+    config: VRExConfig
 
     def _step(self, model: LogisticModel, theta: np.ndarray,
               environments: list[EnvironmentData], timer: StepTimer):

@@ -51,6 +51,7 @@ import os
 import sys
 from typing import Iterator
 
+from repro.baselines.finetune import FineTuneTrainer
 from repro.data.dataset import LoanDataset
 from repro.data.generator import GeneratorConfig, LoanDataGenerator
 from repro.data.splits import temporal_split
@@ -76,13 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The run-log flag of every command that can trace its run.
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--trace", metavar="PATH",
+                        help="write a structured JSONL run log")
+
     gen = sub.add_parser("generate", help="generate a synthetic platform")
     gen.add_argument("--n-samples", type=int, default=40_000)
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--total-features", type=int, default=60)
     gen.add_argument("--out", required=True, help="output .npz path")
 
-    train = sub.add_parser("train", help="train a GBDT+LR pipeline")
+    train = sub.add_parser("train", parents=[traced],
+                           help="train a GBDT+LR pipeline")
     train.add_argument("--method", default="LightMIRM",
                        help="trainer name or alias (see `repro list`)")
     train.add_argument("--data", required=True, help="dataset .npz path")
@@ -95,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--epochs", type=int,
                        help="override the trainer's epoch count")
-    train.add_argument("--trace", metavar="PATH",
-                       help="write a structured JSONL run log")
 
     evaluate = sub.add_parser("evaluate", help="evaluate a saved model")
     evaluate.add_argument("--model", required=True, help="model JSON path")
@@ -130,9 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-size", type=int, default=256)
 
     serve_run = sub.add_parser(
-        "serve-run", parents=[serving],
+        "serve-run", parents=[serving, traced],
         help="score a dataset through the multi-worker shared-memory "
              "front-end",
+        description="Score a dataset through the multi-worker "
+                    "shared-memory front-end.  With --trace, health "
+                    "alerts and transitions land in the run log.",
     )
     serve_run.add_argument("--workers", type=int, default=2,
                            help="scoring worker processes (default: 2)")
@@ -152,12 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(headless CI alternative to a scraper)")
     serve_run.add_argument("--snapshot-interval", type=float, default=2.0,
                            help="seconds between --metrics-snapshot lines")
-    serve_run.add_argument("--trace", metavar="PATH",
-                           help="write a structured JSONL run log (health "
-                                "alerts and transitions land here)")
 
     experiment = sub.add_parser(
-        "experiment", help="regenerate paper tables/figures, in order"
+        "experiment", parents=[traced],
+        help="regenerate paper tables/figures, in order",
     )
     experiment.add_argument("ids", nargs="+", metavar="id",
                             choices=list(EXPERIMENTS),
@@ -172,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--jobs", type=int, default=1,
                             help="worker processes for the trainer fan-out "
                                  "(results are bit-identical to --jobs 1)")
-    experiment.add_argument("--trace", metavar="PATH",
-                            help="write a structured JSONL run log")
 
     bench = sub.add_parser(
         "bench",
@@ -212,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "pipeline as a serving artifact")
 
     verify = sub.add_parser(
-        "verify", help="run the invariance scorecard on the SEM bed"
+        "verify", parents=[traced],
+        help="run the invariance scorecard on the SEM bed",
     )
     verify.add_argument("--out", default="VERIFY_invariance.json",
                         help="output JSON path "
@@ -225,12 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override rows per training environment")
     verify.add_argument("--epochs", type=int,
                         help="override trainer epochs")
-    verify.add_argument("--trace", metavar="PATH",
-                        help="write a structured JSONL run log")
 
     tune = sub.add_parser(
-        "tune",
+        "tune", parents=[traced],
         help="ASHA hyper-parameter search over the parallel engine",
+        description="ASHA hyper-parameter search over the parallel "
+                    "engine.  The --trace log is also the search's "
+                    "resumable state (see --resume).",
     )
     tune.add_argument("--trainers", nargs="+", metavar="NAME",
                       default=["LightMIRM"],
@@ -260,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--jobs", type=int, default=1,
                       help="worker processes for the trial fan-out "
                            "(results are bit-identical to --jobs 1)")
-    tune.add_argument("--trace", metavar="PATH",
-                      help="write a structured JSONL run log (also the "
-                           "search's resumable state)")
     tune.add_argument("--resume", metavar="RUNLOG",
                       help="replay matching trials from a previous "
                            "run's --trace log instead of retraining")
@@ -283,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--extractors", type=int, default=3,
                       help="distinct extractor configurations shared "
                            "round-robin across --joint trials")
-    tune.add_argument("--cache-bytes", type=int, metavar="BYTES",
-                      help="LRU budget of the --joint encoding cache "
-                           "(default: unbounded)")
     tune.add_argument("--no-cache", action="store_true",
                       help="--joint only: re-encode inline per trial "
                            "instead of using the cache (bit-identical, "
@@ -361,10 +361,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset = LoanDataset.load(args.data)
-    split = temporal_split(dataset)
     overrides = {} if args.epochs is None else {"n_epochs": args.epochs}
     trainer = make_trainer(args.method, seed=args.seed, **overrides)
+    if (args.out or args.registry) and isinstance(trainer, FineTuneTrainer):
+        print(f"repro train: error: {trainer.name} fits per-environment "
+              "heads, which a saved model cannot hold", file=sys.stderr)
+        return 2
+    split = temporal_split(LoanDataset.load(args.data))
     pipeline = LoanDefaultPipeline(trainer)
     with _traced(args, "train",
                  config={"method": args.method, **overrides},
@@ -753,8 +756,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     joint_fields = {}
     if args.joint:
         joint_fields = {"joint": True, "n_extractors": args.extractors,
-                       "cached": not args.no_cache,
-                       "cache_bytes": args.cache_bytes}
+                       "cached": not args.no_cache}
     context = ExperimentContext(
         ExperimentSettings(n_samples=n_samples, data_seed=args.data_seed)
     )
@@ -780,7 +782,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                     tracer=tracer,
                     resume=resume,
                     use_cache=not args.no_cache,
-                    cache_bytes=args.cache_bytes,
                 )
                 if stats is not None:
                     print(f"{name}: cache hits={stats.hits} "
@@ -788,8 +789,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                           f"hit-rate={stats.hit_rate:.2f} "
                           f"encode={stats.encode_seconds:.2f}s "
                           f"saved={stats.encode_seconds_saved:.2f}s "
-                          f"published={stats.published_bytes}B "
-                          f"evictions={stats.evictions}")
+                          f"published={stats.published_bytes}B")
             else:
                 result = run_asha(
                     default_space(name),
@@ -914,7 +914,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_list(_: argparse.Namespace) -> int:
     print("trainers:")
     for info in trainer_names():
-        line = f"  {info.name:20s} config={info.config_class.__name__}"
+        config_class = info.trainer_class.config_class
+        line = f"  {info.name:20s} config={config_class.__name__}"
         if info.penalty_parameter:
             line += f"  penalty={info.penalty_parameter}"
         if info.aliases:

@@ -35,13 +35,10 @@ class LightMIRMTrainer(MetaTrainer):
     """Trainer implementing Algorithm 2."""
 
     name = "LightMIRM"
-
-    def __init__(self, config: LightMIRMConfig | None = None):
-        config = config or LightMIRMConfig()
-        super().__init__(config)
-        self.config: LightMIRMConfig = config
-        #: Exposed after fit() for inspection/tests: one queue per env.
-        self.queues_: list[MetaLossReplayQueue] | None = None
+    config_class = LightMIRMConfig
+    config: LightMIRMConfig
+    #: Exposed after fit() for inspection/tests: one queue per env.
+    queues_: list[MetaLossReplayQueue] | None = None
 
     def _begin_fit(self, environments: list[EnvironmentData]) -> None:
         super()._begin_fit(environments)

@@ -30,14 +30,14 @@ __all__ = ["MetaIRMTrainer"]
 class MetaIRMTrainer(MetaTrainer):
     """Trainer implementing Algorithm 1 (complete or sampled meta-IRM)."""
 
+    config_class = MetaIRMConfig
+    config: MetaIRMConfig
+
     def __init__(self, config: MetaIRMConfig | None = None):
-        config = config or MetaIRMConfig()
         super().__init__(config)
-        self.config: MetaIRMConfig = config
-        if config.n_sampled_envs is None:
-            self.name = "meta-IRM"
-        else:
-            self.name = f"meta-IRM({config.n_sampled_envs})"
+        n_sampled = self.config.n_sampled_envs
+        self.name = ("meta-IRM" if n_sampled is None
+                     else f"meta-IRM({n_sampled})")
 
     def _meta_loss(
         self,

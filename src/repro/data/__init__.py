@@ -4,7 +4,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "dataset": (
-        "EnvironmentData", "LoanDataset", "group_by_environment", "group_rows",
+        "EnvironmentData", "LoanDataset", "group_rows",
     ),
     "generator": (
         "GeneratorConfig", "LoanDataGenerator", "generate_default_dataset",

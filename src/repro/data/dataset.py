@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from repro.data.schema import CausalRole, LoanFeatureSchema
 
-__all__ = ["LoanDataset", "EnvironmentData", "group_by_environment",
-           "group_rows"]
+__all__ = ["LoanDataset", "EnvironmentData", "group_rows"]
 
 
 def group_rows(keys: np.ndarray) -> tuple[list, list[np.ndarray]]:
@@ -213,13 +212,3 @@ class LoanDataset:
             f"provinces={len(self.province_names())}, "
             f"default_rate={self.default_rate:.3f})"
         )
-
-
-def group_by_environment(
-    features: np.ndarray, labels: np.ndarray, groups: np.ndarray
-) -> Mapping[str, EnvironmentData]:
-    """Group arbitrary (features, labels) rows by a group key array."""
-    return {
-        str(name): EnvironmentData(str(name), features[rows], labels[rows])
-        for name, rows in zip(*group_rows(np.asarray(groups)))
-    }

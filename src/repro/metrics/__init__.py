@@ -4,15 +4,15 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "uncertainty": (
-        "BootstrapInterval", "bootstrap_auc", "bootstrap_ks",
-        "bootstrap_metric", "paired_bootstrap_difference",
+        "BootstrapInterval", "bootstrap_metric",
+        "paired_bootstrap_difference",
     ),
     "probability": (
-        "ReliabilityBin", "brier_score", "calibration_gap_by_environment",
+        "ReliabilityBin", "calibration_gap_by_environment",
         "expected_calibration_error", "reliability_bins",
     ),
     "auc": ("auc_score", "roc_curve"),
-    "ks": ("ks_score", "ks_curve", "two_sample_ks"),
+    "ks": ("ks_score", "two_sample_ks"),
     "invariance": ("coefficient_recovery", "cosine_similarity", "weight_mass"),
     "fairness": (
         "EnvironmentScores", "FairnessReport", "evaluate_environments",

@@ -13,7 +13,7 @@ import numpy as np
 from repro.metrics.auc import roc_curve
 from repro.metrics.validation import check_binary_classification_inputs
 
-__all__ = ["ks_score", "ks_curve", "two_sample_ks"]
+__all__ = ["ks_score", "two_sample_ks"]
 
 
 def ks_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
@@ -39,18 +39,6 @@ def ks_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
     """
     fpr, tpr, _ = roc_curve(y_true, y_score)
     return float(np.max(tpr - fpr))
-
-
-def ks_curve(
-    y_true: np.ndarray, y_score: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(thresholds, tpr - fpr)`` for plotting the KS separation curve.
-
-    The returned thresholds are in decreasing order, matching
-    :func:`repro.metrics.auc.roc_curve`.
-    """
-    fpr, tpr, thresholds = roc_curve(y_true, y_score)
-    return thresholds, tpr - fpr
 
 
 def two_sample_ks(sample_a: np.ndarray, sample_b: np.ndarray) -> float:

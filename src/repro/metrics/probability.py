@@ -1,4 +1,4 @@
-"""Probability-quality metrics: Brier score, reliability bins, ECE.
+"""Probability-quality metrics: reliability bins, ECE.
 
 The paper's fairness discussion centres on *calibration* ("false positive
 rates across groups should be similar", citing Kleinberg/Pleiss): a score
@@ -18,28 +18,11 @@ import numpy as np
 from repro.metrics.validation import check_binary_classification_inputs
 
 __all__ = [
-    "brier_score",
     "ReliabilityBin",
     "reliability_bins",
     "expected_calibration_error",
     "calibration_gap_by_environment",
 ]
-
-
-def brier_score(y_true: np.ndarray, y_prob: np.ndarray) -> float:
-    """Mean squared error of the predicted probabilities.
-
-    Args:
-        y_true: Binary labels.
-        y_prob: Predicted probabilities in [0, 1].
-
-    Returns:
-        Brier score in [0, 1]; lower is better.
-    """
-    y_true, y_prob = check_binary_classification_inputs(y_true, y_prob)
-    if np.any((y_prob < 0) | (y_prob > 1)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return float(np.mean((y_prob - y_true) ** 2))
 
 
 @dataclass(frozen=True)

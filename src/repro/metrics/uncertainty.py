@@ -16,15 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.metrics.auc import auc_score
 from repro.metrics.ks import ks_score
 from repro.metrics.validation import check_binary_classification_inputs
 
 __all__ = [
     "BootstrapInterval",
     "bootstrap_metric",
-    "bootstrap_ks",
-    "bootstrap_auc",
     "paired_bootstrap_difference",
 ]
 
@@ -114,16 +111,6 @@ def bootstrap_metric(
         confidence=confidence,
         n_resamples=n_resamples,
     )
-
-
-def bootstrap_ks(y_true, y_score, **kwargs) -> BootstrapInterval:
-    """Bootstrap interval for the (signed) KS statistic."""
-    return bootstrap_metric(y_true, y_score, ks_score, **kwargs)
-
-
-def bootstrap_auc(y_true, y_score, **kwargs) -> BootstrapInterval:
-    """Bootstrap interval for the AUC."""
-    return bootstrap_metric(y_true, y_score, auc_score, **kwargs)
 
 
 def paired_bootstrap_difference(

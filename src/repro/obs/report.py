@@ -394,8 +394,8 @@ def tune_cache_lines(run: RunLog) -> list[str]:
     """Summarize a joint search's extractor-encoding cache from its log.
 
     Empty when the log holds no ``tune_cache`` events (head-only and
-    non-tuning logs stay unchanged); otherwise hit/miss/eviction counts,
-    resident-pack bytes published, and the encode seconds spent vs saved
+    non-tuning logs stay unchanged); otherwise hit/miss counts, pack
+    bytes published, and the encode seconds spent vs saved
     — reconstructed purely from the event stream, mirroring how the
     cache itself accounts (each hit saves one encode of its
     fingerprint's measured cost).
@@ -430,7 +430,7 @@ def tune_cache_lines(run: RunLog) -> list[str]:
     ]
     lines.append(
         f"  encodings published {counts.get('publish', 0)} "
-        f"({published_bytes / 1e6:.1f} MB), evicted {counts.get('evict', 0)}"
+        f"({published_bytes / 1e6:.1f} MB)"
     )
     lines.append(
         f"  encode seconds spent {spent:.2f}, saved by reuse {saved:.2f}"

@@ -83,15 +83,15 @@ TUNE_RUNG_EVENT = "tune_rung"
 #: Well-known joint-search names (additive under schema v2): each batch
 #: of distinct-extractor encodes runs inside one ``TUNE_ENCODE_SPAN``
 #: span, and the extractor-encoding cache emits one ``TUNE_CACHE_EVENT``
-#: per lookup or lifecycle step (``action`` field: hit, miss, publish,
-#: evict) keyed by the encoding's content ``fingerprint`` — so the run
-#: log alone reconstructs the cache's hit-rate, byte footprint and the
-#: encode seconds the search saved.
+#: per lookup or publish (``action`` field: hit, miss, publish) keyed by
+#: the encoding's content ``fingerprint`` — so the run log alone
+#: reconstructs the cache's hit-rate, byte footprint and the encode
+#: seconds the search saved.
 TUNE_ENCODE_SPAN = "tune_encode"
 TUNE_CACHE_EVENT = "tune_cache"
 
 #: Legal values of a ``tune_cache`` event's ``action`` field.
-_CACHE_ACTIONS = ("hit", "miss", "publish", "evict")
+_CACHE_ACTIONS = ("hit", "miss", "publish")
 
 #: Well-known live-health names (schema v2): the serving
 #: :class:`~repro.obs.live.health.HealthMonitor` emits one

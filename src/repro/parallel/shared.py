@@ -32,7 +32,6 @@ __all__ = [
     "ArrayEntry",
     "PackSpec",
     "SharedArrayPack",
-    "PackCache",
     "environments_to_arrays",
     "environments_from_arrays",
     "pack_train_test",
@@ -249,131 +248,6 @@ class SharedArrayPack:
 
     def __exit__(self, *exc) -> None:
         self.dispose()
-
-
-# -------------------------------------------------------------- pack cache
-
-
-class PackCache:
-    """Refcounted, LRU-evicting store of owned :class:`SharedArrayPack`\\ s.
-
-    The extractor-encoding cache (and any future keyed pack reuse) needs
-    two lifetime rules a plain dict cannot give:
-
-    * **Pinning** — a pack stays resident while any in-flight task may
-      attach to it.  :meth:`pin`/:meth:`unpin` count leases; a pinned
-      entry is never evicted, so the byte budget can transiently
-      overshoot while leases are held (freed at the next
-      :meth:`evict_to_budget` once unpinned).
-    * **LRU under a byte budget** — with ``max_bytes`` set, unpinned
-      entries are disposed least-recently-used-first until the total
-      fits.  Disposal unlinks the shared block; processes still holding
-      a mapping keep their pages until they detach (POSIX semantics), so
-      eviction can never corrupt a straggling reader.
-
-    The cache owns every inserted pack: :meth:`clear` (or eviction)
-    disposes them, so callers must not dispose a pack they handed over.
-    """
-
-    def __init__(self, max_bytes: int | None = None):
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0 or None")
-        self.max_bytes = max_bytes
-        self._entries: dict[str, dict] = {}  # insertion order = LRU order
-        self.evictions = 0
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def keys(self) -> list[str]:
-        """Cached keys, least-recently-used first."""
-        return list(self._entries)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(e["nbytes"] for e in self._entries.values())
-
-    def put(self, key: str, pack: SharedArrayPack,
-            nbytes: int | None = None) -> None:
-        """Insert an owned pack under a key (most-recently-used position).
-
-        Raises:
-            KeyError: If the key is already cached — the caller raced
-                itself; look the entry up first.
-        """
-        if key in self._entries:
-            raise KeyError(f"pack {key!r} already cached")
-        self._entries[key] = {
-            "pack": pack,
-            "nbytes": int(pack.nbytes if nbytes is None else nbytes),
-            "pins": 0,
-        }
-
-    def get(self, key: str) -> SharedArrayPack | None:
-        """The cached pack, refreshed to most-recently-used; None on miss."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries[key] = self._entries.pop(key)  # move to MRU end
-        return entry["pack"]
-
-    def pin(self, key: str) -> SharedArrayPack:
-        """Lease a pack: refresh LRU position and block its eviction.
-
-        Raises:
-            KeyError: On a missing key.
-        """
-        pack = self.get(key)
-        if pack is None:
-            raise KeyError(f"pack {key!r} not cached")
-        self._entries[key]["pins"] += 1
-        return pack
-
-    def unpin(self, key: str) -> None:
-        """Release one lease taken by :meth:`pin`.
-
-        Raises:
-            KeyError: On a missing key.
-            ValueError: If the entry has no outstanding lease.
-        """
-        entry = self._entries[key]
-        if entry["pins"] <= 0:
-            raise ValueError(f"pack {key!r} is not pinned")
-        entry["pins"] -= 1
-
-    def pins(self, key: str) -> int:
-        """Outstanding lease count of a cached key."""
-        return self._entries[key]["pins"]
-
-    def evict_to_budget(self) -> list[str]:
-        """Dispose unpinned LRU entries until the byte budget fits.
-
-        Returns:
-            Evicted keys, in eviction order (empty without a budget).
-        """
-        if self.max_bytes is None:
-            return []
-        evicted = []
-        while self.total_bytes > self.max_bytes:
-            victim = next(
-                (k for k, e in self._entries.items() if e["pins"] == 0),
-                None,
-            )
-            if victim is None:
-                break  # everything live is pinned; overshoot until unpin
-            self._entries.pop(victim)["pack"].dispose()
-            self.evictions += 1
-            evicted.append(victim)
-        return evicted
-
-    def clear(self) -> None:
-        """Dispose every cached pack (pinned or not) and empty the cache."""
-        for entry in self._entries.values():
-            entry["pack"].dispose()
-        self._entries.clear()
 
 
 # ---------------------------------------------------------- ragged arrays

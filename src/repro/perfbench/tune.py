@@ -134,7 +134,6 @@ def run_tune_benchmark(config: TuneBenchConfig | None = None) -> dict:
             "misses": stats.misses,
             "hit_rate": stats.hit_rate,
             "published_bytes": stats.published_bytes,
-            "evictions": stats.evictions,
         },
         "uncached": {
             "wall_s": uncached_wall,

@@ -149,11 +149,6 @@ class Measurement:
         return statistics.median(self.seconds)
 
     @property
-    def best_seconds(self) -> float:
-        """Fastest repeat — the least-perturbed observation."""
-        return min(self.seconds)
-
-    @property
     def repeats(self) -> int:
         return len(self.seconds)
 

@@ -139,9 +139,11 @@ class Trainer(abc.ABC):
 
     #: Registry/display name; subclasses override.
     name: str = "base"
+    #: Config dataclass of the method; ``config=None`` builds its default.
+    config_class: type[BaseTrainConfig] = BaseTrainConfig
 
-    def __init__(self, config: BaseTrainConfig):
-        self.config = config
+    def __init__(self, config: BaseTrainConfig | None = None):
+        self.config = config if config is not None else self.config_class()
         self._tracer: Tracer = NULL_TRACER
 
     def fit(

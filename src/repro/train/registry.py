@@ -4,7 +4,7 @@ Lookup is case-insensitive and alias-tolerant: ``"lightmirm"``,
 ``"meta-irm"``, ``"group_dro"`` and friends all resolve to their canonical
 Table I names, and unknown names fail with a did-you-mean suggestion.
 :func:`trainer_names` exposes per-trainer metadata (canonical name,
-aliases, penalty field, trainer and config classes) for the CLI ``list``
+aliases, penalty field, trainer class) for the CLI ``list``
 command; it is the one table :func:`make_trainer`, :func:`penalty_parameter`
 and the field validation of :class:`repro.tune.space.HPSpace` read.
 
@@ -20,15 +20,14 @@ import re
 from dataclasses import dataclass
 
 from repro.baselines.erm import ERMTrainer
-from repro.baselines.finetune import FineTuneConfig, FineTuneTrainer
-from repro.baselines.group_dro import GroupDROConfig, GroupDROTrainer
-from repro.baselines.irmv1 import IRMv1Config, IRMv1Trainer
-from repro.baselines.upsampling import UpSamplingConfig, UpSamplingTrainer
-from repro.baselines.vrex import VRExConfig, VRExTrainer
-from repro.core.config import LightMIRMConfig, MetaIRMConfig
+from repro.baselines.finetune import FineTuneTrainer
+from repro.baselines.group_dro import GroupDROTrainer
+from repro.baselines.irmv1 import IRMv1Trainer
+from repro.baselines.upsampling import UpSamplingTrainer
+from repro.baselines.vrex import VRExTrainer
 from repro.core.lightmirm import LightMIRMTrainer
 from repro.core.meta_irm import MetaIRMTrainer
-from repro.train.base import BaseTrainConfig, Trainer
+from repro.train.base import Trainer
 
 __all__ = [
     "make_trainer",
@@ -53,37 +52,28 @@ class TrainerInfo:
             the canonical name need not be listed).
         penalty_parameter: Config field weighting the trainer's invariance
             penalty, or ``None`` for pure risk minimisers.
-        trainer_class: The :class:`~repro.train.base.Trainer` subclass.
-        config_class: Its config dataclass.
+        trainer_class: The :class:`~repro.train.base.Trainer` subclass
+            (its ``config_class`` is the config dataclass).
     """
 
     name: str
     aliases: tuple[str, ...]
     penalty_parameter: str | None
     trainer_class: type[Trainer]
-    config_class: type[BaseTrainConfig]
 
 
 _TRAINERS = (
-    TrainerInfo("ERM", (), None, ERMTrainer, BaseTrainConfig),
-    TrainerInfo(
-        "ERM + fine-tuning",
-        ("fine-tuning", "finetune", "erm-finetune"),
-        None,
-        FineTuneTrainer,
-        FineTuneConfig,
-    ),
-    TrainerInfo("Up Sampling", ("upsample",), None, UpSamplingTrainer,
-                UpSamplingConfig),
-    TrainerInfo("Group DRO", ("dro",), None, GroupDROTrainer, GroupDROConfig),
-    TrainerInfo("V-REx", ("rex",), "variance_weight", VRExTrainer,
-                VRExConfig),
-    TrainerInfo("IRMv1", ("irm",), "penalty_weight", IRMv1Trainer,
-                IRMv1Config),
-    TrainerInfo("meta-IRM", (), "lambda_penalty", MetaIRMTrainer,
-                MetaIRMConfig),
+    TrainerInfo("ERM", (), None, ERMTrainer),
+    TrainerInfo("ERM + fine-tuning",
+                ("fine-tuning", "finetune", "erm-finetune"), None,
+                FineTuneTrainer),
+    TrainerInfo("Up Sampling", ("upsample",), None, UpSamplingTrainer),
+    TrainerInfo("Group DRO", ("dro",), None, GroupDROTrainer),
+    TrainerInfo("V-REx", ("rex",), "variance_weight", VRExTrainer),
+    TrainerInfo("IRMv1", ("irm",), "penalty_weight", IRMv1Trainer),
+    TrainerInfo("meta-IRM", (), "lambda_penalty", MetaIRMTrainer),
     TrainerInfo("LightMIRM", ("light-mirm",), "lambda_penalty",
-                LightMIRMTrainer, LightMIRMConfig),
+                LightMIRMTrainer),
 )
 
 _BY_NAME = {info.name: info for info in _TRAINERS}
@@ -243,5 +233,6 @@ def make_trainer(name: str, **config_overrides) -> Trainer:
     canonical = resolve_trainer_name(name)
     n_sampled = _sampled_count(canonical)
     sampled = {} if n_sampled is None else {"n_sampled_envs": n_sampled}
-    info = trainer_info(canonical)
-    return info.trainer_class(info.config_class(**sampled, **config_overrides))
+    trainer_class = trainer_info(canonical).trainer_class
+    return trainer_class(
+        trainer_class.config_class(**sampled, **config_overrides))

@@ -526,7 +526,6 @@ def run_joint_asha(
     tracer: Tracer = NULL_TRACER,
     resume: Resume | None = None,
     use_cache: bool = True,
-    cache_bytes: int | None = None,
 ) -> tuple[SearchResult, CacheStats | None]:
     """Joint GBDT×head successive-halving over *raw* environments.
 
@@ -555,8 +554,6 @@ def run_joint_asha(
             events to the usual search stream.
         resume: As :func:`run_asha`.
         use_cache: ``False`` runs the per-trial inline-encode baseline.
-        cache_bytes: Optional resident-byte budget of the pack store
-            (LRU eviction; evicted encodings re-encode on demand).
 
     Returns:
         ``(search result, cache stats)`` — stats are ``None`` when
@@ -582,7 +579,6 @@ def run_joint_asha(
             environments,
             validation_fraction=config.validation_fraction,
             split_seed=config.seed,
-            max_bytes=cache_bytes,
             tracer=tracer,
         )
         if use_cache
@@ -610,16 +606,13 @@ def run_joint_asha(
             engine,
             raw_pack.spec,
         )
-        try:
-            return engine.map(
-                run_trial_task,
-                [_trial_task(trainer, t, rung, budget, pack=packs[fp])
-                 for fp, t in zip(fps, pending)],
-                initializer=init_experiment_worker,
-                initargs=(raw_pack.spec,),
-            )
-        finally:
-            cache.release(list(packs))
+        return engine.map(
+            run_trial_task,
+            [_trial_task(trainer, t, rung, budget, pack=packs[fp])
+             for fp, t in zip(fps, pending)],
+            initializer=init_experiment_worker,
+            initargs=(raw_pack.spec,),
+        )
 
     try:
         raw_pack = SharedArrayPack.pack(
@@ -638,7 +631,6 @@ def run_joint_asha(
             joint=True,
             n_extractors=n_extractors,
             cached=use_cache,
-            cache_bytes=cache_bytes,
         )
     finally:
         if cache is not None:

@@ -14,16 +14,16 @@ immutable :class:`~repro.parallel.shared.SharedArrayPack` blocks that
 head trials attach read-only.
 
 Cost accounting is part of the contract: every per-trial lookup emits a
-``tune_cache`` run-log event (hit or miss), every publish/evict its own
-event, and :class:`CacheStats` aggregates hit-rate, resident bytes,
+``tune_cache`` run-log event (hit or miss), every publish its own
+event, and :class:`CacheStats` aggregates hit-rate, published bytes,
 encode seconds spent and encode seconds *saved* — the numbers
 ``BENCH_tune.json`` and the observability report surface.
 
 Correctness is anchored on purity, not on the cache: the encode path is
 :func:`~repro.gbdt.packing.fit_extractor_encode` followed by
 :func:`~repro.tune.search.split_environments`, the same pipeline an
-uncached trial runs inline — so a cached attach, a fresh encode and a
-post-eviction re-encode are all bit-identical.
+uncached trial runs inline — so a cached attach and a fresh encode are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.gbdt.leaf_encoder import LeafDesign
 from repro.obs.runlog import TUNE_CACHE_EVENT, TUNE_ENCODE_SPAN
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.engine import ParallelEngine
-from repro.parallel.shared import PackCache, PackSpec, pack_train_test
+from repro.parallel.shared import PackSpec, SharedArrayPack, pack_train_test
 from repro.parallel.worker import (
     EncodeOutcome,
     EncodeTask,
@@ -122,19 +122,17 @@ class CacheStats:
             encoding (including siblings of the trial that triggered it
             within the same rung — each such trial skipped one encode).
         misses: Trial evaluations whose fingerprint had to be encoded.
-        evictions: Packs disposed under the byte budget.
         encode_seconds: Wall-clock spent fitting + leaf-encoding across
             all distinct configurations (sum over workers).
         encode_seconds_saved: Wall-clock the hits would have spent
             re-encoding — each hit saves one encode of its fingerprint's
             measured cost.
-        published_bytes: Total bytes of every pack ever published
-            (cumulative; resident bytes are the pack store's concern).
+        published_bytes: Total bytes of every pack published (all of
+            them stay resident until the search ends).
     """
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     encode_seconds: float = 0.0
     encode_seconds_saved: float = 0.0
     published_bytes: int = 0
@@ -151,7 +149,6 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "hit_rate": self.hit_rate,
             "encode_seconds": self.encode_seconds,
             "encode_seconds_saved": self.encode_seconds_saved,
@@ -165,12 +162,12 @@ class ExtractorEncodingCache:
     Owned by the joint scheduler, one instance per search.  Per rung the
     scheduler calls :meth:`prepare` with every pending trial's extractor
     configuration: distinct missing fingerprints are fitted + encoded as
-    one engine batch, published as immutable packs and pinned; the
-    returned spec table lets each trial attach read-only.  After the
-    rung, :meth:`release` drops the pins and enforces the byte budget
-    (LRU, pinned entries exempt).  An evicted fingerprint that a later
-    rung still needs is simply re-encoded — same pure pipeline, same
-    bytes.
+    one engine batch and published as immutable packs; the returned spec
+    table lets each trial attach read-only.  Packs stay published until
+    :meth:`dispose` ends the search.  Trials share ``n_extractors``
+    configurations round-robin
+    (:func:`~repro.tune.asha.sample_joint_trials`), so at most that many
+    packs are ever resident.
 
     Args:
         raw_environments: The raw per-province environments every
@@ -178,7 +175,6 @@ class ExtractorEncodingCache:
         validation_fraction: Fit/validation row split of encoded rows.
         split_seed: Entropy of that split and each extractor's
             early-stopping holdout.
-        max_bytes: Optional resident-byte budget of the pack store.
         tracer: Run tracer for ``tune_cache`` events and encode spans.
     """
 
@@ -188,14 +184,13 @@ class ExtractorEncodingCache:
         *,
         validation_fraction: float,
         split_seed: int,
-        max_bytes: int | None = None,
         tracer: Tracer = NULL_TRACER,
     ):
         self.validation_fraction = float(validation_fraction)
         self.split_seed = int(split_seed)
         self.data_fingerprint = environments_fingerprint(raw_environments)
         self.stats = CacheStats()
-        self._packs = PackCache(max_bytes=max_bytes)
+        self._packs: dict[str, SharedArrayPack] = {}
         self._encode_seconds: dict[str, float] = {}
         self._tracer = tracer
 
@@ -207,14 +202,6 @@ class ExtractorEncodingCache:
             self.split_seed,
             self.validation_fraction,
         )
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes currently held by published packs."""
-        return self._packs.total_bytes
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._packs
 
     # ------------------------------------------------------------- rung API
 
@@ -237,12 +224,10 @@ class ExtractorEncodingCache:
                 attach (the ``"raw"`` prefix).
 
         Returns:
-            Fingerprint → spec of its published (and now pinned) pack.
+            Fingerprint → spec of its published pack.
         """
-        missing: list[str] = []
-        for fp in dict.fromkeys(trial_fingerprints):
-            if fp not in self._packs:
-                missing.append(fp)
+        missing = [fp for fp in dict.fromkeys(trial_fingerprints)
+                   if fp not in self._packs]
         if missing:
             with self._tracer.span(
                 TUNE_ENCODE_SPAN,
@@ -269,8 +254,6 @@ class ExtractorEncodingCache:
         # Per-trial accounting: the first trial of each missing
         # fingerprint paid for the encode, every other trial saved one.
         first_of = set(missing)
-        specs: dict[str, PackSpec] = {}
-        pinned: set[str] = set()
         for fp in trial_fingerprints:
             if fp in first_of:
                 first_of.discard(fp)
@@ -279,36 +262,18 @@ class ExtractorEncodingCache:
                                    action="miss")
             else:
                 self.stats.hits += 1
-                self.stats.encode_seconds_saved += \
-                    self._encode_seconds.get(fp, 0.0)
+                self.stats.encode_seconds_saved += self._encode_seconds[fp]
                 self._tracer.event(TUNE_CACHE_EVENT, fingerprint=fp,
                                    action="hit")
-            if fp not in pinned:
-                specs[fp] = self._packs.pin(fp).spec
-                pinned.add(fp)
-        return specs
-
-    def release(self, fingerprints: Sequence[str]) -> None:
-        """Drop the rung's pins and enforce the byte budget.
-
-        Args:
-            fingerprints: The distinct fingerprints :meth:`prepare`
-                pinned for the completed rung.
-        """
-        for fp in dict.fromkeys(fingerprints):
-            self._packs.unpin(fp)
-        for fp in self._packs.evict_to_budget():
-            self._encode_seconds.pop(fp, None)
-            self.stats.evictions += 1
-            self._tracer.event(TUNE_CACHE_EVENT, fingerprint=fp,
-                               action="evict")
+        return {fp: self._packs[fp].spec
+                for fp in dict.fromkeys(trial_fingerprints)}
 
     # ------------------------------------------------------------ internals
 
     def _publish(self, outcome: EncodeOutcome) -> None:
         pack = pack_train_test(outcome.fit_environments,
                                outcome.valid_environments)
-        self._packs.put(outcome.fingerprint, pack)
+        self._packs[outcome.fingerprint] = pack
         self._encode_seconds[outcome.fingerprint] = outcome.encode_seconds
         self.stats.encode_seconds += outcome.encode_seconds
         self.stats.published_bytes += pack.nbytes
@@ -323,11 +288,7 @@ class ExtractorEncodingCache:
     # ------------------------------------------------------------- cleanup
 
     def dispose(self) -> None:
-        """Dispose every published pack (end of search)."""
+        """Unlink every published pack (end of search)."""
+        for pack in self._packs.values():
+            pack.dispose()
         self._packs.clear()
-
-    def __enter__(self) -> "ExtractorEncodingCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.dispose()

@@ -67,8 +67,8 @@ class DirtyTreeWarning(UserWarning):
 
     A leaderboard whose ``git`` field ends in ``-dirty`` cannot be
     reproduced from any commit — the tree that produced it was never
-    recorded.  CI turns this warning into a failure for tracked
-    artifacts (``write_leaderboard(..., forbid_dirty=True)``)."""
+    recorded.  CI turns this warning into an error
+    (``-W error::repro.tune.leaderboard.DirtyTreeWarning``)."""
 
 
 def build_leaderboard(
@@ -211,33 +211,29 @@ def ranked_trials(source: dict | Sequence[SearchResult]) -> list[dict]:
     ]
 
 
-def write_leaderboard(payload: dict, path: str | pathlib.Path,
-                      *, forbid_dirty: bool = False) -> dict:
+def write_leaderboard(payload: dict, path: str | pathlib.Path) -> dict:
     """Validate and write the tracked leaderboard JSON; returns payload.
+
+    A dirty git stamp warns with :class:`DirtyTreeWarning` and is still
+    written.
 
     Args:
         payload: A :func:`build_leaderboard` payload.
         path: Destination file.
-        forbid_dirty: Escalate the :class:`DirtyTreeWarning` for
-            dirty-tree provenance into a :class:`LeaderboardError` —
-            what CI uses when regenerating tracked artifacts.
 
     Raises:
-        LeaderboardError: On schema violations, or on a dirty git stamp
-            with ``forbid_dirty=True``.
+        LeaderboardError: On schema violations.
     """
     validate_leaderboard(payload)
     git = payload.get("git")
     if isinstance(git, str) and git.endswith("-dirty"):
-        message = (
+        warnings.warn(
             f"stamping leaderboard {pathlib.Path(path).name} from a dirty "
             f"git tree ({git}): the payload cannot be reproduced from any "
             "commit — commit (or stash) before regenerating tracked "
-            "artifacts"
+            "artifacts",
+            DirtyTreeWarning, stacklevel=2,
         )
-        if forbid_dirty:
-            raise LeaderboardError(message)
-        warnings.warn(message, DirtyTreeWarning, stacklevel=2)
     target = pathlib.Path(path)
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")

@@ -260,7 +260,7 @@ class HPSpace:
 
             owner, fields = "GBDTParams (extractor)", GBDTParams.flat_fields()
         else:
-            config_cls = trainer_info(self.trainer).config_class
+            config_cls = trainer_info(self.trainer).trainer_class.config_class
             owner = config_cls.__name__
             fields = [f.name for f in dataclass_fields(config_cls)]
         valid = sorted(f for f in fields if f not in RESERVED_FIELDS)

@@ -125,6 +125,26 @@ class TestTrainEvaluate:
         assert "KS=" in out
 
 
+    @pytest.mark.parametrize("target", ["--out", "--registry"])
+    def test_fine_tuning_refuses_to_save_before_training(
+            self, dataset_file, tmp_path, monkeypatch, capsys, target):
+        from repro.train.base import Trainer
+
+        fits = []
+        monkeypatch.setattr(Trainer, "fit",
+                            lambda *a, **k: fits.append(a))
+        code = main(["train", "--method", "ERM + fine-tuning",
+                     "--data", str(dataset_file),
+                     target, str(tmp_path / "model")])
+        assert code == 2
+        assert fits == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "per-environment heads" in captured.err
+        assert not (tmp_path / "model").exists()
+
+
 class TestExperimentAndList:
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import EnvironmentData, LoanDataset, group_by_environment
+from repro.data.dataset import EnvironmentData, LoanDataset
 from repro.data.schema import build_schema
 
 
@@ -92,14 +92,3 @@ class TestEnvironmentData:
         env = EnvironmentData("x", np.zeros((4, 2)),
                               np.array([0.0, 1.0, 1.0, 0.0]))
         assert env.default_rate == 0.5
-
-
-class TestGroupByEnvironment:
-    def test_groups_and_sorts(self):
-        x = np.arange(12.0).reshape(6, 2)
-        y = np.array([0, 1, 0, 1, 0, 1], dtype=float)
-        g = np.array(["b", "a", "b", "a", "b", "a"])
-        grouped = group_by_environment(x, y, g)
-        assert list(grouped) == ["a", "b"]
-        assert grouped["a"].n_samples == 3
-        np.testing.assert_array_equal(grouped["a"].labels, [1, 1, 1])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.finetune import FineTuneConfig, FineTuneTrainer
-from repro.data.dataset import group_by_environment, group_rows
+from repro.data.dataset import group_rows
 from repro.gbdt.packing import PackedBinnedDataset
 from repro.metrics.fairness import evaluate_environments
 from repro.parallel.shared import SharedArrayPack
@@ -114,20 +114,6 @@ class TestDatasetConsumers:
             assert dataset.province_share_by_year() == expected
         year = int(data.years.min())
         assert subset.province_share_by_year()[year][data.provinces[0]] == 0.0
-
-    def test_group_by_environment_int_keys(self):
-        rng = np.random.default_rng(4)
-        groups = rng.integers(-3, 12, 60)
-        x = rng.standard_normal((60, 3))
-        y = rng.integers(0, 2, 60).astype(float)
-        got = group_by_environment(x, y, groups)
-        order = sorted(np.unique(groups).tolist())
-        assert list(got) == [str(name) for name in order]
-        for name in order:
-            env = got[str(name)]
-            assert env.name == str(name)
-            np.testing.assert_array_equal(env.features, x[groups == name])
-            np.testing.assert_array_equal(env.labels, y[groups == name])
 
 
 class TestScoringConsumers:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.metrics.ks import ks_curve, ks_score, two_sample_ks
+from repro.metrics.ks import ks_score, two_sample_ks
 
 
 class TestKsScore:
@@ -64,17 +64,6 @@ class TestKsScore:
     def test_single_class_raises(self):
         with pytest.raises(ValueError):
             ks_score(np.zeros(10), np.arange(10.0))
-
-
-class TestKsCurve:
-    def test_max_of_curve_is_ks(self):
-        rng = np.random.default_rng(5)
-        y = rng.integers(0, 2, 400).astype(float)
-        y[:2] = [0, 1]
-        s = rng.standard_normal(400) + y
-        thresholds, separation = ks_curve(y, s)
-        assert np.max(np.abs(separation)) == pytest.approx(ks_score(y, s))
-        assert thresholds.shape == separation.shape
 
 
 class TestTwoSampleKs:

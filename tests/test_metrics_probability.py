@@ -4,30 +4,10 @@ import numpy as np
 import pytest
 
 from repro.metrics.probability import (
-    brier_score,
     calibration_gap_by_environment,
     expected_calibration_error,
     reliability_bins,
 )
-
-
-class TestBrier:
-    def test_perfect_prediction_zero(self):
-        y = np.array([0.0, 1.0, 1.0])
-        assert brier_score(y, y) == 0.0
-
-    def test_known_value(self):
-        y = np.array([1.0, 0.0])
-        p = np.array([0.8, 0.3])
-        assert brier_score(y, p) == pytest.approx((0.04 + 0.09) / 2)
-
-    def test_constant_half_is_quarter(self, rng):
-        y = rng.integers(0, 2, 1000).astype(float)
-        assert brier_score(y, np.full(1000, 0.5)) == pytest.approx(0.25)
-
-    def test_out_of_range_probabilities_raise(self):
-        with pytest.raises(ValueError):
-            brier_score(np.array([0.0, 1.0]), np.array([0.5, 1.2]))
 
 
 class TestReliabilityBins:

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.metrics.auc import auc_score
 from repro.metrics.ks import ks_score, two_sample_ks
-from repro.verify.harness import (
+from tests.harness import (
     assert_label_flip_symmetry,
     assert_monotone_transform_invariant,
     monotone_transforms,
@@ -122,7 +122,7 @@ class TestKsProperties:
 
 
 class TestMetamorphicRelations:
-    """The shared `repro.verify.harness` relations over randomized fixtures.
+    """The shared `tests/harness.py` relations over randomized fixtures.
 
     These go beyond the single affine transform above: every transform in
     the harness catalogue (affine, cubic, scaled exponential, rank) must

@@ -6,8 +6,6 @@ import pytest
 from repro.metrics.auc import auc_score
 from repro.metrics.ks import ks_score
 from repro.metrics.uncertainty import (
-    bootstrap_auc,
-    bootstrap_ks,
     bootstrap_metric,
     paired_bootstrap_difference,
 )
@@ -25,13 +23,13 @@ def informative():
 class TestBootstrapMetric:
     def test_interval_brackets_estimate(self, informative):
         y, s = informative
-        interval = bootstrap_ks(y, s, n_resamples=200)
+        interval = bootstrap_metric(y, s, ks_score, n_resamples=200)
         assert interval.lower <= interval.estimate <= interval.upper
         assert interval.estimate == pytest.approx(ks_score(y, s))
 
     def test_auc_variant(self, informative):
         y, s = informative
-        interval = bootstrap_auc(y, s, n_resamples=200)
+        interval = bootstrap_metric(y, s, auc_score, n_resamples=200)
         assert interval.estimate == pytest.approx(auc_score(y, s))
         assert 0 < interval.width < 0.15
 
@@ -42,32 +40,32 @@ class TestBootstrapMetric:
             y = rng.integers(0, 2, n).astype(float)
             y[:2] = [0, 1]
             s = y + rng.standard_normal(n)
-            return bootstrap_ks(y, s, n_resamples=200).width
+            return bootstrap_metric(y, s, ks_score, n_resamples=200).width
 
         assert width(4_000) < width(200)
 
     def test_deterministic_given_seed(self, informative):
         y, s = informative
-        a = bootstrap_ks(y, s, n_resamples=100, seed=7)
-        b = bootstrap_ks(y, s, n_resamples=100, seed=7)
+        a = bootstrap_metric(y, s, ks_score, n_resamples=100, seed=7)
+        b = bootstrap_metric(y, s, ks_score, n_resamples=100, seed=7)
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
     def test_confidence_levels_nest(self, informative):
         y, s = informative
-        narrow = bootstrap_ks(y, s, n_resamples=300, confidence=0.5)
-        wide = bootstrap_ks(y, s, n_resamples=300, confidence=0.99)
+        narrow = bootstrap_metric(y, s, ks_score, n_resamples=300, confidence=0.5)
+        wide = bootstrap_metric(y, s, ks_score, n_resamples=300, confidence=0.99)
         assert wide.width > narrow.width
 
     def test_invalid_args(self, informative):
         y, s = informative
         with pytest.raises(ValueError):
-            bootstrap_ks(y, s, confidence=1.0)
+            bootstrap_metric(y, s, ks_score, confidence=1.0)
         with pytest.raises(ValueError):
-            bootstrap_ks(y, s, n_resamples=5)
+            bootstrap_metric(y, s, ks_score, n_resamples=5)
 
     def test_str_rendering(self, informative):
         y, s = informative
-        text = str(bootstrap_ks(y, s, n_resamples=50))
+        text = str(bootstrap_metric(y, s, ks_score, n_resamples=50))
         assert "[" in text and "@95%" in text
 
 

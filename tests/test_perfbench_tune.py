@@ -15,7 +15,6 @@ def make_payload():
         "cached": {
             "wall_s": 1.0, "encode_s": 0.4, "hits": 10, "misses": 2,
             "hit_rate": 10 / 12, "published_bytes": 300_000,
-            "evictions": 0,
         },
         "uncached": {"wall_s": 2.5, "encode_s": 2.4},
         "encode_seconds_saved": 2.0,

@@ -107,12 +107,14 @@ class TestMetadata:
 
     def test_every_info_has_config_class(self):
         for info in trainer_names():
-            assert issubclass(info.config_class, BaseTrainConfig)
-            assert info.config_class.__name__.endswith("Config")
+            config_class = info.trainer_class.config_class
+            assert issubclass(config_class, BaseTrainConfig)
+            assert config_class.__name__.endswith("Config")
             assert issubclass(info.trainer_class, Trainer)
             trainer = make_trainer(info.name)
             assert type(trainer) is info.trainer_class
-            assert type(trainer.config) is info.config_class
+            assert type(trainer.config) is config_class
+            assert info.trainer_class().config == config_class()
             assert trainer_info(info.name) is info
 
     def test_penalty_parameter_lookup(self):

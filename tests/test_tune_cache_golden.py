@@ -5,7 +5,7 @@ pack reproduces, **byte for byte**, what a trial would have computed by
 fitting the GBDT and leaf-encoding inline.  These tests pin that
 contract directly at the array level (leaf column ids and labels,
 float64 and float32 inputs) and end-to-end at the leaderboard
-level, including after LRU eviction forces a re-encode.
+level; and no published pack outlives the search that published it.
 """
 
 import numpy as np
@@ -20,6 +20,8 @@ from repro.parallel.shared import (
 )
 from repro.pipeline.extractor import default_gbdt_params
 from repro.tune import (
+    asha,
+    extractor_cache,
     ASHAConfig,
     HPSpace,
     default_space,
@@ -101,27 +103,32 @@ def joint_space():
     return HPSpace.joint(extractor, default_space("ERM"))
 
 
-# Two rungs (budgets 4 and 8): rung 1 must look the encodings up again,
-# which is what makes the eviction test actually re-encode.
+# Two rungs (budgets 4 and 8): rung 1 looks the encodings up again.
 SMALL = ASHAConfig(n_trials=4, eta=2, min_epochs=4, max_epochs=8, seed=3)
 
 
-class TestEvictionUnderPressure:
-    def test_eviction_re_encode_keeps_leaderboard_bit_identical(self):
-        environments = synthetic_environments(np.float64)
-        baseline, baseline_stats = run_joint_asha(
-            joint_space(), environments, SMALL, n_extractors=2,
-        )
-        assert baseline_stats.evictions == 0
-        # A 1-byte budget evicts every pack the moment its rung's leases
-        # are released, so any later rung must re-encode from scratch.
-        squeezed, squeezed_stats = run_joint_asha(
-            joint_space(), environments, SMALL, n_extractors=2,
-            cache_bytes=1,
-        )
-        assert squeezed_stats.evictions > 0
-        assert ranked_trials([squeezed]) == ranked_trials([baseline])
+@pytest.fixture
+def published_specs(monkeypatch):
+    """Specs of every pack the encoding cache publishes."""
+    specs = []
 
+    def spy(fit_environments, valid_environments):
+        pack = pack_train_test(fit_environments, valid_environments)
+        specs.append(pack.spec)
+        return pack
+
+    monkeypatch.setattr(extractor_cache, "pack_train_test", spy)
+    return specs
+
+
+def assert_unlinked(specs):
+    assert specs
+    for spec in specs:
+        with pytest.raises(FileNotFoundError):
+            SharedArrayPack.attach(spec)
+
+
+class TestCachedSearch:
     def test_uncached_matches_cached(self):
         environments = synthetic_environments(np.float64)
         cached, stats = run_joint_asha(
@@ -134,3 +141,28 @@ class TestEvictionUnderPressure:
         assert no_stats is None
         assert stats.hits > 0
         assert ranked_trials([cached]) == ranked_trials([uncached])
+
+    def test_no_pack_outlives_the_search(self, published_specs):
+        _, stats = run_joint_asha(
+            joint_space(), synthetic_environments(np.float64), SMALL,
+            n_extractors=2,
+        )
+        assert len(published_specs) == stats.misses
+        assert_unlinked(published_specs)
+
+    def test_no_pack_outlives_a_failed_search(self, published_specs,
+                                              monkeypatch):
+        run_trial_task = asha.run_trial_task
+
+        def fail_on_rung_1(task):
+            if task.rung == 1:
+                raise RuntimeError("trial failed")
+            return run_trial_task(task)
+
+        monkeypatch.setattr(asha, "run_trial_task", fail_on_rung_1)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_joint_asha(
+                joint_space(), synthetic_environments(np.float64), SMALL,
+                n_extractors=2,
+            )
+        assert_unlinked(published_specs)

@@ -200,15 +200,8 @@ class TestLeaderboard:
         # Warned but still written — interactive runs keep their output.
         assert json.loads(path.read_text())["git"] == "abc1234-dirty"
 
-    def test_forbid_dirty_raises(self, payload, tmp_path):
-        dirty = {**payload, "git": "abc1234-dirty"}
-        path = tmp_path / "dirty.json"
-        with pytest.raises(LeaderboardError, match="dirty git tree"):
-            write_leaderboard(dirty, path, forbid_dirty=True)
-        assert not path.exists()
-
     def test_clean_stamp_does_not_warn(self, payload, tmp_path, recwarn):
         clean = {**payload, "git": "abc1234"}
-        write_leaderboard(clean, tmp_path / "clean.json", forbid_dirty=True)
+        write_leaderboard(clean, tmp_path / "clean.json")
         assert not [w for w in recwarn
                     if isinstance(w.message, DirtyTreeWarning)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.train.registry import available_trainers, make_trainer
-from repro.verify.harness import assert_deterministic, random_environments
+from tests.harness import assert_deterministic, random_environments
 
 
 @pytest.fixture(scope="module")

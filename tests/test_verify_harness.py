@@ -12,7 +12,7 @@ from repro.metrics.auc import auc_score
 from repro.metrics.ks import ks_score
 from repro.pipeline.pipeline import LoanDefaultPipeline
 from repro.train.registry import make_trainer
-from repro.verify.harness import (
+from tests.harness import (
     assert_deterministic,
     assert_environment_permutation_invariant,
     assert_label_flip_symmetry,
@@ -71,7 +71,7 @@ class TestMetricAssertions:
     def test_broken_flip_symmetry_caught(self, rng, monkeypatch):
         """If AUC ignored the flip, the symmetry assertion must fire."""
         y, s = random_labels_and_scores(rng)
-        import repro.verify.harness as harness_module
+        from tests import harness as harness_module
 
         monkeypatch.setattr(
             harness_module, "auc_score", lambda labels, scores: 0.75
