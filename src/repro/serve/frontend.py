@@ -20,7 +20,9 @@ Operating contract:
   model generation that was live at admission.  Publishing a new model is
   an atomic pack-swap: a fresh immutable generation, loaded by workers on
   their next control poll — requests admitted before the swap score on
-  their old generation, bit-identically.
+  their old generation, bit-identically.  A superseded generation is
+  retired, in the parent and in every worker, once its last admitted
+  request resolves, so memory stays flat however often models swap.
 * **Fault isolation.**  A worker death mid-batch re-dispatches that
   worker's in-flight requests to surviving workers (or resolves them with
   an error naming the dead worker when none survive) and respawns the
@@ -48,6 +50,7 @@ import multiprocessing
 import queue as queue_mod
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -215,6 +218,7 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
     """
     packs: dict[int, object] = {}
     services: dict[int, ScoringService] = {}
+    newest = -1  # newest generation announced; older unloaded ones are gone
     slab = slab_writer = telemetry = None
     if slab_spec is not None:
         slab = MetricsSlab.attach(slab_spec)
@@ -222,11 +226,36 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
         telemetry = ServingTelemetry()
 
     def load(generation: int, spec: PackSpec) -> None:
+        nonlocal newest
+        newest = max(newest, generation)
         if generation in services:
             return
-        model, pack = attach_model(spec)
+        try:
+            model, pack = attach_model(spec)
+        except FileNotFoundError:  # retired before this worker attached it
+            return
         packs[generation] = pack
         services[generation] = ScoringService(model, telemetry=telemetry)
+
+    paused = False
+    running = True
+
+    def control(message: tuple) -> None:
+        nonlocal paused, running
+        kind = message[0]
+        if kind == "load":
+            load(message[1], message[2])
+        elif kind == "retire":
+            services.pop(message[1], None)  # drops the views into the pack
+            pack = packs.pop(message[1], None)
+            if pack is not None:
+                pack.close()
+        elif kind == "pause":
+            paused = True
+        elif kind == "resume":
+            paused = False
+        elif kind == "stop":
+            running = False
 
     for generation, spec in initial:
         load(generation, spec)
@@ -234,23 +263,12 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
     if slab_writer is not None:
         slab_writer.publish(telemetry)  # row live before traffic
 
-    paused = False
-    running = True
     while running:
-        while True:  # control first: swaps/pauses beat data
+        while running:  # control first: swaps/pauses beat data
             try:
-                message = control_q.get_nowait()
+                control(control_q.get_nowait())
             except queue_mod.Empty:
                 break
-            kind = message[0]
-            if kind == "stop":
-                running = False
-            elif kind == "load":
-                load(message[1], message[2])
-            elif kind == "pause":
-                paused = True
-            elif kind == "resume":
-                paused = False
         if not running:
             break
         if paused:
@@ -269,20 +287,17 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
             except queue_mod.Empty:
                 break
         # A swap racing admission: requests can carry a generation whose
-        # "load" control message has not been polled yet.  Drain control
-        # until every requested generation is resolvable (bounded wait).
+        # "load" control message has not been polled yet.  Handle control
+        # until every requested generation is resolvable (bounded wait); an
+        # older one is retired and only reaches here as a requeued
+        # duplicate.
         deadline = time.monotonic() + 5.0
-        while (any(gen not in services for _, __, gen in batch)
-               and time.monotonic() < deadline):
+        while (running and time.monotonic() < deadline
+               and any(gen > newest for _, __, gen in batch)):
             try:
-                message = control_q.get(timeout=0.01)
+                control(control_q.get(timeout=0.01))
             except queue_mod.Empty:
                 continue
-            if message[0] == "load":
-                load(message[1], message[2])
-            elif message[0] == "stop":
-                running = False
-                break
         response_q.put(("results", worker_id, _resolve_batch(services, batch)))
         if slab_writer is not None:
             slab_writer.publish(telemetry)
@@ -382,6 +397,8 @@ class ScoringFrontend:
         self._collector: threading.Thread | None = None
         self._lock = threading.Lock()
         self._pending: dict[int, dict] = {}
+        #: Admitted, unresolved requests per generation (under ``_lock``).
+        self._in_flight: Counter = Counter()
         self._request_ids = itertools.count()
         self._rr = itertools.count()
         self._started = False
@@ -471,14 +488,15 @@ class ScoringFrontend:
                 worker.process.terminate()
                 worker.process.join(timeout=2.0)
         with self._lock:
-            leftovers = list(self._pending.values())
-            self._pending.clear()
-        for entry in leftovers:
-            self._resolve_future(
-                entry["future"],
-                FrontendResult(status=ERROR,
-                               context="frontend stopped before scoring"),
-            )
+            leftovers = list(self._pending)
+        for request_id in leftovers:
+            entry = self._take(request_id)
+            if entry is not None:  # not resolved meanwhile
+                self._resolve_future(
+                    entry["future"],
+                    FrontendResult(status=ERROR,
+                                   context="frontend stopped before scoring"),
+                )
         for worker in self._workers:
             self._discard_queues(worker)
         if self._slab is not None:
@@ -575,6 +593,7 @@ class ScoringFrontend:
                 "province": province,
             }
             self._pending[request_id] = entry
+            self._in_flight[generation] += 1
             self.telemetry.record_admitted()
         if self.drift_guard is not None:
             self.drift_guard.observe(row[None, :])
@@ -586,8 +605,7 @@ class ScoringFrontend:
         """Route one admitted request to a live worker (round-robin)."""
         alive = [w for w in self._workers if w.alive]
         if not alive:
-            with self._lock:
-                self._pending.pop(request_id, None)
+            self._take(request_id)
             self._resolve_future(
                 entry["future"],
                 FrontendResult(
@@ -632,36 +650,58 @@ class ScoringFrontend:
         announced to every worker; admissions observe it only after the
         pack exists, so no request can ever reference a half-written
         model.  Requests admitted before this call keep their old
-        generation stamp and score on the old arrays.
+        generation stamp and score on the old arrays; a superseded
+        generation no request holds is retired here, the others when
+        their last request resolves (:meth:`_take`).
         """
         if not self._started or self._stopping:
             raise RuntimeError("frontend is not running")
-        published = self._publisher.publish(model, version=version)
-        for worker in self._workers:
-            if worker.alive:
-                worker.control_q.put(
-                    ("load", published.generation, published.spec)
-                )
+        with self._lock:  # workers see generations in publish order
+            published = self._publisher.publish(model, version=version)
+            self._broadcast(("load", published.generation, published.spec))
+            for generation in self._publisher.generations:
+                if (generation != published.generation
+                        and not self._in_flight[generation]):
+                    self._retire(generation)
         self.telemetry.record_swap()
         return published.generation
 
-    def retire(self, generation: int) -> None:
-        """Dispose an old generation's shared block (see ModelPublisher)."""
+    def _take(self, request_id: int) -> dict | None:
+        """Remove one request from ``_pending``, releasing its generation.
+
+        The one way out of ``_pending``.  A superseded generation whose
+        last request this was is retired on the spot.
+        """
+        with self._lock:
+            entry = self._pending.pop(request_id, None)
+            if entry is not None:
+                generation = entry["generation"]
+                self._in_flight[generation] -= 1
+                if (not self._in_flight[generation]
+                        and generation != self.generation):
+                    self._retire(generation)
+        return entry
+
+    def _retire(self, generation: int) -> None:
+        """Dispose a generation's pack, in every worker too (lock held)."""
+        del self._in_flight[generation]
         self._publisher.retire(generation)
+        self._broadcast(("retire", generation))
+
+    def _broadcast(self, message: tuple) -> None:
+        for worker in self._workers:
+            if worker.alive:
+                worker.control_q.put(message)
 
     # ------------------------------------------------- fault-injection hooks
 
     def pause_workers(self) -> None:
         """Suspend batch consumption in every worker (tests/draining)."""
-        for worker in self._workers:
-            if worker.alive:
-                worker.control_q.put(("pause",))
+        self._broadcast(("pause",))
 
     def resume_workers(self) -> None:
         """Resume batch consumption."""
-        for worker in self._workers:
-            if worker.alive:
-                worker.control_q.put(("resume",))
+        self._broadcast(("resume",))
 
     # ------------------------------------------------------------ collector
 
@@ -682,8 +722,7 @@ class ScoringFrontend:
 
     def _resolve(self, request_id: int, status: str, value,
                  generation: int) -> None:
-        with self._lock:
-            entry = self._pending.pop(request_id, None)
+        entry = self._take(request_id)
         if entry is None:  # duplicate (requeued request answered twice)
             return
         latency = time.perf_counter() - entry["t_submit"]
@@ -714,12 +753,6 @@ class ScoringFrontend:
             if worker.alive or self._stopping:
                 continue
             self.telemetry.record_worker_death()
-            with self._lock:
-                orphans = [
-                    (req_id, entry)
-                    for req_id, entry in self._pending.items()
-                    if entry["worker_id"] == worker.worker_id
-                ]
             # Fold the dead worker's final slab row into the aggregate
             # before the replacement (fresh telemetry, restarts at zero)
             # reuses the row — its history must survive the respawn.
@@ -728,8 +761,15 @@ class ScoringFrontend:
             # Respawn first so capacity survives and orphans can land on
             # the replacement; the old request queue is abandoned (its
             # unconsumed items are exactly the orphans being re-sent).
-            replacement = self._spawn(worker.worker_id)
-            self._workers[index] = replacement
+            # Under the lock, so every publish and retirement either
+            # precedes the generations it starts with or reaches it.
+            with self._lock:
+                orphans = [
+                    (req_id, entry)
+                    for req_id, entry in self._pending.items()
+                    if entry["worker_id"] == worker.worker_id
+                ]
+                self._workers[index] = self._spawn(worker.worker_id)
             # The dead worker will never drain its queues: detach their
             # feeder threads or interpreter shutdown joins them forever.
             self._discard_queues(worker)

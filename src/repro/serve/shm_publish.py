@@ -17,10 +17,13 @@ allocates a fresh pack under a monotonically increasing generation
 counter.  Generations are immutable once published — a swap is therefore
 atomic by construction (workers attach the new generation while in-flight
 batches keep scoring on their admission-time generation) and old
-generations stay attachable until explicitly :meth:`~ModelPublisher.retire`-d.
+generations stay attachable until :meth:`~ModelPublisher.retire`-d, which
+the front-end does once no admitted request holds them.
 """
 
 from __future__ import annotations
+
+from multiprocessing.util import register_after_fork
 
 import numpy as np
 
@@ -161,6 +164,15 @@ class ModelPublisher:
     def __init__(self) -> None:
         self._next_generation = 0
         self._live: dict[int, PublishedModel] = {}
+        # A forked worker inherits a mapping of every block published
+        # before it started.  It attaches the ones it serves itself, so it
+        # drops these copies: a retirement could never reach them.
+        register_after_fork(self, ModelPublisher._forget)
+
+    def _forget(self) -> None:
+        for published in self._live.values():
+            published.pack.close()
+        self._live.clear()
 
     def publish(self, model: ScoringModel,
                 version: str | None = None) -> PublishedModel:
@@ -191,9 +203,11 @@ class ModelPublisher:
     def retire(self, generation: int) -> None:
         """Dispose one generation's block (no-op if already retired).
 
-        Workers still holding a mapping keep scoring safely — the kernel
-        reclaims the pages only once the last mapping closes — but new
-        attaches of this generation become impossible.
+        New attaches of this generation become impossible; a mapping a
+        worker still holds stays valid, and the kernel reclaims the pages
+        once the last one closes.  The front-end retires a generation only
+        when no request needs it and tells every worker to close its
+        mapping at the same time, so the pages go at once.
         """
         published = self._live.pop(generation, None)
         if published is not None:

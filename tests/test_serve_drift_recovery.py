@@ -4,8 +4,12 @@ The ROADMAP item 2 deliverable: a shifted-province stream trips the PSI
 drift guard on the live front-end, the lifecycle controller retrains on
 the drifted regime, the challenger clears the held-out per-province
 KS/AUC gates, promotion goes through the registry, the front-end swaps to
-the new generation — and the old champion stays one rollback away.
+the new generation — and the old champion stays one rollback away.  The
+old champion's generation outlives the swap only while requests admitted
+before it are in flight.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +19,11 @@ from repro.monitor.streaming import StreamingPSI
 from repro.obs.runlog import LIFECYCLE_STAGE_EVENT
 from repro.obs.tracer import Tracer
 from repro.serve.degradation import DriftGuard
-from repro.serve.frontend import FrontendConfig, ScoringFrontend
+from repro.serve.frontend import (
+    _POLL_TIMEOUT_S,
+    FrontendConfig,
+    ScoringFrontend,
+)
 from repro.serve.lifecycle import (
     LifecycleController,
     PromotionGates,
@@ -23,6 +31,7 @@ from repro.serve.lifecycle import (
     evaluate_model,
 )
 from repro.serve.registry import ModelRegistry
+from tests.test_serve_retirement import assert_holds_only, segment
 
 
 def _shifted(dataset: LoanDataset) -> LoanDataset:
@@ -77,6 +86,13 @@ def test_drift_recovery_end_to_end(tmp_path, small_split, fitted_pipeline,
                 break
         assert guard.tripped, "shifted stream must trip the drift guard"
 
+        # --- requests still in flight on the old champion at promotion --
+        frontend.pause_workers()
+        time.sleep(10 * _POLL_TIMEOUT_S)  # let the pause land
+        old_rows = holdout.features[64:96]
+        in_flight = [frontend.submit(row) for row in old_rows]
+        old_segment = segment(frontend, 0)
+
         # --- close the loop: retrain → gated eval → promote -------------
         controller = LifecycleController(
             registry,
@@ -103,6 +119,18 @@ def test_drift_recovery_end_to_end(tmp_path, small_split, fitted_pipeline,
         assert report["challenger_eval"]["mKS"] >= clean_ks - 0.15
         # Recovery resets the guard so monitoring restarts fresh.
         assert not guard.tripped
+
+        # --- the old champion is retired once its requests drain ---------
+        assert frontend._publisher.generations == [0, report["generation"]]
+        frontend.resume_workers()
+        drained = [ticket.result(timeout=60) for ticket in in_flight]
+        assert {r.generation for r in drained} == {0}
+        np.testing.assert_array_equal(
+            np.array([r.score for r in drained]),
+            champion.predict_proba(old_rows),
+        )
+        assert_holds_only(frontend, [old_segment,
+                                     segment(frontend, report["generation"])])
 
         # --- the front-end now serves the promoted generation -----------
         promoted = registry.load("champion")
