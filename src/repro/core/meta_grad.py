@@ -11,7 +11,8 @@ the adapted parameters back to ``θ`` gives the MAML chain rule
           = ∇_{θ̄} L(θ̄_m) − α · H_m(θ) · ∇_{θ̄} L(θ̄_m)
 
 which we evaluate with one Hessian-vector product on the inner environment
-(no Hessian is materialised).  The σ penalty contributes through
+(no Hessian is materialised), reusing the inner step's ``σ(X_m θ)``.  The
+σ penalty contributes through
 
     ∂σ/∂R_meta(θ̄_m) = (R_meta(θ̄_m) − mean) / (M σ)
 
@@ -48,6 +49,7 @@ def backprop_through_inner_step(
     outer_gradient_at_adapted: np.ndarray,
     inner_lr: float,
     first_order: bool = False,
+    prob: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply ``(I − α H_m(θ))`` to an outer-loss gradient.
 
@@ -61,6 +63,7 @@ def backprop_through_inner_step(
         inner_lr: Inner step size α.
         first_order: If True, skip the curvature term (FOMAML ablation),
             returning the outer gradient unchanged.
+        prob: ``σ(X_m θ)`` when the caller holds it from the inner step.
 
     Returns:
         ``dL/dθ`` as a new array.
@@ -68,7 +71,8 @@ def backprop_through_inner_step(
     if first_order:
         return outer_gradient_at_adapted.copy()
     hvp = model.hessian_vector_product(
-        theta, inner_env.features, inner_env.labels, outer_gradient_at_adapted
+        theta, inner_env.features, inner_env.labels, outer_gradient_at_adapted,
+        prob=prob,
     )
     return outer_gradient_at_adapted - inner_lr * hvp
 
@@ -138,10 +142,13 @@ class MetaTrainer(Trainer):
         env_losses: dict[str, float] = {}
         meta_losses = np.zeros(len(environments))
         meta_grads: list[np.ndarray] = []
+        # σ(X_m θ) of each inner step, reused by its HVP at the same θ.
+        probs: list[np.ndarray] = []
         for m, env in enumerate(environments):
             with timer.step("inner_optimization"):
+                probs.append(model.predict_proba(theta, env.features))
                 loss_m, grad_m = model.loss_and_gradient(
-                    theta, env.features, env.labels
+                    theta, env.features, env.labels, prob=probs[m]
                 )
                 theta_bar = theta - cfg.inner_lr * grad_m
             env_losses[env.name] = loss_m
@@ -158,7 +165,7 @@ class MetaTrainer(Trainer):
             for m, env in enumerate(environments):
                 outer_grad += weights[m] * backprop_through_inner_step(
                     model, theta, env, meta_grads[m], cfg.inner_lr,
-                    first_order=cfg.first_order,
+                    first_order=cfg.first_order, prob=probs[m],
                 )
             theta = self._optimizer.step(theta, outer_grad)
 

@@ -364,7 +364,7 @@ class GBDTClassifier:
             )
             self.trees_.append(tree)
 
-            raw += params.learning_rate * tree.predict_value(binned)
+            raw += params.learning_rate * tree.fit_values(binned)
             self.train_losses_.append(
                 binary_cross_entropy(labels, sigmoid(raw))
             )

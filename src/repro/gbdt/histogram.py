@@ -8,8 +8,9 @@ hessian sum ``H[f, b]`` over samples in S, then scanning the prefix sums.
 picks the faster of two accumulation kernels per node:
 
 * **Per-feature over a transposed matrix** (large nodes).  Each feature's
-  bins are one contiguous row of a ``(d, n)`` uint8 transpose — small
-  enough to stay cache-resident across builds — converted into a reused
+  bins are one contiguous row of a ``(d, n)`` uint8 transpose — a view
+  when the binned matrix is column-major (the packed dataset's layout), a
+  private copy otherwise — converted into a reused
   ``intp`` scratch row once per feature so every ``np.bincount`` call
   skips its internal cast-to-intp allocation.  The per-row weight vector
   is passed as-is; no ``(k, d)`` weight expansion is ever materialised.
@@ -22,6 +23,9 @@ picks the faster of two accumulation kernels per node:
   weights live in two reused scratch buffers of about
   ``_FUSED_BLOCK_CELLS`` cells, so the kernel's scratch stays bounded
   whatever the node's rows × columns.
+
+Counts are int32, exact below 2³¹ rows, which keeps an open leaf's
+histogram a quarter smaller on the float32 path.
 
 Two further structural facts are exploited: full-matrix bin *counts* do
 not depend on the gradients, so they are computed once per builder and
@@ -43,6 +47,9 @@ import numpy as np
 
 __all__ = ["NodeHistogram", "HistogramBuilder"]
 
+#: Rows an int32 count holds exactly.
+_MAX_ROWS = 1 << 31
+
 
 @dataclass(frozen=True)
 class NodeHistogram:
@@ -52,7 +59,7 @@ class NodeHistogram:
         grad: ``(n_features, max_bins)`` gradient sums (float64, or
             float32 on the opt-in reduced-precision path).
         hess: ``(n_features, max_bins)`` hessian sums (same dtype).
-        count: ``(n_features, max_bins)`` int64 sample counts.
+        count: ``(n_features, max_bins)`` int32 sample counts.
     """
 
     grad: np.ndarray
@@ -90,8 +97,9 @@ class NodeHistogram:
 class HistogramBuilder:
     """Reusable histogram kernel over one binned matrix.
 
-    Construct once per boosting run (the transposed matrix costs one
-    ``(d, n)`` uint8 materialisation), then call :meth:`build` for every
+    Construct once per boosting run (over a row-major matrix the
+    transpose costs one ``(d, n)`` uint8 copy; over a column-major one it
+    is a view), then call :meth:`build` for every
     tree node.  The builder is read-only with respect to the binned data,
     so one instance serves every tree of an ensemble, including trees fit
     on feature subsets.
@@ -100,6 +108,10 @@ class HistogramBuilder:
     #: Node size (rows) above which the per-feature kernel beats the
     #: fused-index kernel (bincount call overhead amortised).
     _PER_FEATURE_MIN_ROWS = 8192
+    #: The same over a column-major matrix: there the fused kernel's row
+    #: gather reads every column's stretch of rows, and gathering column
+    #: by column wins from about 1.5k (30k rows) to 3.5k (1.4M) node rows.
+    _COLUMN_MAJOR_PER_FEATURE_MIN_ROWS = 2048
     #: Cells (rows × columns) per fused-kernel column block: bounds the
     #: kernel's intp slot and float64 weight scratch to 512 KiB each.
     _FUSED_BLOCK_CELLS = 1 << 16
@@ -111,6 +123,8 @@ class HistogramBuilder:
             raise ValueError("binned must be a 2-D matrix")
         if max_bins < 2:
             raise ValueError("max_bins must be >= 2")
+        if binned.shape[0] >= _MAX_ROWS:
+            raise ValueError("int32 counts hold fewer than 2**31 rows")
         # Accumulation always happens in float64 (np.bincount's native
         # accumulator); hist_dtype only controls the *stored* histogram
         # dtype — (d, max_bins) arrays, so the float32 cast is cheap and
@@ -121,9 +135,14 @@ class HistogramBuilder:
         self.max_bins = int(max_bins)
         self.n_samples, self.n_features = binned.shape
         self._binned = binned
-        # One contiguous uint8 row per feature; small enough to stay
-        # cache-resident across the thousands of builds of a boosting run.
+        # One contiguous uint8 row per feature: a view of a column-major
+        # matrix, a copy of a row-major one.
         self._bins_t = np.ascontiguousarray(binned.T)
+        column_major = (binned.flags.f_contiguous
+                        and not binned.flags.c_contiguous)
+        self._per_feature_min_rows = (
+            self._COLUMN_MAJOR_PER_FEATURE_MIN_ROWS if column_major
+            else self._PER_FEATURE_MIN_ROWS)
         # Reused intp row: bincount takes intp input as-is, skipping the
         # cast-to-intp copy it would otherwise allocate per call.
         self._scratch = np.empty(self.n_samples, dtype=np.intp)
@@ -157,7 +176,7 @@ class HistogramBuilder:
         if sample_indices is not None and self._is_all_rows(sample_indices):
             sample_indices = None
         if (sample_indices is None
-                or sample_indices.size >= self._PER_FEATURE_MIN_ROWS):
+                or sample_indices.size >= self._per_feature_min_rows):
             return self._build_per_feature(
                 gradients, hessians, sample_indices, column_subset
             )
@@ -190,7 +209,7 @@ class HistogramBuilder:
         """
         if self._full_counts_cache is None:
             mb = self.max_bins
-            out = np.empty((self.n_features, mb), dtype=np.int64)
+            out = np.empty((self.n_features, mb), dtype=np.int32)
             bins = self._scratch
             for f in range(self.n_features):
                 np.copyto(bins, self._bins_t[f], casting="unsafe")
@@ -228,7 +247,7 @@ class HistogramBuilder:
 
         grad_w = gradients[sample_indices]
         hess_w = hessians[sample_indices]
-        count = np.empty((columns.size, mb), dtype=np.int64)
+        count = np.empty((columns.size, mb), dtype=np.int32)
         bins = self._scratch[: sample_indices.size]
         for out, col in enumerate(columns):
             bins[:] = self._bins_t[col][sample_indices]
@@ -264,7 +283,7 @@ class HistogramBuilder:
         offsets = np.arange(width, dtype=np.intp) * mb
         grad = np.empty((n_cols, mb), dtype=self.hist_dtype)
         hess = np.empty((n_cols, mb), dtype=self.hist_dtype)
-        count = np.empty((n_cols, mb), dtype=np.int64)
+        count = np.empty((n_cols, mb), dtype=np.int32)
         bc = np.bincount
         for start in range(0, n_cols, width):
             stop = min(start + width, n_cols)

@@ -9,7 +9,10 @@ multi-hot vector (exactly one active indicator per tree).
 Every row therefore has exactly ``n_trees`` ones, one in each tree's column
 block, so the design matrix is stored as those active column ids alone:
 :class:`LeafDesign` holds an ``(n_trees, n)`` id array and provides the two
-products the LR head needs, ``X θ`` and ``Xᵀ v``.
+products the LR head needs, ``X θ`` and ``Xᵀ v``.  Each product's float64
+temporary stays under ``_PRODUCT_BYTES``: ``X θ`` runs in row blocks and
+``Xᵀ v`` in tree groups, so a paper-scale design never gathers an
+``(n_trees, n)`` float64 array.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ __all__ = [
     "leaf_encode_environments",
 ]
 
+#: Bytes of the float64 temporary one step of a product gathers.
+_PRODUCT_BYTES = 1 << 23
+
 
 class LeafDesign:
     """Multi-hot leaf design matrix stored as its active column ids.
@@ -39,7 +45,9 @@ class LeafDesign:
     non-zeros (``csr_matvec`` / ``csc_matvec``), so results are
     bit-identical to it at every batch size: ``X θ`` sums each row over
     trees in tree order, and ``Xᵀ v`` sums each column over rows in
-    ascending row order.
+    ascending row order.  Neither depends on how a product is split under
+    ``_PRODUCT_BYTES``: a row block keeps each row's tree-order sum,
+    and a tree group holds every term of its trees' columns.
 
     Attributes:
         columns: ``(n_trees, n)`` C-contiguous ``intp`` column ids (``intp``
@@ -80,7 +88,16 @@ class LeafDesign:
 
     def __matmul__(self, theta: np.ndarray) -> np.ndarray:
         """``X θ`` as a 1-D array, adding each row's terms in tree order."""
-        return tree_order_sum(np.asarray(theta).take(self.columns))
+        theta = np.asarray(theta)
+        n_trees, n = self.columns.shape
+        step = max(1, _PRODUCT_BYTES // (theta.itemsize * n_trees))
+        if n <= step:
+            return tree_order_sum(theta.take(self.columns))
+        out = np.empty(n, dtype=theta.dtype)
+        for lo in range(0, n, step):
+            out[lo:lo + step] = tree_order_sum(
+                theta.take(self.columns[:, lo:lo + step]))
+        return out
 
     @staticmethod
     def vstack(blocks: Sequence[LeafDesign]) -> LeafDesign:
@@ -103,14 +120,26 @@ class _TransposedLeafDesign:
         self.design = design
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        """``Xᵀ v``; ``bincount`` adds each column's rows in ascending order."""
+        """``Xᵀ v``; ``bincount`` adds each column's rows in ascending order.
+
+        Each column belongs to one tree, so a tree group's ``bincount``
+        holds its columns' full sums and +0.0 elsewhere (``bincount``
+        never yields −0.0): adding the groups' results is exact.
+        """
         columns = self.design.columns
-        return np.bincount(
-            columns.ravel(),
-            weights=np.tile(np.asarray(vector, dtype=np.float64),
-                            columns.shape[0]),
-            minlength=self.design.n_columns,
+        vector = np.asarray(vector, dtype=np.float64)
+        n_trees, n = columns.shape
+        group = max(1, _PRODUCT_BYTES // (vector.itemsize * max(n, 1)))
+        sums = (
+            np.bincount(columns[lo:lo + group].ravel(),
+                        weights=np.tile(vector, min(group, n_trees - lo)),
+                        minlength=self.design.n_columns)
+            for lo in range(0, n_trees, group)
         )
+        out = next(sums)
+        for part in sums:
+            out += part
+        return out
 
 
 def encode_leaf_matrix(

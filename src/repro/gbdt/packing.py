@@ -14,9 +14,13 @@ rows beyond one generator cell:
    positions, then repair the edges the float32 sample rounded and the
    codes that depend on them.
 
-The result is exactly the binned matrix the GBDT hot path consumes
-(:meth:`GBDTClassifier.fit_binned`), already laid out in the zero-copy
-shared-memory container the parallel engine ships to workers.
+The bins are stored column-major, one contiguous row per feature, and
+:attr:`PackedBinnedDataset.binned` is their ``(n, d)`` transpose view.
+That is the layout the GBDT's large-node histogram kernel reads, so
+:meth:`GBDTClassifier.fit_binned` on the pack keeps no second copy of the
+bins.  The result is exactly the binned matrix the GBDT hot path consumes,
+already laid out in the zero-copy shared-memory container the parallel
+engine ships to workers.
 """
 
 from __future__ import annotations
@@ -111,8 +115,8 @@ class PackedBinnedDataset:
 
     @property
     def binned(self) -> np.ndarray:
-        """Read-only ``(n, d)`` uint8 bin-index matrix."""
-        return self._views["binned"]
+        """Read-only ``(n, d)`` uint8 bin-index matrix (column-major)."""
+        return self._views["binned"].T
 
     @property
     def labels(self) -> np.ndarray:
@@ -216,7 +220,7 @@ def pack_generated(
     province_names = tuple(cfg.registry.names)
     pack = SharedArrayPack.allocate(
         {
-            "binned": ((n, d), "u1"),
+            "binned": ((d, n), "u1"),
             "labels": ((n,), "f8"),
             "province_codes": ((n,), "i2"),
             "years": ((n,), "i2"),
@@ -226,15 +230,16 @@ def pack_generated(
     )
     try:
         views = pack.writable_arrays()
+        binned = views["binned"].T
         code_of = {name: i for i, name in enumerate(province_names)}
         for chunk in generator.generate_chunks(chunk_rows):
             rows = chunk.row_indices
-            streamed.transform_into(chunk.features, views["binned"], rows)
+            streamed.transform_into(chunk.features, binned, rows)
             views["labels"][rows] = chunk.labels
             views["province_codes"][rows] = code_of[chunk.province]
             views["years"][rows] = chunk.year
             views["halves"][rows] = chunk.half
-        binner = streamed.finish(views["binned"])
+        binner = streamed.finish(binned)
     except BaseException:
         pack.dispose()
         raise

@@ -117,6 +117,8 @@ class DecisionTree:
         self._nodes: list[_Node] = []
         self._n_leaves = 0
         self._forest: Forest | None = None
+        #: Leaf id of every row of fit()'s matrix, until fit_values reads it.
+        self._fit_leaves: np.ndarray | None = None
         #: Sorted input columns the tree was grown on (None: all of them).
         self.column_subset: np.ndarray | None = None
 
@@ -167,7 +169,8 @@ class DecisionTree:
         Returns:
             self.
         """
-        if sample_indices is None:
+        every_row = sample_indices is None
+        if every_row:
             sample_indices = np.arange(binned.shape[0])
         if sample_indices.size == 0:
             raise ValueError("cannot fit a tree on zero samples")
@@ -211,6 +214,14 @@ class DecisionTree:
             push_candidate(left)
             push_candidate(right)
 
+        # Without row subsampling the leaves partition every row, so the
+        # boosting loop reads their ids here instead of routing the rows.
+        self._fit_leaves = None
+        if every_row:
+            self._fit_leaves = np.empty(binned.shape[0], dtype=np.int32)
+            leaves = (node for node in self._nodes if node.is_leaf)
+            for leaf_id, node in enumerate(leaves):
+                self._fit_leaves[node.sample_indices] = leaf_id
         self._finalize_leaves()
         self._forest = Forest.from_nodes(self._nodes, self._n_leaves,
                                          value_dtype, column_subset,
@@ -374,6 +385,17 @@ class DecisionTree:
     ) -> np.ndarray:
         """Raw leaf values (pre-shrinkage contribution of this tree)."""
         return self.forest.value[self.predict_leaf(binned, columns)]
+
+    def fit_values(self, binned: np.ndarray) -> np.ndarray:
+        """:meth:`predict_value` of the matrix :meth:`fit` was given.
+
+        The first call after a fit on every row reads the growth
+        partition's leaf ids and frees them; any other call routes.
+        """
+        leaves, self._fit_leaves = self._fit_leaves, None
+        if leaves is None:
+            return self.predict_value(binned)
+        return self.forest.value[leaves]
 
     def feature_importance(self, n_features: int) -> np.ndarray:
         """Total split gain attributed to each feature.

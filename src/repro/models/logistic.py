@@ -91,11 +91,16 @@ class LogisticModel:
         return grad
 
     def loss_and_gradient(
-        self, theta: np.ndarray, features: Matrix, labels: np.ndarray
+        self, theta: np.ndarray, features: Matrix, labels: np.ndarray,
+        prob: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
-        """Loss and gradient sharing one forward pass."""
+        """Loss and gradient sharing one forward pass.
+
+        ``prob`` is ``σ(X θ)`` when the caller already holds it.
+        """
         labels = np.asarray(labels, dtype=np.float64).ravel()
-        prob = self.predict_proba(theta, features)
+        if prob is None:
+            prob = self.predict_proba(theta, features)
         loss = binary_cross_entropy(labels, prob)
         grad = self._rmatvec(features, prob - labels) / labels.size
         if self.l2:
@@ -109,12 +114,14 @@ class LogisticModel:
         features: Matrix,
         labels: np.ndarray,
         vector: np.ndarray,
+        prob: np.ndarray | None = None,
     ) -> np.ndarray:
         """Exact ``H(θ) v`` without forming the Hessian.
 
         ``H = Xᵀ diag(p(1-p)) X / n + l2·I`` for the BCE objective; labels
         do not enter the Hessian but are accepted for interface symmetry
-        with :meth:`gradient`.
+        with :meth:`gradient`.  ``prob`` is ``σ(X θ)`` when the caller
+        already holds it.
         """
         labels = np.asarray(labels, dtype=np.float64).ravel()
         vector = np.asarray(vector, dtype=np.float64).ravel()
@@ -122,7 +129,8 @@ class LogisticModel:
             raise ValueError(
                 f"vector has {vector.shape[0]} entries, expected {self.n_features}"
             )
-        prob = self.predict_proba(theta, features)
+        if prob is None:
+            prob = self.predict_proba(theta, features)
         weights = prob * (1.0 - prob)
         inner = np.asarray(features @ vector).ravel()
         hv = self._rmatvec(features, weights * inner) / labels.size

@@ -130,10 +130,9 @@ def run_scale_point(
         JSON-compatible dict of timings, sizes and peak memory.
     """
     from repro.baselines.erm import ERMTrainer
-    from repro.data.dataset import EnvironmentData
     from repro.data.generator import GeneratorConfig, LoanDataGenerator
     from repro.gbdt.boosting import GBDTClassifier
-    from repro.gbdt.leaf_encoder import LeafIndexEncoder
+    from repro.gbdt.leaf_encoder import leaf_encode_environments
     from repro.gbdt.packing import pack_generated
     from repro.perfbench.rss import PeakMemoryProbe
     from repro.train.base import BaseTrainConfig
@@ -161,23 +160,21 @@ def run_scale_point(
         )
         t_fit = time.perf_counter()
 
-        encoder = LeafIndexEncoder(model)
-        leaves = model.predict_leaves_binned(packed.binned)
-        design = encoder.encode_leaves(leaves)
+        # Each province is routed and encoded from its own rows: no design
+        # of all rows exists beside the per-province ones.
+        labels = packed.labels
+        environments = leaf_encode_environments(model, packed.binned, (
+            (name, rows, labels[rows])
+            for name, rows in packed.province_rows().items()))
         t_encode = time.perf_counter()
 
-        labels = packed.labels
-        environments = [
-            EnvironmentData(name, design[rows], labels[rows])
-            for name, rows in packed.province_rows().items()
-        ]
         trainer = ERMTrainer(BaseTrainConfig(n_epochs=config.lr_epochs))
         result = trainer.fit(environments)
         t_head = time.perf_counter()
 
     if save_model is not None:
-        _save_scale_artifact(model, encoder, trainer, result,
-                             n_rows, config, save_model)
+        _save_scale_artifact(model, trainer, result, n_rows, config,
+                             save_model)
 
     packed_bytes = packed.nbytes
     packed.dispose()
@@ -194,8 +191,8 @@ def run_scale_point(
         "total_s": t_head - t0,
         "rows_per_s": n_rows / (t_head - t0) if t_head > t0 else float("inf"),
         "packed_bytes": packed_bytes,
-        "design_nnz": int(design.nnz),
-        "design_index_dtype": str(design.columns.dtype),
+        "design_nnz": sum(env.features.nnz for env in environments),
+        "design_index_dtype": str(environments[0].features.columns.dtype),
         "naive_materialised_bytes": naive_bytes,
         "peak_rss_bytes": probe.peak_bytes,
         "rss_source": probe.source,
@@ -209,17 +206,17 @@ def run_scale_point(
     return entry
 
 
-def _save_scale_artifact(model, encoder, trainer, result,
-                         n_rows: int, config: ScaleBenchConfig,
-                         path: str) -> None:
+def _save_scale_artifact(model, trainer, result, n_rows: int,
+                         config: ScaleBenchConfig, path: str) -> None:
     """Persist the scale-trained GBDT+LR as a normal serving artifact."""
+    from repro.gbdt.leaf_encoder import LeafIndexEncoder
     from repro.pipeline.extractor import GBDTFeatureExtractor
     from repro.pipeline.pipeline import LoanDefaultPipeline
     from repro.serve.registry import ModelRegistry
 
     extractor = GBDTFeatureExtractor(params=model.params)
     extractor.model_ = model
-    extractor.encoder_ = encoder
+    extractor.encoder_ = LeafIndexEncoder(model)
     pipeline = LoanDefaultPipeline(trainer, extractor=extractor)
     pipeline.result_ = result
     ModelRegistry.save_file(pipeline, path, metadata={

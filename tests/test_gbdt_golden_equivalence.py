@@ -129,10 +129,10 @@ class TestHistogramKernel:
         via_none = builder.build(g, h, None)
         _assert_histograms_identical(via_arange, via_none)
 
-    def test_count_is_int64(self):
+    def test_count_is_int32(self):
         binned, g, h, _, _ = _problem(5, 500, 3, 8)
         hist = HistogramBuilder(binned, 8).build(g, h, np.arange(500))
-        assert hist.count.dtype == np.int64
+        assert hist.count.dtype == np.int32
 
 
 #: Fused-kernel cell budgets: one column per block for any real node (1),

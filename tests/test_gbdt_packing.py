@@ -8,6 +8,7 @@ import pytest
 
 from repro.data.generator import GeneratorConfig, LoanDataGenerator
 from repro.gbdt.binning import QuantileBinner, ReservoirSampler
+from repro.gbdt.histogram import HistogramBuilder
 from repro.gbdt.packing import PackedBinnedDataset, pack_generated
 from repro.parallel.shared import SharedArrayPack
 
@@ -247,6 +248,13 @@ class TestPackGenerated:
         packed, reference = packed_and_reference
         expected = packed.binner.transform(reference.features)
         np.testing.assert_array_equal(packed.binned, expected)
+
+    def test_bins_are_column_major_and_read_in_place(
+            self, packed_and_reference):
+        packed, _ = packed_and_reference
+        assert packed.binned.T.flags.c_contiguous
+        builder = HistogramBuilder(packed.binned, 32)
+        assert np.shares_memory(builder._bins_t, packed.binned)
 
     def test_labels_and_groupings_match(self, packed_and_reference):
         packed, reference = packed_and_reference

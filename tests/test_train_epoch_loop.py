@@ -7,7 +7,11 @@ own epoch loop; the shared ``Trainer.fit`` loop must reproduce them:
 * the fitted parameters with ``batch_size=64`` (mini-batch draws);
 * how many leaf-design products (``X @ v`` and ``Xᵀ @ v``) each epoch
   takes, which is the cost model of Table III (meta-IRM's meta-loss is
-  quadratic in M, LightMIRM's linear).
+  quadratic in M, LightMIRM's linear), and how many losses, gradients and
+  Hessian-vector products the meta-learners evaluate.
+
+The meta-learners' products moved once since: each HVP reuses the
+``σ(X_m θ)`` of its inner step, one ``X @ v`` fewer per environment.
 
 A property covers what every history must mean: the first epoch's
 per-environment losses are each environment's risk at the initial
@@ -23,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.gbdt.leaf_encoder import LeafDesign, _TransposedLeafDesign
+from repro.models.logistic import LogisticModel
 from repro.train.registry import available_trainers, make_trainer
 from tests.test_train_golden_theta import result_sha256
 
@@ -99,13 +104,14 @@ PRODUCTS_PER_EPOCH = {
     "Group DRO": lambda m: (m, m),
     "V-REx": lambda m: (m, m),
     "IRMv1": lambda m: (2 * m, 2 * m),
-    "meta-IRM": lambda m: (m * (m + 2), m * (m + 1)),
-    "meta-IRM(2)": lambda m: (m * 5, m * 4),
-    "LightMIRM": lambda m: (4 * m, 3 * m),
+    "meta-IRM": lambda m: (m * (m + 1), m * (m + 1)),
+    "meta-IRM(2)": lambda m: (m * 4, m * 4),
+    "LightMIRM": lambda m: (3 * m, 3 * m),
 }
 
 
-def products_per_epoch(monkeypatch, name, environments, n_epochs=3):
+def products_per_epoch(monkeypatch, name, environments, n_epochs=3,
+                       **config):
     """``(X @ v, Xᵀ @ v)`` counts of each epoch of one full-batch fit."""
     counts = collections.Counter()
     matvec = LeafDesign.__matmul__
@@ -122,7 +128,7 @@ def products_per_epoch(monkeypatch, name, environments, n_epochs=3):
     monkeypatch.setattr(LeafDesign, "__matmul__", counted_matvec)
     monkeypatch.setattr(_TransposedLeafDesign, "__matmul__", counted_rmatvec)
     totals = []
-    make_trainer(name, n_epochs=n_epochs).fit(
+    make_trainer(name, n_epochs=n_epochs, **config).fit(
         environments,
         callback=lambda epoch, theta: totals.append(
             (counts["matvec"], counts["rmatvec"])),
@@ -139,6 +145,66 @@ def test_design_products_per_epoch(monkeypatch, train_envs, name, n_envs):
     expected = PRODUCTS_PER_EPOCH[name](n_envs)
     got = products_per_epoch(monkeypatch, name, environments)
     assert got == [expected] * 3
+
+
+#: ``LogisticModel`` calls per epoch at M environments, as ``(loss,
+#: gradient, loss_and_gradient, hessian_vector_product)``: one inner step
+#: and one HVP per environment, plus the meta-loss's environment risks.
+MODEL_CALLS_PER_EPOCH = {
+    "meta-IRM": lambda m: (0, 0, m * m, m),
+    "meta-IRM(2)": lambda m: (0, 0, 3 * m, m),
+    "LightMIRM": lambda m: (0, 0, 2 * m, m),
+}
+
+_MODEL_METHODS = ("loss", "gradient", "loss_and_gradient",
+                  "hessian_vector_product")
+
+
+def model_calls_per_epoch(monkeypatch, name, environments, n_epochs=3,
+                          **config):
+    """``LogisticModel`` call counts of each epoch of one full-batch fit."""
+    counts = collections.Counter()
+
+    def counted(method):
+        original = getattr(LogisticModel, method)
+
+        def wrapper(*args, **kwargs):
+            counts[method] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for method in _MODEL_METHODS:
+        monkeypatch.setattr(LogisticModel, method, counted(method))
+    totals = []
+    make_trainer(name, n_epochs=n_epochs, **config).fit(
+        environments,
+        callback=lambda epoch, theta: totals.append(
+            tuple(counts[method] for method in _MODEL_METHODS)),
+    )
+    starts = [(0,) * len(_MODEL_METHODS), *totals[:-1]]
+    return [tuple(e - s for s, e in zip(start, end))
+            for start, end in zip(starts, totals)]
+
+
+@pytest.mark.parametrize("n_envs", [4, 7])
+@pytest.mark.parametrize("name", list(MODEL_CALLS_PER_EPOCH))
+def test_model_calls_per_epoch(monkeypatch, train_envs, name, n_envs):
+    expected = MODEL_CALLS_PER_EPOCH[name](n_envs)
+    got = model_calls_per_epoch(monkeypatch, name, train_envs[:n_envs])
+    assert got == [expected] * 3
+
+
+@pytest.mark.parametrize("queue_length", [1, 5, 20])
+def test_lightmirm_counts_do_not_depend_on_the_queue_length(
+        monkeypatch, train_envs, queue_length):
+    n_envs = 5
+    environments = train_envs[:n_envs]
+    calls = model_calls_per_epoch(monkeypatch, "LightMIRM", environments,
+                                  queue_length=queue_length)
+    products = products_per_epoch(monkeypatch, "LightMIRM", environments,
+                                  queue_length=queue_length)
+    assert calls == [MODEL_CALLS_PER_EPOCH["LightMIRM"](n_envs)] * 3
+    assert products == [PRODUCTS_PER_EPOCH["LightMIRM"](n_envs)] * 3
 
 
 @pytest.mark.parametrize("name", available_trainers())
