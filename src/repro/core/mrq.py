@@ -50,16 +50,6 @@ class MetaLossReplayQueue:
         return self._values.copy()
 
     @property
-    def n_pushed(self) -> int:
-        """Total number of pushes so far (for warm-up diagnostics)."""
-        return self._n_pushed
-
-    @property
-    def is_warm(self) -> bool:
-        """True once every slot holds a real (pushed) loss."""
-        return self._n_pushed >= self.length
-
-    @property
     def occupancy(self) -> float:
         """Fraction of slots holding real (pushed) losses, in [0, 1].
 
@@ -95,17 +85,6 @@ class MetaLossReplayQueue:
         """Approximate meta-loss ``Σ γ^{L-i} H_m[i]`` (Eq. 9)."""
         weights = self.gamma ** np.arange(self.length - 1, -1, -1, dtype=np.float64)
         return float(weights @ self._values)
-
-    def replay_component(self) -> float:
-        """Decayed sum of the *historical* entries only (no newest entry).
-
-        Splitting Eq. 9 as ``replay + newest`` mirrors the gradient
-        structure: this part is constant w.r.t. the current parameters.
-        """
-        if self.length == 1:
-            return 0.0
-        weights = self.gamma ** np.arange(self.length - 1, 0, -1, dtype=np.float64)
-        return float(weights @ self._values[:-1])
 
     def newest(self) -> float:
         """The newest (gradient-carrying) entry."""

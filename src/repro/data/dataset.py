@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pathlib
 from dataclasses import dataclass
 from typing import Iterator
@@ -64,6 +65,13 @@ class LoanDataset:
 
     Rows carry the raw feature matrix, binary default labels, and the three
     grouping columns the experiments slice on: province, year and half-year.
+
+    A selection (:meth:`select` and the filters and splits built on it)
+    shares its parent's read-only feature matrix and holds a row index
+    into it; only the labels and grouping columns are copied.  Its
+    :attr:`features` is a fresh read-only gather on every read, and
+    :attr:`feature_source` hands the matrix and the index to code that
+    reads the rows in place.
     """
 
     def __init__(
@@ -98,23 +106,39 @@ class LoanDataset:
             )
         if not np.all(np.isin(halves, (1, 2))):
             raise ValueError("halves must contain only 1 or 2")
-        self.features = features
+        self._matrix = features
+        self._rows: np.ndarray | None = None
         self.labels = labels
         self.provinces = provinces
         self.years = years
         self.halves = halves
         self.schema = schema
-        for arr in (self.features, self.labels, self.provinces, self.years,
-                    self.halves):
+        for arr in (features, labels, provinces, years, halves):
             arr.setflags(write=False)
 
     @property
+    def features(self) -> np.ndarray:
+        """The ``(n, d)`` float64 rows, read-only: the matrix itself, or a
+        selection's fresh gather of its rows (nothing caches it)."""
+        if self._rows is None:
+            return self._matrix
+        features = self._matrix[self._rows]
+        features.setflags(write=False)
+        return features
+
+    @property
+    def feature_source(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(matrix, rows)``: the shared matrix and this dataset's row
+        index into it (``None``: every row, in order)."""
+        return self._matrix, self._rows
+
+    @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return self.labels.shape[0]
 
     @property
     def n_features(self) -> int:
-        return self.features.shape[1]
+        return self._matrix.shape[1]
 
     @property
     def default_rate(self) -> float:
@@ -125,15 +149,20 @@ class LoanDataset:
         return sorted(np.unique(self.provinces).tolist())
 
     def select(self, mask: np.ndarray) -> "LoanDataset":
-        """Row-subset the dataset with a boolean mask or index array."""
-        return LoanDataset(
-            features=self.features[mask],
-            labels=self.labels[mask],
-            provinces=self.provinces[mask],
-            years=self.years[mask],
-            halves=self.halves[mask],
-            schema=self.schema,
-        )
+        """Row-subset the dataset with a boolean mask or index array (a
+        selection: see the class docstring; an index's order is kept)."""
+        subset = copy.copy(self)
+        subset.labels = self.labels[mask]
+        subset.provinces = self.provinces[mask]
+        subset.years = self.years[mask]
+        subset.halves = self.halves[mask]
+        local = (np.flatnonzero(mask) if np.asarray(mask).dtype == bool
+                 else np.arange(self.n_samples)[mask])
+        subset._rows = local if self._rows is None else self._rows[local]
+        for arr in (subset._rows, subset.labels, subset.provinces,
+                    subset.years, subset.halves):
+            arr.setflags(write=False)
+        return subset
 
     def filter_years(self, years: list[int] | tuple[int, ...]) -> "LoanDataset":
         """Rows whose year is in ``years``."""
@@ -158,8 +187,10 @@ class LoanDataset:
 
     def environments(self) -> list[EnvironmentData]:
         """Split into per-province environments, sorted by name."""
+        matrix, own = self.feature_source
         return [
-            EnvironmentData(name, self.features[rows], self.labels[rows])
+            EnvironmentData(name, matrix[rows if own is None else own[rows]],
+                            self.labels[rows])
             for name, rows in self.province_rows().items()
         ]
 

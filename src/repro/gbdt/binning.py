@@ -428,19 +428,39 @@ class QuantileBinner:
         """
         return StreamedFit(self, blocks, sample_rows, seed)
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
+    def transform(self, features: np.ndarray,
+                  rows: np.ndarray | None = None) -> np.ndarray:
         """Map raw features to bin indices.
 
         Args:
             features: Dense float matrix with the fitted column count.
+            rows: Optional row indices: bin ``features[rows]`` without
+                copying it, gathering and checking one column at a time.
 
         Returns:
-            ``uint8`` matrix of bin indices, same shape as the input.
+            ``uint8`` matrix of bin indices, one row per input row (per
+            entry of ``rows`` when given).
         """
-        features = self._check_transform_input(features)
-        binned = np.empty(features.shape, dtype=np.uint8)
+        if self.bin_edges_ is None:
+            raise RuntimeError("binner is not fitted")
+        features = self._as_float(features)
+        if features.ndim != 2:
+            raise ValueError("features must be a 2-D matrix")
+        if rows is None:
+            check_finite(features)
+        if features.shape[1] != len(self.bin_edges_):
+            raise ValueError(
+                f"expected {len(self.bin_edges_)} features, got {features.shape[1]}"
+            )
+        binned = np.empty((features.shape[0] if rows is None else len(rows),
+                           features.shape[1]), dtype=np.uint8)
         for f, edges in enumerate(self.bin_edges_):
-            binned[:, f] = np.searchsorted(edges, features[:, f], side="left")
+            if rows is None:
+                column = features[:, f]
+            else:
+                column = features[rows, f]
+                check_finite(column)
+            binned[:, f] = np.searchsorted(edges, column, side="left")
         return binned
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
@@ -452,25 +472,6 @@ class QuantileBinner:
         if self.bin_edges_ is None:
             raise RuntimeError("binner is not fitted")
         return len(self.bin_edges_[feature]) + 1
-
-    def bin_upper_value(self, feature: int, bin_index: int) -> float:
-        """Raw-value upper edge of a bin (``inf`` for the overflow bin)."""
-        if self.bin_edges_ is None:
-            raise RuntimeError("binner is not fitted")
-        edges = self.bin_edges_[feature]
-        if bin_index >= len(edges):
-            return float("inf")
-        return float(edges[bin_index])
-
-    def _check_transform_input(self, features: np.ndarray) -> np.ndarray:
-        if self.bin_edges_ is None:
-            raise RuntimeError("binner is not fitted")
-        features = self._check_matrix(features)
-        if features.shape[1] != len(self.bin_edges_):
-            raise ValueError(
-                f"expected {len(self.bin_edges_)} features, got {features.shape[1]}"
-            )
-        return features
 
     @staticmethod
     def _as_float(features: np.ndarray) -> np.ndarray:

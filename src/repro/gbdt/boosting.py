@@ -389,10 +389,12 @@ class GBDTClassifier:
 
     # ------------------------------------------------------- transform-once
 
-    def bin_features(self, features: np.ndarray) -> np.ndarray:
-        """Bin a raw feature matrix once, for reuse by ``*_binned`` calls."""
+    def bin_features(self, features: np.ndarray,
+                     rows: np.ndarray | None = None) -> np.ndarray:
+        """Bin a raw feature matrix (``features[rows]``, read in place)
+        once, for reuse by ``*_binned`` calls."""
         self._check_fitted()
-        return self.binner.transform(features)
+        return self.binner.transform(features, rows)
 
     def decision_function_binned(self, binned: np.ndarray) -> np.ndarray:
         """Raw additive score (log-odds) over pre-binned rows."""
@@ -446,19 +448,6 @@ class GBDTClassifier:
         """Predicted default probabilities."""
         return sigmoid(self.decision_function(features))
 
-    def staged_predict_proba(self, features: np.ndarray):
-        """Yield probabilities after each boosting round.
-
-        Useful for convergence diagnostics and for choosing a truncation
-        point post hoc; round ``k`` uses trees ``0..k`` inclusive.
-
-        Yields:
-            ``(n,)`` probability arrays, one per fitted tree.
-        """
-        yield from self.staged_predict_proba_binned(
-            self.bin_features(features)
-        )
-
     def predict_leaves(self, features: np.ndarray) -> np.ndarray:
         """Leaf index of every sample in every tree.
 
@@ -507,6 +496,7 @@ def fit_holdout(
     labels: np.ndarray,
     fraction: float,
     seed,
+    rows: np.ndarray | None = None,
 ) -> tuple[GBDTClassifier, np.ndarray]:
     """Fit a GBDT on pooled row blocks with an early-stopping holdout.
 
@@ -533,6 +523,9 @@ def fit_holdout(
         fraction: Pooled-row share held out for early stopping.
         seed: Entropy of the holdout permutation; anything
             :func:`numpy.random.default_rng` accepts.
+        rows: Optional row indices into a single block: pool
+            ``blocks[0][rows]``, read in place (a dataset selection's
+            :attr:`~repro.data.dataset.LoanDataset.feature_source`).
 
     Returns:
         ``(fitted model, pooled (n, d) uint8 bins)``.
@@ -545,8 +538,10 @@ def fit_holdout(
     if len({block.shape[1:] for block in blocks}) != 1 \
             or blocks[0].ndim != 2:
         raise ValueError("blocks must be 2-D with one column count")
+    if rows is not None and len(blocks) != 1:
+        raise ValueError("rows index a single block")
     labels = np.asarray(labels, dtype=np.float64).ravel()
-    n = sum(block.shape[0] for block in blocks)
+    n = sum(block.shape[0] for block in blocks) if rows is None else len(rows)
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
     if n != labels.shape[0]:
@@ -565,14 +560,18 @@ def fit_holdout(
     def pooled(parts: list[np.ndarray]) -> np.ndarray:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
+    fit_source = rows if rows is None or fit_rows is None else rows[fit_rows]
+
     def fit_column(f: int) -> np.ndarray:
+        if rows is not None:
+            return blocks[0][fit_source, f]
         column = pooled([block[:, f] for block in blocks])
         return column if fit_rows is None else column[fit_rows]
 
     model = GBDTClassifier(params)
     binner = model.binner.fit_columns(
         fit_column(f) for f in range(blocks[0].shape[1]))
-    binned = pooled([binner.transform(block) for block in blocks])
+    binned = pooled([binner.transform(block, rows) for block in blocks])
     if fit_rows is None:
         model.fit_binned(binned, labels, binner)
     else:

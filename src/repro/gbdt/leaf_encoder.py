@@ -215,13 +215,6 @@ class LeafIndexEncoder:
             raise ValueError("leaf index out of range for its tree")
         return encode_leaf_matrix(leaf_matrix, self._offsets)
 
-    def column_origin(self, column: int) -> tuple[int, int]:
-        """Map an output column back to ``(tree_index, leaf_index)``."""
-        if not 0 <= column < self.n_output_features:
-            raise IndexError(f"column {column} out of range")
-        tree = int(np.searchsorted(self._offsets, column, side="right")) - 1
-        return tree, int(column - self._offsets[tree])
-
 
 def leaf_encode_environments(
     model: GBDTClassifier,

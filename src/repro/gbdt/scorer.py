@@ -100,34 +100,43 @@ class CompiledScorer:
         other._value = self._leaf_values(theta)
         return other
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Default probabilities ``σ(X θ)`` of raw ``(n, n_features)`` rows.
+    def predict_proba(self, features: np.ndarray,
+                      rows: np.ndarray | None = None) -> np.ndarray:
+        """Default probabilities ``σ(X θ)`` of raw ``(n, n_features)`` rows
+        (of ``features[rows]`` when ``rows`` is given, gathered a block at
+        a time instead of copied whole).
 
         Raises:
             ValueError: On input that is not a 2-D matrix of
                 ``n_features`` columns, or holds a NaN or ±inf; the same
                 errors the binner raises.
         """
-        return sigmoid(self.logits(features))
+        return sigmoid(self.logits(features, rows))
 
-    def logits(self, features: np.ndarray) -> np.ndarray:
+    def logits(self, features: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
         """Linear scores ``X θ`` of raw rows (see :meth:`predict_proba`)."""
-        rows = np.asarray(features)
-        if rows.dtype not in (np.float32, np.float64):
-            rows = rows.astype(np.float64)
-        if rows.ndim != 2:
+        matrix = np.asarray(features)
+        if matrix.dtype not in (np.float32, np.float64):
+            matrix = matrix.astype(np.float64)
+        if matrix.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        check_finite(rows)
-        if rows.shape[1] != self.n_features:
+        if rows is None:
+            check_finite(matrix)
+        if matrix.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, "
-                             f"got {rows.shape[1]}")
+                             f"got {matrix.shape[1]}")
         step = self._block_rows
-        if rows.shape[0] <= step:
-            return self._block_logits(rows)
-        out = np.empty(rows.shape[0])
-        for start in range(0, rows.shape[0], step):
-            out[start:start + step] = self._block_logits(
-                rows[start:start + step])
+        if rows is None and matrix.shape[0] <= step:
+            return self._block_logits(matrix)
+        out = np.empty(matrix.shape[0] if rows is None else len(rows))
+        for start in range(0, out.size, step):
+            if rows is None:
+                block = matrix[start:start + step]
+            else:
+                block = matrix[rows[start:start + step]]
+                check_finite(block)
+            out[start:start + step] = self._block_logits(block)
         return out
 
     def _block_logits(self, rows: np.ndarray) -> np.ndarray:

@@ -126,11 +126,11 @@ def drift_report(
     if baseline.schema.names != monitoring.schema.names:
         raise ValueError("datasets disagree on the feature schema")
     drifts = []
+    # One read each: a selection's ``features`` gathers its rows anew.
+    base_rows, live_rows = baseline.features, monitoring.features
     for column, name in enumerate(baseline.schema.names):
         psi = population_stability_index(
-            baseline.features[:, column],
-            monitoring.features[:, column],
-            n_bins=n_bins,
+            base_rows[:, column], live_rows[:, column], n_bins=n_bins,
         )
         drifts.append(FeatureDrift(name=name, psi=psi))
     label_psi = population_stability_index(

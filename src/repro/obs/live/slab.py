@@ -189,11 +189,6 @@ class SlabWriter:
         self._busy = arrays["busy_seconds"]
         self._latency_counts = arrays["latency_counts"]
         self._latency_sum = arrays["latency_sum"]
-        self._n_published = 0
-
-    @property
-    def n_published(self) -> int:
-        return self._n_published
 
     def publish(self, telemetry) -> None:
         """Overwrite this row from one :class:`ServingTelemetry`.
@@ -215,7 +210,6 @@ class SlabWriter:
             self._heartbeat[w] = time.time()
         finally:
             self._gen[w] += 1      # even: row is consistent again
-        self._n_published += 1
 
     def heartbeat(self) -> None:
         """Touch the liveness clock without republishing metrics."""

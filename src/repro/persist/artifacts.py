@@ -96,7 +96,7 @@ class ScoringModel:
     def predict_proba(self, features: np.ndarray | LoanDataset) -> np.ndarray:
         """Default probabilities for raw feature rows (or a dataset)."""
         if isinstance(features, LoanDataset):
-            features = features.features
+            return self.scorer.predict_proba(*features.feature_source)
         return self.scorer.predict_proba(features)
 
 

@@ -74,10 +74,12 @@ class GBDTFeatureExtractor:
 
     def fit_and_bin(self, train: LoanDataset) -> np.ndarray:
         """:meth:`fit`, returning ``model_.bin_features(train.features)``
-        (the fit's own binning pass; no second one)."""
+        (the fit's own binning pass; no second one).  A selection's rows
+        are read in place from its shared matrix."""
+        matrix, rows = train.feature_source
         self.model_, binned = fit_holdout(
-            self.params, [train.features], train.labels,
-            self.validation_fraction, seed=0)
+            self.params, [matrix], train.labels,
+            self.validation_fraction, seed=0, rows=rows)
         self.encoder_ = LeafIndexEncoder(self.model_)
         return binned
 
@@ -85,7 +87,7 @@ class GBDTFeatureExtractor:
         """Encode all rows of a dataset into the multi-hot leaf space."""
         self._check_fitted()
         # Bin once, then route + encode from the shared binned matrix.
-        binned = self.model_.bin_features(dataset.features)
+        binned = self.model_.bin_features(*dataset.feature_source)
         return self.encoder_.transform_binned(binned)
 
     def predict_proba(self, dataset: LoanDataset,
@@ -93,7 +95,8 @@ class GBDTFeatureExtractor:
         """Default probabilities of a trained head over a dataset's rows.
 
         One :class:`~repro.gbdt.scorer.CompiledScorer` scores the raw rows,
-        bit for bit as encoding them and taking the head's product would.
+        bit for bit as encoding them and taking the head's product would;
+        a selection's rows are read in place from its shared matrix.
         A per-environment result (the fine-tuning baseline) scores each
         province's rows with its
         :meth:`~repro.train.base.TrainResult.theta_for_environment`.
@@ -107,12 +110,14 @@ class GBDTFeatureExtractor:
         scorer = CompiledScorer(self.model_.forest_, np.concatenate(edges),
                                 np.cumsum([0] + [len(e) for e in edges]),
                                 result.theta)
+        matrix, source = dataset.feature_source
         if not result.is_per_environment:
-            return scorer.predict_proba(dataset.features)
+            return scorer.predict_proba(matrix, source)
         scores = np.empty(dataset.n_samples)
         for name, rows in zip(*group_rows(np.asarray(dataset.provinces))):
             head = scorer.with_theta(result.theta_for_environment(str(name)))
-            scores[rows] = head.predict_proba(dataset.features[rows])
+            scores[rows] = head.predict_proba(
+                matrix, rows if source is None else source[rows])
         return scores
 
     def encode_environments(self, dataset: LoanDataset,
@@ -121,7 +126,7 @@ class GBDTFeatureExtractor:
         (``binned``: ``dataset``'s bins from :meth:`fit_and_bin`, if any)."""
         self._check_fitted()
         if binned is None:
-            binned = self.model_.bin_features(dataset.features)
+            binned = self.model_.bin_features(*dataset.feature_source)
         return leaf_encode_environments(self.model_, binned, (
             (name, rows, dataset.labels[rows])
             for name, rows in dataset.province_rows().items()

@@ -39,21 +39,21 @@ class TestTraining:
 class TestQueues:
     def test_one_queue_per_environment(self, tiny_envs):
         trainer = LightMIRMTrainer(
-            LightMIRMConfig(n_epochs=4, queue_length=3)
+            LightMIRMConfig(n_epochs=4, queue_length=5)
         )
         trainer.fit(tiny_envs)
         assert trainer.queues_ is not None
         assert len(trainer.queues_) == len(tiny_envs)
         for queue in trainer.queues_:
-            assert len(queue) == 3
-            assert queue.n_pushed == 4  # one push per epoch
+            assert len(queue) == 5
+            assert queue.occupancy == 4 / 5  # one push per epoch
 
     def test_queue_warmup(self, tiny_envs):
         trainer = LightMIRMTrainer(
             LightMIRMConfig(n_epochs=2, queue_length=5)
         )
         trainer.fit(tiny_envs)
-        assert all(not q.is_warm for q in trainer.queues_)
+        assert all(q.occupancy < 1.0 for q in trainer.queues_)
 
     def test_queue_values_finite(self, tiny_envs):
         trainer = LightMIRMTrainer(LightMIRMConfig(n_epochs=10))

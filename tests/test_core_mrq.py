@@ -12,7 +12,7 @@ class TestPush:
     def test_initialised_with_zeros(self):
         q = MetaLossReplayQueue(length=4, gamma=0.9)
         np.testing.assert_array_equal(q.values, np.zeros(4))
-        assert not q.is_warm
+        assert q.occupancy == 0.0
 
     def test_fifo_shift(self):
         q = MetaLossReplayQueue(length=3, gamma=0.9)
@@ -28,10 +28,9 @@ class TestPush:
     def test_warm_after_length_pushes(self):
         q = MetaLossReplayQueue(length=3, gamma=0.9)
         for i in range(3):
-            assert q.is_warm == (i >= 3)
+            assert q.occupancy < 1.0
             q.push(float(i))
-        assert q.is_warm
-        assert q.n_pushed == 3
+        assert q.occupancy == 1.0
 
     def test_non_finite_rejected(self):
         q = MetaLossReplayQueue(length=2, gamma=0.9)
@@ -58,18 +57,9 @@ class TestDecayedSum:
         # All other entries are zero, so the sum is exactly the newest.
         assert q.decayed_sum() == pytest.approx(10.0)
 
-    def test_split_replay_plus_newest(self):
-        q = MetaLossReplayQueue(length=4, gamma=0.7)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            q.push(v)
-        assert q.decayed_sum() == pytest.approx(
-            q.replay_component() + q.newest()
-        )
-
     def test_length_one_has_no_replay(self):
         q = MetaLossReplayQueue(length=1, gamma=0.9)
         q.push(5.0)
-        assert q.replay_component() == 0.0
         assert q.decayed_sum() == pytest.approx(5.0)
 
     def test_gamma_one_is_plain_sum(self):
@@ -165,9 +155,9 @@ class TestQueueProperties:
             partial = loss * sum(gamma**j for j in range(k))
             assert q.decayed_sum() == pytest.approx(partial)
             assert q.decayed_sum() < warm_value
-            assert not q.is_warm
+            assert q.occupancy < 1.0
         q.push(loss)
-        assert q.is_warm
+        assert q.occupancy == 1.0
         assert q.decayed_sum() == pytest.approx(warm_value)
 
     @settings(max_examples=50, deadline=None)

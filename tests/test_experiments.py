@@ -70,9 +70,10 @@ class TestRunnerPlumbing:
         passes = []
         transform = QuantileBinner.transform
 
-        def spy(binner, features):
-            passes.append(np.shape(features)[0])
-            return transform(binner, features)
+        def spy(binner, features, rows=None):
+            passes.append(np.shape(features)[0] if rows is None
+                          else len(rows))
+            return transform(binner, features, rows)
 
         monkeypatch.setattr(QuantileBinner, "transform", spy)
         context = ExperimentContext(

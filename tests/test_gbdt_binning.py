@@ -55,13 +55,6 @@ class TestFitTransform:
         binner = QuantileBinner(max_bins=64).fit(x)
         assert binner.n_bins(0) <= 3
 
-    def test_bin_upper_value(self, rng):
-        x = rng.standard_normal((100, 1))
-        binner = QuantileBinner(max_bins=4).fit(x)
-        last = binner.n_bins(0) - 1
-        assert binner.bin_upper_value(0, last) == np.inf
-        assert np.isfinite(binner.bin_upper_value(0, 0))
-
 
 class TestValidation:
     def test_transform_before_fit_raises(self):

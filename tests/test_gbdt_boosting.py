@@ -148,23 +148,24 @@ class TestStagedPredictions:
     def test_one_stage_per_tree(self, rng):
         x, y = _classification_problem(rng, n=300)
         model = GBDTClassifier(GBDTParams(n_trees=6)).fit(x, y)
-        stages = list(model.staged_predict_proba(x))
+        stages = list(model.staged_predict_proba_binned(model.bin_features(x)))
         assert len(stages) == model.n_trees_fitted
 
     def test_final_stage_matches_predict_proba(self, rng):
         x, y = _classification_problem(rng, n=300)
         model = GBDTClassifier(GBDTParams(n_trees=6)).fit(x, y)
-        *_, final = model.staged_predict_proba(x)
+        *_, final = model.staged_predict_proba_binned(model.bin_features(x))
         np.testing.assert_allclose(final, model.predict_proba(x), atol=1e-12)
 
     def test_training_auc_improves_over_stages(self, rng):
         x, y = _classification_problem(rng, n=600)
         model = GBDTClassifier(GBDTParams(n_trees=25)).fit(x, y)
-        stages = list(model.staged_predict_proba(x))
+        stages = list(model.staged_predict_proba_binned(model.bin_features(x)))
         first = auc_score(y, stages[0])
         last = auc_score(y, stages[-1])
         assert last > first
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            list(GBDTClassifier().staged_predict_proba(np.zeros((1, 2))))
+            list(GBDTClassifier().staged_predict_proba_binned(
+                np.zeros((1, 2), dtype=np.uint8)))

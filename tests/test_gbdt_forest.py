@@ -186,9 +186,11 @@ class TestPersistence:
                     gbdt.predict_proba(x), fitted.predict_proba(x))
                 np.testing.assert_array_equal(
                     gbdt.predict_leaves(x), fitted.predict_leaves(x))
-                for ours, theirs in zip(gbdt.staged_predict_proba(x),
-                                        fitted.staged_predict_proba(x),
-                                        strict=True):
+                binned = fitted.bin_features(x)
+                for ours, theirs in zip(
+                        gbdt.staged_predict_proba_binned(binned),
+                        fitted.staged_predict_proba_binned(binned),
+                        strict=True):
                     np.testing.assert_array_equal(ours, theirs)
                 np.testing.assert_array_equal(
                     scorer.predict_proba(x),

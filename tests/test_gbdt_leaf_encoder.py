@@ -61,21 +61,6 @@ class TestTransform:
         np.testing.assert_array_equal(out.columns, rebuilt.columns)
         assert out.shape == rebuilt.shape
 
-    def test_column_origin_round_trip(self, fitted):
-        model, x = fitted
-        encoder = LeafIndexEncoder(model)
-        offsets = np.concatenate(([0], np.cumsum(model.leaves_per_tree())))
-        for col in (0, encoder.n_output_features - 1,
-                    encoder.n_output_features // 2):
-            tree, leaf = encoder.column_origin(col)
-            assert offsets[tree] + leaf == col
-
-    def test_out_of_range_column_origin_raises(self, fitted):
-        model, _ = fitted
-        encoder = LeafIndexEncoder(model)
-        with pytest.raises(IndexError):
-            encoder.column_origin(encoder.n_output_features)
-
 
 class TestValidation:
     def test_unfitted_model_rejected(self):

@@ -198,9 +198,10 @@ class TestPipelineBinsTrainRowsOnce:
         transformed = []
         original = QuantileBinner.transform
 
-        def spy(self, features):
-            transformed.append(features.shape[0])
-            return original(self, features)
+        def spy(self, features, rows=None):
+            transformed.append(features.shape[0] if rows is None
+                               else len(rows))
+            return original(self, features, rows)
 
         monkeypatch.setattr(QuantileBinner, "transform", spy)
         got = LoanDefaultPipeline(trainer(), gbdt_params=params).fit(train)
