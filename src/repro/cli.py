@@ -51,6 +51,8 @@ import os
 import sys
 from typing import Iterator
 
+import numpy as np
+
 from repro.baselines.finetune import FineTuneTrainer
 from repro.data.dataset import LoanDataset
 from repro.data.generator import GeneratorConfig, LoanDataGenerator
@@ -518,6 +520,12 @@ def _drift_guard(args: argparse.Namespace, split):
                       psi_threshold=args.drift_threshold)
 
 
+def _head(dataset: LoanDataset, limit: int | None) -> LoanDataset:
+    """The dataset's first ``limit`` rows (every row for None), as a
+    selection: reading its features gathers only those rows."""
+    return dataset.select(np.arange(dataset.n_samples)[:limit])
+
+
 def _cmd_serve_score(args: argparse.Namespace) -> int:
     from repro.serve.service import ScoringService
 
@@ -526,9 +534,7 @@ def _cmd_serve_score(args: argparse.Namespace) -> int:
     registry = ModelRegistry(args.registry)
     dataset = LoanDataset.load(args.data)
     split = temporal_split(dataset)
-    rows = split.test.features
-    if args.limit is not None:
-        rows = rows[: args.limit]
+    rows = _head(split.test, args.limit).features
 
     guard = _drift_guard(args, split)
     service = ScoringService.from_registry(registry, drift_guard=guard)
@@ -560,11 +566,8 @@ def _serve_run(args: argparse.Namespace, tracer: Tracer) -> int:
     registry = ModelRegistry(args.registry)
     dataset = LoanDataset.load(args.data)
     split = temporal_split(dataset)
-    rows = split.test.features
-    provinces = split.test.provinces
-    if args.limit is not None:
-        rows = rows[: args.limit]
-        provinces = provinces[: args.limit]
+    test = _head(split.test, args.limit)
+    rows, provinces = test.features, test.provinces
 
     guard = _drift_guard(args, split)
 
@@ -580,8 +583,7 @@ def _serve_run(args: argparse.Namespace, tracer: Tracer) -> int:
         # Baseline the score monitors on the champion's own training
         # scores: that is the distribution it was gated on, so any walk
         # away from it is drift by definition.
-        baseline_rows = split.train.features[:5000]
-        baseline_scores = pipeline.predict_proba(baseline_rows)
+        baseline_scores = pipeline.predict_proba(_head(split.train, 5000))
         monitors = {
             "score_drift": ScoreDriftMonitor(
                 baseline_scores,

@@ -146,7 +146,7 @@ class LoanDataset:
 
     def province_names(self) -> list[str]:
         """Distinct provinces present, sorted."""
-        return sorted(np.unique(self.provinces).tolist())
+        return sorted(set(self.provinces.tolist()))
 
     def select(self, mask: np.ndarray) -> "LoanDataset":
         """Row-subset the dataset with a boolean mask or index array (a

@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.numerics import check_finite
 
-__all__ = ["QuantileBinner", "ReservoirSampler", "StreamedFit"]
+__all__ = ["QuantileBinner", "ReservoirSampler", "StreamedFit",
+           "sorted_unique"]
 
 _EMPTY = "cannot fit a binner on zero rows"
 _CHANGED = "stream changed between passes"
@@ -36,6 +37,18 @@ _CHANGED = "stream changed between passes"
 
 def _target_quantiles(max_bins: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a non-decreasing array: each run's first value.
+
+    Needs no sort, and unlike plain ``np.unique`` (numpy 2.4) it does not
+    import ``numpy.ma``, which stays resident once loaded.  Of a ``-0.0,
+    0.0`` run it keeps whichever zero comes first.
+    """
+    first = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def _edge_rule(ranked: np.ndarray, constant: bool) -> np.ndarray:
@@ -48,7 +61,7 @@ def _edge_rule(ranked: np.ndarray, constant: bool) -> np.ndarray:
     Returns:
         Strictly increasing float64 upper edges.
     """
-    candidate = np.unique(ranked)
+    candidate = sorted_unique(ranked)
     # Degenerate (constant) columns get a single bin: no edges.
     if candidate.size and candidate[0] == candidate[-1]:
         candidate = candidate[:1]
@@ -203,7 +216,7 @@ class StreamedFit:
                 self._edges[f] = _edge_rule(at_ranks.astype(np.float64),
                                             column[0] == column[-1])
                 continue
-            brackets = np.unique(at_ranks)
+            brackets = sorted_unique(at_ranks)
             lower = np.searchsorted(column, brackets, side="left")
             below.append(lower)
             equal.append(np.searchsorted(column, brackets, side="right")

@@ -292,7 +292,7 @@ class GBDTClassifier:
 
     @staticmethod
     def _check_labels(labels: np.ndarray) -> None:
-        if not np.all(np.isin(np.unique(labels), (0.0, 1.0))):
+        if not np.all((labels == 0.0) | (labels == 1.0)):
             raise ValueError("labels must be binary 0/1")
 
     def _fit_core(

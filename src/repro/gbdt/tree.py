@@ -10,8 +10,9 @@ of one cross-feature).
 A fitted tree predicts through a one-tree :class:`~repro.gbdt.forest.Forest`
 built when growth ends, with its feature-bagging column map baked in;
 routing is an ``O(depth × n)`` vectorised descent instead of an
-``O(n_nodes × n)`` per-node mask loop.  The node list stays on the tree
-for split gains (feature importance) and node-level inspection.
+``O(n_nodes × n)`` per-node mask loop.  Besides that forest a fitted tree
+keeps only its split gains (feature importance), one float64 per node; the
+growth-time node objects go when growth ends.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gbdt.forest import Forest
+from repro.gbdt.forest import _MAX_COLUMNS, Forest
 from repro.gbdt.histogram import HistogramBuilder, NodeHistogram
 
 __all__ = ["TreeParams", "DecisionTree", "SplitInfo"]
@@ -79,10 +80,10 @@ class _Node:
     """Mutable tree node used during growth and packed for prediction.
 
     ``sample_indices`` and ``histogram`` are growth-time state: a node
-    holds them only while it is an open leaf, so a fitted tree keeps
-    neither.  ``gain`` is the split gain recorded when an internal node
-    is split (the source of feature importance); it stays ``None`` on
-    leaves.
+    holds its histogram only while it is a leaf that may still split, and
+    its rows only while it is a leaf.  ``gain`` is the split gain
+    recorded when an internal node is split (the source of feature
+    importance); it stays ``None`` on leaves.
     """
 
     node_id: int
@@ -104,6 +105,13 @@ class _Node:
         return self.left == -1
 
 
+def _set_leaf_value(node: _Node, reg_lambda: float) -> None:
+    """Newton-step leaf value from the node's histogram, which it frees."""
+    hist = node.histogram
+    node.value = -hist.total_grad / (hist.total_hess + reg_lambda)
+    node.histogram = None
+
+
 class DecisionTree:
     """Histogram-based regression tree over pre-binned features.
 
@@ -114,9 +122,10 @@ class DecisionTree:
 
     def __init__(self, params: TreeParams | None = None):
         self.params = params or TreeParams()
-        self._nodes: list[_Node] = []
         self._n_leaves = 0
         self._forest: Forest | None = None
+        #: Split gain of every node, in node order; NaN on leaves.
+        self.gains: np.ndarray | None = None
         #: Leaf id of every row of fit()'s matrix, until fit_values reads it.
         self._fit_leaves: np.ndarray | None = None
         #: Sorted input columns the tree was grown on (None: all of them).
@@ -129,7 +138,7 @@ class DecisionTree:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
+        return 0 if self._forest is None else self._forest.nodes.size
 
     @property
     def forest(self) -> Forest:
@@ -174,13 +183,14 @@ class DecisionTree:
             sample_indices = np.arange(binned.shape[0])
         if sample_indices.size == 0:
             raise ValueError("cannot fit a tree on zero samples")
-        self._nodes = []
         self._n_leaves = 0
         self._forest = None
+        self.gains = None
         self.column_subset = column_subset
         if builder is None:
             builder = HistogramBuilder(binned, max_bins)
-        # Growth-time references, dropped at the end of fit().
+        # Growth-time state, dropped at the end of fit().
+        self._nodes: list[_Node] = []
         self._builder = builder
         self._binned = binned
         self._column_subset = column_subset
@@ -200,7 +210,10 @@ class DecisionTree:
 
         def push_candidate(node: _Node) -> None:
             split = self._best_split(node)
-            if split is not None:
+            if split is None:
+                # A leaf for good: set its value and free its histogram.
+                _set_leaf_value(node, self.params.reg_lambda)
+            else:
                 heapq.heappush(heap, (-split.gain, next(tiebreak),
                                       node.node_id, split))
 
@@ -226,7 +239,9 @@ class DecisionTree:
         self._forest = Forest.from_nodes(self._nodes, self._n_leaves,
                                          value_dtype, column_subset,
                                          binned.shape[1])
-        del self._builder, self._binned, self._column_subset
+        self.gains = np.array([np.nan if node.gain is None else node.gain
+                               for node in self._nodes], dtype=np.float64)
+        del self._nodes, self._builder, self._binned, self._column_subset
         del self._gradients, self._hessians
         return self
 
@@ -341,18 +356,14 @@ class DecisionTree:
         return left, right
 
     def _finalize_leaves(self) -> None:
-        """Assign dense leaf indices and Newton-step leaf values."""
+        """Assign dense leaf indices and the leaf values not yet set."""
         leaf_counter = 0
         for node in self._nodes:
             if node.is_leaf:
                 node.leaf_index = leaf_counter
                 leaf_counter += 1
-                hist = node.histogram
-                node.value = -hist.total_grad / (
-                    hist.total_hess + self.params.reg_lambda
-                )
-                node.histogram = None
-                node.sample_indices = _NO_ROWS
+                if node.histogram is not None:
+                    _set_leaf_value(node, self.params.reg_lambda)
         self._n_leaves = leaf_counter
 
     def predict_leaf(
@@ -401,10 +412,13 @@ class DecisionTree:
         """Total split gain attributed to each feature.
 
         Sums the non-negative gains recorded on internal nodes during
-        growth, by tree-local feature.
+        growth, in node order, by tree-local feature.
         """
+        forest = self.forest
+        internal = forest.leaf < 0
+        features = (forest.nodes[internal] >> 8) & (_MAX_COLUMNS - 1)
+        if self.column_subset is not None:
+            features = np.searchsorted(self.column_subset, features)
         importance = np.zeros(n_features)
-        for node in self._nodes:
-            if not node.is_leaf:
-                importance[node.feature] += max(node.gain, 0.0)
+        np.add.at(importance, features, np.maximum(self.gains[internal], 0.0))
         return importance

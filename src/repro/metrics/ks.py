@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gbdt.binning import sorted_unique
 from repro.metrics.auc import roc_curve
 from repro.metrics.validation import check_binary_classification_inputs
 
@@ -60,8 +61,7 @@ def two_sample_ks(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     sample_b = np.asarray(sample_b, dtype=np.float64).ravel()
     if sample_a.size == 0 or sample_b.size == 0:
         raise ValueError("both samples must be non-empty")
-    pooled = np.concatenate((sample_a, sample_b))
-    pooled = np.unique(pooled)
+    pooled = sorted_unique(np.sort(np.concatenate((sample_a, sample_b))))
     cdf_a = np.searchsorted(np.sort(sample_a), pooled, side="right") / sample_a.size
     cdf_b = np.searchsorted(np.sort(sample_b), pooled, side="right") / sample_b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))

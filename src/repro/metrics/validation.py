@@ -31,9 +31,9 @@ def check_binary_classification_inputs(
         raise ValueError(
             f"shape mismatch: y_true has {y_true.shape}, y_score has {y_score.shape}"
         )
-    unique = np.unique(y_true)
-    if not np.all(np.isin(unique, (0.0, 1.0))):
-        raise ValueError(f"labels must be binary 0/1, got values {unique[:10]}")
+    if not np.all((y_true == 0.0) | (y_true == 1.0)):
+        raise ValueError("labels must be binary 0/1, got values "
+                         f"{np.unique(y_true)[:10]}")
     if not np.all(np.isfinite(y_score)):
         raise ValueError("scores must be finite (found NaN or inf)")
     return y_true, y_score

@@ -31,11 +31,8 @@ class TestLeafPathFeatures:
         assert len(paths) == fitted_tree.n_leaves
 
     def test_paths_contain_split_features_only(self, fitted_tree):
-        used = {
-            node.feature
-            for node in fitted_tree._nodes
-            if not node.is_leaf
-        }
+        forest = fitted_tree.forest
+        used = set(((forest.nodes[forest.leaf < 0] >> 8) & 0xFFFFFF).tolist())
         for path in leaf_path_features(fitted_tree):
             assert path <= used
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gbdt.binning import QuantileBinner, ReservoirSampler, StreamedFit
+from repro.gbdt.binning import (
+    QuantileBinner, ReservoirSampler, StreamedFit, sorted_unique,
+)
 
 
 class TestFitTransform:
@@ -141,6 +143,39 @@ class TestCheckMatrixMemory:
             tracemalloc.stop()
         assert out is x
         assert peak < 2**20
+
+
+def _sorted_with_ties(dtype) -> st.SearchStrategy:
+    """Non-decreasing arrays drawn from a small pool of values (so they
+    tie), with signed zeros and subnormals in the pool's reach."""
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    element = st.one_of(st.sampled_from([0.0, -0.0, tiny, -tiny, 3 * tiny]),
+                        st.floats(width=np.finfo(dtype).bits,
+                                  allow_nan=False))
+    return st.lists(element, min_size=1, max_size=10).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=40)).map(
+        lambda values: np.sort(np.array(values, dtype=dtype)))
+
+
+class TestSortedUnique:
+    """``sorted_unique`` is ``np.unique`` on non-decreasing input."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_matches_np_unique(self, data, dtype):
+        values = data.draw(_sorted_with_ties(dtype))
+        ours, theirs = sorted_unique(values), np.unique(values)
+        assert ours.dtype == theirs.dtype == values.dtype
+        np.testing.assert_array_equal(ours, theirs)
+        zeros = np.signbit(values[values == 0.0])
+        if zeros.all() or not zeros.any():
+            # Without a -0.0/+0.0 tie the very bytes agree.
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_empty(self):
+        for dtype in (np.float32, np.float64):
+            out = sorted_unique(np.empty(0, dtype=dtype))
+            assert out.shape == (0,) and out.dtype == dtype
 
 
 class TestBinningProperty:

@@ -1,11 +1,11 @@
 """What a fitted GBDT keeps: prediction structure and recorded split gains.
 
-Histograms and row indices are growth-time state.  A fitted tree drops
-them, so a fitted model's memory is its forest arrays, its node list
-and its binner — not ``n_nodes × n_features × max_bins`` histogram
-cells.  Feature importance is read from the split gains recorded during
-growth; the goldens below pin it bit for bit to the values the older
-recompute-from-histograms implementation produced.
+Histograms, row indices and the node objects are growth-time state.  A
+fitted tree drops them, so a fitted model's memory is its forest arrays,
+one split gain per node and its binner — not ``n_nodes × n_features ×
+max_bins`` histogram cells.  Feature importance is read from the split
+gains recorded during growth; the goldens below pin it bit for bit to
+the values the older recompute-from-histograms implementation produced.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
-from repro.gbdt.tree import TreeParams
+from repro.gbdt.tree import TreeParams, _Node
 
 
 def _problem(seed: int, n: int, d: int):
@@ -45,22 +45,37 @@ class TestFittedModelHoldsNoGrowthState:
     PARAMS = dict(n_trees=20, tree=TreeParams(max_leaves=15))
 
     def test_every_node_dropped_its_histogram_and_rows(self, dtype):
+        """With the nodes themselves: a fitted tree keeps its forest and
+        one gain per node, NaN exactly on the leaves."""
         x, y = _problem(5, 3_000, 20)
         model = GBDTClassifier(GBDTParams(dtype=dtype, **self.PARAMS))
         model.fit(x, y)
         for tree in model.trees_:
             assert tree.n_nodes == 2 * tree.n_leaves - 1
-            for node in tree._nodes:
-                assert node.histogram is None
-                assert node.sample_indices.size == 0
-                assert (node.gain is None) == node.is_leaf
+            assert not hasattr(tree, "_nodes")
+            assert tree.gains.dtype == np.float64
+            assert tree.gains.shape == (tree.n_nodes,)
+            np.testing.assert_array_equal(np.isnan(tree.gains),
+                                          tree.forest.leaf >= 0)
+
+    def test_no_node_object_outlives_the_fit(self, dtype):
+        def live_nodes() -> int:
+            gc.collect()
+            return sum(isinstance(o, _Node) for o in gc.get_objects())
+
+        x, y = _problem(5, 3_000, 20)
+        before = live_nodes()
+        model = GBDTClassifier(GBDTParams(dtype=dtype, **self.PARAMS))
+        model.fit(x, y)
+        assert model.forest_.nodes.size > 100
+        assert live_nodes() == before
 
     def test_retained_bytes_bounded_by_flat_trees(self, dtype):
         """Traced bytes the fitted model holds stay a small multiple of
-        its forest arrays (~23x measured: per-node Python objects, the
-        per-tree forests and the binner's edges; ~17x of the twice-larger
-        per-tree arrays that preceded the forest).  Kept histograms made
-        it ~800-1100x."""
+        its forest arrays (~9x measured: the per-tree forests and gains
+        and the binner's edges; ~23x while trees kept their node objects,
+        ~17x of the twice-larger per-tree arrays that preceded the
+        forest).  Kept histograms made it ~800-1100x."""
         x, y = _problem(5, 3_000, 20)
         gc.collect()
         tracemalloc.start()
@@ -74,7 +89,7 @@ class TestFittedModelHoldsNoGrowthState:
             tracemalloc.stop()
         flat = _flat_nbytes(model)
         assert flat > 0
-        assert held < 32 * flat, (held, flat)
+        assert held < 12 * flat, (held, flat)
 
 
 #: ``GBDTClassifier.feature_importance()`` as ``float.hex`` per column,

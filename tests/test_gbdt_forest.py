@@ -3,8 +3,8 @@
 A fitted ensemble predicts from one :class:`~repro.gbdt.forest.Forest`
 that routes every tree in one pass.  These tests hold it bit for bit to
 two oracles: the seed per-node mask loop
-(:func:`tests.seed_reference.predict_leaf_seed`) walking each
-growth-time tree, and a per-tree ``raw += lr * value`` loop written here.
+(:func:`tests.seed_reference.predict_leaf_seed`) walking each fitted
+tree's own nodes, and a per-tree ``raw += lr * value`` loop written here.
 The forest arrays are byte-equal in the fitted, registry-loaded and
 shm-attached models, and loading costs the same number of Python calls
 whatever the tree count.  Nothing here reads a clock.
@@ -13,6 +13,7 @@ whatever the tree count.  Nothing here reads a clock.
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from repro.baselines.erm import ERMTrainer
 from repro.explain import head_feature_attribution
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
-from repro.gbdt.tree import TreeParams
+from repro.gbdt.tree import DecisionTree, TreeParams, _Node
 from repro.numerics import sigmoid
 from repro.pipeline.pipeline import LoanDefaultPipeline
 from repro.serve.registry import ModelRegistry
@@ -42,18 +43,32 @@ def _problem(seed: int, n: int, d: int):
     return x, y
 
 
+def _seed_nodes(tree: DecisionTree) -> list[_Node]:
+    """A fitted tree's nodes, decoded from its own one-tree forest, for
+    the seed router (a node's feature is its input column)."""
+    forest = tree.forest
+    nodes = []
+    for node_id, (packed, leaf) in enumerate(
+            zip(forest.nodes.tolist(), forest.leaf.tolist())):
+        node = _Node(node_id=node_id, depth=0, leaf_index=leaf)
+        if leaf < 0:
+            node.feature = (packed >> 8) & 0xFFFFFF
+            node.bin_threshold = packed & 255
+            node.left = packed >> 32
+            node.right = node.left + 1
+        nodes.append(node)
+    return nodes
+
+
 def _oracle(model: GBDTClassifier, binned: np.ndarray):
-    """Leaves and per-stage raw scores, one growth-time tree at a time."""
+    """Leaves and per-stage raw scores, one fitted tree at a time."""
     leaves, stages = [], []
     raw = np.full(binned.shape[0], model.base_score_)
     for tree in model.trees_:
-        cols = tree.column_subset
-        local = binned if cols is None else binned[:, cols]
-        tree_leaves = reference.predict_leaf_seed(tree, local)
-        values = np.zeros(tree.n_leaves, dtype=model.params.dtype)
-        for node in tree._nodes:
-            if node.is_leaf:
-                values[node.leaf_index] = node.value
+        tree_leaves = reference.predict_leaf_seed(
+            SimpleNamespace(_nodes=_seed_nodes(tree)), binned)
+        values = tree.forest.value
+        assert values.dtype == model.params.dtype
         raw += model.params.learning_rate * values[tree_leaves]
         leaves.append(tree_leaves)
         stages.append(raw.copy())

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.gbdt.binning import QuantileBinner
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
+from repro.gbdt.forest import Forest
 from repro.gbdt.histogram import HistogramBuilder
 from repro.gbdt.tree import DecisionTree, TreeParams
 from repro.gbdt.leaf_encoder import encode_leaf_matrix
@@ -55,16 +56,28 @@ def _assert_histograms_identical(ours, seed):
     )
 
 
+def _seed_forest(seed: reference.SeedDecisionTree,
+                 ours: DecisionTree) -> Forest:
+    """The seed tree's node list as a one-tree forest in ``ours``' input
+    columns (a fitted tree keeps its forest, not its nodes)."""
+    for node in seed._nodes:
+        # The forest stores the left child; siblings are adjacent.
+        assert node.is_leaf or node.right == node.left + 1
+    return Forest.from_nodes(seed._nodes, seed.n_leaves, np.float64,
+                             ours.column_subset, ours.forest.n_columns)
+
+
 def _assert_trees_identical(ours: DecisionTree,
                             seed: reference.SeedDecisionTree):
+    """Same column, threshold and left/right child per node, same leaf
+    ids and bitwise-equal leaf values."""
     assert ours.n_leaves == seed.n_leaves
-    assert len(ours._nodes) == len(seed._nodes)
-    for a, b in zip(ours._nodes, seed._nodes):
-        assert a.feature == b.feature
-        assert a.bin_threshold == b.bin_threshold
-        assert a.left == b.left and a.right == b.right
-        assert a.leaf_index == b.leaf_index
-        assert a.value == b.value  # bitwise: exact float equality
+    golden = _seed_forest(seed, ours)
+    for name in ("nodes", "leaf", "value", "roots"):
+        np.testing.assert_array_equal(getattr(ours.forest, name),
+                                      getattr(golden, name))
+    assert ours.forest.value.dtype == golden.value.dtype
+    assert ours.forest.depth == golden.depth
 
 
 class TestHistogramKernel:
@@ -281,11 +294,13 @@ class TestLeafRouting:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_routes_match_seed_loop(self, seed):
         binned, g, h, _, _ = _problem(seed, 4_000, 6, 32)
-        tree = DecisionTree(TreeParams(max_leaves=20)).fit(binned, g, h,
+        params = TreeParams(max_leaves=20)
+        tree = DecisionTree(params).fit(binned, g, h, max_bins=32)
+        seed_tree = reference.SeedDecisionTree(params).fit(binned, g, h,
                                                            max_bins=32)
         np.testing.assert_array_equal(
             tree.predict_leaf(binned),
-            reference.predict_leaf_seed(tree, binned),
+            reference.predict_leaf_seed(seed_tree, binned),
         )
 
     def test_values_match_seed_loop(self):
@@ -354,11 +369,10 @@ class TestEnsembleEquivalence:
                             seed=seed)
         ours = GBDTClassifier(params).fit(x, y)
         golden = reference.SeedGBDT(params).fit(x, y)
-        for a, b in zip(ours.trees_, golden.trees_):
-            assert [(n.feature, n.bin_threshold, n.left, n.right)
-                    for n in a._nodes] == \
-                   [(n.feature, n.bin_threshold, n.left, n.right)
-                    for n in b._nodes]
+        for a, b in zip(ours.trees_, golden.trees_, strict=True):
+            # Packed (left child, column, threshold) of every node.
+            np.testing.assert_array_equal(a.forest.nodes,
+                                          _seed_forest(b, a).nodes)
         np.testing.assert_array_equal(ours.predict_leaves(x),
                                       golden.predict_leaves(x))
         np.testing.assert_allclose(ours.predict_proba(x),

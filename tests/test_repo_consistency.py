@@ -273,3 +273,46 @@ class TestImportFootprint:
         loaded = self.loaded(("repro.obs.tracer",))
         assert "repro.obs.tracer" in loaded
         assert "repro.obs.metrics" not in loaded
+
+    #: Both training paths, fit and evaluated at smoke size.
+    TWO_FITS = """
+import sys
+
+from repro.core.config import LightMIRMConfig
+from repro.core.lightmirm import LightMIRMTrainer
+from repro.data.generator import GeneratorConfig, LoanDataGenerator
+from repro.data.splits import temporal_split
+from repro.gbdt.boosting import GBDTClassifier, GBDTParams
+from repro.gbdt.leaf_encoder import leaf_encode_environments
+from repro.gbdt.packing import pack_generated
+from repro.metrics.fairness import evaluate_environments
+from repro.pipeline.pipeline import LoanDefaultPipeline
+
+config = GeneratorConfig(n_samples=3000, total_features=40, n_spurious=4)
+split = temporal_split(LoanDataGenerator(config).generate())
+pipeline = LoanDefaultPipeline(LightMIRMTrainer(LightMIRMConfig(n_epochs=2)))
+pipeline.fit(split.train)
+pipeline.evaluate(split.test)
+with pack_generated(LoanDataGenerator(config), chunk_rows=1024) as packed:
+    model = GBDTClassifier(GBDTParams(n_trees=3, dtype="float32")).fit_binned(
+        packed.binned, packed.labels, packed.binner)
+    environments = leaf_encode_environments(
+        model, packed.binned, [(name, rows, packed.labels[rows])
+                               for name, rows in packed.province_rows().items()])
+    result = LightMIRMTrainer(LightMIRMConfig(n_epochs=2)).fit(environments)
+    evaluate_environments({e.name: e.labels for e in environments},
+                          {e.name: result.predict_proba(e.features)
+                           for e in environments})
+print("numpy.ma" in sys.modules)
+"""
+
+    def test_training_loads_no_numpy_ma(self):
+        """numpy 2.4's plain ``np.unique`` (and interpolating
+        ``np.quantile``) import numpy.ma, about 1.1 MB that stays for the
+        rest of the process; neither training path may call them."""
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", self.TWO_FITS], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout
+        assert out.strip() == "False"

@@ -1,10 +1,20 @@
 """End-to-end tests for the serving CLI commands (registry, serve-score)."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
 
+from repro.baselines.erm import ERMTrainer
 from repro.cli import main
+from repro.data.dataset import LoanDataset
+from repro.data.generator import GeneratorConfig, LoanDataGenerator
+from repro.data.splits import temporal_split
+from repro.gbdt.boosting import GBDTParams
+from repro.pipeline.pipeline import LoanDefaultPipeline
+from repro.serve.registry import ModelRegistry
+from repro.train.base import BaseTrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +105,30 @@ class TestServeScore:
         challenger = ModelRegistry(registry_root).load(CHALLENGER)
         scores = challenger.predict_proba(rows[:200]).tolist()
         assert f"mean p={sum(scores) / len(scores):.4f}," in out
+
+    def test_limit_gathers_only_the_rows_it_scores(self, tmp_path):
+        """A split half is a row selection: ``--limit 100`` gathers 100
+        rows, not the whole test half (6.7 MB at 20k x 210) first."""
+        dataset = LoanDataGenerator(GeneratorConfig(
+            n_samples=20_000, total_features=210, seed=3)).generate()
+        split = temporal_split(dataset)
+        ModelRegistry(tmp_path / "reg").save(LoanDefaultPipeline(
+            ERMTrainer(BaseTrainConfig(n_epochs=1)),
+            gbdt_params=GBDTParams(n_trees=2)).fit(split.train))
+        test_bytes = split.test.n_samples * dataset.n_features * 8
+        args = ["serve-score", "--registry", str(tmp_path / "reg"),
+                "--data", str(tmp_path / "platform.npz"), "--limit", "100"]
+        # The platform is in memory already, so only serve-score's own
+        # allocations are traced; the untraced first run warms caches.
+        with mock.patch.object(LoanDataset, "load", return_value=dataset):
+            assert main(args) == 0
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < test_bytes / 2, (peak, test_bytes)
 
     def test_drift_guard_flag(self, registry_root, dataset_file, capsys):
         assert main(["serve-score", "--registry", str(registry_root),
