@@ -10,7 +10,7 @@ its fused-index matrix) is shared by every boosting round, feature bagging
 threads the column subset into the kernels instead of materialising
 ``binned[:, cols]`` per round, and the ``*_binned`` prediction variants let
 callers bin a feature matrix once (:meth:`GBDTClassifier.bin_features`) and
-reuse it across scores, leaf indices, and staged probabilities.
+reuse it across scores and leaf indices.
 
 A fitted ensemble predicts from one :class:`~repro.gbdt.forest.Forest`
 stacked from its trees when fitting ends (or restored from an artifact):
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -172,7 +172,7 @@ class GBDTClassifier:
         leaves = model.predict_leaves(X_test)   # for the GBDT+LR encoder
 
     Callers that need several views of the same rows (scores *and* leaf
-    indices, or staged probabilities) should bin once and use the
+    indices) should bin once and use the
     ``*_binned`` variants::
 
         binned = model.bin_features(X_test)
@@ -397,9 +397,18 @@ class GBDTClassifier:
         return self.binner.transform(features, rows)
 
     def decision_function_binned(self, binned: np.ndarray) -> np.ndarray:
-        """Raw additive score (log-odds) over pre-binned rows."""
-        for raw in self._staged_raw(binned):
-            pass
+        """Raw additive score (log-odds) over pre-binned rows.
+
+        Adds ``learning_rate * value`` tree after tree, the order the
+        boosting loop used; leaf values keep the dtype they were grown in,
+        so a float32 model's products stay float32.
+        """
+        leaves = self.predict_leaves_binned(binned)
+        raw = np.full(leaves.shape[0], self.base_score_)
+        for t in range(self.forest_.n_trees):
+            raw += self.params.learning_rate * self.forest_.tree_values(t)[
+                leaves[:, t]
+            ]
         return raw
 
     def predict_proba_binned(self, binned: np.ndarray) -> np.ndarray:
@@ -415,28 +424,6 @@ class GBDTClassifier:
         """
         self._check_fitted()
         return self.forest_.predict_leaves(binned)
-
-    def staged_predict_proba_binned(
-        self, binned: np.ndarray
-    ) -> Iterator[np.ndarray]:
-        """Yield probabilities after each boosting round (pre-binned rows)."""
-        for raw in self._staged_raw(binned):
-            yield sigmoid(raw)
-
-    def _staged_raw(self, binned: np.ndarray) -> Iterator[np.ndarray]:
-        """The raw score after each tree, updated in place.
-
-        Adds ``learning_rate * value`` tree after tree, the order the
-        boosting loop used; leaf values keep the dtype they were grown in,
-        so a float32 model's products stay float32.
-        """
-        leaves = self.predict_leaves_binned(binned)
-        raw = np.full(leaves.shape[0], self.base_score_)
-        for t in range(self.forest_.n_trees):
-            raw += self.params.learning_rate * self.forest_.tree_values(t)[
-                leaves[:, t]
-            ]
-            yield raw
 
     # ------------------------------------------------------ raw-feature API
 

@@ -100,16 +100,15 @@ def _pool_task(args: tuple) -> tuple[str, object]:
 class ParallelEngine:
     """Maps a worker function over payloads, serially or via a pool.
 
+    Pools start with :func:`default_start_method`.  ``fork`` and
+    ``spawn`` both work because nothing relies on inherited state —
+    workers receive everything via initializer args and payloads.
+
     Attributes:
         n_jobs: Worker process count; ``1`` (default) runs inline.
-        start_method: Pool start method; defaults to
-            :func:`default_start_method`.  ``fork`` and ``spawn`` are
-            both supported because nothing relies on inherited state —
-            workers receive everything via initializer args and payloads.
     """
 
     n_jobs: int = 1
-    start_method: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
@@ -147,9 +146,7 @@ class ParallelEngine:
                 initializer(*initargs)
             return [fn(payload) for payload in payloads]
 
-        context = multiprocessing.get_context(
-            self.start_method or default_start_method()
-        )
+        context = multiprocessing.get_context(default_start_method())
         outcomes: list[tuple[str, object]] = []
         with ProcessPoolExecutor(
             max_workers=min(self.n_jobs, max(len(payloads), 1)),

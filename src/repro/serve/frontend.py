@@ -23,10 +23,12 @@ Operating contract:
   their old generation, bit-identically.  A superseded generation is
   retired, in the parent and in every worker, once its last admitted
   request resolves, so memory stays flat however often models swap.
-* **Fault isolation.**  A worker death mid-batch re-dispatches that
-  worker's in-flight requests to surviving workers (or resolves them with
-  an error naming the dead worker when none survive) and respawns the
-  worker.  A poison row (not a finite ``(n_features,)`` vector) is
+* **Fault isolation.**  Each worker talks to the parent over its own
+  request queue and duplex pipe, so a worker killed at any instant (even
+  partway through sending an answer) damages only its own channel.  Its
+  process sentinel wakes the collector at once, under any load: the
+  worker is respawned and its in-flight requests are re-dispatched.  A
+  poison row (not a finite ``(n_features,)`` vector) is
   refused in :meth:`ScoringFrontend.submit`, before the drift guard or a
   worker sees it: it fails *only its own request*, at once.
 * **Bit-identity.**  Scores are exactly single-process
@@ -45,6 +47,7 @@ Operating contract:
 from __future__ import annotations
 
 import asyncio
+import atexit
 import itertools
 import multiprocessing
 import queue as queue_mod
@@ -53,6 +56,7 @@ import time
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -84,8 +88,6 @@ ERROR = "error"
 #: Worker block time waiting for the first request of a batch (also the
 #: cadence of control-message polling).
 _POLL_TIMEOUT_S = 0.02
-#: Parent-side wait for worker startup handshakes.
-_READY_TIMEOUT_S = 30.0
 #: Collector cadence for the SLO feed and health evaluation.
 _LIVE_POLL_INTERVAL_S = 0.25
 #: Slower resolutions count against the ``latency`` SLO (rounded up to a
@@ -103,8 +105,6 @@ class FrontendConfig:
             call.
         max_queue: Admission bound — outstanding (admitted, unresolved)
             requests; the ``max_queue + 1``-th submit sheds.
-        start_method: Worker start method; ``None`` picks the platform
-            default (``fork`` where available).
         live_metrics: Allocate the shared-memory metrics slab and have
             each worker publish its service telemetry after every batch
             (plus heartbeats while idle).  Off by default; the disabled
@@ -114,7 +114,6 @@ class FrontendConfig:
     n_workers: int = 2
     max_batch_size: int = 64
     max_queue: int = 1024
-    start_method: str | None = None
     live_metrics: bool = False
 
     def __post_init__(self) -> None:
@@ -203,12 +202,15 @@ def _resolve_batch(services: dict, batch: list) -> list[tuple]:
     return [responses[req_id] for req_id, _, __ in batch]
 
 
-def _worker_main(worker_id: int, request_q, response_q, control_q,
+def _worker_main(worker_id: int, request_q, conn,
                  initial: list[tuple[int, PackSpec]], max_batch_size: int,
                  slab_spec: PackSpec | None = None) -> None:
     """One scoring worker: attach shared models, batch, score, respond.
 
     Module-level (picklable) so it runs under ``fork`` and ``spawn``.
+    ``conn`` is the worker's end of its duplex pipe: control messages come
+    down it; ``("ready",)`` and one ``("results", responses)`` per batch go
+    up it.
 
     With ``slab_spec``, the worker shares one
     :class:`~repro.serve.telemetry.ServingTelemetry` across all its
@@ -259,20 +261,17 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
 
     for generation, spec in initial:
         load(generation, spec)
-    response_q.put(("ready", worker_id))
+    conn.send(("ready",))
     if slab_writer is not None:
         slab_writer.publish(telemetry)  # row live before traffic
 
     while running:
-        while running:  # control first: swaps/pauses beat data
-            try:
-                control(control_q.get_nowait())
-            except queue_mod.Empty:
-                break
+        while running and conn.poll():  # control first: swaps/pauses beat data
+            control(conn.recv())
         if not running:
             break
         if paused:
-            time.sleep(_POLL_TIMEOUT_S)
+            conn.poll(_POLL_TIMEOUT_S)  # wakes at the next control message
             continue
         try:
             first = request_q.get(timeout=_POLL_TIMEOUT_S)
@@ -294,11 +293,9 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
         deadline = time.monotonic() + 5.0
         while (running and time.monotonic() < deadline
                and any(gen > newest for _, __, gen in batch)):
-            try:
-                control(control_q.get(timeout=0.01))
-            except queue_mod.Empty:
-                continue
-        response_q.put(("results", worker_id, _resolve_batch(services, batch)))
+            if conn.poll(0.01):
+                control(conn.recv())
+        conn.send(("results", _resolve_batch(services, batch)))
         if slab_writer is not None:
             slab_writer.publish(telemetry)
 
@@ -313,17 +310,14 @@ def _worker_main(worker_id: int, request_q, response_q, control_q,
 
 
 class _WorkerHandle:
-    """Parent-side state of one worker process."""
+    """Parent-side state of one worker: its process, request queue and the
+    parent's end of its pipe."""
 
-    def __init__(self, worker_id: int, process, request_q, control_q):
+    def __init__(self, worker_id: int, process, request_q, conn):
         self.worker_id = worker_id
         self.process = process
         self.request_q = request_q
-        self.control_q = control_q
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
+        self.conn = conn
 
 
 class ScoringFrontend:
@@ -389,11 +383,9 @@ class ScoringFrontend:
         self._initial_model = model
         self._initial_version = version
         self._n_features = model.scorer.n_features
-        self._context = multiprocessing.get_context(
-            self.config.start_method or default_start_method()
-        )
+        self._context = multiprocessing.get_context(default_start_method())
+        #: Indexed by worker id; a respawn replaces its dead worker's slot.
         self._workers: list[_WorkerHandle] = []
-        self._response_q = None
         self._collector: threading.Thread | None = None
         self._lock = threading.Lock()
         self._pending: dict[int, dict] = {}
@@ -426,7 +418,6 @@ class ScoringFrontend:
         if self.config.live_metrics:
             self._slab = MetricsSlab.allocate(self.config.n_workers)
             self._aggregator = MetricsAggregator(self._slab)
-        self._response_q = self._context.Queue()
         for worker_id in range(self.config.n_workers):
             self._workers.append(self._spawn(worker_id))
         self._await_ready()
@@ -434,52 +425,60 @@ class ScoringFrontend:
             target=self._collect_loop, name="frontend-collector", daemon=True
         )
         self._collector.start()
+        # Stop before multiprocessing's exit hook terminates the workers:
+        # otherwise the collector reaps them as deaths and respawns them.
+        atexit.register(self.stop)
         return self
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
         request_q = self._context.Queue()
-        control_q = self._context.Queue()
+        conn, worker_conn = self._context.Pipe()
         initial = [
             (g, self._publisher.get(g).spec)
             for g in self._publisher.generations
         ]
         process = self._context.Process(
             target=_worker_main,
-            args=(worker_id, request_q, self._response_q, control_q,
-                  initial, self.config.max_batch_size,
+            args=(worker_id, request_q, worker_conn, initial,
+                  self.config.max_batch_size,
                   self._slab.spec if self._slab is not None else None),
             daemon=True,
         )
         process.start()
-        return _WorkerHandle(worker_id, process, request_q, control_q)
+        worker_conn.close()  # the worker holds the only other end
+        return _WorkerHandle(worker_id, process, request_q, conn)
 
     def _await_ready(self) -> None:
-        deadline = time.monotonic() + _READY_TIMEOUT_S
-        pending = {w.worker_id for w in self._workers}
-        while pending and time.monotonic() < deadline:
-            try:
-                message = self._response_q.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            if message[0] == "ready":
-                pending.discard(message[1])
-        if pending:
-            self.stop()
-            raise RuntimeError(
-                f"workers {sorted(pending)} failed to start within "
-                f"{_READY_TIMEOUT_S}s"
-            )
+        """Wait for every worker's ``ready`` on its pipe.
+
+        A worker that exits first (its sentinel fires, or its pipe closes)
+        fails :meth:`start` at once.
+        """
+        waiting = {}
+        for worker in self._workers:
+            waiting[worker.conn] = waiting[worker.process.sentinel] = worker
+        while waiting:
+            for ready in wait(list(waiting)):
+                worker = waiting.get(ready)
+                if worker is None:  # settled earlier in this round
+                    continue
+                del waiting[worker.conn], waiting[worker.process.sentinel]
+                if ready is worker.conn and self._receive(worker):
+                    continue
+                self.stop()
+                raise RuntimeError(
+                    f"worker {worker.worker_id} exited (code "
+                    f"{worker.process.exitcode}) before it was ready"
+                )
 
     def stop(self) -> None:
         """Stop workers, resolve leftovers with an error, free the packs."""
-        if self._stopping:
-            return
-        self._stopping = True
-        for worker in self._workers:
-            try:
-                worker.control_q.put(("stop",))
-            except Exception:  # noqa: BLE001 - queue may be torn down
-                pass
+        with self._lock:  # a reap racing this spawns nothing after it
+            if self._stopping:
+                return
+            self._stopping = True
+            self._broadcast(("stop",))
+        atexit.unregister(self.stop)
         if self._collector is not None:
             self._collector.join(timeout=5.0)
         for worker in self._workers:
@@ -498,7 +497,7 @@ class ScoringFrontend:
                                    context="frontend stopped before scoring"),
                 )
         for worker in self._workers:
-            self._discard_queues(worker)
+            self._discard(worker)
         if self._slab is not None:
             # Keep the final merged view readable after the slab is gone.
             self._final_workers = self._aggregator.aggregate()
@@ -508,20 +507,17 @@ class ScoringFrontend:
         self._publisher.close()
 
     @staticmethod
-    def _discard_queues(worker: "_WorkerHandle") -> None:
-        """Release a handle's queues without joining their feeder threads.
+    def _discard(worker: _WorkerHandle) -> None:
+        """Close a handle's pipe and abandon its request queue.
 
         A killed (or stopped) worker leaves its request pipe full; the
         queue's background feeder blocks in ``send`` and multiprocessing's
         atexit hook would join it forever.  ``cancel_join_thread`` breaks
         that dependency so abandoning the queue is safe.
         """
-        for q in (worker.request_q, worker.control_q):
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except Exception:  # noqa: BLE001 - already torn down
-                pass
+        worker.request_q.cancel_join_thread()
+        worker.request_q.close()
+        worker.conn.close()
 
     def __enter__(self) -> "ScoringFrontend":
         return self.start() if not self._started else self
@@ -595,28 +591,19 @@ class ScoringFrontend:
             self._pending[request_id] = entry
             self._in_flight[generation] += 1
             self.telemetry.record_admitted()
+            self._dispatch(request_id, entry)
         if self.drift_guard is not None:
             self.drift_guard.observe(row[None, :])
-        self._dispatch(request_id, entry)
         return ticket
 
-    def _dispatch(self, request_id: int, entry: dict,
-                  requeue: bool = False) -> None:
-        """Route one admitted request to a live worker (round-robin)."""
-        alive = [w for w in self._workers if w.alive]
-        if not alive:
-            self._take(request_id)
-            self._resolve_future(
-                entry["future"],
-                FrontendResult(
-                    status=ERROR,
-                    context=("no live scoring workers"
-                             + (" (worker died mid-batch)" if requeue
-                                else "")),
-                ),
-            )
-            return
-        worker = alive[next(self._rr) % len(alive)]
+    def _dispatch(self, request_id: int, entry: dict) -> None:
+        """Route one admitted request to a worker, round-robin (lock held).
+
+        No liveness check: a request routed to a worker that has just died
+        is requeued by that worker's reap, which collects its orphans under
+        the same lock.
+        """
+        worker = self._workers[next(self._rr) % len(self._workers)]
         entry["worker_id"] = worker.worker_id
         worker.request_q.put(
             (request_id, entry["row"], entry["generation"])
@@ -689,41 +676,68 @@ class ScoringFrontend:
         self._broadcast(("retire", generation))
 
     def _broadcast(self, message: tuple) -> None:
+        """Send a control message down every worker's pipe (lock held, so
+        sends from different threads never interleave)."""
         for worker in self._workers:
-            if worker.alive:
-                worker.control_q.put(message)
+            try:
+                worker.conn.send(message)
+            except OSError:  # a dead worker: its reap respawns it
+                pass
 
     # ------------------------------------------------- fault-injection hooks
 
     def pause_workers(self) -> None:
         """Suspend batch consumption in every worker (tests/draining)."""
-        self._broadcast(("pause",))
+        with self._lock:
+            self._broadcast(("pause",))
 
     def resume_workers(self) -> None:
         """Resume batch consumption."""
-        self._broadcast(("resume",))
+        with self._lock:
+            self._broadcast(("resume",))
 
     # ------------------------------------------------------------ collector
 
     def _collect_loop(self) -> None:
+        """Resolve answers and reap deaths as each worker's pipe or
+        process sentinel becomes ready: one message per ready pipe per
+        round, so no worker's traffic starves another's death."""
         while not self._stopping:
-            try:
-                message = self._response_q.get(timeout=0.05)
-            except queue_mod.Empty:
-                self._reap_dead_workers()
-                self._live_tick()
-                continue
-            except (EOFError, OSError):
-                return
-            if message[0] == "results":
-                for req_id, status, value, generation in message[2]:
-                    self._resolve(req_id, status, value, generation)
+            workers = list(self._workers)
+            ready = wait([w.conn for w in workers]
+                         + [w.process.sentinel for w in workers],
+                         timeout=_LIVE_POLL_INTERVAL_S)
+            for worker in workers:
+                if worker.conn in ready and not self._receive(worker):
+                    # A closed pipe: the worker is exiting, and its
+                    # sentinel is where the death is handled.
+                    wait([worker.process.sentinel])
+                    ready.append(worker.process.sentinel)
+                if worker.process.sentinel in ready:
+                    self._reap(worker)
             self._live_tick()
+
+    def _receive(self, worker: _WorkerHandle) -> bool:
+        """Take one message off a worker's pipe, resolving its answers.
+
+        Returns False once the pipe is closed or ends in a truncated
+        message (the worker was killed partway through a send); that read
+        error is dropped with the worker, whose reap requeues the requests
+        the lost answer held.
+        """
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            return False
+        if message[0] == "results":
+            for req_id, status, value, generation in message[1]:
+                self._resolve(req_id, status, value, generation)
+        return True
 
     def _resolve(self, request_id: int, status: str, value,
                  generation: int) -> None:
         entry = self._take(request_id)
-        if entry is None:  # duplicate (requeued request answered twice)
+        if entry is None:  # already resolved (by stop())
             return
         latency = time.perf_counter() - entry["t_submit"]
         self.telemetry.record_request(latency)
@@ -747,11 +761,14 @@ class ScoringFrontend:
         if not future.done():
             future.set_result(result)
 
-    def _reap_dead_workers(self) -> None:
-        """Requeue (or fail, with context) a dead worker's in-flight work."""
-        for index, worker in enumerate(self._workers):
-            if worker.alive or self._stopping:
-                continue
+    def _reap(self, worker: _WorkerHandle) -> None:
+        """A worker's sentinel fired: resolve the answers it left on its
+        pipe, then respawn it and requeue its pending requests."""
+        while worker.conn.poll() and self._receive(worker):
+            pass
+        with self._lock:
+            if self._stopping:  # it left on "stop"
+                return
             self.telemetry.record_worker_death()
             # Fold the dead worker's final slab row into the aggregate
             # before the replacement (fresh telemetry, restarts at zero)
@@ -762,24 +779,19 @@ class ScoringFrontend:
             # the replacement; the old request queue is abandoned (its
             # unconsumed items are exactly the orphans being re-sent).
             # Under the lock, so every publish and retirement either
-            # precedes the generations it starts with or reaches it.
-            with self._lock:
-                orphans = [
-                    (req_id, entry)
-                    for req_id, entry in self._pending.items()
-                    if entry["worker_id"] == worker.worker_id
-                ]
-                self._workers[index] = self._spawn(worker.worker_id)
-            # The dead worker will never drain its queues: detach their
-            # feeder threads or interpreter shutdown joins them forever.
-            self._discard_queues(worker)
+            # precedes the generations it starts with or reaches it, and
+            # no submit routes to the dead worker after this.
+            orphans = [
+                (req_id, entry)
+                for req_id, entry in self._pending.items()
+                if entry["worker_id"] == worker.worker_id
+            ]
+            self._workers[worker.worker_id] = self._spawn(worker.worker_id)
+            self._discard(worker)
             if orphans:
                 self.telemetry.record_requeued(len(orphans))
             for req_id, entry in orphans:
-                entry["context"] = (
-                    f"worker {worker.worker_id} died mid-batch; requeued"
-                )
-                self._dispatch(req_id, entry, requeue=True)
+                self._dispatch(req_id, entry)
 
     # ------------------------------------------------------------ live plane
 
@@ -870,64 +882,46 @@ class ScoringFrontend:
         per-worker ``liveness``.  The merged schema is documented in
         ``docs/serving.md``.
         """
-        payload = {
-            "n_workers": self.config.n_workers,
-            "max_queue": self.config.max_queue,
-            "generation": (self._publisher.latest.generation
-                           if self._publisher.generations else -1),
-            "workers_alive": sum(1 for w in self._workers if w.alive),
-            "pending": len(self._pending),
-            "telemetry": self.telemetry.snapshot(),
-        }
-        if self.drift_guard is not None:
-            payload["drift_guard"] = self.drift_guard.snapshot()
-        workers = self._workers_aggregate()
-        if workers is not None:
-            payload["workers"] = workers
-            if self._aggregator is not None:
-                payload["liveness"] = self._aggregator.liveness()
-        return payload
-
-    def _workers_aggregate(self) -> dict | None:
-        """The merged per-worker service stats (None with the plane off)."""
-        if self._aggregator is not None:
-            return self._aggregator.aggregate()
-        return self._final_workers
+        return {"n_workers": self.config.n_workers,
+                "max_queue": self.config.max_queue, **self._state()}
 
     def live_snapshot(self) -> dict:
         """The full live-plane payload (exposition + ``repro obs top``).
 
-        One JSON-compatible dict per call: merged worker stats,
-        front-end telemetry, per-worker liveness, monitor snapshots and
-        health — the shape ``docs/observability.md`` documents and
+        One JSON-compatible dict per call: :meth:`snapshot`'s state (its
+        ``telemetry`` under ``frontend``), monitor snapshots and health —
+        the shape ``docs/observability.md`` documents and
         :class:`~repro.obs.live.MetricsExporter` serves.  Cheap and
         thread-safe (slab reads are seqlock-guarded, telemetry is
         locked), so it is called once per scrape.
         """
-        payload: dict = {
-            "unix": time.time(),
-            "generation": (self._publisher.latest.generation
-                           if self._publisher.generations else -1),
-            "pending": len(self._pending),
-            "workers_alive": sum(1 for w in self._workers if w.alive),
-            "frontend": self.telemetry.snapshot(),
-            "monitors": {},
-        }
-        workers = self._workers_aggregate()
-        if workers is not None:
-            payload["workers"] = workers
-        if self._aggregator is not None:
-            payload["liveness"] = self._aggregator.liveness()
-        if self.drift_guard is not None:
-            payload["drift_guard"] = self.drift_guard.snapshot()
+        payload = {"unix": time.time(), **self._state()}
+        payload["frontend"] = payload.pop("telemetry")
+        monitors = payload["monitors"] = {}
         if self.score_drift is not None:
-            payload["monitors"]["score_drift"] = self.score_drift.snapshot()
+            monitors["score_drift"] = self.score_drift.snapshot()
         if self.calibration is not None:
-            payload["monitors"]["calibration"] = self.calibration.snapshot()
+            monitors["calibration"] = self.calibration.snapshot()
         if self.slo_tracker is not None:
-            payload["monitors"]["slo"] = self.slo_tracker.snapshot(
-                now=time.monotonic()
-            )
+            monitors["slo"] = self.slo_tracker.snapshot(now=time.monotonic())
         if self.health_monitor is not None:
             payload["health"] = self.health_monitor.snapshot()
         return payload
+
+    def _state(self) -> dict:
+        """The fields both snapshots carry, assembled once per call."""
+        state = {
+            "generation": (self._publisher.latest.generation
+                           if self._publisher.generations else -1),
+            "workers_alive": sum(w.process.is_alive() for w in self._workers),
+            "pending": len(self._pending),
+            "telemetry": self.telemetry.snapshot(),
+        }
+        if self.drift_guard is not None:
+            state["drift_guard"] = self.drift_guard.snapshot()
+        if self._aggregator is not None:
+            state["workers"] = self._aggregator.aggregate()
+            state["liveness"] = self._aggregator.liveness()
+        elif self._final_workers is not None:  # stopped: the final capture
+            state["workers"] = self._final_workers
+        return state

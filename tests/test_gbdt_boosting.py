@@ -6,6 +6,7 @@ import pytest
 from repro.gbdt.boosting import GBDTClassifier, GBDTParams
 from repro.gbdt.tree import TreeParams
 from repro.metrics.auc import auc_score
+from repro.numerics import sigmoid
 
 
 def _classification_problem(rng, n=800, d=5):
@@ -144,28 +145,45 @@ class TestSingleClassBehaviour:
         assert model.predict_proba(x).max() < 0.2
 
 
+def _stages(model: GBDTClassifier, binned: np.ndarray) -> list[np.ndarray]:
+    """The raw score after each tree, added in the boosting loop's order."""
+    leaves = model.predict_leaves_binned(binned)
+    raw = np.full(leaves.shape[0], model.base_score_)
+    stages = []
+    for t in range(model.forest_.n_trees):
+        raw = raw + (model.params.learning_rate
+                     * model.forest_.tree_values(t)[leaves[:, t]])
+        stages.append(raw)
+    return stages
+
+
 class TestStagedPredictions:
+    """``decision_function_binned`` is the last of the per-tree stages."""
+
     def test_one_stage_per_tree(self, rng):
         x, y = _classification_problem(rng, n=300)
         model = GBDTClassifier(GBDTParams(n_trees=6)).fit(x, y)
-        stages = list(model.staged_predict_proba_binned(model.bin_features(x)))
+        binned = model.bin_features(x)
+        stages = _stages(model, binned)
         assert len(stages) == model.n_trees_fitted
+        np.testing.assert_array_equal(model.decision_function_binned(binned),
+                                      stages[-1])
 
     def test_final_stage_matches_predict_proba(self, rng):
         x, y = _classification_problem(rng, n=300)
         model = GBDTClassifier(GBDTParams(n_trees=6)).fit(x, y)
-        *_, final = model.staged_predict_proba_binned(model.bin_features(x))
-        np.testing.assert_allclose(final, model.predict_proba(x), atol=1e-12)
+        final = sigmoid(model.decision_function_binned(model.bin_features(x)))
+        np.testing.assert_array_equal(final, model.predict_proba(x))
 
     def test_training_auc_improves_over_stages(self, rng):
         x, y = _classification_problem(rng, n=600)
         model = GBDTClassifier(GBDTParams(n_trees=25)).fit(x, y)
-        stages = list(model.staged_predict_proba_binned(model.bin_features(x)))
-        first = auc_score(y, stages[0])
-        last = auc_score(y, stages[-1])
+        binned = model.bin_features(x)
+        first = auc_score(y, _stages(model, binned)[0])
+        last = auc_score(y, model.decision_function_binned(binned))
         assert last > first
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            list(GBDTClassifier().staged_predict_proba_binned(
-                np.zeros((1, 2), dtype=np.uint8)))
+            GBDTClassifier().decision_function_binned(
+                np.zeros((1, 2), dtype=np.uint8))

@@ -61,8 +61,8 @@ def _seed_nodes(tree: DecisionTree) -> list[_Node]:
 
 
 def _oracle(model: GBDTClassifier, binned: np.ndarray):
-    """Leaves and per-stage raw scores, one fitted tree at a time."""
-    leaves, stages = [], []
+    """Leaves and the raw score, one fitted tree at a time."""
+    leaves = []
     raw = np.full(binned.shape[0], model.base_score_)
     for tree in model.trees_:
         tree_leaves = reference.predict_leaf_seed(
@@ -71,21 +71,17 @@ def _oracle(model: GBDTClassifier, binned: np.ndarray):
         assert values.dtype == model.params.dtype
         raw += model.params.learning_rate * values[tree_leaves]
         leaves.append(tree_leaves)
-        stages.append(raw.copy())
-    return np.column_stack(leaves), stages
+    return np.column_stack(leaves), raw
 
 
 def _assert_matches_oracle(model: GBDTClassifier, binned: np.ndarray):
-    leaves, stages = _oracle(model, binned)
+    leaves, raw = _oracle(model, binned)
     ours = model.predict_leaves_binned(binned)
     assert ours.dtype == np.int32
     np.testing.assert_array_equal(ours, leaves)
-    np.testing.assert_array_equal(model.decision_function_binned(binned),
-                                  stages[-1])
-    staged = list(model.staged_predict_proba_binned(binned))
-    assert len(staged) == len(stages)
-    for got, raw in zip(staged, stages):
-        np.testing.assert_array_equal(got, sigmoid(raw))
+    np.testing.assert_array_equal(model.decision_function_binned(binned), raw)
+    np.testing.assert_array_equal(model.predict_proba_binned(binned),
+                                  sigmoid(raw))
 
 
 class TestEquivalence:
@@ -202,11 +198,9 @@ class TestPersistence:
                 np.testing.assert_array_equal(
                     gbdt.predict_leaves(x), fitted.predict_leaves(x))
                 binned = fitted.bin_features(x)
-                for ours, theirs in zip(
-                        gbdt.staged_predict_proba_binned(binned),
-                        fitted.staged_predict_proba_binned(binned),
-                        strict=True):
-                    np.testing.assert_array_equal(ours, theirs)
+                np.testing.assert_array_equal(
+                    gbdt.decision_function_binned(binned),
+                    fitted.decision_function_binned(binned))
                 np.testing.assert_array_equal(
                     scorer.predict_proba(x),
                     float32_pipeline.predict_proba(small_split.test))

@@ -163,7 +163,7 @@ def test_forked_frontend_worker_imports_nothing(tmp_path, fitted_pipeline,
         "from repro.serve.registry import ModelRegistry\n"
         "model = ModelRegistry(sys.argv[2]).load('champion')\n"
         "row = np.load(sys.argv[3])[0]\n"
-        "config = FrontendConfig(n_workers=1, start_method='fork')\n"
+        "config = FrontendConfig(n_workers=1)\n"
         "with ScoringFrontend(model, config) as frontend:\n"
         "    result = frontend.submit(row).result(timeout=60)\n"
         "assert result.ok, result\n"
@@ -235,7 +235,7 @@ def test_forked_pool_worker_imports_nothing(tmp_path):
         "                 seed=0, traced=False)\n"
         "         for name in ('ERM', 'LightMIRM', 'meta-IRM', 'V-REx')]\n"
         "try:\n"
-        "    outcomes = ParallelEngine(n_jobs=2, start_method='fork').map(\n"
+        "    outcomes = ParallelEngine(n_jobs=2).map(\n"
         "        run_fit_task, tasks, initializer=init_experiment_worker,\n"
         "        initargs=(pack.spec,))\n"
         "finally:\n"

@@ -1,16 +1,20 @@
 """Fault injection against the multi-worker scoring front-end.
 
 Every failure mode a production scorer must survive, injected
-deterministically: a worker killed mid-batch (in-flight requests requeue
-or error *with context*, never hang), a poison request among clean ones
-(refused at admission, so its blast radius is exactly that request), and
-queue overflow (backpressure sheds with an explicit Overloaded result,
-never silently).
+deterministically: a worker killed mid-batch, under load or partway
+through writing an answer (in-flight requests requeue, never hang), a
+worker that dies before its handshake (``start`` fails at once), a poison
+request among clean ones (refused at admission, so its blast radius is
+exactly that request), and queue overflow (backpressure sheds with an
+explicit Overloaded result, never silently).
 """
 
 import asyncio
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -30,6 +34,7 @@ from repro.serve.frontend import (
     _resolve_batch,
 )
 from repro.serve.service import ScoringService
+from repro.serve.telemetry import FrontendTelemetry
 
 
 def _start(model, **overrides) -> ScoringFrontend:
@@ -39,8 +44,26 @@ def _start(model, **overrides) -> ScoringFrontend:
 
 
 def _settle(frontend: ScoringFrontend) -> None:
-    """Give the paused workers time to drain their control queues."""
+    """Give the paused workers time to read their control messages."""
     time.sleep(10 * _POLL_TIMEOUT_S)
+
+
+class _StalledTelemetry(FrontendTelemetry):
+    """Holds the collector inside its first resolution until ``release``.
+
+    While it waits, nothing reads the workers' pipes.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def record_request(self, seconds: float) -> None:
+        if not self.entered.is_set():
+            self.entered.set()
+            self.release.wait(60)
+        super().record_request(seconds)
 
 
 class TestWorkerDeath:
@@ -90,6 +113,157 @@ class TestWorkerDeath:
             scoring_model.predict_proba(rows),
         )
         assert frontend.telemetry.worker_deaths >= 1
+
+    def test_death_under_load_is_reaped_at_once(self, scoring_model,
+                                                 request_rows):
+        """A survivor that never stops answering does not delay the reap:
+        four closed-loop submitters keep one of two workers busy while the
+        other is killed holding 20 of 40 admitted requests."""
+        rows = request_rows[:40]
+        frontend = _start(scoring_model, n_workers=2)
+        done = threading.Event()
+        failures: list = []
+
+        def closed_loop(offset: int) -> None:
+            index = offset
+            while not done.is_set():
+                result = frontend.submit(
+                    request_rows[index % len(request_rows)]).result(60)
+                if not result.ok:
+                    failures.append(result)
+                index += 4
+
+        submitters = [threading.Thread(target=closed_loop, args=(k,))
+                      for k in range(4)]
+        try:
+            frontend.pause_workers()
+            _settle(frontend)
+            tickets = [frontend.submit(row) for row in rows]
+            for thread in submitters:
+                thread.start()
+            os.kill(frontend.worker_pids[0], signal.SIGKILL)
+            deadline = time.monotonic() + 1.0
+            frontend.resume_workers()
+            results = [t.result(timeout=max(0.0, deadline - time.monotonic()))
+                       for t in tickets]
+            deaths = frontend.telemetry.worker_deaths
+        finally:
+            done.set()
+            for thread in submitters:
+                thread.join(timeout=60)
+            frontend.stop()
+        assert not any(thread.is_alive() for thread in submitters)
+        assert deaths == 1
+        assert failures == []
+        assert all(r.ok for r in results)
+        np.testing.assert_array_equal(
+            np.array([r.score for r in results]),
+            scoring_model.predict_proba(rows),
+        )
+
+    def test_kill_partway_through_a_large_answer(self, scoring_model,
+                                                 request_rows):
+        """The worker dies blocked in the write of an answer larger than
+        its pipe holds: the truncated answer is dropped with the pipe and
+        every request it held is requeued onto the replacement."""
+        # ~19 bytes per answered request: far past the ~210 kB a Unix
+        # socket pair buffers while the collector reads nothing.
+        n = 16_000
+        indices = np.arange(n) % len(request_rows)
+        telemetry = _StalledTelemetry()
+        frontend = ScoringFrontend(
+            scoring_model,
+            FrontendConfig(n_workers=1, max_batch_size=n, max_queue=n + 1),
+            telemetry=telemetry,
+        ).start()
+        try:
+            first = frontend.submit(request_rows[0])
+            assert telemetry.entered.wait(60)
+            frontend.pause_workers()
+            _settle(frontend)
+            tickets = [frontend.submit(request_rows[i]) for i in indices]
+            frontend.resume_workers()
+            worker = frontend._workers[0]
+            assert worker.conn.poll(60)  # its answer has begun
+            time.sleep(0.5)  # ...and stalled once the socket is full
+            os.kill(worker.process.pid, signal.SIGKILL)
+            telemetry.release.set()
+            results = [t.result(timeout=60) for t in tickets]
+        finally:
+            telemetry.release.set()
+            frontend.stop()
+        assert first.result(timeout=0).ok
+        assert all(r.ok for r in results)
+        np.testing.assert_array_equal(
+            np.array([r.score for r in results]),
+            scoring_model.predict_proba(request_rows)[indices],
+        )
+        snap = telemetry.snapshot()
+        assert snap["worker_deaths"] == 1
+        assert snap["requeued"] >= 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the crash is monkeypatched into a forked "
+                               "worker")
+    def test_a_worker_dead_before_ready_fails_start_at_once(
+            self, scoring_model, monkeypatch):
+        def crash(spec):
+            os._exit(3)
+
+        monkeypatch.setattr("repro.serve.frontend.attach_model", crash)
+        frontend = ScoringFrontend(scoring_model, FrontendConfig(n_workers=2))
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"\(code 3\) before it was "
+                                               r"ready"):
+            frontend.start()
+        assert time.monotonic() - started < 10.0
+        assert frontend._publisher.generations == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="scans /proc")
+    def test_exit_without_stop_leaves_no_worker(self, tmp_path,
+                                                fitted_pipeline):
+        """An interpreter that exits with a running frontend stops it
+        first: the workers exiting at shutdown are not reaped as deaths
+        and respawned into orphans."""
+        from repro.serve.registry import ModelRegistry
+
+        ModelRegistry(tmp_path / "registry").save(fitted_pipeline,
+                                                  slot="champion")
+        script = tmp_path / "serve_and_exit.py"
+        script.write_text(
+            "import sys\n"
+            "from repro.serve.frontend import FrontendConfig, "
+            "ScoringFrontend\n"
+            "from repro.serve.registry import ModelRegistry\n"
+            "model = ModelRegistry(sys.argv[1]).load('champion')\n"
+            "ScoringFrontend(model, FrontendConfig(n_workers=2)).start()\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "registry")],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            check=True, timeout=120,
+        )
+
+        def survivors() -> list[str]:
+            found = []
+            for pid in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{pid}/cmdline", "rb") as cmdline:
+                        if str(script).encode() in cmdline.read():
+                            found.append(pid)
+                except OSError:  # exited meanwhile
+                    pass
+            return found
+
+        deadline = time.monotonic() + 5.0
+        while survivors() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = survivors()
+        for pid in left:
+            os.kill(int(pid), signal.SIGKILL)
+        assert left == []
 
 
 #: One drained request: (generation, pool row index).  Generation 2 is

@@ -4,13 +4,14 @@ A superseded generation is retired once no admitted request holds it: the
 parent disposes its shared-memory block and every worker drops its service
 and closes its mapping.  Checked three ways:
 
-* the worker's control handling, run in process over ``queue.Queue``s
+* the worker's control handling, run in process over a scripted pipe
   (a ``pause`` or ``retire`` that lands while the worker waits for a
   generation is kept, not dropped);
 * K publishes under load, then a drain: the parent and each worker hold
   exactly one generation (``/dev/shm`` and ``/proc/<pid>/maps``);
 * a derandomized state machine over a 1-worker frontend (admit, publish,
-  pause/resume, SIGKILL, drain) with the frontend's invariants.
+  pause/resume, SIGKILL at any step, drain) with the frontend's
+  invariants.
 
 No timing or RSS is asserted; waits are bounded polls for a state.
 """
@@ -28,7 +29,6 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
-    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -93,6 +93,39 @@ def assert_holds_only(frontend: ScoringFrontend, names) -> None:
 # ------------------------------------------------- the worker, in process
 
 
+class _ScriptedPipe:
+    """The worker's end of its pipe: control in, answers out.
+
+    Answers ``("stop",)`` at the second idle poll after the results.
+    Timed polls (the worker waiting for a generation, or paused) return at
+    once and are counted in ``waits``.
+    """
+
+    def __init__(self):
+        self.control = queue.Queue()
+        self.sent = []
+        self.idle_polls = 0
+        self.waits = 0
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def recv(self):
+        return self.control.get_nowait()
+
+    def poll(self, timeout=0.0):
+        if not self.control.empty():
+            return True
+        if timeout:
+            self.waits += 1
+        elif len(self.sent) >= 2:  # idle after "ready" and the results
+            self.idle_polls += 1
+            if self.idle_polls == 2:
+                self.control.put(("stop",))
+                return True
+        return False
+
+
 class _ScriptedRequests(queue.Queue):
     """Hands the worker one batch; taking it sends ``on_take`` to control.
 
@@ -101,17 +134,17 @@ class _ScriptedRequests(queue.Queue):
     after the batch find nothing and are counted in ``late_takes``.
     """
 
-    def __init__(self, batch, control_q, on_take):
+    def __init__(self, batch, pipe, on_take):
         super().__init__()
         self.batch = list(batch)
-        self.control_q = control_q
+        self.pipe = pipe
         self.on_take = list(on_take)
         self.late_takes = 0
 
     def get(self, block=True, timeout=None):
         if self.batch:
             for message in self.on_take:
-                self.control_q.put(message)
+                self.pipe.control.put(message)
             self.on_take = []
             return self.batch.pop(0)
         if block:
@@ -119,52 +152,22 @@ class _ScriptedRequests(queue.Queue):
         raise queue.Empty
 
 
-class _ScriptedControl(queue.Queue):
-    """Answers ``("stop",)`` at the second idle poll after the results.
-
-    Blocking gets (the worker waiting for a generation) are counted in
-    ``waits``.
-    """
-
-    def __init__(self, response_q):
-        super().__init__()
-        self.response_q = response_q
-        self.idle_polls = 0
-        self.waits = 0
-
-    def get(self, block=True, timeout=None):
-        self.waits += block
-        return super().get(block, timeout)
-
-    def get_nowait(self):
-        try:
-            return super().get_nowait()
-        except queue.Empty:
-            if self.response_q.qsize() < 2:  # only "ready" so far
-                raise
-            self.idle_polls += 1
-            if self.idle_polls == 2:
-                return ("stop",)
-            raise
-
-
 def _run_worker(initial, batch, on_take=()):
-    """Run ``_worker_main`` in a thread over scripted queues.
+    """Run ``_worker_main`` in a thread over a scripted queue and pipe.
 
-    Returns the worker's messages and its request and control queues.
+    Returns the worker's messages, its request queue and its pipe.
     """
-    response_q = queue.Queue()
-    control_q = _ScriptedControl(response_q)
-    request_q = _ScriptedRequests(batch, control_q, on_take)
+    pipe = _ScriptedPipe()
+    request_q = _ScriptedRequests(batch, pipe, on_take)
     worker = threading.Thread(
         target=_worker_main,
-        args=(0, request_q, response_q, control_q, initial, 8),
+        args=(0, request_q, pipe, initial, 8),
         daemon=True,
     )
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive(), "worker did not stop"
-    return list(response_q.queue), request_q, control_q
+    return pipe.sent, request_q, pipe
 
 
 class TestWorkerControl:
@@ -179,8 +182,7 @@ class TestWorkerControl:
                 on_take=[("pause",), ("load", 1, second.spec)],
             )
         expected = scoring_model_alt.predict_proba(row[None])[0]
-        assert messages == [("ready", 0),
-                            ("results", 0, [(7, OK, expected, 1)])]
+        assert messages == [("ready",), ("results", [(7, OK, expected, 1)])]
         # Paused after the batch: the worker takes no further request.
         assert requests.late_takes == 0
 
@@ -195,7 +197,7 @@ class TestWorkerControl:
                 on_take=[("retire", 0), ("load", 1, second.spec)],
             )
         expected = scoring_model_alt.predict_proba(row[None])[0]
-        assert messages == [("ready", 0), ("results", 0, [
+        assert messages == [("ready",), ("results", [
             (7, OK, expected, 1),
             (8, ERROR, "generation 0 is not loaded in this worker", 0),
         ])]
@@ -205,13 +207,13 @@ class TestWorkerControl:
         with ModelPublisher() as publisher:
             gone = publisher.publish(scoring_model)
             publisher.retire(gone.generation)
-            messages, _, control = _run_worker([(0, gone.spec)],
-                                               [(7, request_rows[0], 0)])
-        assert messages == [("ready", 0), ("results", 0, [
+            messages, _, pipe = _run_worker([(0, gone.spec)],
+                                            [(7, request_rows[0], 0)])
+        assert messages == [("ready",), ("results", [
             (7, ERROR, "generation 0 is not loaded in this worker", 0),
         ])]
         # Known retired: answered without waiting for a "load".
-        assert control.waits == 0
+        assert pipe.waits == 0
 
 
 # ------------------------------------------------------ a running frontend
@@ -355,12 +357,10 @@ class FrontendMachine(RuleBasedStateMachine):
         self.frontend.resume_workers()
         self.paused = False
 
-    @precondition(lambda self: self.paused)
     @rule()
     def kill(self):
-        # Killed only once the pause has landed: a worker killed inside a
-        # response write would hold the shared response queue's lock.
-        time.sleep(10 * _POLL_TIMEOUT_S)
+        # At any step, paused or not: a worker killed inside an answer's
+        # write truncates only its own pipe.
         victim = self.frontend.worker_pids[0]
         os.kill(victim, signal.SIGKILL)
         assert wait_for(lambda: self.frontend.worker_pids[0] != victim)
